@@ -35,46 +35,15 @@ from .identification import (
     save_sparse,
     sindy,
 )
-from .lifting import (
-    EXP_NEG_INV,
-    ObservableLibrary,
-    carleman_center,
-    carleman_logistic,
-    load_model,
-    monomials,
-    propagate,
-    save_model,
-    slow_manifold_lift_ct,
-    slow_manifold_lift_dt,
-    tu_lift,
-)
+from .lifting import ObservableLibrary, load_model, monomials, propagate, save_model
 from .polynomials import format_polynomial
 from .spectral import (
     Eigenfunction,
     eigenfunction_to_json,
     eigenfunctions,
-    rotate_model,
     slow_subspace_slope,
     verify_eigenfunction,
 )
-
-_QUAD_FAMILY = {"quad_manifold", "kooc_demo", "limitation"}
-
-_X0_DEFAULTS = {
-    "quad_manifold": (1.5, -1.0),
-    "quartic_manifold": (1.5, -1.0),
-    "rotated_quad": (1.5, -1.0),
-    "discrete_manifold": (1.5, -1.0),
-    "tu_map": (1.0, 1.0),
-    "logistic": (0.5,),
-    "center_manifold": (0.5,),
-    "kooc_demo": (-5.0, 5.0),
-    "limitation": (1.5, -1.0),
-}
-
-_HORIZON_DEFAULTS = {"quad_manifold": 10.0, "quartic_manifold": 10.0,
-                     "rotated_quad": 10.0, "kooc_demo": 5.0}
-_LIFTED_COMPANIONS = ((1.0, -1.0), (2.0, -1.0))
 
 
 def _fmt(value):
@@ -126,39 +95,34 @@ def _build_system(args):
     return dynamics.builtin(args.system, **_collect_params(args))
 
 
+def _entry(system):
+    """The registry entry that knows the system's defaults and closed-form lift."""
+    return dynamics._REGISTRY[system.name]
+
+
 def _default_x0(system, args):
     if args.x0 is not None:
         return _parse_x0(args.x0, system.dim)
-    return np.array(_X0_DEFAULTS[system.name])
+    return np.array(_entry(system)["x0"])
 
 
-def _simulate_system(system, x0, args):
+def _default_horizon(system, x0, args):
+    if args.horizon is not None:
+        return args.horizon
+    horizon = _entry(system)["horizon"]
+    return horizon(x0) if callable(horizon) else horizon
+
+
+def _run(system, x0, args, steps):
+    """Iterate a map --steps times (default ``steps``), or integrate a flow to its horizon."""
     if system.time_kind == DISCRETE:
-        steps = args.steps if args.steps is not None else 50
-        return iterate(system, x0, steps)
-    horizon = args.horizon if args.horizon is not None else _HORIZON_DEFAULTS.get(system.name, 20.0)
-    return integrate(system, x0, horizon, dt=args.dt)
+        return iterate(system, x0, args.steps if args.steps is not None else steps)
+    return integrate(system, x0, _default_horizon(system, x0, args), dt=args.dt)
 
 
 def _canonical_lift(system, rank=4):
     """The closed-form lifted model matching a registry system's parameters."""
-    p = system.params
-    if system.name in _QUAD_FAMILY:
-        return slow_manifold_lift_ct(p["mu"], p["lambda"], {2: 1.0})
-    if system.name == "quartic_manifold":
-        return slow_manifold_lift_ct(p["mu"], p["lambda"], {2: -2.0, 4: 1.0})
-    if system.name == "discrete_manifold":
-        return slow_manifold_lift_dt(p["mu"], p["lambda"], {2: 1.0})
-    if system.name == "tu_map":
-        return tu_lift(p["lambda"], p["mu"])
-    if system.name == "logistic":
-        return carleman_logistic(p["r"], rank)
-    if system.name == "center_manifold":
-        return carleman_center(rank)
-    if system.name == "rotated_quad":
-        base = slow_manifold_lift_ct(p["mu"], p["lambda"], {2: 1.0})
-        return rotate_model(base, p["angle"])
-    raise ValueError(f"no closed-form lifted model for system '{system.name}'")
+    return _entry(system)["lift"](system.params, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +139,9 @@ def _surface_grid(y1_values, y2_values, height):
 
 def _simulate_quad_extras(system, x0, args, out, written):
     """Lifted trajectories and the three surface grids behind the manifold figure."""
-    p = system.params
-    model = slow_manifold_lift_ct(p["mu"], p["lambda"], {2: 1.0})
-    horizon = args.horizon if args.horizon is not None else _HORIZON_DEFAULTS["quad_manifold"]
-    starts = [("a", x0)] + [(label, np.array(ic))
-                            for label, ic in zip("bc", _LIFTED_COMPANIONS)]
+    model = _canonical_lift(system)
+    horizon = _default_horizon(system, x0, args)
+    starts = [("a", x0), ("b", np.array([1.0, -1.0])), ("c", np.array([2.0, -1.0]))]
     for label, start in starts:
         lifted = propagate(model, start, t_end=horizon, dt=args.dt)
         path = out / f"quad_manifold_lifted_{label}.csv"
@@ -204,8 +166,8 @@ def _simulate_quad_extras(system, x0, args, out, written):
     return slope
 
 
-def _center_comparison(args, out, written):
-    x0 = float(_parse_x0(args.x0, 1)[0]) if args.x0 is not None else 0.5
+def _center_comparison(system, args, out, written):
+    x0 = float(_default_x0(system, args)[0])
     if x0 <= 0:
         raise ValueError("center-manifold comparison needs x0 > 0")
     blowup = 1.0 / x0
@@ -220,7 +182,7 @@ def _center_comparison(args, out, written):
     columns = [times, truth]
     horizons = []
     for rank in ranks:
-        model = carleman_center(rank)
+        model = _canonical_lift(system, rank)
         pred = propagate(model, np.array([x0]), t_end=horizon, dt=args.dt).states[:, 0]
         columns.append(pred)
         rel = np.abs(pred - truth) / np.abs(truth)
@@ -240,10 +202,9 @@ def _logistic_divergence(system, x0, args, out, written):
     ranks = _parse_ranks(args.rank)
     steps = args.steps if args.steps is not None else 30
     truth = iterate(system, x0, steps).states[:, 0]
-    r = system.params["r"]
     horizons = []
     for rank in ranks:
-        model = carleman_logistic(r, rank)
+        model = _canonical_lift(system, rank)
         pred = propagate(model, x0, steps=steps).states[:, 0]
         rel = np.abs(pred - truth) / np.maximum(np.abs(truth), 1e-12)
         beyond = np.flatnonzero(rel > 0.1)
@@ -259,7 +220,7 @@ def _logistic_divergence(system, x0, args, out, written):
 
 def _simulate_gnuplot(system, written, out):
     lines = ["set datafile separator comma", "set key autotitle columnhead"]
-    if system.name == "quad_manifold" and "quad_manifold_surface_red.csv" in written:
+    if "quad_manifold_surface_red.csv" in written:
         lines += [
             "set hidden3d",
             "splot \\",
@@ -288,10 +249,10 @@ def cmd_simulate(args):
     written = []
 
     if system.name == "center_manifold" and args.rank is not None:
-        _center_comparison(args, out, written)
+        _center_comparison(system, args, out, written)
     else:
         x0 = _default_x0(system, args)
-        traj = _simulate_system(system, x0, args)
+        traj = _run(system, x0, args, steps=50)
         path = out / f"{system.name}_trajectory.csv"
         write_trajectory(traj, path)
         written.append(path.name)
@@ -312,26 +273,13 @@ def cmd_simulate(args):
 # identify
 # ---------------------------------------------------------------------------
 
-def _identification_ics(system):
-    if system.dim == 2 and system.time_kind == CONTINUOUS:
-        return [np.array([a, b]) for a in (-2.0, -1.0, 0.0, 1.0, 2.0) for b in (-2.0, 2.0)]
-    if system.dim == 2:
-        return [np.array([a, b]) for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 1.0)]
-    if system.name == "center_manifold":
-        return [np.array([v]) for v in np.linspace(0.05, 0.45, 9)]
-    return [np.array([v]) for v in np.linspace(0.1, 0.8, 8)]
-
-
 def _generate_identification_data(system, args):
-    trajs = []
-    for x0 in _identification_ics(system):
-        if system.time_kind == DISCRETE:
-            trajs.append(iterate(system, x0, args.steps if args.steps is not None else 40))
-        else:
-            default = 1.5 if system.name == "center_manifold" else 10.0
-            horizon = args.horizon if args.horizon is not None else default
-            trajs.append(integrate(system, x0, horizon, dt=args.dt))
-    return trajs
+    starts, span = _entry(system)["training"]
+    if system.time_kind == DISCRETE:
+        steps = args.steps if args.steps is not None else span
+        return [iterate(system, x0, steps) for x0 in starts]
+    horizon = args.horizon if args.horizon is not None else span
+    return [integrate(system, x0, horizon, dt=args.dt) for x0 in starts]
 
 
 def cmd_identify(args):
@@ -387,17 +335,6 @@ def cmd_identify(args):
 # spectral
 # ---------------------------------------------------------------------------
 
-def _verification_trajectory(system, args):
-    x0 = _default_x0(system, args)
-    if system.time_kind == DISCRETE:
-        return iterate(system, x0, args.steps if args.steps is not None else 40)
-    if system.name == "center_manifold":
-        horizon = args.horizon if args.horizon is not None else 0.8 / float(x0[0])
-    else:
-        horizon = args.horizon if args.horizon is not None else _HORIZON_DEFAULTS.get(system.name, 10.0)
-    return integrate(system, x0, horizon, dt=args.dt)
-
-
 def _normalized_coeffs(coeffs):
     pivot = coeffs[int(np.argmax(np.abs(coeffs)))]
     scaled = coeffs / pivot
@@ -418,9 +355,10 @@ def cmd_spectral(args):
         model = _canonical_lift(system, rank=int(args.rank) if args.rank else 4)
         stem = system.name
 
-    traj = _verification_trajectory(system, args) if system is not None else None
+    traj = _run(system, _default_x0(system, args), args, steps=40) if system is not None else None
+    fns = eigenfunctions(model)
     entries = []
-    for fn in eigenfunctions(model):
+    for fn in fns:
         entry = {
             "eigenfunction": eigenfunction_to_json(fn),
             "coeffs_normalized": _normalized_coeffs(fn.coeffs),
@@ -436,30 +374,30 @@ def cmd_spectral(args):
     payload = {
         "time_kind": model.time_kind,
         "library": model.library.names,
-        "eigenvalues": [[w.real, w.imag] for w in np.linalg.eigvals(model.K)],
+        "eigenvalues": [[fn.eigenvalue.real, fn.eigenvalue.imag] for fn in fns],
         "eigenfunctions": entries,
     }
     if system is not None:
         payload["system"] = system.name
         payload["params"] = dict(sorted(system.params.items()))
-        if system.name in _QUAD_FAMILY or system.name == "rotated_quad":
+        if system.time_kind == CONTINUOUS and _entry(system).get("manifold") == dynamics._PARABOLA:
+            # the eigenfunction x2 - b*x1^2 of the flow onto x2 = x1^2
             mu, lam = system.params["mu"], system.params["lambda"]
             if lam != 2 * mu:
                 payload["b"] = lam / (lam - 2 * mu)
-        if system.name in _QUAD_FAMILY:
-            try:
-                payload["slow_subspace_slope"] = slow_subspace_slope(model)
-            except DegenerateSpectrum:
-                pass
+        try:
+            payload["slow_subspace_slope"] = slow_subspace_slope(model)
+        except (ValueError, DegenerateSpectrum):
+            pass  # not the quadratic-manifold lift, or its slow eigenvalue is not simple
 
     if args.named_observable is not None:
-        if system is None or system.name != "center_manifold":
-            raise ValueError("--named-observable applies to --system center-manifold")
         name = args.named_observable.replace("-", "_")
-        if name != EXP_NEG_INV:
-            raise ValueError(f"unknown named observable '{args.named_observable}'")
-        fn = Eigenfunction(1.0, np.array([1.0]),
-                           ObservableLibrary(1, (EXP_NEG_INV,)), CONTINUOUS)
+        named = _entry(system).get("eigenfunctions", {}) if system is not None else {}
+        if name not in named:
+            raise ValueError(f"no named eigenfunction '{args.named_observable}' for this "
+                             "system (exp-neg-inv belongs to --system center-manifold)")
+        fn = Eigenfunction(named[name], np.array([1.0]), ObservableLibrary(1, (name,)),
+                           system.time_kind)
         payload["named_observable"] = name
         payload["named_observable_residual"] = verify_eigenfunction(fn, traj)
         print(f"{name} residual: {_fmt(payload['named_observable_residual'])}")
@@ -467,7 +405,7 @@ def cmd_spectral(args):
     path = out / f"{stem}_spectral.json"
     _write_json(path, payload)
     eigvals = ", ".join(f"{w.real:g}{f'{w.imag:+g}j' if abs(w.imag) > 1e-12 else ''}"
-                        for w in sorted(np.linalg.eigvals(model.K), key=lambda z: (-z.real, -z.imag)))
+                        for w in (fn.eigenvalue for fn in fns))
     print(f"eigenvalues: {eigvals}")
     print(f"wrote {path}")
     return 0
@@ -565,8 +503,6 @@ def _registry_epilog():
 
 def _add_common(parser):
     parser.add_argument("--out", default=".", help="output directory (KOOPMANKIT_OUT overrides)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; current experiments are deterministic")
 
 
 def _add_params(parser):

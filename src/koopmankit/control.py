@@ -267,21 +267,18 @@ def closed_loop_cost(traj: Trajectory, q, r):
         raise ValueError("trajectory has no recorded inputs; integrate with a controller")
     q = _symmetric(q, "q", psd=True)
     r = _symmetric(r, "r", pd=True)
-    x, u = traj.states, traj.inputs
-    integrand = np.einsum("ki,ij,kj->k", x, q, x) + np.einsum("ki,ij,kj->k", u, r, u)
-    gaps = np.diff(traj.times)
-    cost = np.zeros(len(traj.times))
-    cost[1:] = np.cumsum(0.5 * gaps * (integrand[1:] + integrand[:-1]))
-    return cost
+    return _trapezoid_cost(traj.times, traj.states, traj.inputs, q, r)
 
 
 def _gain_cost(traj: Trajectory, gain, q, r):
     """Cost along a trajectory with u replaced by ``gain``-feedback in the integrand."""
-    x = traj.states
-    u = -(x @ gain.T)
+    return _trapezoid_cost(traj.times, traj.states, -(traj.states @ gain.T), q, r)
+
+
+def _trapezoid_cost(times, x, u, q, r):
     integrand = np.einsum("ki,ij,kj->k", x, q, x) + np.einsum("ki,ij,kj->k", u, r, u)
-    gaps = np.diff(traj.times)
-    cost = np.zeros(len(traj.times))
+    gaps = np.diff(times)
+    cost = np.zeros(len(times))
     cost[1:] = np.cumsum(0.5 * gaps * (integrand[1:] + integrand[:-1]))
     return cost
 

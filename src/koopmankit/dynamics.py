@@ -227,49 +227,49 @@ def _slow_manifold_map(mu, lam, poly):
     return (eq1, eq2)
 
 
-def _build_quad_manifold(p):
-    return PolySystem(2, CONTINUOUS, slow_manifold_field(p["mu"], p["lambda"], {2: 1.0}),
-                      params=p, name="quad_manifold")
+def _lifting():
+    from . import lifting  # local import: lifting imports this module
+
+    return lifting
 
 
-def _build_quartic_manifold(p):
-    return PolySystem(2, CONTINUOUS, slow_manifold_field(p["mu"], p["lambda"], {2: -2.0, 4: 1.0}),
-                      params=p, name="quartic_manifold")
+_PARABOLA = {2: 1.0}  # P(x1) = x1^2
 
 
-def _build_discrete_manifold(p):
-    return PolySystem(2, DISCRETE, _slow_manifold_map(p["mu"], p["lambda"], {2: 1.0}),
-                      params=p, name="discrete_manifold")
+def _slow_manifold(poly, time_kind=CONTINUOUS, input_map=None):
+    """Builder and exact lift of the slow-manifold system on x2 = P(x1).
+
+    The field (or map) and its lift are both built from the one ``poly``.
+    """
+    def builder(p):
+        make = slow_manifold_field if time_kind == CONTINUOUS else _slow_manifold_map
+        return PolySystem(2, time_kind, make(p["mu"], p["lambda"], poly), params=p,
+                          input_map=input_map)
+
+    def lift(p, rank):
+        lifting = _lifting()
+        make = (lifting.slow_manifold_lift_ct if time_kind == CONTINUOUS
+                else lifting.slow_manifold_lift_dt)
+        return make(p["mu"], p["lambda"], poly)
+
+    return {"builder": builder, "lift": lift, "manifold": poly}
 
 
 def _build_tu_map(p):
     lam, mu = p["lambda"], p["mu"]
     eq1 = Polynomial(2, {(1, 0): lam})
     eq2 = Polynomial(2, {(0, 1): mu, (2, 0): lam * lam - mu})
-    return PolySystem(2, DISCRETE, (eq1, eq2), params=p, name="tu_map")
+    return PolySystem(2, DISCRETE, (eq1, eq2), params=p)
 
 
 def _build_logistic(p):
     r = p["r"]
     eq = Polynomial(1, {(1,): r, (2,): -r})
-    return PolySystem(1, DISCRETE, (eq,), params=p, name="logistic")
+    return PolySystem(1, DISCRETE, (eq,), params=p)
 
 
 def _build_center_manifold(p):
-    return PolySystem(1, CONTINUOUS, (Polynomial(1, {(2,): 1.0}),), params=p,
-                      name="center_manifold")
-
-
-def _build_kooc_demo(p):
-    eqs = slow_manifold_field(p["mu"], p["lambda"], {2: 1.0})
-    return PolySystem(2, CONTINUOUS, eqs, params=p, input_map=np.array([[0.0], [1.0]]),
-                      name="kooc_demo")
-
-
-def _build_limitation(p):
-    eqs = slow_manifold_field(p["mu"], p["lambda"], {2: 1.0})
-    return PolySystem(2, CONTINUOUS, eqs, params=p, input_map=np.array([[1.0], [0.0]]),
-                      name="limitation")
+    return PolySystem(1, CONTINUOUS, (Polynomial(1, {(2,): 1.0}),), params=p)
 
 
 def _build_rotated_quad(p):
@@ -280,61 +280,112 @@ def _build_rotated_quad(p):
 
     t = rotation_matrix(p["angle"])
     tinv = np.linalg.inv(t)
-    base = slow_manifold_field(p["mu"], p["lambda"], {2: 1.0})
+    base = slow_manifold_field(p["mu"], p["lambda"], _PARABOLA)
     old_vars = [Polynomial(2, {(1, 0): tinv[i, 0], (0, 1): tinv[i, 1]}) for i in range(2)]
     substituted = [eq.compose(old_vars) for eq in base]
     eqs = tuple(
         sum((t[i, j] * substituted[j] for j in range(2)), Polynomial.zero(2))
         for i in range(2)
     )
-    return PolySystem(2, CONTINUOUS, eqs, params=p, name="rotated_quad")
+    return PolySystem(2, CONTINUOUS, eqs, params=p)
 
 
+def _lift_rotated_quad(p, rank):
+    from .spectral import rotate_model  # local import to avoid a cycle
+
+    base = _lifting().slow_manifold_lift_ct(p["mu"], p["lambda"], _PARABOLA)
+    return rotate_model(base, p["angle"])
+
+
+# identification training starts on a grid: flows reach |x| = 2, maps 1
+_FLOW_STARTS = tuple((a, b) for a in (-2.0, -1.0, 0.0, 1.0, 2.0) for b in (-2.0, 2.0))
+_MAP_STARTS = tuple((a, b) for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 1.0))
+
+# Each entry is the one place that knows its system:
+#   builder(params) -> PolySystem; "defaults" and "description";
+#   "x0"        the default start;
+#   "horizon"   the default end time of a flow, or a rule on x0;
+#   "training"  (identification starts, their horizon for a flow or step
+#               count for a map);
+#   lift(params, rank) -> the closed-form lifted model (rank sets the
+#               Carleman truncations);
+#   "manifold"  P of the slow manifold x2 = P(x1), where there is one;
+#   "eigenfunctions"  named closed-form eigenfunctions -> eigenvalue.
 _REGISTRY = {
     "quad_manifold": {
-        "builder": _build_quad_manifold,
+        **_slow_manifold(_PARABOLA),
         "defaults": {"mu": -0.05, "lambda": -1.0},
         "description": "continuous 2-state flow with attracting quadratic slow manifold x2 = x1^2",
+        "x0": (1.5, -1.0),
+        "horizon": 10.0,
+        "training": (_FLOW_STARTS, 10.0),
     },
     "quartic_manifold": {
-        "builder": _build_quartic_manifold,
+        **_slow_manifold({2: -2.0, 4: 1.0}),
         "defaults": {"mu": -0.05, "lambda": -1.0},
         "description": "continuous 2-state flow whose slow manifold is the quartic x2 = x1^4 - 2*x1^2",
+        "x0": (1.5, -1.0),
+        "horizon": 10.0,
+        "training": (_FLOW_STARTS, 10.0),
     },
     "discrete_manifold": {
-        "builder": _build_discrete_manifold,
+        **_slow_manifold(_PARABOLA, time_kind=DISCRETE),
         "defaults": {"mu": 0.9, "lambda": 0.1},
         "description": "discrete 2-state map contracting onto x2 = x1^2 (multipliers mu slow, lambda fast)",
+        "x0": (1.5, -1.0),
+        "training": (_MAP_STARTS, 40),
     },
     "tu_map": {
         "builder": _build_tu_map,
+        "lift": lambda p, rank: _lifting().tu_lift(p["lambda"], p["mu"]),
         "defaults": {"lambda": 0.9, "mu": 0.5},
         "description": "discrete quadratic map x1 -> lambda*x1, x2 -> mu*x2 + (lambda^2 - mu)*x1^2",
+        "x0": (1.0, 1.0),
+        "training": (_MAP_STARTS, 40),
     },
     "logistic": {
         "builder": _build_logistic,
+        "lift": lambda p, rank: _lifting().carleman_logistic(p["r"], rank),
         "defaults": {"r": 3.5},
         "description": "discrete 1-state logistic map x -> r*x*(1 - x)",
+        "x0": (0.5,),
+        "training": (tuple((v,) for v in np.linspace(0.1, 0.8, 8)), 40),
     },
     "center_manifold": {
         "builder": _build_center_manifold,
+        "lift": lambda p, rank: _lifting().carleman_center(rank),
         "defaults": {},
         "description": "continuous 1-state flow dx/dt = x^2 (finite-time blow-up at t = 1/x0)",
+        "x0": (0.5,),
+        "horizon": lambda x0: 0.8 / float(x0[0]),  # 80% of the way to the blow-up
+        "training": (tuple((v,) for v in np.linspace(0.05, 0.45, 9)), 1.5),
+        "eigenfunctions": {"exp_neg_inv": 1.0},  # d/dt exp(-1/x) = exp(-1/x)
     },
     "kooc_demo": {
-        "builder": _build_kooc_demo,
+        **_slow_manifold(_PARABOLA, input_map=((0.0,), (1.0,))),
         "defaults": {"mu": -0.1, "lambda": 1.0},
         "description": "actuated quad-manifold flow, input on x2 (B = [0, 1]); lifted-control benchmark",
+        "x0": (-5.0, 5.0),
+        "horizon": 5.0,
+        "training": (_FLOW_STARTS, 10.0),
     },
     "limitation": {
-        "builder": _build_limitation,
+        **_slow_manifold(_PARABOLA, input_map=((1.0,), (0.0,))),
         "defaults": {"mu": 0.1, "lambda": -1.0},
         "description": "actuated quad-manifold flow, input on x1 (B = [1, 0]); lifted x1^2 mode at 2*mu is uncontrollable",
+        "x0": (1.5, -1.0),
+        "horizon": 10.0,
+        "training": (_FLOW_STARTS, 10.0),
     },
     "rotated_quad": {
         "builder": _build_rotated_quad,
+        "lift": _lift_rotated_quad,
+        "manifold": _PARABOLA,
         "defaults": {"mu": -0.05, "lambda": 1.0, "angle": float(np.pi / 4)},
         "description": "quad-manifold flow expressed in tilted coordinates (eta, xi) at the given angle",
+        "x0": (1.5, -1.0),
+        "horizon": 10.0,
+        "training": (_FLOW_STARTS, 10.0),
     },
 }
 
@@ -374,7 +425,9 @@ def builtin(name, **params):
         if pname not in merged:
             raise ValueError(f"system '{key}' takes no parameter '{pname}'")
         merged[pname] = float(value)
-    return entry["builder"](merged)
+    system = entry["builder"](merged)
+    system.name = key
+    return system
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory
 from .lifting import (
     KoopmanModel,
     ObservableLibrary,
+    _library_from_json,
+    _library_to_json,
     eval_library,
     observable_advance,
-    observable_from_json,
     observable_name,
-    observable_to_json,
 )
 from .polynomials import Polynomial
 
@@ -177,14 +177,7 @@ class SparseModel:
         """Per-target polynomials (requires a polynomial library)."""
         if not self.library.is_polynomial():
             raise ValueError("equations need a polynomial library")
-        out = []
-        for row in self.coefficients:
-            eq = Polynomial.zero(self.library.dim)
-            for coeff, obs in zip(row, self.library.observables):
-                if coeff != 0.0:
-                    eq = eq + coeff * obs
-            out.append(eq)
-        return tuple(out)
+        return tuple(self.library.linear_combination(row) for row in self.coefficients)
 
     def as_system(self) -> PolySystem:
         """The identified dynamics as a polynomial system."""
@@ -213,24 +206,13 @@ def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD
             f"underdetermined regression: {n_samples} samples for {n_features} features",
             stacklevel=2,
         )
-    scales = np.sqrt(np.mean(theta ** 2, axis=0))
-    scales[scales == 0.0] = 1.0
-    theta_n = theta / scales
     targets = data.Y.T  # samples x targets
-
-    w = numerics.lstsq(theta_n, targets)
-    mask = np.abs(w) >= threshold
-    _check_rows(mask, library)
-    for _ in range(max_iter):
-        w = np.zeros_like(w)
-        for i in range(targets.shape[1]):
-            active = mask[:, i]
-            w[active, i] = numerics.lstsq(theta_n[:, active], targets[:, i])
-        new_mask = np.abs(w) >= threshold
-        _check_rows(new_mask, library)
-        if np.array_equal(new_mask, mask):
-            break
-        mask = new_mask
+    _, mask, _ = _stlsq(theta, targets, threshold, max_iter)
+    empty = np.flatnonzero(~mask.any(axis=0))
+    if empty.size:
+        raise ValueError(
+            f"threshold eliminated every term for target(s) {list(empty)}; lower it"
+        )
     # debias: refit on the final support in the original scaling, so
     # threshold 0 reproduces the plain least-squares solution exactly
     if mask.all():
@@ -244,12 +226,30 @@ def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD
                        time_kind=data.time_kind)
 
 
-def _check_rows(mask, library):
-    empty = np.flatnonzero(~mask.any(axis=0))
-    if empty.size:
-        raise ValueError(
-            f"threshold eliminated every term for target(s) {list(empty)}; lower it"
-        )
+def _stlsq(design, targets, threshold, max_iter):
+    """The thresholding loop of sequential thresholded least squares.
+
+    Columns of ``design`` are scaled to unit RMS and the threshold applies in
+    that scaling. Returns the scaled coefficients (features x targets), their
+    support mask and the column scales. A target whose support empties keeps
+    zero coefficients from then on.
+    """
+    scales = np.sqrt(np.mean(design ** 2, axis=0))
+    scales[scales == 0.0] = 1.0
+    scaled = design / scales
+    w = numerics.lstsq(scaled, targets)
+    mask = np.abs(w) >= threshold
+    for _ in range(max_iter):
+        w = np.zeros_like(w)
+        for i in range(targets.shape[1]):
+            active = mask[:, i]
+            if active.any():
+                w[active, i] = numerics.lstsq(scaled[:, active], targets[:, i])
+        new_mask = np.abs(w) >= threshold
+        if np.array_equal(new_mask, mask):
+            break
+        mask = new_mask
+    return w, mask, scales
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +339,11 @@ def refine_subspace(sparse: SparseModel, data: DataSet, max_rounds=10,
     if threshold is None:
         k = numerics.lstsq(theta.T, targets.T).T
     else:
-        k = _thresholded_rows(theta.T, targets.T, threshold).T
+        w, mask, scales = _stlsq(theta.T, targets.T, threshold, DEFAULT_MAX_ITER)
+        k = (np.where(mask, w, 0.0) / scales[:, None]).T
 
     model = KoopmanModel(refined_lib, k, data.time_kind, state_rows=tuple(range(n)))
     return RefinementResult(model=model, converged=converged, rounds=rounds, added=tuple(added))
-
-
-def _thresholded_rows(design, targets, threshold, max_iter=DEFAULT_MAX_ITER):
-    scales = np.sqrt(np.mean(design ** 2, axis=0))
-    scales[scales == 0.0] = 1.0
-    dn = design / scales
-    w = numerics.lstsq(dn, targets)
-    mask = np.abs(w) >= threshold
-    for _ in range(max_iter):
-        w = np.zeros_like(w)
-        for i in range(targets.shape[1]):
-            active = mask[:, i]
-            if active.any():
-                w[active, i] = numerics.lstsq(dn[:, active], targets[:, i])
-        new_mask = np.abs(w) >= threshold
-        if np.array_equal(new_mask, mask):
-            break
-        mask = new_mask
-    return np.where(mask, w, 0.0) / scales[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +385,7 @@ def sparse_to_json(model: SparseModel) -> dict:
                  for j, c in enumerate(row) if c != 0.0]
         rows.append({"target": f"x{i + 1}", "terms": terms})
     return {
-        "library": {
-            "dim": model.library.dim,
-            "state_inclusive": model.library.state_inclusive,
-            "observables": [observable_to_json(o) for o in model.library.observables],
-        },
+        "library": _library_to_json(model.library),
         "threshold": float(model.threshold),
         "time_kind": model.time_kind,
         "rows": rows,
@@ -415,13 +393,7 @@ def sparse_to_json(model: SparseModel) -> dict:
 
 
 def sparse_from_json(data: dict) -> SparseModel:
-    lib_data = data["library"]
-    dim = int(lib_data["dim"])
-    lib = ObservableLibrary(
-        dim,
-        tuple(observable_from_json(o, dim) for o in lib_data["observables"]),
-        state_inclusive=bool(lib_data.get("state_inclusive", False)),
-    )
+    lib = _library_from_json(data["library"])
     names = lib.names
     coeffs = np.zeros((len(data["rows"]), len(lib)))
     for i, row in enumerate(data["rows"]):

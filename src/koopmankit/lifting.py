@@ -105,6 +105,14 @@ class ObservableLibrary:
     def is_polynomial(self):
         return all(isinstance(o, Polynomial) for o in self.observables)
 
+    def linear_combination(self, coeffs):
+        """The polynomial sum of coeffs[j] * observable j, zero coefficients skipped."""
+        out = Polynomial.zero(self.dim)
+        for coeff, obs in zip(coeffs, self.observables):
+            if coeff != 0.0:
+                out = out + coeff * obs
+        return out
+
 
 def monomials(dim, max_degree):
     """State-inclusive library of all monomials of degree 1..max_degree.
@@ -333,10 +341,7 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
         lhs = observable_advance(obs, system)
         if truncate:
             lhs = Polynomial(lhs.dim, {e: c for e, c in lhs.terms.items() if e in retained})
-        rhs = Polynomial.zero(system.dim)
-        for j, other in enumerate(model.library.observables):
-            if model.K[i, j] != 0.0:
-                rhs = rhs + model.K[i, j] * other
+        rhs = model.library.linear_combination(model.K[i])
         worst = max(worst, (lhs - rhs).max_abs_coeff())
     return worst
 
@@ -407,26 +412,35 @@ def observable_from_json(entry, dim):
     return Polynomial.monomial(dim, tuple(entry))
 
 
+def _library_to_json(library: ObservableLibrary) -> dict:
+    return {
+        "dim": library.dim,
+        "state_inclusive": library.state_inclusive,
+        "observables": [observable_to_json(o) for o in library.observables],
+    }
+
+
+def _library_from_json(data: dict) -> ObservableLibrary:
+    dim = int(data["dim"])
+    return ObservableLibrary(
+        dim,
+        tuple(observable_from_json(o, dim) for o in data["observables"]),
+        state_inclusive=bool(data.get("state_inclusive", False)),
+    )
+
+
 def model_to_json(model: KoopmanModel) -> dict:
     return {
         "time_kind": model.time_kind,
-        "dim": model.library.dim,
-        "state_inclusive": model.library.state_inclusive,
-        "observables": [observable_to_json(o) for o in model.library.observables],
+        **_library_to_json(model.library),
         "K": [[float(v) for v in row] for row in model.K],
         "state_rows": list(model.state_rows),
     }
 
 
 def model_from_json(data: dict) -> KoopmanModel:
-    dim = int(data["dim"])
-    lib = ObservableLibrary(
-        dim,
-        tuple(observable_from_json(o, dim) for o in data["observables"]),
-        state_inclusive=bool(data.get("state_inclusive", False)),
-    )
-    return KoopmanModel(lib, np.asarray(data["K"], dtype=float), data["time_kind"],
-                        state_rows=tuple(data.get("state_rows", ())))
+    return KoopmanModel(_library_from_json(data), np.asarray(data["K"], dtype=float),
+                        data["time_kind"], state_rows=tuple(data.get("state_rows", ())))
 
 
 def save_model(model: KoopmanModel, path):

@@ -17,13 +17,13 @@ import numpy as np
 from . import numerics
 from .dynamics import CONTINUOUS, Trajectory
 from .exceptions import DegenerateSpectrum
-from .identification import differentiate_series
+from .identification import _uniform_dt, differentiate_series
 from .lifting import (
     KoopmanModel,
     ObservableLibrary,
+    _library_from_json,
+    _library_to_json,
     eval_library,
-    observable_from_json,
-    observable_to_json,
 )
 from .polynomials import Polynomial
 
@@ -57,11 +57,7 @@ class Eigenfunction:
             raise ValueError("not a polynomial eigenfunction")
         if np.max(np.abs(self.coeffs.imag)) > imag_tol * max(1.0, np.max(np.abs(self.coeffs))):
             raise ValueError("coefficients are not real to tolerance")
-        out = Polynomial.zero(self.library.dim)
-        for c, obs in zip(self.coeffs.real, self.library.observables):
-            if c != 0.0:
-                out = out + c * obs
-        return out
+        return self.library.linear_combination(self.coeffs.real)
 
 
 def eigenfunctions(model: KoopmanModel):
@@ -92,11 +88,7 @@ def verify_eigenfunction(fn: Eigenfunction, traj: Trajectory) -> float:
     if scale <= 1e-12 * max(floor, 1e-300):
         raise ValueError("eigenfunction vanishes along this trajectory; nothing to verify")
     if fn.time_kind == CONTINUOUS:
-        gaps = np.diff(traj.times)
-        dt = float(gaps[0])
-        if dt <= 0 or not np.allclose(gaps, dt, rtol=1e-9, atol=1e-12):
-            raise ValueError("trajectory samples are not uniformly spaced")
-        derivative = differentiate_series(values[:, None], dt)[:, 0]
+        derivative = differentiate_series(values[:, None], _uniform_dt(traj.times))[:, 0]
         defect = derivative - fn.eigenvalue * values
     else:
         if values.size < 2:
@@ -212,25 +204,15 @@ def eigenfunction_to_json(fn: Eigenfunction) -> dict:
         "eigenvalue": [fn.eigenvalue.real, fn.eigenvalue.imag],
         "coeffs": [[c.real, c.imag] for c in fn.coeffs],
         "time_kind": fn.time_kind,
-        "library": {
-            "dim": fn.library.dim,
-            "state_inclusive": fn.library.state_inclusive,
-            "observables": [observable_to_json(o) for o in fn.library.observables],
-        },
+        "library": _library_to_json(fn.library),
     }
 
 
 def eigenfunction_from_json(data: dict) -> Eigenfunction:
-    lib_data = data["library"]
-    dim = int(lib_data["dim"])
-    lib = ObservableLibrary(
-        dim,
-        tuple(observable_from_json(o, dim) for o in lib_data["observables"]),
-        state_inclusive=bool(lib_data.get("state_inclusive", False)),
-    )
     coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
     return Eigenfunction(eigenvalue=complex(*data["eigenvalue"]), coeffs=coeffs,
-                         library=lib, time_kind=data["time_kind"])
+                         library=_library_from_json(data["library"]),
+                         time_kind=data["time_kind"])
 
 
 def save_eigenfunction(fn: Eigenfunction, path):

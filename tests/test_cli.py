@@ -14,7 +14,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from koopmankit import load_model, load_sparse, read_trajectory
+from koopmankit import load_model, load_sparse, read_trajectory, registry_names
 from koopmankit.cli import main
 
 
@@ -299,6 +299,18 @@ def test_spectral_payload_pins_the_parabola_coefficient(spectral_quad):
         assert entry["residual"] < 1e-4
 
 
+def test_spectral_eigenvalues_follow_the_eigenfunction_order(tmp_path):
+    code, _, stderr = run_cli([
+        "spectral", "--system", "quad-manifold", "--out", str(tmp_path),
+    ])
+    assert code == 0, stderr
+    with open(tmp_path / "quad_manifold_spectral.json") as fh:
+        payload = json.load(fh)
+    assert len(payload["eigenvalues"]) == len(payload["eigenfunctions"]) == 3
+    for value, entry in zip(payload["eigenvalues"], payload["eigenfunctions"]):
+        assert value == entry["eigenfunction"]["eigenvalue"]
+
+
 def test_spectral_discrete_map_skips_verification_on_the_manifold(tmp_path):
     code, stdout, _ = run_cli([
         "spectral", "--system", "tu-map", "--out", str(tmp_path),
@@ -421,6 +433,13 @@ def test_help_lists_the_registry_systems():
     assert code == 0
     for name in ("quad_manifold", "tu_map", "center_manifold", "logistic"):
         assert name in stdout
+
+
+@pytest.mark.parametrize("name", registry_names())
+@pytest.mark.parametrize("command", ["simulate", "spectral"])
+def test_every_registry_system_runs_with_its_defaults(tmp_path, command, name):
+    code, _, stderr = run_cli([command, "--system", name, "--out", str(tmp_path)])
+    assert code == 0, stderr
 
 
 def test_console_script_is_installed(tmp_path):

@@ -246,6 +246,22 @@ def test_refine_recovers_quadratic_lift_matrix():
     np.testing.assert_allclose(result.model.K[np.ix_(idx, idx)], target.K, atol=1e-6)
 
 
+def test_refine_threshold_zeroes_the_entries_the_exact_lift_lacks():
+    system = builtin("quad_manifold")
+    trajs = [integrate(system, [a, b], 10.0, dt=0.005)
+             for a in (-2.0, -1.0, 1.0, 2.0) for b in (-2.0, 2.0)]
+    data = dataset_from_trajectories(trajs, CONTINUOUS)
+    sparse = sindy(data, monomials(2, 2), threshold=0.025)
+    plain = refine_subspace(sparse, data)
+    result = refine_subspace(sparse, data, threshold=0.025)
+    assert result.model.library.names == ["x1", "x2", "x1^2"]
+    target = slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0})
+    zeros = target.K == 0.0
+    assert np.all(plain.model.K[zeros] != 0.0)  # least squares leaves rounding noise
+    assert np.all(result.model.K[zeros] == 0.0)
+    np.testing.assert_allclose(result.model.K[~zeros], target.K[~zeros], atol=1e-6)
+
+
 def test_refine_linear_system_reduces_to_dmd():
     a = np.array([[0.95, 0.02], [0.0, 0.8]])
     x = np.empty((2, 80))
