@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .dynamics import CONTINUOUS, PolySystem, Trajectory, integrate
 from .exceptions import NotStabilizable, NumericsError
 from .lifting import KoopmanModel, eval_library
@@ -179,9 +180,9 @@ def pbh_unstabilizable_modes(a, b, tol=1e-9, rank_rcond=1e-10):
 
 def _dominant_observable(model: KoopmanModel, eigenvalue) -> str:
     """Library name of the largest component of the right eigenvector."""
-    w, v = np.linalg.eig(model.K)
-    idx = int(np.argmin(np.abs(w - eigenvalue)))
-    comp = int(np.argmax(np.abs(v[:, idx])))
+    pairs = numerics.eig(model.K)
+    idx = int(np.argmin(np.abs(pairs.eigenvalues - eigenvalue)))
+    comp = int(np.argmax(np.abs(pairs.right_vectors[:, idx])))
     return model.library.names[comp]
 
 

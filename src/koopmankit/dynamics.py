@@ -4,7 +4,8 @@ Continuous systems are integrated with fixed-step classical RK4; feedback
 controllers are evaluated at every substep state, so closed-loop simulation
 treats the control law as continuous feedback rather than a zero-order hold.
 Discrete systems are iterated exactly. Both guards abort with
-:class:`~koopmankit.exceptions.BlowUp` once the state norm passes 1e8.
+:class:`~koopmankit.exceptions.BlowUp` once the state norm passes 1e8; a start
+that is already non-finite is bad input and raises ``ValueError`` instead.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import BlowUp
-from .polynomials import Polynomial
+from .polynomials import Polynomial, PolynomialMap
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -109,7 +110,7 @@ def eval_field(system: PolySystem, x, u=None, b=None):
         raise ValueError(f"state must have shape ({system.dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("state contains non-finite entries")
-    out = np.array([eq(x) for eq in system.equations])
+    out = PolynomialMap(system.dim, system.equations)(x)
     if u is None:
         if b is not None:
             raise ValueError("input map supplied without an input")
@@ -120,6 +121,15 @@ def eval_field(system: PolySystem, x, u=None, b=None):
     bmat = np.atleast_2d(np.asarray(bmat, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     return out + bmat @ u
+
+
+def _initial_state(system, x0):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dim,):
+        raise ValueError(f"x0 must have shape ({system.dim},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 contains non-finite entries")
+    return x0
 
 
 def _check_norm(x, t):
@@ -139,21 +149,18 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
         raise ValueError("integrate requires a continuous-time system")
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dim,):
-        raise ValueError(f"x0 must have shape ({system.dim},)")
+    x0 = _initial_state(system, x0)
     if controller is not None and system.input_map is None:
         raise ValueError("controller supplied but the system has no input map")
 
+    drift = PolynomialMap(system.dim, system.equations)
     if controller is None:
-        def rhs(x):
-            return np.array([eq(x) for eq in system.equations])
+        rhs = drift
     else:
         b = system.input_map
 
         def rhs(x):
-            drift = np.array([eq(x) for eq in system.equations])
-            return drift + b @ np.atleast_1d(controller(x))
+            return drift(x) + b @ np.atleast_1d(controller(x))
 
     n_steps = int(round(t_end / dt))
     times = np.arange(n_steps + 1) * dt
@@ -184,15 +191,14 @@ def iterate(system: PolySystem, x0, steps):
         raise ValueError("iterate requires a discrete-time system")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dim,):
-        raise ValueError(f"x0 must have shape ({system.dim},)")
+    x0 = _initial_state(system, x0)
+    step = PolynomialMap(system.dim, system.equations)
     states = np.empty((steps + 1, system.dim))
     states[0] = x0
     x = x0
     for k in range(steps):
         _check_norm(x, float(k))
-        x = np.array([eq(x) for eq in system.equations])
+        x = step(x)
         if not np.all(np.isfinite(x)):
             raise BlowUp(float(k + 1), float("inf"), BLOWUP_LIMIT)
         states[k + 1] = x

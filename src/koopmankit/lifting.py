@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import CONTINUOUS, DISCRETE, Trajectory
-from .polynomials import Polynomial, ipow, monomial_name, format_polynomial
+from .polynomials import Polynomial, PolynomialMap, ipow, monomial_name, format_polynomial
 
 EXP_NEG_INV = "exp_neg_inv"
 _NAMED = (EXP_NEG_INV,)
@@ -71,7 +71,9 @@ class ObservableLibrary:
 
     Entries are polynomials (monomials being the common case) or the name of
     a closed-form scalar function. ``state_inclusive`` asserts that the first
-    n observables are the state coordinates themselves.
+    n observables are the state coordinates themselves. The polynomial
+    entries are compiled into one :class:`PolynomialMap` at construction; a
+    named entry keeps its own row, filled by :func:`eval_named_observable`.
     """
 
     dim: int
@@ -91,6 +93,9 @@ class ObservableLibrary:
                 if not (isinstance(obs[i], Polynomial) and obs[i] == expected):
                     raise ValueError(f"observable {i} must be x{i + 1} in a state-inclusive library")
         self.observables = obs
+        zero = Polynomial.zero(self.dim)
+        self._map = PolynomialMap(self.dim, (zero if isinstance(o, str) else o for o in obs))
+        self._named = tuple((j, o) for j, o in enumerate(obs) if isinstance(o, str))
 
     def __len__(self):
         return len(self.observables)
@@ -142,18 +147,12 @@ def monomials(dim, max_degree):
 def eval_library(library: ObservableLibrary, x):
     """Stack observable values: (m,) for a point, (m, M) for snapshot columns."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    cols = x[:, None] if single else x
-    if cols.shape[0] != library.dim:
-        raise ValueError(f"state dimension {cols.shape[0]} does not match library dim {library.dim}")
-    rows = []
-    for obs in library.observables:
-        if isinstance(obs, str):
-            rows.append(eval_named_observable(obs, cols[0]))
-        else:
-            rows.append(np.atleast_1d(obs(cols)))
-    out = np.vstack(rows)
-    return out[:, 0] if single else out
+    if x.shape[0] != library.dim:
+        raise ValueError(f"state dimension {x.shape[0]} does not match library dim {library.dim}")
+    out = library._map(x)
+    for j, name in library._named:
+        out[j] = eval_named_observable(name, x[0])
+    return out
 
 
 @dataclass
@@ -356,6 +355,9 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
     Continuous models integrate dy/dt = K y with fixed-step RK4 on [0, t_end];
     discrete models apply y -> K y for ``steps`` steps.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 contains non-finite entries")
     y0 = lift_state(model, x0)
     k = model.K
     if model.time_kind == DISCRETE:

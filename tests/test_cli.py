@@ -451,3 +451,11 @@ def test_console_script_is_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert "eigenvalues: 0.9, 0.81, 0.5" in proc.stdout
+
+
+@pytest.mark.parametrize("system", ["quad-manifold", "tu-map"])
+def test_simulate_rejects_a_non_finite_start_as_bad_input(tmp_path, system):
+    code, _, stderr = run_cli(["simulate", "--system", system, "--x0", "nan,0",
+                               "--out", str(tmp_path)])
+    assert code == 2
+    assert "x0 contains non-finite entries" in stderr

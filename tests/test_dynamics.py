@@ -229,3 +229,11 @@ def test_custom_system_from_polynomials():
 def test_unknown_registry_name_raises():
     with pytest.raises(ValueError):
         builtin("not_a_system")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_is_rejected_not_called_a_blowup(bad):
+    with pytest.raises(ValueError, match="x0 contains non-finite entries"):
+        integrate(builtin("quad_manifold"), [bad, 0.0], 1.0)
+    with pytest.raises(ValueError, match="x0 contains non-finite entries"):
+        iterate(builtin("tu_map"), [bad, 0.0], 3)

@@ -319,3 +319,11 @@ def test_model_rejects_mismatched_matrix_size():
     lib = monomials(2, 2)
     with pytest.raises(ValueError):
         KoopmanModel(lib, np.eye(3), CONTINUOUS, state_rows=(0, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_propagate_rejects_a_non_finite_start(bad):
+    with pytest.raises(ValueError, match="x0 contains non-finite entries"):
+        propagate(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}), [bad, 0.0], t_end=1.0)
+    with pytest.raises(ValueError, match="x0 contains non-finite entries"):
+        propagate(tu_lift(0.9, 0.5), [0.0, bad], steps=3)

@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from koopmankit import Polynomial, format_polynomial, monomial_name
+from koopmankit import (
+    CONTINUOUS,
+    EXP_NEG_INV,
+    ObservableLibrary,
+    Polynomial,
+    PolynomialMap,
+    builtin,
+    eval_library,
+    eval_named_observable,
+    format_polynomial,
+    integrate,
+    monomial_name,
+    monomials,
+    registry_names,
+)
 from koopmankit.polynomials import ipow
 
 
@@ -105,3 +119,106 @@ def test_vanishing_leading_terms_reduce_degree():
     x1 = Polynomial.variable(1, 0)
     p = (x1**3 + x1) - x1**3
     assert p.degree() == 1
+
+
+# -- the compiled evaluator against the term-by-term loop it replaced ------
+
+def _reference_eval(poly, x):
+    """The per-term evaluation loop that ``Polynomial.__call__`` used to run."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    cols = x[:, None] if single else x
+    acc = np.zeros(cols.shape[1])
+    for exps, coeff in poly.terms.items():
+        term = np.full(cols.shape[1], coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * cols[i] ** e
+        acc = acc + term
+    return acc[0] if single else acc
+
+
+def _evaluation_inputs(dim, rng):
+    """Single points and (dim, M) batches, with exact zeros and -0.0 entries."""
+    pts = rng.uniform(-2.5, 2.5, size=(40, dim))
+    pts[::5] = 0.0
+    pts[1::5, 0] = -0.0
+    pts[2::7] = -0.0
+    batches = [pts.T, np.ascontiguousarray(pts.T), pts[::3].T]
+    return list(pts), batches
+
+
+def _assert_map_matches_reference(polys, dim, rng):
+    pmap = PolynomialMap(dim, polys)
+    points, batches = _evaluation_inputs(dim, rng)
+    for x in points:
+        expected = np.array([_reference_eval(p, x) for p in polys])
+        assert pmap(x).tobytes() == expected.tobytes()
+        for p in polys:
+            assert p(x).tobytes() == _reference_eval(p, x).tobytes()
+    for cols in batches:
+        expected = np.vstack([_reference_eval(p, cols) for p in polys])
+        assert pmap(cols).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_compiled_field_is_bit_identical_to_the_term_loop(name):
+    system = builtin(name)
+    rng = np.random.default_rng(7)
+    _assert_map_matches_reference(system.equations, system.dim, rng)
+    if system.time_kind == CONTINUOUS:
+        x0 = [0.4] * system.dim if name == "center_manifold" else [1.5, -1.0][:system.dim]
+        traj = integrate(system, x0, 1.0)
+        cols = traj.states.T  # a strided (n, M) view when n > 1
+        assert system.dim == 1 or not cols.flags.c_contiguous
+        expected = np.vstack([_reference_eval(p, cols) for p in system.equations])
+        assert PolynomialMap(system.dim, system.equations)(cols).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_compiled_library_is_bit_identical_to_the_term_loop(dim, degree):
+    lib = monomials(dim, degree)
+    rng = np.random.default_rng(100 * dim + degree)
+    # scaled, shifted and summed monomials exercise coefficients and cancellation
+    mixed = [1.5 * o - 0.25 * lib.observables[0] for o in lib.observables[dim:]]
+    _assert_map_matches_reference(lib.observables + tuple(mixed), dim, rng)
+    points, batches = _evaluation_inputs(dim, rng)
+    for x in points + batches:
+        expected = np.vstack([np.atleast_1d(_reference_eval(o, x)) for o in lib.observables])
+        if x.ndim == 1:
+            expected = expected[:, 0]
+        assert eval_library(lib, x).tobytes() == expected.tobytes()
+
+
+def test_compiled_sum_never_returns_negative_zero():
+    # -x1 at x1 = 0.0 is a -0.0 term; the sum starts from 0.0 and yields 0.0
+    p = -1.0 * Polynomial.variable(2, 0) + Polynomial.variable(2, 1) ** 2
+    for x in ([0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]):
+        assert np.signbit(PolynomialMap(2, (p,))(x)).tolist() == [False]
+        assert not np.signbit(p(x))
+
+
+def test_library_keeps_a_named_observable_row():
+    lib = ObservableLibrary(1, ((1,), EXP_NEG_INV, (2,)))
+    for x in ([0.5], [0.0], np.array([[0.0, 0.25, 2.0]])):
+        x = np.asarray(x, dtype=float)
+        cols = x[:, None] if x.ndim == 1 else x
+        expected = np.vstack([cols[0], eval_named_observable(EXP_NEG_INV, cols[0]), cols[0] ** 2])
+        if x.ndim == 1:
+            expected = expected[:, 0]
+        assert eval_library(lib, x).tobytes() == expected.tobytes()
+
+
+def test_compiled_map_shapes_and_errors():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    pmap = PolynomialMap(2, (x1, x2 * x1, Polynomial.zero(2), Polynomial.constant(2, 3.0)))
+    assert pmap([2.0, 5.0]).tolist() == [2.0, 10.0, 0.0, 3.0]
+    assert pmap(np.ones((2, 4))).shape == (4, 4)
+    assert pmap(np.ones((2, 0))).shape == (4, 0)
+    with pytest.raises(ValueError, match="leading dimension"):
+        pmap([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="leading dimension"):
+        pmap(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        PolynomialMap(3, (x1,))
