@@ -1,11 +1,14 @@
 """Linear-quadratic control in state space and in lifted observable space.
 
-The Riccati solver combines the Hamiltonian stable-subspace construction with
-a Newton refinement whose Lyapunov steps are solved directly through a
-Kronecker linear system, so it has no dependencies beyond dense linear
-algebra. Controllers designed on a lifted model feed back on observables:
-u = -C Theta(x), which is a nonlinear state feedback whenever the gain
-touches a nonlinear observable.
+The Riccati solver rests on one primitive, the determinant-scaled Newton
+iteration for the matrix sign function (Roberts 1971; Byers 1987): the sign
+of the Hamiltonian gives the stabilizing solution, and the sign of a block
+triangular matrix gives each Lyapunov solve of its Newton defect-correction
+polish (Kleinman 1968). It needs nothing beyond dense inverses and
+determinants, and its cost grows as m^3 in the state size m. Controllers
+designed on a lifted model feed back on observables: u = -C Theta(x), which
+is a nonlinear state feedback whenever the gain touches a nonlinear
+observable.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from .dynamics import CONTINUOUS, PolySystem, Trajectory, integrate
 from .exceptions import NotStabilizable, NumericsError
 from .lifting import KoopmanModel, eval_library
 
-_NEWTON_MAX_ITER = 25
-_RESIDUAL_RTOL = 1e-8
+_SIGN_TOL = 1e-12
+_SIGN_MAX_ITER = 100
+_POLISH_STEPS = 4
+_BACKWARD_ERROR_TOL = 1e-8
 
 
 def _symmetric(mat, name, psd=False, pd=False):
@@ -87,68 +92,94 @@ def care_residual(a, b, q, r, p) -> float:
     return float(np.linalg.norm(res))
 
 
-def _lyapunov_solve(a_cl, rhs):
-    """Solve a_cl' X + X a_cl = rhs for symmetric X via a Kronecker system."""
-    n = a_cl.shape[0]
-    eye = np.eye(n)
-    coeff = np.kron(a_cl.T, eye) + np.kron(eye, a_cl.T)
-    x = np.linalg.solve(coeff, rhs.reshape(-1)).reshape(n, n)
-    return 0.5 * (x + x.T)
+def _matrix_sign(z):
+    """Matrix sign function by the determinant-scaled Newton iteration.
+
+    z <- (z/c + c z^-1)/2 with c = |det z|^(1/N) (Byers 1987). It stops when
+    the relative 1-norm step falls below ``_SIGN_TOL``, or when the step
+    stops shrinking once below 1e-3: in that quadratic regime a step that
+    does not shrink is the rounding floor of an ill-conditioned z, and the
+    caller's gates judge the result. Raises :class:`NumericsError` on a
+    singular iterate (z has eigenvalues on the imaginary axis) or after
+    ``_SIGN_MAX_ITER`` steps without convergence.
+    """
+    n = z.shape[0]
+    prev = np.inf
+    for it in range(_SIGN_MAX_ITER):
+        sign, logdet = np.linalg.slogdet(z)
+        if sign == 0 or not np.isfinite(logdet):
+            raise NumericsError(
+                f"matrix sign iteration hit a singular iterate at step {it}; "
+                "the matrix has eigenvalues on the imaginary axis"
+            )
+        c = np.exp(logdet / n)
+        new = 0.5 * (z / c + c * np.linalg.inv(z))
+        step = np.linalg.norm(new - z, 1) / np.linalg.norm(z, 1)
+        z = new
+        if step <= _SIGN_TOL or (prev <= 1e-3 and step >= prev):
+            return z
+        prev = step
+    raise NumericsError(f"matrix sign iteration did not converge in {_SIGN_MAX_ITER} steps")
 
 
 def solve_care(a, b, q, r) -> np.ndarray:
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
-    Builds the Hamiltonian [[A, -B R^-1 B'], [-Q, -A']], spans its stable
-    invariant subspace by eigenvectors, recovers P = X2 X1^-1, then polishes
-    with Newton iterations (each a closed-loop Lyapunov solve). Raises
-    :class:`NumericsError` if the stable subspace is deficient or the
-    residual gate is missed.
+    S = sign(H) of the Hamiltonian H = [[A, -G], [-Q, -A']], G = B R^-1 B',
+    gives P from the least-squares solve [S12; S22 + I] P = -[S11 + I; S21].
+    Unless P is already at the rounding floor, Newton steps in
+    defect-correction form polish it: P <- P + X with
+    A_cl' X + X A_cl = -Res(P), each Lyapunov solve read off
+    sign([[A_cl', Res], [0, -A_cl]]) = [[-I, 2X], [0, I]]; the best residual
+    seen is kept. Raises :class:`NumericsError` if a sign iteration fails,
+    the closed loop A - G P is not Hurwitz, or the relative backward error
+    |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL``.
     """
     prob = LqrProblem(a, b, q, r)
     a, b, q, r = prob.a, prob.b, prob.q, prob.r
     n = prob.n
-    rinv_bt = np.linalg.solve(r, b.T)
+    g = b @ np.linalg.solve(r, b.T)
+    eye = np.eye(n)
+    norm = np.linalg.norm
+    a_norm, g_norm, q_norm = norm(a), norm(g), norm(q)
 
-    ham = np.block([[a, -b @ rinv_bt], [-q, -a.T]])
-    w, v = np.linalg.eig(ham)
-    stable = np.where(w.real < 0)[0]
-    if stable.size != n:
-        raise NumericsError(
-            f"Hamiltonian stable subspace has dimension {stable.size}, expected {n}; "
-            "the problem may not admit a stabilizing solution"
-        )
-    basis = v[:, stable]
-    x1, x2 = basis[:n, :], basis[n:, :]
-    if np.linalg.matrix_rank(x1, tol=1e-12 * max(1.0, float(np.abs(x1).max()))) < n:
-        raise NumericsError("stable subspace is not a graph over the state block")
-    p = np.real(x2 @ np.linalg.inv(x1))
+    def defect(p):
+        """Residual of p, its norm, and its relative backward error."""
+        res = a.T @ p + p @ a - p @ g @ p + q
+        res_norm, p_norm = norm(res), norm(p)
+        scale = q_norm + 2.0 * a_norm * p_norm + g_norm * p_norm ** 2
+        return res, res_norm, (res_norm / scale if scale else 0.0)
+
+    s = _matrix_sign(np.block([[a, -g], [-q, -a.T]]))
+    p = np.linalg.lstsq(np.vstack([s[:n, n:], s[n:, n:] + eye]),
+                        -np.vstack([s[:n, :n] + eye, s[n:, :n]]), rcond=None)[0]
     p = 0.5 * (p + p.T)
 
-    scale = max(1.0, float(np.linalg.norm(q)))
-    best_p, best_res = p, care_residual(a, b, q, r, p)
-    stalled = 0
-    for _ in range(_NEWTON_MAX_ITER):
-        if best_res <= 1e-13 * scale:
+    res, res_norm, err = defect(p)
+    floor = 1e-13 * max(1.0, q_norm)
+    for _ in range(_POLISH_STEPS):
+        if res_norm <= floor or err <= np.finfo(float).eps:
             break
-        gain = rinv_bt @ p
-        a_cl = a - b @ gain
-        p = _lyapunov_solve(a_cl, -(q + gain.T @ r @ gain))
-        res = care_residual(a, b, q, r, p)
-        if res < best_res:
-            best_p, best_res = p, res
-            stalled = 0
-        else:
-            # Near the rounding floor the iteration dithers; give it a few
-            # chances before settling on the best iterate seen.
-            stalled += 1
-            if stalled >= 3:
-                break
-    if best_res > _RESIDUAL_RTOL * scale:
+        a_cl = a - g @ p
+        s = _matrix_sign(np.block([[a_cl.T, res], [np.zeros((n, n)), -a_cl]]))
+        polished = p + 0.25 * (s[:n, n:] + s[:n, n:].T)
+        candidate = defect(polished)
+        if not candidate[1] < res_norm:
+            break
+        p, (res, res_norm, err) = polished, candidate
+
+    growth = float(np.max(np.linalg.eigvals(a - g @ p).real))
+    if not growth < 0.0:
         raise NumericsError(
-            f"Riccati residual {best_res:.3e} exceeds gate {_RESIDUAL_RTOL * scale:.3e}"
+            f"closed loop A - G P is not Hurwitz (largest real part {growth:.3e}, "
+            f"|P| = {norm(p):.3e}); the pair may not be stabilizable"
         )
-    return best_p
+    if not err <= _BACKWARD_ERROR_TOL:
+        raise NumericsError(
+            f"Riccati relative backward error {err:.3e} exceeds {_BACKWARD_ERROR_TOL:g} "
+            f"(residual {res_norm:.3e}, |P| = {norm(p):.3e})"
+        )
+    return p
 
 
 def lqr_gain(a, b, q, r):

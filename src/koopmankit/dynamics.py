@@ -142,8 +142,9 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     """Fixed-step RK4 integration from t=0 to n_steps*dt covering ``t_end``.
 
     ``controller`` maps a state to an input vector; it is re-evaluated at each
-    RK4 substep state and the value at each sample time is recorded in the
-    returned trajectory.
+    RK4 substep state, and the value at each sample time (the first substep
+    of the step that leaves it, or one extra call at the last sample) is
+    recorded in the returned trajectory.
     """
     if system.time_kind != CONTINUOUS:
         raise ValueError("integrate requires a continuous-time system")
@@ -155,12 +156,18 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
 
     drift = PolynomialMap(system.dim, system.equations)
     if controller is None:
-        rhs = drift
+        rhs = first = drift
     else:
         b = system.input_map
+        applied = []
 
         def rhs(x):
             return drift(x) + b @ np.atleast_1d(controller(x))
+
+        def first(x):
+            u = np.atleast_1d(controller(x))
+            applied.append(u)
+            return drift(x) + b @ u
 
     n_steps = int(round(t_end / dt))
     times = np.arange(n_steps + 1) * dt
@@ -169,7 +176,7 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     x = x0
     for k in range(n_steps):
         _check_norm(x, times[k])
-        k1 = rhs(x)
+        k1 = first(x)
         k2 = rhs(x + 0.5 * dt * k1)
         k3 = rhs(x + 0.5 * dt * k2)
         k4 = rhs(x + dt * k3)
@@ -181,7 +188,8 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
 
     inputs = None
     if controller is not None:
-        inputs = np.vstack([np.atleast_1d(controller(states[k])) for k in range(n_steps + 1)])
+        applied.append(np.atleast_1d(controller(states[-1])))
+        inputs = np.vstack(applied)
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
@@ -303,6 +311,16 @@ def _lift_rotated_quad(p, rank):
     return rotate_model(base, p["angle"])
 
 
+def _center_manifold_horizon(x0):
+    """80% of the way to the blow-up time 1/x0 of dx/dt = x^2."""
+    if not x0[0] > 0:
+        raise ValueError(
+            f"the default center_manifold horizon 0.8/x0 needs x0 > 0 (got {x0[0]:g}); "
+            "give the horizon explicitly with --horizon"
+        )
+    return 0.8 / float(x0[0])
+
+
 # identification training starts on a grid: flows reach |x| = 2, maps 1
 _FLOW_STARTS = tuple((a, b) for a in (-2.0, -1.0, 0.0, 1.0, 2.0) for b in (-2.0, 2.0))
 _MAP_STARTS = tuple((a, b) for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 1.0))
@@ -363,7 +381,7 @@ _REGISTRY = {
         "defaults": {},
         "description": "continuous 1-state flow dx/dt = x^2 (finite-time blow-up at t = 1/x0)",
         "x0": (0.5,),
-        "horizon": lambda x0: 0.8 / float(x0[0]),  # 80% of the way to the blow-up
+        "horizon": _center_manifold_horizon,
         "training": (tuple((v,) for v in np.linspace(0.05, 0.45, 9)), 1.5),
         "eigenfunctions": {"exp_neg_inv": 1.0},  # d/dt exp(-1/x) = exp(-1/x)
     },

@@ -217,6 +217,22 @@ def test_simulate_finite_time_blowup_exits_with_runtime_error(tmp_path):
     assert "norm" in stderr
 
 
+@pytest.mark.parametrize("x0", ["0", "-0.5"])
+def test_simulate_center_manifold_default_horizon_needs_a_positive_start(tmp_path, x0):
+    code, _, stderr = run_cli([
+        "simulate", "--system", "center-manifold", f"--x0={x0}", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "needs x0 > 0" in stderr
+    assert "--horizon" in stderr
+    # with an explicit horizon the same start runs
+    code, _, stderr = run_cli([
+        "simulate", "--system", "center-manifold", f"--x0={x0}", "--horizon", "1",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0, stderr
+
+
 # ---------------------------------------------------------------------------
 # identify
 # ---------------------------------------------------------------------------

@@ -110,6 +110,64 @@ def test_care_unstabilizable_problem_raises():
         solve_care(np.diag([1.0, -1.0]), [[0.0], [1.0]], np.eye(2), [[1.0]])
 
 
+# ---------------------------------------------------------------------------
+# CARE solver at lifted sizes, graded against the scipy oracle
+# ---------------------------------------------------------------------------
+
+def care_backward_error(a, b, q, r, p):
+    """Relative backward error |Res| / (|Q| + 2|A||P| + |G||P|^2), G = B R^-1 B'."""
+    g = b @ np.linalg.solve(r, b.T)
+    res = a.T @ p + p @ a - p @ g @ p + q
+    norm = np.linalg.norm
+    return norm(res) / (norm(q) + 2.0 * norm(a) * norm(p) + norm(g) * norm(p) ** 2)
+
+
+def random_lifted_size_pair(rng, m):
+    return rng.standard_normal((m, m)) / np.sqrt(m), rng.standard_normal((m, 2))
+
+
+@pytest.mark.parametrize("m", [10, 20, 35])
+def test_care_graded_suite_against_scipy(m):
+    """Random pairs A = randn/sqrt(m) with two inputs, Q = I, R = I.
+
+    These pairs grow ill-conditioned with m (|P| reaches 1e7-1e8 at m = 35),
+    so the absolute residual is no measure; the solution is judged by its
+    relative backward error and a Hurwitz closed loop. Agreement with scipy
+    is bounded by conditioning: with Q = I both solvers' relative errors
+    track eps |P|.
+    """
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(500 + m)
+    for _ in range(6):
+        a, b = random_lifted_size_pair(rng, m)
+        q, r = np.eye(m), np.eye(2)
+        p = solve_care(a, b, q, r)
+        assert care_backward_error(a, b, q, r, p) <= 1e-8
+        gain = np.linalg.solve(r, b.T @ p)
+        assert np.max(np.linalg.eigvals(a - b @ gain).real) < 0
+        ref = scipy_linalg.solve_continuous_are(a, b, q, r)
+        ref_norm = np.linalg.norm(ref)
+        assert np.linalg.norm(p - ref) / ref_norm <= 100.0 * eps * ref_norm
+
+
+def test_care_refuses_an_unstabilizable_lifted_size_pair():
+    m = 20
+    a, b = random_lifted_size_pair(np.random.default_rng(3), m)
+    # the first five states form an unstable block that the input cannot reach
+    a[:5, 5:] = 0.0
+    a[:5, :5] += 1.5 * np.eye(5)
+    b[:5] = 0.0
+    assert pbh_unstabilizable_modes(a, b)
+    with pytest.raises(NumericsError, match="not Hurwitz"):
+        solve_care(a, b, np.eye(m), np.eye(2))
+
+
+def test_care_refuses_a_hamiltonian_with_imaginary_axis_eigenvalues():
+    # an undamped oscillator with no input: the Hamiltonian has eigenvalues +-i
+    with pytest.raises(NumericsError, match="imaginary axis"):
+        solve_care([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 1)), np.eye(2), [[1.0]])
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         LqrProblem(np.eye(2), np.ones((2, 1)), [[1.0, 0.5], [0.2, 1.0]], [[1.0]])

@@ -176,6 +176,22 @@ def test_controlled_integration_records_inputs():
     assert abs(traj.states[-1, 1]) < abs(free.states[-1, 1])
 
 
+def test_controlled_integration_reuses_the_first_substep_input():
+    system = builtin("kooc_demo")
+    calls = []
+
+    def controller(x):
+        calls.append(1)
+        return -np.array([3.0 * x[1] + 0.7 * x[0] ** 2 - np.sin(x[0] * x[1])])
+
+    n_steps = 150
+    traj = integrate(system, [-5.0, 5.0], n_steps * 0.01, dt=0.01, controller=controller)
+    # four substeps per step, plus one call for the last sample
+    assert len(calls) == 4 * n_steps + 1
+    expected = np.vstack([np.atleast_1d(controller(s)) for s in traj.states])
+    assert traj.inputs.tobytes() == expected.tobytes()
+
+
 def test_slow_manifold_field_general_polynomial():
     # P(x) = x^4 - 2 x^2 gives dx2 = lam (x2 - x1^4 + 2 x1^2)
     eq1, eq2 = slow_manifold_field(-0.05, 1.0, {4: 1.0, 2: -2.0})
