@@ -3,15 +3,33 @@
 Continuous systems are integrated with fixed-step classical RK4; feedback
 controllers are evaluated at every substep state, so closed-loop simulation
 treats the control law as continuous feedback rather than a zero-order hold.
-Discrete systems are iterated exactly. Both guards abort with
-:class:`~koopmankit.exceptions.BlowUp` once the state norm passes 1e8; a start
-that is already non-finite is bad input and raises ``ValueError`` instead.
+Discrete systems are iterated exactly.
+
+Each :class:`PolySystem` compiles its equations once into a
+:class:`~koopmankit.polynomials.PolynomialMap`, and both loops run on lists of
+Python floats through its generated function, with no numpy call per step.
+Python float ``*`` and ``+`` round like numpy's, and every operation keeps the
+order of the numpy loop it replaced, so states are bit-identical to it. A
+controller still receives a numpy array of the state, and ``B @ u`` is added
+to the field component by component.
+
+Both loops abort with :class:`~koopmankit.exceptions.BlowUp` once the state
+norm passes 1e8; a start that is already non-finite is bad input and raises
+``ValueError`` instead. After each step a cheap sum-of-squares test runs,
+set a hair under the limit squared so that rounding cannot hide a blow-up.
+Only a state that trips it gets the full test: a non-finite entry raises
+``BlowUp`` at that sample time with norm ``inf``, and otherwise
+``np.linalg.norm`` decides, so ``t`` and ``norm`` are those of a full test at
+every step.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import re
 from dataclasses import dataclass, field
+from operator import add, mul
 
 import numpy as np
 
@@ -62,6 +80,7 @@ class PolySystem:
             if not np.all(np.isfinite(b)):
                 raise ValueError("input map contains non-finite entries")
             self.input_map = b
+        self._map = PolynomialMap(self.dim, self.equations)
 
     @property
     def n_inputs(self):
@@ -110,7 +129,7 @@ def eval_field(system: PolySystem, x, u=None, b=None):
         raise ValueError(f"state must have shape ({system.dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("state contains non-finite entries")
-    out = PolynomialMap(system.dim, system.equations)(x)
+    out = system._map(x)
     if u is None:
         if b is not None:
             raise ValueError("input map supplied without an input")
@@ -138,6 +157,18 @@ def _check_norm(x, t):
         raise BlowUp(t, norm, BLOWUP_LIMIT)
 
 
+# The loops test the sum of squares against this, a hair under LIMIT^2 so that
+# rounding cannot let a norm past the limit; a state that trips it is judged
+# by _check_state, which raises exactly what the full test would.
+_GUARD = BLOWUP_LIMIT**2 * (1.0 - 1e-9)
+
+
+def _check_state(x, t):
+    if not all(map(math.isfinite, x)):
+        raise BlowUp(t, float("inf"), BLOWUP_LIMIT)
+    _check_norm(np.array(x), t)
+
+
 def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     """Fixed-step RK4 integration from t=0 to n_steps*dt covering ``t_end``.
 
@@ -154,7 +185,7 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     if controller is not None and system.input_map is None:
         raise ValueError("controller supplied but the system has no input map")
 
-    drift = PolynomialMap(system.dim, system.equations)
+    drift = system._map._evaluate
     if controller is None:
         rhs = first = drift
     else:
@@ -162,35 +193,36 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
         applied = []
 
         def rhs(x):
-            return drift(x) + b @ np.atleast_1d(controller(x))
+            u = np.atleast_1d(controller(np.array(x)))
+            return list(map(add, drift(x), (b @ u).tolist()))
 
         def first(x):
-            u = np.atleast_1d(controller(x))
+            u = np.atleast_1d(controller(np.array(x)))
             applied.append(u)
-            return drift(x) + b @ u
+            return list(map(add, drift(x), (b @ u).tolist()))
 
     n_steps = int(round(t_end / dt))
     times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, system.dim))
-    states[0] = x0
-    x = x0
+    half, sixth = 0.5 * dt, dt / 6.0
+    x = x0.tolist()
+    _check_state(x, times[0])
+    states = [x]
     for k in range(n_steps):
-        _check_norm(x, times[k])
         k1 = first(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise BlowUp(times[k + 1], float("inf"), BLOWUP_LIMIT)
-        states[k + 1] = x
-    _check_norm(x, times[-1])
+        k2 = rhs([a + half * d for a, d in zip(x, k1)])
+        k3 = rhs([a + half * d for a, d in zip(x, k2)])
+        k4 = rhs([a + dt * d for a, d in zip(x, k3)])
+        x = [a + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+             for a, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
+        states.append(x)
+        if not sum(map(mul, x, x)) <= _GUARD:
+            _check_state(x, times[k + 1])
 
     inputs = None
     if controller is not None:
-        applied.append(np.atleast_1d(controller(states[-1])))
+        applied.append(np.atleast_1d(controller(np.array(x))))
         inputs = np.vstack(applied)
-    return Trajectory(times=times, states=states, inputs=inputs)
+    return Trajectory(times=times, states=np.array(states), inputs=inputs)
 
 
 def iterate(system: PolySystem, x0, steps):
@@ -200,18 +232,16 @@ def iterate(system: PolySystem, x0, steps):
     if steps < 0:
         raise ValueError("steps must be non-negative")
     x0 = _initial_state(system, x0)
-    step = PolynomialMap(system.dim, system.equations)
-    states = np.empty((steps + 1, system.dim))
-    states[0] = x0
-    x = x0
+    step = system._map._evaluate
+    x = x0.tolist()
+    _check_state(x, 0.0)
+    states = [x]
     for k in range(steps):
-        _check_norm(x, float(k))
         x = step(x)
-        if not np.all(np.isfinite(x)):
-            raise BlowUp(float(k + 1), float("inf"), BLOWUP_LIMIT)
-        states[k + 1] = x
-    _check_norm(x, float(steps))
-    return Trajectory(times=np.arange(steps + 1, dtype=float), states=states)
+        states.append(x)
+        if not sum(map(mul, x, x)) <= _GUARD:
+            _check_state(x, float(k + 1))
+    return Trajectory(times=np.arange(steps + 1, dtype=float), states=np.array(states))
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +513,21 @@ def write_trajectory(traj: Trajectory, path, state_names=None):
 
 
 def read_trajectory(path):
-    """Read a trajectory CSV produced by :func:`write_trajectory`."""
+    """Read a trajectory CSV produced by :func:`write_trajectory`.
+
+    The writer's input names, ``u`` and ``u<k>``, mark the input columns;
+    every other column after ``t`` is a state, whatever its name.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader if row]
     if not header or header[0] != "t":
         raise ValueError(f"{path}: expected header starting with 't'")
-    n_state = sum(1 for name in header[1:] if name.startswith("x"))
-    n_input = len(header) - 1 - n_state
     data = np.asarray(rows, dtype=float)
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: ragged rows")
-    times = data[:, 0]
-    states = data[:, 1:1 + n_state]
-    inputs = data[:, 1 + n_state:] if n_input else None
-    return Trajectory(times=times, states=states, inputs=inputs)
+    columns = data[:, 1:]
+    is_input = np.array([re.fullmatch(r"u\d*", name) is not None for name in header[1:]], dtype=bool)
+    inputs = columns[:, is_input] if is_input.any() else None
+    return Trajectory(times=data[:, 0], states=columns[:, ~is_input], inputs=inputs)

@@ -87,6 +87,8 @@ def differentiate_series(values, dt):
 
 
 def _uniform_dt(times):
+    if len(times) < 2:
+        raise ValueError(f"a trajectory needs at least 2 samples for a sampling step, got {len(times)}")
     gaps = np.diff(times)
     dt = float(gaps[0])
     if dt <= 0 or not np.allclose(gaps, dt, rtol=1e-9, atol=1e-12):
@@ -122,7 +124,7 @@ def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
             ys.append(part.Y)
         else:
             if len(traj) < 2:
-                raise ValueError("discrete trajectory needs at least 2 samples")
+                raise ValueError(f"discrete trajectory needs at least 2 samples, got {len(traj)}")
             xs.append(traj.states[:-1].T)
             ys.append(traj.states[1:].T)
             dt = 1.0

@@ -10,11 +10,13 @@ Powers follow two conventions, one per path:
   ((a*a)*a)*..., so that the same product of factors yields bit-identical
   results wherever a lift builder or the symbolic engine forms it.
 * Evaluation (:class:`PolynomialMap`, which ``Polynomial.__call__`` uses)
-  takes numpy's ``x ** e`` for each variable power. Measured with numpy 2.4.6
-  on an AVX-512 CPU, left-fold products differ from it in the last bit for
-  26-46% of samples at exponents >= 3, and Python's float ``**`` for 0.1%
-  (x^2) to 2.7% (x^3..x^6), so evaluation keeps numpy ``**``: trajectories
-  and artifacts stay bit-identical to the term-by-term evaluation it replaced.
+  takes numpy's ``x ** e`` for each variable power, with ``x ** 2`` formed
+  as ``x * x``, which numpy's square equals bit for bit. Measured with numpy
+  2.4.6 on an AVX-512 CPU, left-fold products differ from numpy ``**`` in
+  the last bit for 26-46% of samples at exponents >= 3, and Python's float
+  ``**`` for 0.1% (x^2) to 2.7% (x^3..x^6), so evaluation keeps numpy
+  ``**`` above 2: trajectories and artifacts stay bit-identical to the
+  term-by-term evaluation it replaced.
 """
 
 from __future__ import annotations
@@ -229,45 +231,95 @@ class Polynomial:
         return f"Polynomial({self.dim}, {format_polynomial(self)!r})"
 
 
+def _point_powers(x, e, used):
+    """A point's Python floats raised to ``e`` by numpy ``**`` on the whole point."""
+    return (np.array(x) ** e).tolist()
+
+
+def _column_powers(x, e, used):
+    """The rows ``used`` of (n, M) columns raised to ``e`` by numpy ``**``."""
+    return {i: x[i] ** e for i in used}
+
+
+_TERMS_PER_LINE = 32  # keeps each generated sum shallow for Python's compiler
+
+
 class PolynomialMap:
     """Compiled evaluator of a fixed tuple of polynomials in ``dim`` variables.
 
-    Compiled once: each polynomial becomes its terms in dict order as
-    ``(coeff, ((var, exp), ...))`` with zero exponents dropped, and the
-    variables raised to each exponent above 1 are collected. A call then
-    works in the order of a term-by-term loop, so values are bit-identical to
-    one:
+    Construction generates one straight-line Python function for the whole
+    tuple. Its source holds only variable indices and names ``c0, c1, ...``
+    bound to the coefficients in order; no coefficient is formatted into it.
+    It computes, in the order of a term-by-term loop, so that values are
+    bit-identical to one:
 
-    1. numpy ``** e`` with a Python int ``e``, once per distinct exponent
-       ``e > 1``: on the whole point, or on only the rows of the columns that
-       need it, since ``pow`` costs ~80 ns an entry. ``x ** 1`` is ``x``
-       exactly and is not computed;
-    2. each term is its coefficient times its factors, variables ascending;
-    3. the terms are summed in dict order starting from ``0.0``, so a sum that
-       cancels is ``0.0``, never ``-0.0``.
+    1. each variable power once: ``x ** 1`` is ``x``; ``x ** 2`` is
+       ``x * x``, which equals numpy's ``x ** 2`` bit for bit; an exponent
+       ``e > 2`` keeps numpy ``**``, on the whole point or on only the rows
+       of the columns that need it, because Python's float ``**`` rounds
+       differently in about 2.7% of samples (see the module docstring);
+    2. each term as its coefficient times its factors, variables ascending;
+    3. each row as the terms summed in dict order starting from ``zero``, so
+       a sum that cancels is ``0.0``, never ``-0.0``.
 
-    At a single point steps 2 and 3 run on Python floats, which round like
-    numpy's float64 ``*`` and ``+``.
+    The generated function, ``_evaluate(x, zero=0.0, powers=...)``, takes a
+    sequence of ``dim`` Python floats and returns a tuple of floats; given an
+    ``(n, M)`` array, a zero row and :func:`_column_powers` it returns a tuple
+    of rows. Python float ``*`` and ``+`` round like numpy's float64 ones, so
+    both give the same bits. ``__call__`` wraps it for numpy points and
+    columns; the integrators in :mod:`koopmankit.dynamics` call it directly.
     """
 
-    __slots__ = ("dim", "rows", "powers")
+    __slots__ = ("dim", "polys", "_evaluate")
 
     def __init__(self, dim, polys):
         self.dim = int(dim)
-        rows = []
-        for poly in polys:
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        self.polys = tuple(polys)
+        coeffs, rows, powers = [], [], {}  # powers: exponent > 1 -> variables
+        for poly in self.polys:
             if poly.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            rows.append(tuple((coeff, tuple((i, e) for i, e in enumerate(exps) if e))
-                              for exps, coeff in poly.terms.items()))
-        self.rows = tuple(rows)
-        powers = {}  # exponent > 1 -> the variables raised to it
-        for row in rows:
-            for _, factors in row:
-                for i, e in factors:
+            terms = []
+            for exps, coeff in poly.terms.items():
+                factors = [f"c{len(coeffs)}"]
+                for i, e in enumerate(exps):
+                    if e:
+                        factors.append(f"x{i}" if e == 1 else f"x{i}_{e}")
                     if e > 1:
                         powers.setdefault(e, set()).add(i)
-        self.powers = {e: tuple(sorted(used)) for e, used in powers.items()}
+                coeffs.append(coeff)
+                terms.append(" * ".join(factors))
+            rows.append(terms)
+
+        body = [f"[{', '.join(f'x{i}' for i in range(self.dim))}] = x"]
+        for e, used in sorted(powers.items()):
+            used = sorted(used)
+            if e == 2:
+                body += [f"x{i}_2 = x{i} * x{i}" for i in used]
+            else:
+                body.append(f"p{e} = powers(x, {e}, {tuple(used)})")
+                body += [f"x{i}_{e} = p{e}[{i}]" for i in used]
+        for r, terms in enumerate(rows):
+            acc = "zero"
+            for j in range(0, max(len(terms), 1), _TERMS_PER_LINE):
+                body.append(f"r{r} = " + " + ".join([acc, *terms[j:j + _TERMS_PER_LINE]]))
+                acc = f"r{r}"
+        body.append(f"return ({''.join(f'r{r}, ' for r in range(len(rows)))})")
+        source = "\n".join([
+            "def make(c, point_powers):",
+            f"    [{', '.join(f'c{j}' for j in range(len(coeffs)))}] = c",
+            "    def _evaluate(x, zero=0.0, powers=point_powers):",
+            *(f"        {line}" for line in body),
+            "    return _evaluate",
+        ])
+        namespace = {}
+        exec(compile(source, "<PolynomialMap>", "exec"), namespace)
+        self._evaluate = namespace["make"](tuple(coeffs), _point_powers)
+
+    def __reduce__(self):
+        return PolynomialMap, (self.dim, self.polys)
 
     def __call__(self, x):
         """Values (k,) at a point of shape (dim,), or (k, M) at columns of shape (dim, M)."""
@@ -275,21 +327,9 @@ class PolynomialMap:
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
             raise ValueError(f"expected leading dimension {self.dim}, got {x.shape}")
         if x.ndim == 1:
-            table = {e: (x ** e).tolist() for e in self.powers}
-            table[1] = x.tolist()
-            zero = 0.0
+            values = self._evaluate(x.tolist())
         else:
-            table = {e: {i: x[i] ** e for i in used} for e, used in self.powers.items()}
-            table[1] = x
-            zero = np.zeros(x.shape[1])
-        values = []
-        for row in self.rows:
-            acc = zero
-            for coeff, factors in row:
-                for i, e in factors:
-                    coeff = coeff * table[e][i]
-                acc = acc + coeff
-            values.append(acc)
+            values = self._evaluate(x, np.zeros(x.shape[1]), _column_powers)
         return np.array(values) if values else np.zeros((0,) + x.shape[1:])
 
 

@@ -283,6 +283,15 @@ def test_identify_linear_library_cannot_close_the_flow(tmp_path):
     assert report["max_invariance_residual"] > 0.1
 
 
+def test_identify_with_a_horizon_shorter_than_one_step_exits_with_usage_error(tmp_path):
+    code, _, stderr = run_cli([
+        "identify", "--system", "quad-manifold", "--generate", "--horizon", "0.001",
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "at least 2 samples" in stderr and "got 1" in stderr
+
+
 def test_identify_discrete_map_recovers_exact_coefficients(tmp_path):
     code, stdout, _ = run_cli([
         "identify", "--system", "tu-map", "--generate", "--out", str(tmp_path),

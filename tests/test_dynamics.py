@@ -1,5 +1,7 @@
 """Tests for system definitions, integration, and trajectory I/O."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,12 @@ from koopmankit import (
     CONTINUOUS,
     DISCRETE,
     Polynomial,
+    PolynomialMap,
+    PolySystem,
+    Trajectory,
     builtin,
+    closed_loop_cost,
+    compare_lqr_kooc,
     eval_field,
     integrate,
     iterate,
@@ -17,8 +24,10 @@ from koopmankit import (
     registry_info,
     registry_names,
     slow_manifold_field,
+    slow_manifold_lift_ct,
     write_trajectory,
 )
+from koopmankit.dynamics import BLOWUP_LIMIT, _REGISTRY
 
 MU, LAM = -0.05, -1.0
 
@@ -253,3 +262,159 @@ def test_non_finite_start_is_rejected_not_called_a_blowup(bad):
         integrate(builtin("quad_manifold"), [bad, 0.0], 1.0)
     with pytest.raises(ValueError, match="x0 contains non-finite entries"):
         iterate(builtin("tu_map"), [bad, 0.0], 3)
+
+
+def test_named_states_round_trip_through_csv(tmp_path):
+    rng = np.random.default_rng(5)
+    times = np.arange(6) * 0.5
+    states = rng.normal(size=(6, 3))
+    for inputs in (None, rng.normal(size=(6, 1)), rng.normal(size=(6, 2))):
+        traj = Trajectory(times=times, states=states, inputs=inputs)
+        path = tmp_path / "lifted.csv"
+        write_trajectory(traj, path, state_names=["y1", "y2", "y3"])
+        again = read_trajectory(path)
+        assert again.states.tobytes() == traj.states.tobytes()
+        if inputs is None:
+            assert again.inputs is None
+        else:
+            assert again.inputs.tobytes() == traj.inputs.tobytes()
+
+
+def test_systems_and_their_compiled_maps_pickle():
+    system = builtin("quartic_manifold")
+    again = pickle.loads(pickle.dumps(system))
+    assert again.equations == system.equations
+    assert again._map([1.5, -1.0]).tobytes() == system._map([1.5, -1.0]).tobytes()
+
+
+# -- the float loops against the numpy loops they replaced --------------------
+
+def _reference_check_norm(x, t):
+    norm = float(np.linalg.norm(x))
+    if not np.isfinite(norm) or norm > BLOWUP_LIMIT:
+        raise BlowUp(t, norm, BLOWUP_LIMIT)
+
+
+def _reference_integrate(system, x0, t_end, dt=0.01, controller=None):
+    """The numpy RK4 loop that ``integrate`` ran before it moved to Python floats."""
+    drift = PolynomialMap(system.dim, system.equations)
+    if controller is None:
+        rhs = first = drift
+    else:
+        b = system.input_map
+        applied = []
+
+        def rhs(x):
+            return drift(x) + b @ np.atleast_1d(controller(x))
+
+        def first(x):
+            u = np.atleast_1d(controller(x))
+            applied.append(u)
+            return drift(x) + b @ u
+
+    n_steps = int(round(t_end / dt))
+    times = np.arange(n_steps + 1) * dt
+    states = np.empty((n_steps + 1, system.dim))
+    x = states[0] = np.asarray(x0, dtype=float)
+    for k in range(n_steps):
+        _reference_check_norm(x, times[k])
+        k1 = first(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise BlowUp(times[k + 1], float("inf"), BLOWUP_LIMIT)
+        states[k + 1] = x
+    _reference_check_norm(x, times[-1])
+    inputs = None
+    if controller is not None:
+        applied.append(np.atleast_1d(controller(states[-1])))
+        inputs = np.vstack(applied)
+    return Trajectory(times=times, states=states, inputs=inputs)
+
+
+def _reference_iterate(system, x0, steps):
+    """The numpy loop that ``iterate`` ran before it moved to Python floats."""
+    step = PolynomialMap(system.dim, system.equations)
+    states = np.empty((steps + 1, system.dim))
+    x = states[0] = np.asarray(x0, dtype=float)
+    for k in range(steps):
+        _reference_check_norm(x, float(k))
+        x = step(x)
+        if not np.all(np.isfinite(x)):
+            raise BlowUp(float(k + 1), float("inf"), BLOWUP_LIMIT)
+        states[k + 1] = x
+    _reference_check_norm(x, float(steps))
+    return Trajectory(times=np.arange(steps + 1, dtype=float), states=states)
+
+
+def _assert_same_bits(traj, expected):
+    assert traj.times.tobytes() == expected.times.tobytes()
+    assert traj.states.tobytes() == expected.states.tobytes()
+    assert (traj.inputs is None) == (expected.inputs is None)
+    if traj.inputs is not None:
+        assert traj.inputs.tobytes() == expected.inputs.tobytes()
+
+
+def _raised(func, *args, **kwargs):
+    with pytest.raises(BlowUp) as excinfo:
+        func(*args, **kwargs)
+    return excinfo.value.t, excinfo.value.norm
+
+
+FLOWS = [name for name in registry_names() if builtin(name).time_kind == CONTINUOUS]
+MAPS = [name for name in registry_names() if builtin(name).time_kind == DISCRETE]
+
+
+@pytest.mark.parametrize("name", FLOWS)
+def test_integrate_is_bit_identical_to_the_numpy_loop(name):
+    system = builtin(name)
+    starts, horizon = _REGISTRY[name]["training"]
+    for x0 in starts:
+        _assert_same_bits(integrate(system, x0, horizon), _reference_integrate(system, x0, horizon))
+
+
+def test_closed_loops_are_bit_identical_to_the_numpy_loop():
+    system = builtin("kooc_demo")
+    model = slow_manifold_lift_ct(-0.1, 1.0, {2: 1.0})
+    q, r = np.eye(2), np.array([[1.0]])
+    comp = compare_lqr_kooc(system, model, q, r, (-5.0, 5.0), 10.0)
+    lqr = _reference_integrate(system, (-5.0, 5.0), 10.0,
+                               controller=lambda x: -(comp.lqr_gain @ x))
+    kooc = _reference_integrate(system, (-5.0, 5.0), 10.0, controller=comp.kooc_controller)
+    _assert_same_bits(comp.lqr_traj, lqr)
+    _assert_same_bits(comp.kooc_traj, kooc)
+    assert comp.lqr_cost.tobytes() == closed_loop_cost(lqr, q, r).tobytes()
+    assert comp.kooc_cost.tobytes() == closed_loop_cost(kooc, q, r).tobytes()
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_iterate_is_bit_identical_to_the_numpy_loop(name):
+    system = builtin(name)
+    starts, steps = _REGISTRY[name]["training"]
+    for x0 in starts:
+        _assert_same_bits(iterate(system, x0, steps), _reference_iterate(system, x0, steps))
+
+
+def test_blowups_report_the_numpy_loops_time_and_norm():
+    system = builtin("center_manifold")
+    got = _raised(integrate, system, [0.5], 3.0, dt=0.001)
+    assert got == _raised(_reference_integrate, system, [0.5], 3.0, dt=0.001)
+    assert got[1] > BLOWUP_LIMIT
+    # these overflow within one step, to inf and to inf - inf = nan: a
+    # non-finite state is reported with norm inf
+    for terms in ({(8,): 1.0}, {(8,): 1.0, (10,): -1.0}):
+        steep = PolySystem(1, CONTINUOUS, (Polynomial(1, terms),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _raised(integrate, steep, [1e7], 1.0, dt=1.0)
+            expected = _raised(_reference_integrate, steep, [1e7], 1.0, dt=1.0)
+        assert got == expected == (1.0, np.inf)
+
+
+def test_the_guard_passes_a_state_at_the_limit_and_stops_one_past_it():
+    identity = PolySystem(2, DISCRETE, (Polynomial.variable(2, 0), Polynomial.variable(2, 1)))
+    at_limit = [BLOWUP_LIMIT * 0.6, BLOWUP_LIMIT * 0.8]
+    _assert_same_bits(iterate(identity, at_limit, 3), _reference_iterate(identity, at_limit, 3))
+    past = [np.nextafter(BLOWUP_LIMIT, np.inf), 0.0]
+    assert _raised(iterate, identity, past, 3) == _raised(_reference_iterate, identity, past, 3)
