@@ -50,7 +50,9 @@ class PolySystem:
     ``equations[i]`` is the polynomial for dx_i/dt or x_i(k+1). ``input_map``
     is an optional n-by-q matrix B for actuated systems, in which case the
     field is f(x) + B u. ``params`` records the named constants the equations
-    were built from.
+    were built from. The equations are compiled once, at construction, into
+    the :class:`PolynomialMap` that ``eval_field``, ``integrate`` and
+    ``iterate`` share.
     """
 
     dim: int
@@ -151,22 +153,18 @@ def _initial_state(system, x0):
     return x0
 
 
-def _check_norm(x, t):
-    norm = float(np.linalg.norm(x))
-    if not np.isfinite(norm) or norm > BLOWUP_LIMIT:
-        raise BlowUp(t, norm, BLOWUP_LIMIT)
-
-
 # The loops test the sum of squares against this, a hair under LIMIT^2 so that
-# rounding cannot let a norm past the limit; a state that trips it is judged
-# by _check_state, which raises exactly what the full test would.
+# rounding cannot let a norm past the limit; only a state that trips it gets
+# the full test, _check_state.
 _GUARD = BLOWUP_LIMIT**2 * (1.0 - 1e-9)
 
 
 def _check_state(x, t):
     if not all(map(math.isfinite, x)):
         raise BlowUp(t, float("inf"), BLOWUP_LIMIT)
-    _check_norm(np.array(x), t)
+    norm = float(np.linalg.norm(x))
+    if not np.isfinite(norm) or norm > BLOWUP_LIMIT:
+        raise BlowUp(t, norm, BLOWUP_LIMIT)
 
 
 def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
@@ -524,9 +522,9 @@ def read_trajectory(path):
         rows = [[float(v) for v in row] for row in reader if row]
     if not header or header[0] != "t":
         raise ValueError(f"{path}: expected header starting with 't'")
-    data = np.asarray(rows, dtype=float)
-    if data.shape[1] != len(header):
+    if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: ragged rows")
+    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
     columns = data[:, 1:]
     is_input = np.array([re.fullmatch(r"u\d*", name) is not None for name in header[1:]], dtype=bool)
     inputs = columns[:, is_input] if is_input.any() else None

@@ -274,8 +274,6 @@ class PolynomialMap:
 
     def __init__(self, dim, polys):
         self.dim = int(dim)
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         self.polys = tuple(polys)
         coeffs, rows, powers = [], [], {}  # powers: exponent > 1 -> variables
         for poly in self.polys:

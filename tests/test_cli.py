@@ -292,6 +292,16 @@ def test_identify_with_a_horizon_shorter_than_one_step_exits_with_usage_error(tm
     assert "at least 2 samples" in stderr and "got 1" in stderr
 
 
+def test_identify_on_a_header_only_csv_exits_with_usage_error(tmp_path):
+    data = tmp_path / "empty.csv"
+    data.write_text("t,x1,x2\r\n")
+    code, _, stderr = run_cli([
+        "identify", "--system", "quad-manifold", "--data", str(data), "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "got 0" in stderr
+
+
 def test_identify_discrete_map_recovers_exact_coefficients(tmp_path):
     code, stdout, _ = run_cli([
         "identify", "--system", "tu-map", "--generate", "--out", str(tmp_path),

@@ -280,6 +280,16 @@ def test_named_states_round_trip_through_csv(tmp_path):
             assert again.inputs.tobytes() == traj.inputs.tobytes()
 
 
+def test_header_only_and_ragged_csv_files(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,x1,x2\r\n")
+    traj = read_trajectory(path)
+    assert traj.states.shape == (0, 2) and traj.inputs is None
+    path.write_text("t,x1,x2\r\n0,1,2\r\n1,2\r\n")
+    with pytest.raises(ValueError, match="ragged rows"):
+        read_trajectory(path)
+
+
 def test_systems_and_their_compiled_maps_pickle():
     system = builtin("quartic_manifold")
     again = pickle.loads(pickle.dumps(system))
