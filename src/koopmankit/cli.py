@@ -16,8 +16,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import pathlib
 import sys
@@ -46,29 +44,11 @@ from .spectral import (
 )
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
-
-
 def _resolve_out(args) -> pathlib.Path:
     out = os.environ.get("KOOPMANKIT_OUT") or args.out
     path = pathlib.Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _parse_x0(text, dim):
@@ -161,7 +141,7 @@ def _simulate_quad_extras(system, x0, args, out, written):
     ]
     for color, rows in surfaces:
         path = out / f"quad_manifold_surface_{color}.csv"
-        _write_csv(path, ["y1", "y2", "y3"], rows)
+        dynamics._write_csv(path, ["y1", "y2", "y3"], rows)
         written.append(path.name)
     return slope
 
@@ -175,8 +155,7 @@ def _center_comparison(system, args, out, written):
     if horizon >= blowup:
         raise ValueError(f"horizon must stay below the blow-up time 1/x0 = {blowup:g}")
     ranks = _parse_ranks(args.rank)
-    n_steps = int(round(horizon / args.dt))
-    times = np.arange(n_steps + 1) * args.dt
+    times = dynamics._time_grid(horizon, args.dt)
     truth = 1.0 / (1.0 / x0 - times)
 
     columns = [times, truth]
@@ -191,10 +170,10 @@ def _center_comparison(system, args, out, written):
 
     path = out / "center_manifold_comparison.csv"
     header = ["t", "truth"] + [f"rank_{r}" for r in ranks]
-    _write_csv(path, header, zip(*columns))
+    dynamics._write_csv(path, header, zip(*columns))
     written.append(path.name)
     path = out / "center_manifold_horizons.csv"
-    _write_csv(path, ["rank", "horizon"], horizons)
+    dynamics._write_csv(path, ["rank", "horizon"], horizons)
     written.append(path.name)
 
 
@@ -210,11 +189,11 @@ def _logistic_divergence(system, x0, args, out, written):
         beyond = np.flatnonzero(rel > 0.1)
         horizons.append((rank, int(beyond[0] - 1) if beyond.size else steps))
         path = out / f"logistic_divergence_rank{rank}.csv"
-        _write_csv(path, ["step", "truth", "prediction", "rel_error"],
-                   zip(range(steps + 1), truth, pred, rel))
+        dynamics._write_csv(path, ["step", "truth", "prediction", "rel_error"],
+                            zip(range(steps + 1), truth, pred, rel))
         written.append(path.name)
     path = out / "logistic_horizons.csv"
-    _write_csv(path, ["rank", "steps_within_10pct"], horizons)
+    dynamics._write_csv(path, ["rank", "steps_within_10pct"], horizons)
     written.append(path.name)
 
 
@@ -258,7 +237,7 @@ def cmd_simulate(args):
         written.append(path.name)
         if system.name == "quad_manifold":
             slope = _simulate_quad_extras(system, x0, args, out, written)
-            print(f"slow-subspace slope: {_fmt(slope)}")
+            print(f"slow-subspace slope: {dynamics._fmt(slope)}")
         if system.name == "logistic" and args.rank is not None:
             _logistic_divergence(system, x0, args, out, written)
 
@@ -320,12 +299,12 @@ def cmd_identify(args):
         "max_invariance_residual": max(residuals),
     }
     report_path = out / f"{system.name}_report.json"
-    _write_json(report_path, report)
+    dynamics._write_json(report_path, report)
 
     for eq_name, eq in zip((f"x{i + 1}" for i in range(system.dim)), report["equations"]):
         kind = "d/dt" if system.time_kind == CONTINUOUS else "next"
         print(f"{kind} {eq_name} = {eq}")
-    print(f"max invariance residual: {_fmt(report['max_invariance_residual'])}")
+    print(f"max invariance residual: {dynamics._fmt(report['max_invariance_residual'])}")
     for path in (sparse_path, model_path, report_path):
         print(f"wrote {path}")
     return 0
@@ -400,10 +379,10 @@ def cmd_spectral(args):
                            system.time_kind)
         payload["named_observable"] = name
         payload["named_observable_residual"] = verify_eigenfunction(fn, traj)
-        print(f"{name} residual: {_fmt(payload['named_observable_residual'])}")
+        print(f"{name} residual: {dynamics._fmt(payload['named_observable_residual'])}")
 
     path = out / f"{stem}_spectral.json"
-    _write_json(path, payload)
+    dynamics._write_json(path, payload)
     eigvals = ", ".join(f"{w.real:g}{f'{w.imag:+g}j' if abs(w.imag) > 1e-12 else ''}"
                         for w in (fn.eigenvalue for fn in fns))
     print(f"eigenvalues: {eigvals}")
@@ -439,7 +418,7 @@ def cmd_control(args):
             "note": "zero state cost: optimal feedback is zero; simulation skipped",
         }
         path = out / "control_gains.json"
-        _write_json(path, payload)
+        dynamics._write_json(path, payload)
         print("zero state cost: gains are identically zero")
         print(f"wrote {path}")
         return 0
@@ -453,9 +432,9 @@ def cmd_control(args):
     write_trajectory(result.lqr_traj, lqr_path)
     write_trajectory(result.kooc_traj, kooc_path)
     costs_path = out / "control_costs.csv"
-    _write_csv(costs_path, ["t", "j_lqr", "j_kooc", "j_lqr_script", "j_kooc_script"],
-               zip(result.times, result.lqr_cost, result.kooc_cost,
-                   result.lqr_cost_script, result.kooc_cost_script))
+    dynamics._write_csv(costs_path, ["t", "j_lqr", "j_kooc", "j_lqr_script", "j_kooc_script"],
+                        zip(result.times, result.lqr_cost, result.kooc_cost,
+                            result.lqr_cost_script, result.kooc_cost_script))
 
     payload = {
         "system": system.name,
@@ -471,7 +450,7 @@ def cmd_control(args):
         "ratio_script": result.ratio_script,
     }
     gains_path = out / "control_gains.json"
-    _write_json(gains_path, payload)
+    dynamics._write_json(gains_path, payload)
 
     if args.gnuplot:
         plt = out / "control.plt"
@@ -483,8 +462,8 @@ def cmd_control(args):
         ]) + "\n")
         print(f"wrote {plt}")
 
-    print(f"cost ratio (applied inputs): {_fmt(result.ratio)}")
-    print(f"cost ratio (gain-substituted integrand): {_fmt(result.ratio_script)}")
+    print(f"cost ratio (applied inputs): {dynamics._fmt(result.ratio)}")
+    print(f"cost ratio (gain-substituted integrand): {dynamics._fmt(result.ratio_script)}")
     for path in (lqr_path, kooc_path, costs_path, gains_path):
         print(f"wrote {path}")
     return 0

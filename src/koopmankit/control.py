@@ -47,9 +47,19 @@ def _symmetric(mat, name, psd=False, pd=False):
     return m
 
 
+def _input_matrix(b, n):
+    """``b`` as a matrix; a single row is read as a column when n > 1."""
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    return b.T if b.shape[0] == 1 and n != 1 else b
+
+
 @dataclass
 class LqrProblem:
-    """Continuous-time LQR data: dx/dt = a x + b u, cost integrand x'q x + u'r u."""
+    """Continuous-time LQR data: dx/dt = a x + b u, cost integrand x'q x + u'r u.
+
+    Construction validates every field once; a 1 x n ``b`` is read as its
+    transpose, and ``q`` and ``r`` are symmetrized.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -58,9 +68,7 @@ class LqrProblem:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        if b.shape[0] == 1 and a.shape[0] != 1:
-            b = b.T
+        b = _input_matrix(self.b, a.shape[0])
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("a must be square")
         if b.shape[0] != a.shape[0]:
@@ -79,10 +87,6 @@ class LqrProblem:
     @property
     def n(self):
         return self.a.shape[0]
-
-    @property
-    def n_inputs(self):
-        return self.b.shape[1]
 
 
 def care_residual(a, b, q, r, p) -> float:
@@ -135,7 +139,10 @@ def solve_care(a, b, q, r) -> np.ndarray:
     the closed loop A - G P is not Hurwitz, or the relative backward error
     |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL``.
     """
-    prob = LqrProblem(a, b, q, r)
+    return _care(LqrProblem(a, b, q, r))
+
+
+def _care(prob: LqrProblem) -> np.ndarray:
     a, b, q, r = prob.a, prob.b, prob.q, prob.r
     n = prob.n
     g = b @ np.linalg.solve(r, b.T)
@@ -184,26 +191,29 @@ def solve_care(a, b, q, r) -> np.ndarray:
 
 def lqr_gain(a, b, q, r):
     """Optimal feedback u = -C x. Returns (C, P)."""
-    prob = LqrProblem(a, b, q, r)
-    p = solve_care(prob.a, prob.b, prob.q, prob.r)
-    gain = np.linalg.solve(prob.r, prob.b.T @ p)
-    return gain, p
+    return _lqr(LqrProblem(a, b, q, r))
 
 
-def pbh_unstabilizable_modes(a, b, tol=1e-9, rank_rcond=1e-10):
-    """Eigenvalues of ``a`` with Re >= -tol at which [A - lam I, B] loses rank."""
+def _lqr(prob: LqrProblem):
+    p = _care(prob)
+    return np.linalg.solve(prob.r, prob.b.T @ p), p
+
+
+def pbh_unstabilizable_modes(a, b):
+    """Eigenvalues of ``a`` with Re >= -1e-9 at which [A - lam I, B] loses rank.
+
+    The rank counts singular values above 1e-10 times max(1, the largest).
+    """
     a = np.asarray(a, dtype=float)
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if b.shape[0] == 1 and a.shape[0] != 1:
-        b = b.T
     n = a.shape[0]
+    b = _input_matrix(b, n)
     bad = []
     for lam in np.linalg.eigvals(a):
-        if lam.real < -tol:
+        if lam.real < -1e-9:
             continue
         pencil = np.hstack([a - lam * np.eye(n), b.astype(complex)])
         s = np.linalg.svd(pencil, compute_uv=False)
-        rank = int(np.sum(s > rank_rcond * max(1.0, float(s[0]))))
+        rank = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
         if rank < n:
             bad.append(complex(lam))
     return bad
@@ -246,27 +256,19 @@ def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r,
     """
     if model.time_kind != CONTINUOUS:
         raise ValueError("lifted LQR design requires a continuous-time model")
-    m = len(model.library)
-    b = np.atleast_2d(np.asarray(b_lifted, dtype=float))
-    if b.shape[0] == 1 and m != 1:
-        b = b.T
-    if b.shape[0] != m:
-        raise ValueError("b_lifted must have one row per observable")
-
-    if q_lifted is not None:
-        q = _symmetric(q_lifted, "q_lifted", psd=True)
-        if q.shape[0] != m:
-            raise ValueError("q_lifted must match the library size")
-    else:
+    q = q_lifted
+    if q is None:
         n = model.state_dim
-        q_state = _symmetric(q_state, "q_state", psd=True)
-        if q_state.shape[0] != n:
+        q_state = np.asarray(q_state, dtype=float)
+        if q_state.shape != (n, n):
             raise ValueError("q_state must match the state dimension")
+        m = len(model.library)
         q = np.zeros((m, m))
         rows = np.asarray(model.state_rows)
         q[np.ix_(rows, rows)] = q_state
+    prob = LqrProblem(model.K, b_lifted, q, r)
 
-    modes = pbh_unstabilizable_modes(model.K, b)
+    modes = pbh_unstabilizable_modes(prob.a, prob.b)
     if modes:
         names = tuple(_dominant_observable(model, lam) for lam in modes)
         listing = ", ".join(
@@ -278,14 +280,13 @@ def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r,
             modes=tuple(modes), observables=names,
         )
 
-    if not q.any():
+    if not prob.q.any():
         # Zero state cost: u = 0 achieves the infimum J = 0, and P = 0 is the
         # minimal nonnegative Riccati solution, so the gain vanishes.
-        return KoocController(model=model, gain=np.zeros((b.shape[1], m)),
-                              p=np.zeros((m, m)))
+        return KoocController(model=model, gain=np.zeros((prob.b.shape[1], prob.n)),
+                              p=np.zeros((prob.n, prob.n)))
 
-    p = solve_care(model.K, b, q, np.atleast_2d(np.asarray(r, dtype=float)))
-    gain = np.linalg.solve(np.atleast_2d(np.asarray(r, dtype=float)), b.T @ p)
+    gain, p = _lqr(prob)
     return KoocController(model=model, gain=gain, p=p)
 
 
@@ -299,18 +300,15 @@ def closed_loop_cost(traj: Trajectory, q, r):
         raise ValueError("trajectory has no recorded inputs; integrate with a controller")
     q = _symmetric(q, "q", psd=True)
     r = _symmetric(r, "r", pd=True)
-    return _trapezoid_cost(traj.times, traj.states, traj.inputs, q, r)
+    return _trapezoid_cost(traj, traj.inputs, q, r)
 
 
-def _gain_cost(traj: Trajectory, gain, q, r):
-    """Cost along a trajectory with u replaced by ``gain``-feedback in the integrand."""
-    return _trapezoid_cost(traj.times, traj.states, -(traj.states @ gain.T), q, r)
-
-
-def _trapezoid_cost(times, x, u, q, r):
+def _trapezoid_cost(traj: Trajectory, u, q, r):
+    """Trapezoidal J(t) of x'q x + u'r u along ``traj`` with inputs ``u``."""
+    x = traj.states
     integrand = np.einsum("ki,ij,kj->k", x, q, x) + np.einsum("ki,ij,kj->k", u, r, u)
-    gaps = np.diff(times)
-    cost = np.zeros(len(times))
+    gaps = np.diff(traj.times)
+    cost = np.zeros(len(traj))
     cost[1:] = np.cumsum(0.5 * gaps * (integrand[1:] + integrand[:-1]))
     return cost
 
@@ -374,13 +372,13 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     lqr_traj = integrate(system, x0, horizon, dt=dt, controller=lambda x: -(c_lqr @ x))
     kooc_traj = integrate(system, x0, horizon, dt=dt, controller=kooc)
 
-    lqr_cost = closed_loop_cost(lqr_traj, q, r)
-    kooc_cost = closed_loop_cost(kooc_traj, q, r)
+    lqr_cost = _trapezoid_cost(lqr_traj, lqr_traj.inputs, q, r)
+    kooc_cost = _trapezoid_cost(kooc_traj, kooc_traj.inputs, q, r)
     denom = float(lqr_cost[-1])
     ratio = 1.0 if denom == 0.0 else float(kooc_cost[-1]) / denom
 
-    lqr_script = _gain_cost(lqr_traj, c_lqr, q, r)
-    kooc_script = _gain_cost(kooc_traj, c_lqr, q, r)
+    lqr_script = _trapezoid_cost(lqr_traj, -(lqr_traj.states @ c_lqr.T), q, r)
+    kooc_script = _trapezoid_cost(kooc_traj, -(kooc_traj.states @ c_lqr.T), q, r)
     denom_script = float(lqr_script[-1])
     ratio_script = 1.0 if denom_script == 0.0 else float(kooc_script[-1]) / denom_script
 

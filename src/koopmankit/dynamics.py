@@ -1,4 +1,5 @@
-"""Polynomial vector fields and maps, trajectory generation, benchmark registry.
+"""Polynomial vector fields and maps, trajectory generation, benchmark registry,
+and the CSV and JSON formats of every artifact the package writes.
 
 Continuous systems are integrated with fixed-step classical RK4; feedback
 controllers are evaluated at every substep state, so closed-loop simulation
@@ -26,6 +27,7 @@ every step.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -84,10 +86,6 @@ class PolySystem:
             self.input_map = b
         self._map = PolynomialMap(self.dim, self.equations)
 
-    @property
-    def n_inputs(self):
-        return 0 if self.input_map is None else self.input_map.shape[1]
-
 
 @dataclass
 class Trajectory:
@@ -120,11 +118,10 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def eval_field(system: PolySystem, x, u=None, b=None):
-    """Evaluate f(x), or f(x) + B u for actuated systems.
+def eval_field(system: PolySystem, x, u=None):
+    """Evaluate f(x), or f(x) + B u with the system's input map B.
 
-    ``b`` overrides the system's stored input map; supplying ``u`` without any
-    input map (argument or stored) is an error, as is a stray ``b``.
+    Supplying ``u`` to a system without an input map is an error.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (system.dim,):
@@ -133,24 +130,26 @@ def eval_field(system: PolySystem, x, u=None, b=None):
         raise ValueError("state contains non-finite entries")
     out = system._map(x)
     if u is None:
-        if b is not None:
-            raise ValueError("input map supplied without an input")
         return out
-    bmat = b if b is not None else system.input_map
-    if bmat is None:
+    if system.input_map is None:
         raise ValueError("input supplied but the system has no input map")
-    bmat = np.atleast_2d(np.asarray(bmat, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return out + bmat @ u
+    return out + system.input_map @ np.atleast_1d(np.asarray(u, dtype=float))
 
 
-def _initial_state(system, x0):
+def _initial_state(dim, x0):
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dim,):
-        raise ValueError(f"x0 must have shape ({system.dim},)")
+    if x0.shape != (dim,):
+        raise ValueError(f"x0 must have shape ({dim},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 contains non-finite entries")
     return x0
+
+
+def _time_grid(t_end, dt):
+    """Sample times 0, dt, ..., n*dt with n = round(t_end/dt) steps."""
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):
+        raise ValueError("t_end and dt must be positive and finite")
+    return np.arange(int(round(t_end / dt)) + 1) * dt
 
 
 # The loops test the sum of squares against this, a hair under LIMIT^2 so that
@@ -177,9 +176,8 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     """
     if system.time_kind != CONTINUOUS:
         raise ValueError("integrate requires a continuous-time system")
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
-    x0 = _initial_state(system, x0)
+    times = _time_grid(t_end, dt)
+    x0 = _initial_state(system.dim, x0)
     if controller is not None and system.input_map is None:
         raise ValueError("controller supplied but the system has no input map")
 
@@ -199,13 +197,11 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
             applied.append(u)
             return list(map(add, drift(x), (b @ u).tolist()))
 
-    n_steps = int(round(t_end / dt))
-    times = np.arange(n_steps + 1) * dt
     half, sixth = 0.5 * dt, dt / 6.0
     x = x0.tolist()
     _check_state(x, times[0])
     states = [x]
-    for k in range(n_steps):
+    for k in range(len(times) - 1):
         k1 = first(x)
         k2 = rhs([a + half * d for a, d in zip(x, k1)])
         k3 = rhs([a + half * d for a, d in zip(x, k2)])
@@ -229,7 +225,7 @@ def iterate(system: PolySystem, x0, steps):
         raise ValueError("iterate requires a discrete-time system")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    x0 = _initial_state(system, x0)
+    x0 = _initial_state(system.dim, x0)
     step = system._map._evaluate
     x = x0.tolist()
     _check_state(x, 0.0)
@@ -251,22 +247,20 @@ def slow_manifold_field(mu, lam, poly):
 
     ``poly`` maps exponent N -> coefficient a for P(x) = sum a*x^N.
     """
+    return _slow_manifold_equations(mu, lam, poly, -lam)
+
+
+def _slow_manifold_equations(mu, lam, poly, coupling):
+    """Equations of x1' = mu*x1, x2' = lam*x2 + coupling*P(x1).
+
+    The flow takes coupling -lam; the map x1 -> mu*x1,
+    x2 -> lam*x2 + (1 - lam)*P(x1) takes 1 - lam.
+    """
     eq1 = Polynomial(2, {(1, 0): mu})
     terms = {(0, 1): lam}
     for n, a in poly.items():
-        terms[(int(n), 0)] = terms.get((int(n), 0), 0.0) + (-lam * a)
-    eq2 = Polynomial(2, terms)
-    return (eq1, eq2)
-
-
-def _slow_manifold_map(mu, lam, poly):
-    """Equations of x1 -> mu*x1, x2 -> lam*x2 + (1 - lam)*P(x1)."""
-    eq1 = Polynomial(2, {(1, 0): mu})
-    terms = {(0, 1): lam}
-    for n, a in poly.items():
-        terms[(int(n), 0)] = terms.get((int(n), 0), 0.0) + (1.0 - lam) * a
-    eq2 = Polynomial(2, terms)
-    return (eq1, eq2)
+        terms[(int(n), 0)] = terms.get((int(n), 0), 0.0) + coupling * a
+    return (eq1, Polynomial(2, terms))
 
 
 def _lifting():
@@ -284,9 +278,10 @@ def _slow_manifold(poly, time_kind=CONTINUOUS, input_map=None):
     The field (or map) and its lift are both built from the one ``poly``.
     """
     def builder(p):
-        make = slow_manifold_field if time_kind == CONTINUOUS else _slow_manifold_map
-        return PolySystem(2, time_kind, make(p["mu"], p["lambda"], poly), params=p,
-                          input_map=input_map)
+        lam = p["lambda"]
+        coupling = -lam if time_kind == CONTINUOUS else 1.0 - lam
+        return PolySystem(2, time_kind, _slow_manifold_equations(p["mu"], lam, poly, coupling),
+                          params=p, input_map=input_map)
 
     def lift(p, rank):
         lifting = _lifting()
@@ -446,10 +441,8 @@ def registry_names():
     return sorted(_REGISTRY)
 
 
-def registry_info(name=None):
-    """Description strings keyed by system name (or one system's entry)."""
-    if name is not None:
-        return _REGISTRY[_canonical(name)]["description"]
+def registry_info():
+    """Description strings keyed by system name."""
     return {key: _REGISTRY[key]["description"] for key in registry_names()}
 
 
@@ -483,11 +476,31 @@ def builtin(name, **params):
 
 
 # ---------------------------------------------------------------------------
-# trajectory serialization (CSV, RFC 4180)
+# artifact formats: CSV tables (RFC 4180) and JSON documents
 # ---------------------------------------------------------------------------
 
 def _fmt(value):
-    return format(value, ".17g")
+    """A number as text that reads back to the same float."""
+    return format(float(value), ".17g")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def write_trajectory(traj: Trajectory, path, state_names=None):
@@ -497,17 +510,12 @@ def write_trajectory(traj: Trajectory, path, state_names=None):
     if len(names) != n:
         raise ValueError("state_names length mismatch")
     header = ["t"] + names
+    columns = [traj.times, traj.states]
     if traj.inputs is not None:
         q = traj.inputs.shape[1]
         header += ["u"] if q == 1 else [f"u{i + 1}" for i in range(q)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(traj)):
-            row = [_fmt(traj.times[k])] + [_fmt(v) for v in traj.states[k]]
-            if traj.inputs is not None:
-                row += [_fmt(v) for v in traj.inputs[k]]
-            writer.writerow(row)
+        columns.append(traj.inputs)
+    _write_csv(path, header, np.column_stack(columns))
 
 
 def read_trajectory(path):
@@ -518,7 +526,7 @@ def read_trajectory(path):
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader if row]
     if not header or header[0] != "t":
         raise ValueError(f"{path}: expected header starting with 't'")

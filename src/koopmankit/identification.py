@@ -9,14 +9,13 @@ on monomial degree.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory
+from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory, _read_json, _write_json
 from .lifting import (
     KoopmanModel,
     ObservableLibrary,
@@ -135,13 +134,13 @@ def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
 # dynamic mode decomposition
 # ---------------------------------------------------------------------------
 
-def dmd(x, xp, rcond=numerics.DEFAULT_RCOND):
+def dmd(x, xp):
     """Best-fit linear advance Xi minimizing ||Xi X - Xp||_F: Xi = Xp pinv(X)."""
     x = numerics.as_matrix(x, "x")
     xp = numerics.as_matrix(xp, "xp")
     if x.shape != xp.shape:
         raise ValueError("snapshot matrices must share a shape")
-    return xp @ numerics.pinv(x, rcond=rcond)
+    return xp @ numerics.pinv(x)
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +186,13 @@ class SparseModel:
             raise ValueError("targets do not span the state")
         return PolySystem(self.library.dim, self.time_kind, self.equations())
 
-    def predict(self, x):
-        return self.coefficients @ eval_library(self.library, x)
 
-
-def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD,
-          max_iter=DEFAULT_MAX_ITER) -> SparseModel:
+def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD) -> SparseModel:
     """Sequential thresholded least squares of Y onto library features of X.
 
-    Thresholding compares coefficients in the unit-RMS column scaling; the
-    returned coefficients are un-scaled. Raises if thresholding empties a
-    target's row entirely.
+    Thresholding compares coefficients in the unit-RMS column scaling and
+    refits at most ``DEFAULT_MAX_ITER`` times; the returned coefficients are
+    un-scaled. Raises if thresholding empties a target's row entirely.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
@@ -209,7 +204,7 @@ def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD
             stacklevel=2,
         )
     targets = data.Y.T  # samples x targets
-    _, mask, _ = _stlsq(theta, targets, threshold, max_iter)
+    _, mask, _ = _stlsq(theta, targets, threshold)
     empty = np.flatnonzero(~mask.any(axis=0))
     if empty.size:
         raise ValueError(
@@ -228,7 +223,7 @@ def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD
                        time_kind=data.time_kind)
 
 
-def _stlsq(design, targets, threshold, max_iter):
+def _stlsq(design, targets, threshold):
     """The thresholding loop of sequential thresholded least squares.
 
     Columns of ``design`` are scaled to unit RMS and the threshold applies in
@@ -241,7 +236,7 @@ def _stlsq(design, targets, threshold, max_iter):
     scaled = design / scales
     w = numerics.lstsq(scaled, targets)
     mask = np.abs(w) >= threshold
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         w = np.zeros_like(w)
         for i in range(targets.shape[1]):
             active = mask[:, i]
@@ -326,22 +321,22 @@ def refine_subspace(sparse: SparseModel, data: DataSet, max_rounds=10,
 
     refined_lib = ObservableLibrary(n, tuple(working), state_inclusive=True)
     theta = eval_library(refined_lib, data.X)  # (m, M)
-    targets = np.empty((len(working), data.n_samples))
-    for i, obs in enumerate(working):
-        if data.time_kind == CONTINUOUS:
+    if data.time_kind == CONTINUOUS:
+        targets = np.empty((len(working), data.n_samples))
+        for i, obs in enumerate(working):
             total = np.zeros(data.n_samples)
             for axis in range(n):
                 d = obs.derivative(axis)
                 if not d.is_zero():
                     total += d(data.X) * data.Y[axis]
             targets[i] = total
-        else:
-            targets[i] = obs(data.Y)
+    else:
+        targets = eval_library(refined_lib, data.Y)
 
     if threshold is None:
         k = numerics.lstsq(theta.T, targets.T).T
     else:
-        w, mask, scales = _stlsq(theta.T, targets.T, threshold, DEFAULT_MAX_ITER)
+        w, mask, scales = _stlsq(theta.T, targets.T, threshold)
         k = (np.where(mask, w, 0.0) / scales[:, None]).T
 
     model = KoopmanModel(refined_lib, k, data.time_kind, state_rows=tuple(range(n)))
@@ -406,11 +401,8 @@ def sparse_from_json(data: dict) -> SparseModel:
 
 
 def save_sparse(model: SparseModel, path):
-    with open(path, "w") as fh:
-        json.dump(sparse_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, sparse_to_json(model))
 
 
 def load_sparse(path) -> SparseModel:
-    with open(path) as fh:
-        return sparse_from_json(json.load(fh))
+    return sparse_from_json(_read_json(path))

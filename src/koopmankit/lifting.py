@@ -10,7 +10,6 @@ exact, and the neglected monomials are the truncation error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -228,16 +227,7 @@ def slow_manifold_lift_ct(mu, lam, poly=None):
     [x1, x2, x1^N1, ..., x1^NM] with exponents ascending, and K is
     diag(mu, lam, mu*N1, ..., mu*NM) plus row-2 couplings -a_i*lam.
     """
-    terms = _poly_dict(poly)
-    powers = list(terms)
-    m = 2 + len(powers)
-    k = np.zeros((m, m))
-    k[0, 0] = mu
-    k[1, 1] = lam
-    for i, n in enumerate(powers):
-        k[1, 2 + i] = -terms[n] * lam
-        k[2 + i, 2 + i] = mu * n
-    return KoopmanModel(_manifold_library(powers), k, CONTINUOUS, state_rows=(0, 1))
+    return _slow_manifold_lift(mu, lam, poly, -lam, lambda n: mu * n, CONTINUOUS)
 
 
 def slow_manifold_lift_dt(mu, lam, poly=None):
@@ -246,6 +236,11 @@ def slow_manifold_lift_dt(mu, lam, poly=None):
     Same library as the continuous lift; the diagonal carries the multipliers
     mu, lam, mu^N1, ..., and row 2 couples through a_i*(1-lam).
     """
+    return _slow_manifold_lift(mu, lam, poly, 1.0 - lam, lambda n: ipow(mu, n), DISCRETE)
+
+
+def _slow_manifold_lift(mu, lam, poly, coupling, rate, time_kind):
+    """K = diag(mu, lam, rate(N1), ...) with row-2 couplings coupling*a_i."""
     terms = _poly_dict(poly)
     powers = list(terms)
     m = 2 + len(powers)
@@ -253,9 +248,9 @@ def slow_manifold_lift_dt(mu, lam, poly=None):
     k[0, 0] = mu
     k[1, 1] = lam
     for i, n in enumerate(powers):
-        k[1, 2 + i] = terms[n] * (1.0 - lam)
-        k[2 + i, 2 + i] = ipow(mu, n)
-    return KoopmanModel(_manifold_library(powers), k, DISCRETE, state_rows=(0, 1))
+        k[1, 2 + i] = coupling * terms[n]
+        k[2 + i, 2 + i] = rate(n)
+    return KoopmanModel(_manifold_library(powers), k, time_kind, state_rows=(0, 1))
 
 
 def tu_lift(lam, mu):
@@ -355,14 +350,13 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
     Continuous models integrate dy/dt = K y with fixed-step RK4 on [0, t_end];
     discrete models apply y -> K y for ``steps`` steps.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 contains non-finite entries")
-    y0 = lift_state(model, x0)
+    y0 = lift_state(model, dynamics._initial_state(model.state_dim, x0))
     k = model.K
     if model.time_kind == DISCRETE:
         if steps is None:
             raise ValueError("steps required for a discrete model")
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
         ys = np.empty((steps + 1, len(y0)))
         ys[0] = y0
         y = y0
@@ -372,12 +366,11 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
         return Trajectory(times=np.arange(steps + 1, dtype=float), states=ys)
     if t_end is None:
         raise ValueError("t_end required for a continuous model")
-    n_steps = int(round(t_end / dt))
-    times = np.arange(n_steps + 1) * dt
-    ys = np.empty((n_steps + 1, len(y0)))
+    times = dynamics._time_grid(t_end, dt)
+    ys = np.empty((len(times), len(y0)))
     ys[0] = y0
     y = y0
-    for i in range(n_steps):
+    for i in range(len(times) - 1):
         k1 = k @ y
         k2 = k @ (y + 0.5 * dt * k1)
         k3 = k @ (y + 0.5 * dt * k2)
@@ -446,11 +439,8 @@ def model_from_json(data: dict) -> KoopmanModel:
 
 
 def save_model(model: KoopmanModel, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dynamics._write_json(path, model_to_json(model))
 
 
 def load_model(path) -> KoopmanModel:
-    with open(path) as fh:
-        return model_from_json(json.load(fh))
+    return model_from_json(dynamics._read_json(path))

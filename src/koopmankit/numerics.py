@@ -9,8 +9,8 @@ reproducible:
   member first);
 * eigenvectors scaled to unit 2-norm with the largest-magnitude component
   rotated to the positive real axis;
-* rank decisions use a relative cutoff of ``rcond`` (default 1e-12) times the
-  largest singular value.
+* rank decisions use the fixed relative cutoff ``DEFAULT_RCOND`` = 1e-12
+  times the largest singular value.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ def as_matrix(a, name="matrix"):
     return arr.astype(float)
 
 
-def lstsq(a, b, rcond=DEFAULT_RCOND):
+def lstsq(a, b):
     """Minimum-norm least-squares solution of a @ x = b via SVD.
 
-    Singular values below ``rcond`` times the largest are treated as zero.
+    Singular values below ``DEFAULT_RCOND`` times the largest are treated as zero.
     ``b`` may be a vector or a matrix of stacked right-hand sides.
     """
     a = as_matrix(a, "a")
@@ -50,7 +50,7 @@ def lstsq(a, b, rcond=DEFAULT_RCOND):
         raise ValueError("b contains non-finite entries")
     if b_arr.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: a has {a.shape[0]} rows, b has {b_arr.shape[0]}")
-    x, _, _, _ = np.linalg.lstsq(a, b_arr, rcond=rcond)
+    x, _, _, _ = np.linalg.lstsq(a, b_arr, rcond=DEFAULT_RCOND)
     return x
 
 
@@ -68,10 +68,10 @@ def svd(a):
     return u, s, vh.conj().T
 
 
-def pinv(a, rcond=DEFAULT_RCOND):
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff."""
+def pinv(a):
+    """Moore-Penrose pseudoinverse with relative singular-value cutoff ``DEFAULT_RCOND``."""
     u, s, v = svd(a)
-    cutoff = rcond * (s[0] if s.size else 0.0)
+    cutoff = DEFAULT_RCOND * (s[0] if s.size else 0.0)
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return v @ (inv[:, None] * u.conj().T)
 
@@ -92,16 +92,13 @@ class EigenPairSet:
     def __len__(self):
         return self.eigenvalues.size
 
-    def pair(self, index):
-        return self.eigenvalues[index], self.right_vectors[:, index], self.left_vectors[index]
-
-    def closest(self, value, rtol=1e-8):
+    def closest(self, value):
         """Index of the eigenvalue nearest ``value``; (index, separation_ok)."""
         gaps = np.abs(self.eigenvalues - value)
         order = np.argsort(gaps)
         idx = int(order[0])
         scale = max(1.0, abs(value))
-        unique = gaps.size == 1 or gaps[order[1]] - gaps[order[0]] > rtol * scale
+        unique = gaps.size == 1 or gaps[order[1]] - gaps[order[0]] > 1e-8 * scale
         return idx, unique
 
 

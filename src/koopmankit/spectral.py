@@ -9,13 +9,12 @@ in the returned ordering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .dynamics import CONTINUOUS, Trajectory
+from .dynamics import CONTINUOUS, Trajectory, _write_json
 from .exceptions import DegenerateSpectrum
 from .identification import _uniform_dt, differentiate_series
 from .lifting import (
@@ -51,11 +50,11 @@ class Eigenfunction:
     def __call__(self, x):
         return self.coeffs @ eval_library(self.library, x)
 
-    def as_polynomial(self, imag_tol=1e-10):
+    def as_polynomial(self):
         """Real polynomial form (requires a polynomial library, real coeffs)."""
         if not self.library.is_polynomial():
             raise ValueError("not a polynomial eigenfunction")
-        if np.max(np.abs(self.coeffs.imag)) > imag_tol * max(1.0, np.max(np.abs(self.coeffs))):
+        if np.max(np.abs(self.coeffs.imag)) > 1e-10 * max(1.0, np.max(np.abs(self.coeffs))):
             raise ValueError("coefficients are not real to tolerance")
         return self.library.linear_combination(self.coeffs.real)
 
@@ -216,6 +215,4 @@ def eigenfunction_from_json(data: dict) -> Eigenfunction:
 
 
 def save_eigenfunction(fn: Eigenfunction, path):
-    with open(path, "w") as fh:
-        json.dump(eigenfunction_to_json(fn), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, eigenfunction_to_json(fn))

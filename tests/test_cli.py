@@ -494,3 +494,27 @@ def test_simulate_rejects_a_non_finite_start_as_bad_input(tmp_path, system):
                                "--out", str(tmp_path)])
     assert code == 2
     assert "x0 contains non-finite entries" in stderr
+
+
+def test_center_manifold_comparison_with_a_zero_step_exits_with_usage_error(tmp_path):
+    code, _, stderr = run_cli(["simulate", "--system", "center-manifold", "--rank", "2",
+                               "--dt", "0", "--out", str(tmp_path)])
+    assert code == 2
+    assert "t_end and dt must be positive" in stderr
+
+
+def test_infinite_horizon_exits_with_usage_error(tmp_path):
+    code, _, stderr = run_cli(["simulate", "--system", "quad-manifold", "--horizon", "inf",
+                               "--out", str(tmp_path)])
+    assert code == 2
+    assert "finite" in stderr
+
+
+def test_identify_on_an_empty_csv_exits_with_usage_error(tmp_path):
+    data = tmp_path / "blank.csv"
+    data.write_text("")
+    code, _, stderr = run_cli([
+        "identify", "--system", "quad-manifold", "--data", str(data), "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "blank.csv" in stderr

@@ -414,3 +414,16 @@ def test_kooc_controller_stabilizes_where_lqr_diverges_less():
         assert abs(traj.states[-1, 1]) < 0.5  # x2 pulled down from 5
     # KOOC anticipates the x1^2 forcing, LQR absorbs it after the fact
     assert comp.kooc_cost[-1] < comp.lqr_cost[-1]
+
+
+def test_kooc_gain_is_the_lqr_gain_of_the_lifted_problem():
+    system = builtin("kooc_demo")
+    model = slow_manifold_lift_ct(system.params["mu"], system.params["lambda"], {2: 1.0})
+    b_lifted = np.zeros((3, 1))
+    b_lifted[:2] = system.input_map
+    q_lifted = np.zeros((3, 3))
+    q_lifted[:2, :2] = np.eye(2)
+    controller = kooc_synthesize(model, b_lifted, np.eye(2), [[1.0]])
+    gain, p = lqr_gain(model.K, b_lifted, q_lifted, [[1.0]])
+    assert controller.gain.tobytes() == gain.tobytes()
+    assert controller.p.tobytes() == p.tobytes()

@@ -428,3 +428,10 @@ def test_the_guard_passes_a_state_at_the_limit_and_stops_one_past_it():
     _assert_same_bits(iterate(identity, at_limit, 3), _reference_iterate(identity, at_limit, 3))
     past = [np.nextafter(BLOWUP_LIMIT, np.inf), 0.0]
     assert _raised(iterate, identity, past, 3) == _raised(_reference_iterate, identity, past, 3)
+
+
+def test_empty_csv_file_is_rejected_by_name(tmp_path):
+    path = tmp_path / "nothing.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="nothing.csv"):
+        read_trajectory(path)

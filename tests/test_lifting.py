@@ -327,3 +327,23 @@ def test_propagate_rejects_a_non_finite_start(bad):
         propagate(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}), [bad, 0.0], t_end=1.0)
     with pytest.raises(ValueError, match="x0 contains non-finite entries"):
         propagate(tu_lift(0.9, 0.5), [0.0, bad], steps=3)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (-1.0, 0.01), (1.0, -0.01), (math.inf, 0.01)])
+def test_propagate_rejects_a_non_positive_or_infinite_horizon_or_step(t_end, dt):
+    with pytest.raises(ValueError, match="t_end and dt must be positive"):
+        propagate(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}), [1.0, 0.0], t_end=t_end, dt=dt)
+
+
+def test_propagate_rejects_a_negative_step_count():
+    with pytest.raises(ValueError, match="steps must be non-negative"):
+        propagate(tu_lift(0.9, 0.5), [1.0, 1.0], steps=-1)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1.0, 0.01), (0.7, 0.03), (2.0, 0.3), (1.0, 1 / 3),
+                                       (0.004, 0.01), (10.0, 0.005)])
+def test_integrate_and_propagate_sample_the_same_times(t_end, dt):
+    flow = integrate(builtin("quad_manifold"), [1.0, 0.5], t_end, dt=dt)
+    lifted = propagate(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}), [1.0, 0.5],
+                       t_end=t_end, dt=dt)
+    assert flow.times.tobytes() == lifted.times.tobytes()
