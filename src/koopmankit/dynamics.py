@@ -518,6 +518,17 @@ def write_trajectory(traj: Trajectory, path, state_names=None):
     _write_csv(path, header, np.column_stack(columns))
 
 
+def _numeric_row(path, line, row):
+    """The cells of one CSV row as floats; a bad cell is named by line and column."""
+    values = []
+    for column, cell in enumerate(row, start=1):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"{path}: line {line}, column {column}: not a number: {cell!r}") from None
+    return values
+
+
 def read_trajectory(path):
     """Read a trajectory CSV produced by :func:`write_trajectory`.
 
@@ -527,7 +538,7 @@ def read_trajectory(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = [_numeric_row(path, reader.line_num, row) for row in reader if row]
     if not header or header[0] != "t":
         raise ValueError(f"{path}: expected header starting with 't'")
     if any(len(row) != len(header) for row in rows):

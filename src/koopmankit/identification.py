@@ -25,7 +25,7 @@ from .lifting import (
     observable_advance,
     observable_name,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, PolynomialMap
 
 DEFAULT_THRESHOLD = 0.025
 DEFAULT_MAX_ITER = 10
@@ -85,21 +85,28 @@ def differentiate_series(values, dt):
     return out
 
 
-def _uniform_dt(times):
+def _sampled_advance(values, times, time_kind):
+    """Each sample of a trajectory series paired with its advance.
+
+    ``values`` holds one sample per row (leading axis). Continuous: every
+    sample with its finite-difference derivative, which needs uniform
+    sampling; discrete: every sample but the last with the next one, dt 1.0.
+    Returns (now, advance, dt).
+    """
     if len(times) < 2:
-        raise ValueError(f"a trajectory needs at least 2 samples for a sampling step, got {len(times)}")
+        raise ValueError(f"a trajectory needs at least 2 samples, got {len(times)}")
+    if time_kind != CONTINUOUS:
+        return values[:-1], values[1:], 1.0
     gaps = np.diff(times)
     dt = float(gaps[0])
     if dt <= 0 or not np.allclose(gaps, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("trajectory samples are not uniformly spaced")
-    return dt
+    return values, differentiate_series(values, dt), dt
 
 
 def estimate_derivatives(traj: Trajectory) -> DataSet:
     """Finite-difference derivative estimates along a uniformly sampled trajectory."""
-    dt = _uniform_dt(traj.times)
-    dx = differentiate_series(traj.states, dt)
-    return DataSet(X=traj.states.T, Y=dx.T, dt=dt, time_kind=CONTINUOUS)
+    return dataset_from_trajectories([traj], CONTINUOUS)
 
 
 def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
@@ -113,20 +120,13 @@ def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
     xs, ys = [], []
     dt = None
     for traj in trajectories:
-        if time_kind == CONTINUOUS:
-            part = estimate_derivatives(traj)
-            if dt is None:
-                dt = part.dt
-            elif not np.isclose(part.dt, dt, rtol=1e-9):
-                raise ValueError("trajectories have differing sample steps")
-            xs.append(part.X)
-            ys.append(part.Y)
-        else:
-            if len(traj) < 2:
-                raise ValueError(f"discrete trajectory needs at least 2 samples, got {len(traj)}")
-            xs.append(traj.states[:-1].T)
-            ys.append(traj.states[1:].T)
-            dt = 1.0
+        now, advance, step = _sampled_advance(traj.states, traj.times, time_kind)
+        if dt is None:
+            dt = step
+        elif time_kind == CONTINUOUS and not np.isclose(step, dt, rtol=1e-9):
+            raise ValueError("trajectories have differing sample steps")
+        xs.append(now.T)
+        ys.append(advance.T)
     return DataSet(X=np.hstack(xs), Y=np.hstack(ys), dt=dt, time_kind=time_kind)
 
 
@@ -188,14 +188,15 @@ class SparseModel:
 
 
 def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD) -> SparseModel:
-    """Sequential thresholded least squares of Y onto library features of X.
+    """Sparse regression of the advances Y onto library features of X (STLSQ).
 
-    Thresholding compares coefficients in the unit-RMS column scaling and
-    refits at most ``DEFAULT_MAX_ITER`` times; the returned coefficients are
-    un-scaled. Raises if thresholding empties a target's row entirely.
+    Sequentially thresholded least squares: terms whose coefficient falls
+    below ``threshold`` in the unit-RMS column scaling are dropped, at most
+    ``DEFAULT_MAX_ITER`` times, and each target is then refit on its final
+    support in the original scaling. Threshold 0 is plain least squares.
+    Warns when there are fewer samples than features; raises ``ValueError``
+    when the threshold is negative or leaves a target with no term.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
     theta = eval_library(library, data.X).T  # samples x features
     n_samples, n_features = theta.shape
     if n_samples < n_features:
@@ -203,50 +204,49 @@ def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD
             f"underdetermined regression: {n_samples} samples for {n_features} features",
             stacklevel=2,
         )
-    targets = data.Y.T  # samples x targets
-    _, mask, _ = _stlsq(theta, targets, threshold)
-    empty = np.flatnonzero(~mask.any(axis=0))
+    coeffs, support = _sparse_fit(theta, data.Y.T, threshold)
+    empty = np.flatnonzero(~support.any(axis=1))
     if empty.size:
         raise ValueError(
             f"threshold eliminated every term for target(s) {list(empty)}; lower it"
         )
-    # debias: refit on the final support in the original scaling, so
-    # threshold 0 reproduces the plain least-squares solution exactly
-    if mask.all():
-        coeffs = numerics.lstsq(theta, targets).T
-    else:
-        coeffs = np.zeros((targets.shape[1], n_features))
-        for i in range(targets.shape[1]):
-            active = mask[:, i]
-            coeffs[i, active] = numerics.lstsq(theta[:, active], targets[:, i])
     return SparseModel(library=library, coefficients=coeffs, threshold=threshold,
                        time_kind=data.time_kind)
 
 
-def _stlsq(design, targets, threshold):
-    """The thresholding loop of sequential thresholded least squares.
+def _sparse_fit(design, targets, threshold):
+    """Sequentially thresholded least squares of ``targets`` on ``design``.
 
-    Columns of ``design`` are scaled to unit RMS and the threshold applies in
-    that scaling. Returns the scaled coefficients (features x targets), their
-    support mask and the column scales. A target whose support empties keeps
-    zero coefficients from then on.
+    ``design`` is samples x features, ``targets`` samples x targets. The
+    thresholding loop runs on design columns scaled to unit RMS; the final
+    support (targets x features) is then refit in the original scaling.
+    Threshold 0 skips the loop: every term stays and the fit is plain least
+    squares. Returns (coefficients, support), both targets x features.
     """
-    scales = np.sqrt(np.mean(design ** 2, axis=0))
-    scales[scales == 0.0] = 1.0
-    scaled = design / scales
-    w = numerics.lstsq(scaled, targets)
-    mask = np.abs(w) >= threshold
-    for _ in range(DEFAULT_MAX_ITER):
-        w = np.zeros_like(w)
-        for i in range(targets.shape[1]):
-            active = mask[:, i]
-            if active.any():
-                w[active, i] = numerics.lstsq(scaled[:, active], targets[:, i])
-        new_mask = np.abs(w) >= threshold
-        if np.array_equal(new_mask, mask):
-            break
-        mask = new_mask
-    return w, mask, scales
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+    support = np.ones((targets.shape[1], design.shape[1]), dtype=bool)
+    if threshold > 0:
+        scales = np.sqrt(np.mean(design ** 2, axis=0))
+        scales[scales == 0.0] = 1.0
+        scaled = design / scales
+        for _ in range(DEFAULT_MAX_ITER + 1):  # the full fit, then the refits
+            kept = np.abs(_masked_lstsq(scaled, targets, support)) >= threshold
+            if np.array_equal(kept, support):
+                break
+            support = kept
+    return _masked_lstsq(design, targets, support), support
+
+
+def _masked_lstsq(design, targets, support):
+    """Least squares of each target on its support columns; zero elsewhere."""
+    if support.all():
+        return numerics.lstsq(design, targets).T
+    coeffs = np.zeros(support.shape)
+    for i, active in enumerate(support):
+        if active.any():
+            coeffs[i, active] = numerics.lstsq(design[:, active], targets[:, i])
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +269,18 @@ class RefinementResult:
 
 
 def refine_subspace(sparse: SparseModel, data: DataSet, max_rounds=10,
-                    threshold=None) -> RefinementResult:
+                    threshold=0.0) -> RefinementResult:
     """Grow the active observables into an invariant set and fit its advance matrix.
 
     Starting from the states plus the sparse model's active observables, each
     round symbolically advances every observable through the identified
     dynamics and adds any monomial the advances need, up to twice the
-    candidate library's degree. Once the set is fixed, each observable's
-    advance (derivative or shift, from the data) is regressed onto the set
-    with plain least squares; pass ``threshold`` to re-threshold those rows.
+    candidate library's degree, for at most ``max_rounds`` rounds. Once the
+    set is fixed, each observable's advance from the data (chain-rule
+    derivative for flows, next value for maps) is regressed onto the set by
+    the same fit as :func:`sindy`: threshold 0, the default, is plain least
+    squares; a positive ``threshold`` drops small entries of each row and
+    refits the rest. A negative threshold raises ``ValueError``.
     """
     if not sparse.library.is_polynomial():
         raise ValueError("refinement needs a polynomial library")
@@ -322,23 +325,17 @@ def refine_subspace(sparse: SparseModel, data: DataSet, max_rounds=10,
     refined_lib = ObservableLibrary(n, tuple(working), state_inclusive=True)
     theta = eval_library(refined_lib, data.X)  # (m, M)
     if data.time_kind == CONTINUOUS:
-        targets = np.empty((len(working), data.n_samples))
-        for i, obs in enumerate(working):
-            total = np.zeros(data.n_samples)
-            for axis in range(n):
-                d = obs.derivative(axis)
-                if not d.is_zero():
-                    total += d(data.X) * data.Y[axis]
-            targets[i] = total
+        # chain rule, summed in axis order from +0.0: zero partials add
+        # (+-)0.0 to finite data, which leaves every sum's bits unchanged
+        partials = PolynomialMap(n, [obs.derivative(axis) for obs in working for axis in range(n)])
+        partials = partials(data.X).reshape(len(working), n, data.n_samples)
+        targets = np.zeros((len(working), data.n_samples))
+        for axis in range(n):
+            targets += partials[:, axis] * data.Y[axis]
     else:
         targets = eval_library(refined_lib, data.Y)
 
-    if threshold is None:
-        k = numerics.lstsq(theta.T, targets.T).T
-    else:
-        w, mask, scales = _stlsq(theta.T, targets.T, threshold)
-        k = (np.where(mask, w, 0.0) / scales[:, None]).T
-
+    k, _ = _sparse_fit(theta.T, targets.T, threshold)
     model = KoopmanModel(refined_lib, k, data.time_kind, state_rows=tuple(range(n)))
     return RefinementResult(model=model, converged=converged, rounds=rounds, added=tuple(added))
 
@@ -358,14 +355,8 @@ def invariance_residual(model: KoopmanModel, traj: Trajectory) -> float:
     denom = float(np.sqrt(np.mean(np.sum(lifted ** 2, axis=0))))
     if denom == 0.0:
         return 0.0
-    if model.time_kind == CONTINUOUS:
-        dt = _uniform_dt(traj.times)
-        lifted_dot = differentiate_series(lifted.T, dt).T
-        defect = lifted_dot - model.K @ lifted
-    else:
-        if len(traj) < 2:
-            raise ValueError("need at least 2 samples for a discrete residual")
-        defect = lifted[:, 1:] - model.K @ lifted[:, :-1]
+    now, advance, _ = _sampled_advance(lifted.T, traj.times, model.time_kind)
+    defect = advance.T - model.K @ now.T
     num = float(np.sqrt(np.mean(np.sum(defect ** 2, axis=0))))
     return num / denom
 

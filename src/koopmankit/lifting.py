@@ -285,8 +285,7 @@ def carleman_logistic(r, rank):
                 break
             coeff = comb(n, j) * rn
             k[n - 1, col - 1] = -coeff if j % 2 else coeff
-    lib = ObservableLibrary(1, tuple((p,) for p in range(1, rank + 1)), state_inclusive=True)
-    return KoopmanModel(lib, k, DISCRETE, state_rows=(0,))
+    return KoopmanModel(monomials(1, rank), k, DISCRETE, state_rows=(0,))
 
 
 def carleman_center(rank):
@@ -300,8 +299,7 @@ def carleman_center(rank):
     k = np.zeros((rank, rank))
     for i in range(1, rank):
         k[i - 1, i] = float(i)
-    lib = ObservableLibrary(1, tuple((p,) for p in range(1, rank + 1)), state_inclusive=True)
-    return KoopmanModel(lib, k, CONTINUOUS, state_rows=(0,))
+    return KoopmanModel(monomials(1, rank), k, CONTINUOUS, state_rows=(0,))
 
 
 # ---------------------------------------------------------------------------

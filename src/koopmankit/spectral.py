@@ -16,7 +16,7 @@ import numpy as np
 from . import numerics
 from .dynamics import CONTINUOUS, Trajectory, _write_json
 from .exceptions import DegenerateSpectrum
-from .identification import _uniform_dt, differentiate_series
+from .identification import _sampled_advance
 from .lifting import (
     KoopmanModel,
     ObservableLibrary,
@@ -86,13 +86,8 @@ def verify_eigenfunction(fn: Eigenfunction, traj: Trajectory) -> float:
     floor = float(np.abs(fn.coeffs[:, None] * theta).max())
     if scale <= 1e-12 * max(floor, 1e-300):
         raise ValueError("eigenfunction vanishes along this trajectory; nothing to verify")
-    if fn.time_kind == CONTINUOUS:
-        derivative = differentiate_series(values[:, None], _uniform_dt(traj.times))[:, 0]
-        defect = derivative - fn.eigenvalue * values
-    else:
-        if values.size < 2:
-            raise ValueError("need at least 2 samples")
-        defect = values[1:] - fn.eigenvalue * values[:-1]
+    now, advance, _ = _sampled_advance(values, traj.times, fn.time_kind)
+    defect = advance - fn.eigenvalue * now
     return float(np.sqrt(np.mean(np.abs(defect) ** 2))) / scale
 
 
@@ -103,9 +98,8 @@ def verify_eigenfunction(fn: Eigenfunction, traj: Trajectory) -> float:
 def _quad_shape(model: KoopmanModel):
     """Extract (mu, lam) after checking the exact quad-lift structure."""
     lib = model.library
-    expected = ObservableLibrary(2, ((1, 0), (0, 1), (2, 0)), state_inclusive=True)
-    if model.time_kind != CONTINUOUS or len(lib) != 3 or not lib.is_polynomial() \
-            or [o.key() for o in lib.observables] != [o.key() for o in expected.observables]:
+    if model.time_kind != CONTINUOUS or not lib.is_polynomial() \
+            or [o.terms for o in lib.observables] != [{(1, 0): 1.0}, {(0, 1): 1.0}, {(2, 0): 1.0}]:
         raise ValueError("unsupported model shape: expected the continuous lift on [x1, x2, x1^2]")
     k = model.K
     mu = k[0, 0]

@@ -518,3 +518,16 @@ def test_identify_on_an_empty_csv_exits_with_usage_error(tmp_path):
     ])
     assert code == 2
     assert "blank.csv" in stderr
+
+
+def test_identify_names_the_csv_file_with_a_bad_cell(tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_text("t,x1,x2\n0,1,2\n0.01,1,2\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,x1,x2\n0,1,2\n0.01,abc,2\n")
+    code, _, stderr = run_cli([
+        "identify", "--system", "quad-manifold", "--data", str(good), str(bad),
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "bad.csv" in stderr and "line 3" in stderr and "abc" in stderr

@@ -435,3 +435,10 @@ def test_empty_csv_file_is_rejected_by_name(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="nothing.csv"):
         read_trajectory(path)
+
+
+def test_read_trajectory_names_the_file_line_and_column_of_a_bad_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x1,x2\n0,1,2\n0.01,abc,2\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 3, column 2: .*'abc'"):
+        read_trajectory(path)

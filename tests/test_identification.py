@@ -368,3 +368,135 @@ def test_sparse_model_as_system_reproduces_field():
     x = np.array([0.7, -0.3])
     truth = np.array([-0.05 * 0.7, -1.0 * (-0.3 - 0.49)])
     np.testing.assert_allclose(eval_field(system, x), truth, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement with the reference fit and targets
+# ---------------------------------------------------------------------------
+
+def _reference_stlsq(theta, targets, threshold, max_iter=10):
+    """Reference STLSQ: threshold in unit-RMS scaling, then refit the final
+    support in the original scaling (all targets at once when it is full)."""
+    scales = np.sqrt(np.mean(theta ** 2, axis=0))
+    scales[scales == 0.0] = 1.0
+    scaled = theta / scales
+    w = lstsq(scaled, targets)
+    mask = np.abs(w) >= threshold
+    for _ in range(max_iter):
+        w = np.zeros_like(w)
+        for i in range(targets.shape[1]):
+            active = mask[:, i]
+            if active.any():
+                w[active, i] = lstsq(scaled[:, active], targets[:, i])
+        new_mask = np.abs(w) >= threshold
+        if np.array_equal(new_mask, mask):
+            break
+        mask = new_mask
+    if mask.all():
+        return lstsq(theta, targets).T
+    coeffs = np.zeros((targets.shape[1], theta.shape[1]))
+    for i in range(targets.shape[1]):
+        active = mask[:, i]
+        coeffs[i, active] = lstsq(theta[:, active], targets[:, i])
+    return coeffs
+
+
+def _reference_refine_targets(library, data):
+    """Reference refinement targets: the chain rule summed one nonzero partial
+    derivative at a time for flows, the lifted next sample for maps."""
+    if data.time_kind == DISCRETE:
+        return eval_library(library, data.Y)
+    targets = np.empty((len(library), data.n_samples))
+    for i, obs in enumerate(library.observables):
+        total = np.zeros(data.n_samples)
+        for axis in range(library.dim):
+            d = obs.derivative(axis)
+            if not d.is_zero():
+                total += d(data.X) * data.Y[axis]
+        targets[i] = total
+    return targets
+
+
+_TRAINING = {
+    "quad_manifold": ([(a, b) for a in (-2.0, 0.0, 2.0) for b in (-2.0, 2.0)], 10.0),
+    "quartic_manifold": ([(a, b) for a in (-2.0, 0.0, 2.0) for b in (-2.0, 2.0)], 10.0),
+    "tu_map": ([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 1.0)], 40),
+}
+
+
+def _training_data(name):
+    system = builtin(name)
+    starts, span = _TRAINING[name]
+    if system.time_kind == DISCRETE:
+        trajs = [iterate(system, x0, span) for x0 in starts]
+    else:
+        trajs = [integrate(system, x0, span, dt=0.01) for x0 in starts]
+    return dataset_from_trajectories(trajs, system.time_kind)
+
+
+@pytest.mark.parametrize("name", sorted(_TRAINING))
+def test_sindy_and_refinement_match_the_reference_bit_for_bit(name):
+    data = _training_data(name)
+    lib = monomials(2, 3)
+    theta = eval_library(lib, data.X).T
+    for threshold in (0.0, 0.025):
+        model = sindy(data, lib, threshold=threshold)
+        oracle = _reference_stlsq(theta, data.Y.T, threshold)
+        assert model.coefficients.tobytes() == oracle.tobytes()
+    result = refine_subspace(sindy(data, lib), data)
+    refined = result.model.library
+    design = eval_library(refined, data.X).T
+    oracle_k = lstsq(design, _reference_refine_targets(refined, data).T).T
+    assert result.model.K.tobytes() == oracle_k.tobytes()
+
+
+def _reference_invariance_residual(model, traj):
+    lifted = eval_library(model.library, traj.states.T)
+    denom = float(np.sqrt(np.mean(np.sum(lifted ** 2, axis=0))))
+    if model.time_kind == CONTINUOUS:
+        dt = float(traj.times[1] - traj.times[0])
+        defect = differentiate_series(lifted.T, dt).T - model.K @ lifted
+    else:
+        defect = lifted[:, 1:] - model.K @ lifted[:, :-1]
+    return float(np.sqrt(np.mean(np.sum(defect ** 2, axis=0)))) / denom
+
+
+def test_invariance_residual_matches_the_reference_bit_for_bit():
+    flow = integrate(builtin("quad_manifold"), [1.5, -1.0], 10.0, dt=0.005)
+    model = slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0})
+    assert invariance_residual(model, flow) == _reference_invariance_residual(model, flow)
+    chaotic = iterate(builtin("logistic", r=3.9), [0.5], 200)
+    truncated = carleman_logistic(3.9, 5)
+    assert invariance_residual(truncated, chaotic) == _reference_invariance_residual(truncated, chaotic)
+
+
+# ---------------------------------------------------------------------------
+# one sample-count rule, one sparse fit
+# ---------------------------------------------------------------------------
+
+def test_a_one_sample_map_trajectory_is_refused_everywhere_with_one_message():
+    traj = Trajectory(times=np.zeros(1), states=np.array([[1.0, 1.0]]), inputs=None)
+    with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+        dataset_from_trajectories([traj], DISCRETE)
+    with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+        invariance_residual(tu_lift(0.9, 0.5), traj)
+
+
+def test_refine_threshold_refits_each_row_on_its_support():
+    data = _training_data("quad_manifold")
+    sparse = sindy(data, monomials(2, 2), threshold=0.025)
+    result = refine_subspace(sparse, data, threshold=0.025)
+    k = result.model.K
+    assert np.any(k == 0.0) and np.all(k.any(axis=1))
+    design = eval_library(result.model.library, data.X).T
+    targets = _reference_refine_targets(result.model.library, data)
+    for i, row in enumerate(k):
+        active = row != 0.0
+        np.testing.assert_array_equal(row[active], lstsq(design[:, active], targets[i]))
+
+
+def test_refine_rejects_a_negative_threshold():
+    data = _training_data("quad_manifold")
+    sparse = sindy(data, monomials(2, 2), threshold=0.025)
+    with pytest.raises(ValueError, match="non-negative"):
+        refine_subspace(sparse, data, threshold=-0.01)

@@ -11,7 +11,9 @@ from koopmankit import (
     EXP_NEG_INV,
     Eigenfunction,
     ObservableLibrary,
+    Trajectory,
     builtin,
+    differentiate_series,
     eigenfunction_from_json,
     eigenfunction_to_json,
     eigenfunctions,
@@ -297,3 +299,34 @@ def test_as_polynomial_formats_real_combination():
     poly = phi.as_polynomial()
     text = format_polynomial(poly)
     assert "x2" in text and "x1^2" in text
+
+
+# ---------------------------------------------------------------------------
+# verification on the shared sampled advance
+# ---------------------------------------------------------------------------
+
+def _reference_verify(fn, traj):
+    values = np.asarray(fn(traj.states.T), dtype=complex)
+    scale = float(np.sqrt(np.mean(np.abs(values) ** 2)))
+    if fn.time_kind == CONTINUOUS:
+        dt = float(traj.times[1] - traj.times[0])
+        defect = differentiate_series(values[:, None], dt)[:, 0] - fn.eigenvalue * values
+    else:
+        defect = values[1:] - fn.eigenvalue * values[:-1]
+    return float(np.sqrt(np.mean(np.abs(defect) ** 2))) / scale
+
+
+def test_verify_eigenfunction_matches_the_reference_bit_for_bit():
+    flow = integrate(builtin("quad_manifold", mu=MU, lam=LAM), [1.5, -1.0], 10.0, dt=0.01)
+    steps = iterate(builtin("tu_map", lam=0.9, mu=0.5), [1.0, 2.0], 40)
+    for model, traj in ((quad_model(), flow), (tu_lift(0.9, 0.5), steps)):
+        for fn in eigenfunctions(model):
+            assert verify_eigenfunction(fn, traj) == _reference_verify(fn, traj)
+
+
+def test_verify_eigenfunction_refuses_a_one_sample_map_trajectory():
+    fns = eigenfunctions(tu_lift(0.9, 0.5))
+    phi = next(f for f in fns if abs(f.eigenvalue - 0.5) < 1e-12)
+    traj = Trajectory(times=np.zeros(1), states=np.array([[1.0, 2.0]]), inputs=None)
+    with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+        verify_eigenfunction(phi, traj)
