@@ -25,7 +25,7 @@ import numpy as np
 from . import dynamics
 from .control import compare_lqr_kooc
 from .dynamics import CONTINUOUS, DISCRETE, integrate, iterate, write_trajectory
-from .exceptions import BlowUp, DegenerateSpectrum, NotStabilizable, NumericsError
+from .exceptions import BlowUp, DegenerateSpectrum, NotStabilizable, NumericsError, TrajectoryError
 from .identification import (
     dataset_from_trajectories,
     invariance_residual,
@@ -271,7 +271,12 @@ def cmd_identify(args):
     else:
         raise ValueError("pass --generate to simulate training data or --data with CSV files")
 
-    data = dataset_from_trajectories(trajs, system.time_kind)
+    try:
+        data = dataset_from_trajectories(trajs, system.time_kind)
+    except TrajectoryError as exc:
+        if not args.data:
+            raise
+        raise ValueError(f"{args.data[exc.index]}: {exc.reason}") from None
     library = monomials(system.dim, args.degree)
     sparse = sindy(data, library, threshold=args.threshold)
     result = refine_subspace(sparse, data)

@@ -38,3 +38,12 @@ class DegenerateSpectrum(KoopmankitError):
 
 class NumericsError(KoopmankitError):
     """A dense linear-algebra routine failed to converge or produced no usable result."""
+
+
+class TrajectoryError(ValueError):
+    """A trajectory unfit for a data set; ``index`` is its place in the input list."""
+
+    def __init__(self, index, reason):
+        self.index = index
+        self.reason = reason
+        super().__init__(f"trajectory {index}: {reason}")

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import numerics
 from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory, _read_json, _write_json
+from .exceptions import TrajectoryError
 from .lifting import (
     KoopmanModel,
     ObservableLibrary,
@@ -113,18 +114,28 @@ def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
     """Concatenate snapshot pairs from several trajectories.
 
     Continuous: per-trajectory derivative estimates (all trajectories must
-    share the sampling step). Discrete: aligned shift pairs.
+    share the sampling step). Discrete: aligned shift pairs. A trajectory
+    with too few or non-uniform samples, a non-finite sample, or a state
+    dimension or step unlike the first one's raises :class:`TrajectoryError`.
     """
     if not trajectories:
         raise ValueError("no trajectories supplied")
     xs, ys = [], []
-    dt = None
-    for traj in trajectories:
-        now, advance, step = _sampled_advance(traj.states, traj.times, time_kind)
-        if dt is None:
+    for i, traj in enumerate(trajectories):
+        if i and traj.dim != trajectories[0].dim:
+            raise TrajectoryError(i, f"state dimension {traj.dim} differs from the first "
+                                     f"trajectory's {trajectories[0].dim}")
+        finite = np.isfinite(traj.states)
+        if not finite.all():
+            raise TrajectoryError(i, f"non-finite state at sample {np.argwhere(~finite)[0, 0]}")
+        try:
+            now, advance, step = _sampled_advance(traj.states, traj.times, time_kind)
+        except ValueError as exc:
+            raise TrajectoryError(i, str(exc)) from None
+        if i == 0:
             dt = step
         elif time_kind == CONTINUOUS and not np.isclose(step, dt, rtol=1e-9):
-            raise ValueError("trajectories have differing sample steps")
+            raise TrajectoryError(i, f"sample step {step:g} differs from the first trajectory's {dt:g}")
         xs.append(now.T)
         ys.append(advance.T)
     return DataSet(X=np.hstack(xs), Y=np.hstack(ys), dt=dt, time_kind=time_kind)

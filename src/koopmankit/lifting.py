@@ -10,6 +10,7 @@ exact, and the neglected monomials are the truncation error.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -342,39 +343,50 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
 # linear propagation of lifted states
 # ---------------------------------------------------------------------------
 
+_BLOCK = 64  # flow samples filled by one product with the stacked step-matrix powers
+
+
 def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps=None):
     """Advance the lifted state linearly and return the lifted trajectory.
 
-    Continuous models integrate dy/dt = K y with fixed-step RK4 on [0, t_end];
-    discrete models apply y -> K y for ``steps`` steps.
+    A discrete model takes ``steps`` steps of K. A continuous model takes
+    fixed RK4 steps of dt on [0, t_end], each the step matrix T4(dt K) =
+    I + dt K + (dt K)^2/2 + (dt K)^3/6 + (dt K)^4/24. A flow fills 64 samples
+    per product of the stacked powers T4, T4^2, ..., T4^64 with the sample
+    before them, stopping the stack before its first non-finite power; a map
+    steps by K alone, as its powers can overflow where its samples do not.
     """
     y0 = lift_state(model, dynamics._initial_state(model.state_dim, x0))
     k = model.K
     if model.time_kind == DISCRETE:
+        if t_end is not None:
+            raise ValueError("a discrete model takes steps, not t_end")
         if steps is None:
             raise ValueError("steps required for a discrete model")
+        if not isinstance(steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {steps!r}")
         if steps < 0:
             raise ValueError("steps must be non-negative")
-        ys = np.empty((steps + 1, len(y0)))
-        ys[0] = y0
-        y = y0
-        for i in range(steps):
-            y = k @ y
-            ys[i + 1] = y
-        return Trajectory(times=np.arange(steps + 1, dtype=float), states=ys)
-    if t_end is None:
-        raise ValueError("t_end required for a continuous model")
-    times = dynamics._time_grid(t_end, dt)
-    ys = np.empty((len(times), len(y0)))
+        times, stack = np.arange(steps + 1, dtype=float), k
+    else:
+        if steps is not None:
+            raise ValueError("a continuous model takes t_end, not steps")
+        if t_end is None:
+            raise ValueError("t_end required for a continuous model")
+        times = dynamics._time_grid(t_end, dt)
+        eye, hk = np.eye(len(k)), dt * k
+        powers = [eye + hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(powers) < _BLOCK and np.all(np.isfinite(nxt := powers[-1] @ powers[0])):
+                powers.append(nxt)
+        stack = np.vstack(powers)
+    m = len(y0)
+    block = len(stack) // m
+    ys = np.empty((len(times), m))
     ys[0] = y0
-    y = y0
-    for i in range(len(times) - 1):
-        k1 = k @ y
-        k2 = k @ (y + 0.5 * dt * k1)
-        k3 = k @ (y + 0.5 * dt * k2)
-        k4 = k @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys[i + 1] = y
+    for i in range(0, len(times) - 1, block):
+        n = min(block, len(times) - 1 - i)
+        ys[i + 1:i + 1 + n] = (stack[:n * m] @ ys[i]).reshape(n, m)
     return Trajectory(times=times, states=ys)
 
 

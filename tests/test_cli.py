@@ -14,7 +14,16 @@ import subprocess
 import numpy as np
 import pytest
 
-from koopmankit import load_model, load_sparse, read_trajectory, registry_names
+from koopmankit import (
+    Trajectory,
+    builtin,
+    integrate,
+    load_model,
+    load_sparse,
+    read_trajectory,
+    registry_names,
+    write_trajectory,
+)
 from koopmankit.cli import main
 
 
@@ -300,6 +309,26 @@ def test_identify_on_a_header_only_csv_exits_with_usage_error(tmp_path):
     ])
     assert code == 2
     assert "got 0" in stderr
+
+
+def test_identify_names_the_data_file_at_fault(tmp_path):
+    good = integrate(builtin("quad_manifold"), [1.0, 0.5], 1.0, dt=0.01)
+    nan = good.states.copy()
+    nan[7, 1] = np.nan
+    faulty = {
+        "state dimension 1 differs": Trajectory(good.times, good.states[:, :1]),
+        "non-finite state at sample 7": Trajectory(good.times, nan),
+        "sample step 0.02 differs": integrate(builtin("quad_manifold"), [1.0, 0.5], 1.0, dt=0.02),
+    }
+    write_trajectory(good, tmp_path / "good.csv")
+    for reason, traj in faulty.items():
+        write_trajectory(traj, tmp_path / "bad.csv")
+        code, _, stderr = run_cli([
+            "identify", "--system", "quad-manifold", "--data", str(tmp_path / "good.csv"),
+            str(tmp_path / "bad.csv"), "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert stderr.startswith(f"error: {tmp_path / 'bad.csv'}: {reason}")
 
 
 def test_identify_discrete_map_recovers_exact_coefficients(tmp_path):

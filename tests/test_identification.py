@@ -11,6 +11,7 @@ from koopmankit import (
     DISCRETE,
     DataSet,
     Trajectory,
+    TrajectoryError,
     builtin,
     carleman_logistic,
     dataset_from_trajectories,
@@ -92,6 +93,25 @@ def test_a_one_sample_trajectory_is_refused_with_its_sample_count():
             dataset_from_trajectories([traj], kind)
     with pytest.raises(ValueError, match="at least 2 samples.*got 1"):
         estimate_derivatives(traj)
+
+
+def test_a_faulty_trajectory_is_named_by_its_index():
+    good = integrate(builtin("quad_manifold"), [1.0, 0.5], 1.0, dt=0.01)
+    nan = good.states.copy()
+    nan[7, 1] = np.nan
+    faulty = {
+        "state dimension 1 differs from the first trajectory's 2":
+            Trajectory(good.times, good.states[:, :1]),
+        "non-finite state at sample 7": Trajectory(good.times, nan),
+        "sample step 0.02 differs from the first trajectory's 0.01":
+            integrate(builtin("quad_manifold"), [1.0, 0.5], 1.0, dt=0.02),
+    }
+    for reason, bad in faulty.items():
+        with pytest.raises(TrajectoryError, match=f"^trajectory 2: {reason}$") as info:
+            dataset_from_trajectories([good, good, bad], CONTINUOUS)
+        assert (info.value.index, info.value.reason) == (2, reason)
+    with pytest.raises(TrajectoryError, match="^trajectory 1: a trajectory needs at least 2"):
+        dataset_from_trajectories([good, Trajectory(np.zeros(1), [[1.0, 1.0]])], DISCRETE)
 
 
 def test_derivatives_need_five_samples():

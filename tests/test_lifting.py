@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from koopmankit import (
     slow_manifold_lift_dt,
     tu_lift,
 )
+from koopmankit.dynamics import _REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +177,114 @@ def test_propagate_requires_matching_time_arguments():
     ct = slow_manifold_lift_ct(-0.05, 1.0, {2: 1.0})
     with pytest.raises(ValueError):
         propagate(ct, [1.0, 1.0], steps=5)  # continuous model wants t_end
+    # the other kind's argument is refused, not ignored
+    with pytest.raises(ValueError, match="discrete model takes steps, not t_end"):
+        propagate(model, [1.0, 1.0], t_end=5.0, steps=5)
+    with pytest.raises(ValueError, match="continuous model takes t_end, not steps"):
+        propagate(ct, [1.0, 1.0], t_end=1.0, steps=5)
+    for bad in (2.5, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            propagate(model, [1.0, 1.0], steps=bad)
+    assert len(propagate(model, [1.0, 1.0], steps=np.int64(3))) == 4
+
+
+# ---------------------------------------------------------------------------
+# one step matrix: the references are the per-sample loops it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_rk4_step(k, y, dt):
+    k1 = k @ y
+    k2 = k @ (y + 0.5 * dt * k1)
+    k3 = k @ (y + 0.5 * dt * k2)
+    k4 = k @ (y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_loop(model, x0, n, step):
+    """The lifted trajectory of n steps, one ``step(y)`` call per sample."""
+    ys = np.empty((n + 1, len(model.library)))
+    ys[0] = y = lift_state(model, np.asarray(x0, dtype=float))
+    for i in range(n):
+        y = step(y)
+        ys[i + 1] = y
+    return ys
+
+
+def _registry_lift(name):
+    return _REGISTRY[name]["lift"](builtin(name).params, 4), _REGISTRY[name]["x0"]
+
+
+MAP_LIFTS = {
+    "tu_lift": (tu_lift(0.9, 0.5), [1.0, 1.0]),
+    "slow_manifold_lift_dt": (slow_manifold_lift_dt(0.9, 0.1, {2: 1.0}), [1.5, -1.0]),
+    **{f"carleman_logistic_{r}": (carleman_logistic(3.5, r), [0.5]) for r in range(2, 17)},
+}
+FLOW_LIFTS = {
+    **{name: _registry_lift(name)
+       for name in ("quad_manifold", "quartic_manifold", "rotated_quad", "kooc_demo")},
+    **{f"carleman_center_{r}": (carleman_center(r), [0.5]) for r in range(4, 17)},
+}
+FLOW_STEPS = (0, 1, 63, 64, 65, 10_000)
+
+
+@pytest.mark.parametrize("name", MAP_LIFTS)
+def test_map_propagation_is_bit_identical_to_the_step_loop(name):
+    model, x0 = MAP_LIFTS[name]
+    # carleman_logistic(3.5, 16) overflows within 40 steps; both sides must agree there too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for steps in (0, 1, 40, 65):
+            reference = _reference_loop(model, x0, steps, lambda y: model.K @ y)
+            assert propagate(model, x0, steps=steps).states.tobytes() == reference.tobytes()
+    if name == "carleman_logistic_16":
+        assert not np.all(np.isfinite(reference))
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.01, 0.1, 0.3])
+@pytest.mark.parametrize("name", FLOW_LIFTS)
+def test_flow_propagation_stays_within_1e12_of_the_rk4_loop(name, dt):
+    model, x0 = FLOW_LIFTS[name]
+    # the unstable lifts overflow over 10,000 long steps: compare where the loop is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = _reference_loop(model, x0, FLOW_STEPS[-1],
+                                    lambda y: _reference_rk4_step(model.K, y, dt))
+        for steps in FLOW_STEPS:
+            t_end = steps * dt if steps else 0.4 * dt  # a horizon under dt/2 takes no step
+            states = propagate(model, x0, t_end=t_end, dt=dt).states
+            assert len(states) == steps + 1
+            old = reference[:steps + 1]
+            finite = np.all(np.isfinite(old), axis=1)
+            assert np.all(np.isfinite(states[finite]))
+            gap = np.max(np.abs(states[finite] - old[finite]), axis=1)
+            assert np.all(gap <= 1e-12 * np.max(np.abs(old[finite]), axis=1))
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.01, 0.1, 0.3])
+def test_the_step_matrix_takes_each_unit_vector_one_rk4_step(dt):
+    for model, _ in FLOW_LIFTS.values():
+        m = len(model.library)
+        # on the linear library the lift of a state is the state itself
+        linear = KoopmanModel(monomials(m, 1), model.K, CONTINUOUS)
+        for e in np.eye(m):
+            step = propagate(linear, e, t_end=dt, dt=dt).states[1]
+            reference = _reference_rk4_step(model.K, e, dt)
+            np.testing.assert_allclose(step, reference, rtol=1e-14,
+                                       atol=1e-15 * np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("k, x0, dt, t_end", [
+    ([[-500.0]], [1.0], 0.01, 1.0),
+    # T4 = 240,784: its 58th power overflows, so the stack holds 57 powers
+    ([[-500.0]], [1.0], 0.1, 0.5),
+    ([[-500.0, 0.0], [0.0, -1.0]], [0.0, 1.0], 0.1, 20.0),
+])
+def test_a_stiff_flow_propagates_without_floating_point_warnings(k, x0, dt, t_end):
+    model = KoopmanModel(monomials(len(k), 1), np.array(k), CONTINUOUS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = propagate(model, x0, t_end=t_end, dt=dt).states
+    reference = _reference_loop(model, x0, len(states) - 1,
+                                lambda y: _reference_rk4_step(model.K, y, dt))
+    np.testing.assert_allclose(states, reference, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
