@@ -1,13 +1,13 @@
 """Command-line front end: registry experiments with CSV/JSON artifacts.
 
-Four subcommands mirror the library workflows: ``simulate`` (trajectories and,
-for the quadratic-manifold system, the lifted trajectories plus the manifold /
-lift / slow-subspace surface grids), ``identify`` (sparse regression and
-subspace refinement), ``spectral`` (eigenvalues, eigenfunction coefficients,
-verification residuals), and ``control`` (lifted-design LQR against standard
-LQR). Every command is deterministic: the same configuration produces
-byte-identical files. The ``KOOPMANKIT_OUT`` environment variable, when set,
-overrides any ``--out`` directory.
+Four subcommands mirror the library workflows: ``simulate``, ``identify``,
+``spectral`` and ``control``; each ``cmd_*`` docstring is its ``--help`` line.
+``_FLAGS`` declares each flag that several subcommands share, and
+``_COMMANDS`` lists each subcommand's flags in order. ``--rank`` applies only
+to center-manifold and logistic, whose lifts are Carleman truncations. Every
+command is deterministic: the same configuration produces byte-identical
+files. The ``KOOPMANKIT_OUT`` environment variable, when set, overrides any
+``--out`` directory.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 stabilizability failure (the PBH diagnostic is printed).
@@ -43,90 +43,91 @@ from .spectral import (
     verify_eigenfunction,
 )
 
+_RANKED = ("center_manifold", "logistic")  # registry lifts that take a Carleman rank
 
-def _resolve_out(args) -> pathlib.Path:
-    out = os.environ.get("KOOPMANKIT_OUT") or args.out
-    path = pathlib.Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+
+class _Context:
+    """One invocation resolved: output directory, registry system and its defaults."""
+
+    def __init__(self, args):
+        self.args = args
+        self.out = pathlib.Path(os.environ.get("KOOPMANKIT_OUT") or args.out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        if (getattr(args, "model", None) is None) == (args.system is None):
+            raise ValueError("pass exactly one of --system or --model")
+        self.system = self.entry = None
+        if args.system is not None:
+            params = {k: v for k in ("mu", "lam", "r", "angle")
+                      if (v := getattr(args, k, None)) is not None}
+            self.system = dynamics.builtin(args.system, **params)
+            self.entry = dynamics._REGISTRY[self.system.name]
+        self.ranks = None
+        if getattr(args, "rank", None) is not None:
+            if getattr(self.system, "name", None) not in _RANKED:
+                raise ValueError("--rank applies only to --system center-manifold and --system "
+                                 "logistic, whose lifts are Carleman truncations")
+            self.ranks = [int(v) for v in args.rank.split(",") if v.strip() != ""]
+            if not self.ranks or any(r < 1 for r in self.ranks):
+                raise ValueError("--rank needs positive integers")
+
+    def x0(self):
+        """--x0, or the registry's start."""
+        if self.args.x0 is None:
+            return np.array(self.entry["x0"])
+        values = [float(v) for v in self.args.x0.split(",") if v.strip() != ""]
+        if len(values) != self.system.dim:
+            raise ValueError(f"--x0 needs {self.system.dim} comma-separated value(s), "
+                             f"got {len(values)}")
+        return np.array(values)
+
+    def horizon(self, x0, default=None):
+        """--horizon, else ``default``, else the registry's horizon for a start at x0."""
+        if self.args.horizon is not None:
+            return self.args.horizon
+        if default is not None:
+            return default
+        rule = self.entry["horizon"]
+        return rule(x0) if callable(rule) else rule
+
+    def trajectory(self, x0, steps, horizon=None):
+        """Iterate a map --steps (default ``steps``) times, or integrate a flow to
+        ``self.horizon(x0, horizon)`` at --dt."""
+        if self.system.time_kind == DISCRETE:
+            return iterate(self.system, x0, steps if self.args.steps is None else self.args.steps)
+        return integrate(self.system, x0, self.horizon(x0, horizon), dt=self.args.dt)
+
+    def lift(self, rank=4):
+        """The closed-form lifted model matching the system's parameters."""
+        return self.entry["lift"](self.system.params, rank)
+
+
+def _csv(out, name, header, rows):
+    dynamics._write_csv(out / name, header, rows)
+    return name
+
+
+def _gnuplot(path, plot):
+    """Write a gnuplot script that reads the CSV artifacts beside it."""
+    path.write_text("\n".join(["set datafile separator comma", "set key autotitle columnhead",
+                               *plot]) + "\n")
     return path
 
 
-def _parse_x0(text, dim):
-    values = [float(v) for v in text.split(",") if v.strip() != ""]
-    if len(values) != dim:
-        raise ValueError(f"--x0 needs {dim} comma-separated value(s), got {len(values)}")
-    return np.array(values)
-
-
-def _parse_ranks(text):
-    ranks = [int(v) for v in text.split(",") if v.strip() != ""]
-    if not ranks or any(r < 1 for r in ranks):
-        raise ValueError("--rank needs positive integers")
-    return ranks
-
-
-def _collect_params(args):
-    pairs = {"mu": getattr(args, "mu", None), "lam": getattr(args, "lam", None),
-             "r": getattr(args, "r", None), "angle": getattr(args, "angle", None)}
-    return {k: v for k, v in pairs.items() if v is not None}
-
-
-def _build_system(args):
-    return dynamics.builtin(args.system, **_collect_params(args))
-
-
-def _entry(system):
-    """The registry entry that knows the system's defaults and closed-form lift."""
-    return dynamics._REGISTRY[system.name]
-
-
-def _default_x0(system, args):
-    if args.x0 is not None:
-        return _parse_x0(args.x0, system.dim)
-    return np.array(_entry(system)["x0"])
-
-
-def _default_horizon(system, x0, args):
-    if args.horizon is not None:
-        return args.horizon
-    horizon = _entry(system)["horizon"]
-    return horizon(x0) if callable(horizon) else horizon
-
-
-def _run(system, x0, args, steps):
-    """Iterate a map --steps times (default ``steps``), or integrate a flow to its horizon."""
-    if system.time_kind == DISCRETE:
-        return iterate(system, x0, args.steps if args.steps is not None else steps)
-    return integrate(system, x0, _default_horizon(system, x0, args), dt=args.dt)
-
-
-def _canonical_lift(system, rank=4):
-    """The closed-form lifted model matching a registry system's parameters."""
-    return _entry(system)["lift"](system.params, rank)
-
-
 # ---------------------------------------------------------------------------
-# simulate
+# simulate: each experiment returns (files written, gnuplot lines)
 # ---------------------------------------------------------------------------
 
-def _surface_grid(y1_values, y2_values, height):
-    rows = []
-    for y1 in y1_values:
-        for y2 in y2_values:
-            rows.append((y1, y2, height(y1, y2)))
-    return rows
-
-
-def _simulate_quad_extras(system, x0, args, out, written):
+def _quad_manifold(ctx, x0):
     """Lifted trajectories and the three surface grids behind the manifold figure."""
-    model = _canonical_lift(system)
-    horizon = _default_horizon(system, x0, args)
+    model = ctx.lift()
+    horizon = ctx.horizon(x0)
+    files = []
     starts = [("a", x0), ("b", np.array([1.0, -1.0])), ("c", np.array([2.0, -1.0]))]
     for label, start in starts:
-        lifted = propagate(model, start, t_end=horizon, dt=args.dt)
-        path = out / f"quad_manifold_lifted_{label}.csv"
+        lifted = propagate(model, start, t_end=horizon, dt=ctx.args.dt)
+        path = ctx.out / f"quad_manifold_lifted_{label}.csv"
         write_trajectory(lifted, path, state_names=["y1", "y2", "y3"])
-        written.append(path.name)
+        files.append(path.name)
 
     slope = slow_subspace_slope(model)
     y1 = np.linspace(-2.5, 2.5, 21)
@@ -134,117 +135,90 @@ def _simulate_quad_extras(system, x0, args, out, written):
     y3 = np.linspace(0.0, 6.5, 21)
     # red: manifold y2 = y1^2 (y3 free); blue: lift y3 = y1^2 (y2 free);
     # green: slow subspace y3 = slope*y2 (y1 free)
-    surfaces = [
-        ("red", [(a, a * a, c) for a in y1 for c in y3]),
-        ("blue", _surface_grid(y1, y2, lambda a, b: a * a)),
-        ("green", _surface_grid(y1, y2, lambda a, b: slope * b)),
+    surfaces = {
+        "red": [(a, a * a, c) for a in y1 for c in y3],
+        "blue": [(a, b, a * a) for a in y1 for b in y2],
+        "green": [(a, b, slope * b) for a in y1 for b in y2],
+    }
+    for color, rows in surfaces.items():
+        files.append(_csv(ctx.out, f"quad_manifold_surface_{color}.csv", ["y1", "y2", "y3"], rows))
+    print(f"slow-subspace slope: {dynamics._fmt(slope)}")
+    return files, [
+        "set hidden3d",
+        "splot \\",
+        "  'quad_manifold_surface_blue.csv' every ::1 using 1:2:3 with dots lc rgb 'blue', \\",
+        "  'quad_manifold_surface_green.csv' every ::1 using 1:2:3 with dots lc rgb 'green', \\",
+        "  'quad_manifold_lifted_a.csv' every ::1 using 2:3:4 with lines lc rgb 'black', \\",
+        "  'quad_manifold_lifted_b.csv' every ::1 using 2:3:4 with lines lc rgb 'black', \\",
+        "  'quad_manifold_lifted_c.csv' every ::1 using 2:3:4 with lines lc rgb 'black'",
     ]
-    for color, rows in surfaces:
-        path = out / f"quad_manifold_surface_{color}.csv"
-        dynamics._write_csv(path, ["y1", "y2", "y3"], rows)
-        written.append(path.name)
-    return slope
 
 
-def _center_comparison(system, args, out, written):
-    x0 = float(_default_x0(system, args)[0])
+def _center_comparison(ctx):
+    x0 = float(ctx.x0()[0])
     if x0 <= 0:
         raise ValueError("center-manifold comparison needs x0 > 0")
     blowup = 1.0 / x0
-    horizon = args.horizon if args.horizon is not None else min(1.8, 0.9 * blowup)
+    horizon = ctx.horizon(x0, min(1.8, 0.9 * blowup))
     if horizon >= blowup:
         raise ValueError(f"horizon must stay below the blow-up time 1/x0 = {blowup:g}")
-    ranks = _parse_ranks(args.rank)
-    times = dynamics._time_grid(horizon, args.dt)
+    times = dynamics._time_grid(horizon, ctx.args.dt)
     truth = 1.0 / (1.0 / x0 - times)
 
     columns = [times, truth]
     horizons = []
-    for rank in ranks:
-        model = _canonical_lift(system, rank)
-        pred = propagate(model, np.array([x0]), t_end=horizon, dt=args.dt).states[:, 0]
+    for rank in ctx.ranks:
+        pred = propagate(ctx.lift(rank), np.array([x0]), t_end=horizon, dt=ctx.args.dt).states[:, 0]
         columns.append(pred)
         rel = np.abs(pred - truth) / np.abs(truth)
         beyond = np.flatnonzero(rel > 0.1)
         horizons.append((rank, times[beyond[0]] if beyond.size else horizon))
 
-    path = out / "center_manifold_comparison.csv"
-    header = ["t", "truth"] + [f"rank_{r}" for r in ranks]
-    dynamics._write_csv(path, header, zip(*columns))
-    written.append(path.name)
-    path = out / "center_manifold_horizons.csv"
-    dynamics._write_csv(path, ["rank", "horizon"], horizons)
-    written.append(path.name)
+    header = ["t", "truth"] + [f"rank_{r}" for r in ctx.ranks]
+    files = [_csv(ctx.out, "center_manifold_comparison.csv", header, zip(*columns)),
+             _csv(ctx.out, "center_manifold_horizons.csv", ["rank", "horizon"], horizons)]
+    return files, [f"plot for [col=2:*] '{files[0]}' using 1:col with lines"]
 
 
-def _logistic_divergence(system, x0, args, out, written):
-    ranks = _parse_ranks(args.rank)
-    steps = args.steps if args.steps is not None else 30
-    truth = iterate(system, x0, steps).states[:, 0]
-    horizons = []
-    for rank in ranks:
-        model = _canonical_lift(system, rank)
-        pred = propagate(model, x0, steps=steps).states[:, 0]
+def _logistic_divergence(ctx, x0):
+    steps = 30 if ctx.args.steps is None else ctx.args.steps
+    truth = iterate(ctx.system, x0, steps).states[:, 0]
+    files, horizons = [], []
+    for rank in ctx.ranks:
+        pred = propagate(ctx.lift(rank), x0, steps=steps).states[:, 0]
         rel = np.abs(pred - truth) / np.maximum(np.abs(truth), 1e-12)
         beyond = np.flatnonzero(rel > 0.1)
         horizons.append((rank, int(beyond[0] - 1) if beyond.size else steps))
-        path = out / f"logistic_divergence_rank{rank}.csv"
-        dynamics._write_csv(path, ["step", "truth", "prediction", "rel_error"],
-                            zip(range(steps + 1), truth, pred, rel))
-        written.append(path.name)
-    path = out / "logistic_horizons.csv"
-    dynamics._write_csv(path, ["rank", "steps_within_10pct"], horizons)
-    written.append(path.name)
-
-
-def _simulate_gnuplot(system, written, out):
-    lines = ["set datafile separator comma", "set key autotitle columnhead"]
-    if "quad_manifold_surface_red.csv" in written:
-        lines += [
-            "set hidden3d",
-            "splot \\",
-            "  'quad_manifold_surface_blue.csv' every ::1 using 1:2:3 with dots lc rgb 'blue', \\",
-            "  'quad_manifold_surface_green.csv' every ::1 using 1:2:3 with dots lc rgb 'green', \\",
-            "  'quad_manifold_lifted_a.csv' every ::1 using 2:3:4 with lines lc rgb 'black', \\",
-            "  'quad_manifold_lifted_b.csv' every ::1 using 2:3:4 with lines lc rgb 'black', \\",
-            "  'quad_manifold_lifted_c.csv' every ::1 using 2:3:4 with lines lc rgb 'black'",
-        ]
-    elif "center_manifold_comparison.csv" in written:
-        lines.append("plot for [col=2:*] 'center_manifold_comparison.csv' using 1:col with lines")
-    elif any(name.startswith("logistic_divergence") for name in written):
-        target = next(name for name in written if name.startswith("logistic_divergence"))
-        lines.append(f"plot '{target}' using 1:2 with linespoints, '{target}' using 1:3 with linespoints")
-    else:
-        target = f"{system.name}_trajectory.csv"
-        lines.append(f"plot for [col=2:*] '{target}' using 1:col with lines")
-    path = out / f"{system.name}.plt"
-    path.write_text("\n".join(lines) + "\n")
-    return path.name
+        files.append(_csv(ctx.out, f"logistic_divergence_rank{rank}.csv",
+                          ["step", "truth", "prediction", "rel_error"],
+                          zip(range(steps + 1), truth, pred, rel)))
+    files.append(_csv(ctx.out, "logistic_horizons.csv", ["rank", "steps_within_10pct"], horizons))
+    first = files[0]
+    return files, [f"plot '{first}' using 1:2 with linespoints, '{first}' using 1:3 with linespoints"]
 
 
 def cmd_simulate(args):
-    out = _resolve_out(args)
-    system = _build_system(args)
-    written = []
-
-    if system.name == "center_manifold" and args.rank is not None:
-        _center_comparison(system, args, out, written)
+    """integrate/iterate a registry system; quad-manifold adds lifted trajectories and surface grids"""
+    ctx = _Context(args)
+    name = ctx.system.name
+    if name == "center_manifold" and ctx.ranks:
+        files, plot = _center_comparison(ctx)
     else:
-        x0 = _default_x0(system, args)
-        traj = _run(system, x0, args, steps=50)
-        path = out / f"{system.name}_trajectory.csv"
-        write_trajectory(traj, path)
-        written.append(path.name)
-        if system.name == "quad_manifold":
-            slope = _simulate_quad_extras(system, x0, args, out, written)
-            print(f"slow-subspace slope: {dynamics._fmt(slope)}")
-        if system.name == "logistic" and args.rank is not None:
-            _logistic_divergence(system, x0, args, out, written)
+        x0 = ctx.x0()
+        path = ctx.out / f"{name}_trajectory.csv"
+        write_trajectory(ctx.trajectory(x0, 50), path)
+        files, plot = [path.name], [f"plot for [col=2:*] '{path.name}' using 1:col with lines"]
+        if name == "quad_manifold":
+            more, plot = _quad_manifold(ctx, x0)
+            files += more
+        elif name == "logistic" and ctx.ranks:
+            more, plot = _logistic_divergence(ctx, x0)
+            files += more
 
     if args.gnuplot:
-        written.append(_simulate_gnuplot(system, written, out))
-    for name in written:
-        print(f"wrote {out / name}")
+        files.append(_gnuplot(ctx.out / f"{name}.plt", plot).name)
+    for file in files:
+        print(f"wrote {ctx.out / file}")
     return 0
 
 
@@ -252,22 +226,15 @@ def cmd_simulate(args):
 # identify
 # ---------------------------------------------------------------------------
 
-def _generate_identification_data(system, args):
-    starts, span = _entry(system)["training"]
-    if system.time_kind == DISCRETE:
-        steps = args.steps if args.steps is not None else span
-        return [iterate(system, x0, steps) for x0 in starts]
-    horizon = args.horizon if args.horizon is not None else span
-    return [integrate(system, x0, horizon, dt=args.dt) for x0 in starts]
-
-
 def cmd_identify(args):
-    out = _resolve_out(args)
-    system = _build_system(args)
+    """sparse regression + subspace refinement on simulated or supplied trajectory data"""
+    ctx = _Context(args)
+    system, out = ctx.system, ctx.out
     if args.data:
         trajs = [dynamics.read_trajectory(path) for path in args.data]
     elif args.generate:
-        trajs = _generate_identification_data(system, args)
+        starts, span = ctx.entry["training"]  # span: a flow's horizon or a map's step count
+        trajs = [ctx.trajectory(x0, span, span) for x0 in starts]
     else:
         raise ValueError("pass --generate to simulate training data or --data with CSV files")
 
@@ -319,33 +286,29 @@ def cmd_identify(args):
 # spectral
 # ---------------------------------------------------------------------------
 
-def _normalized_coeffs(coeffs):
-    pivot = coeffs[int(np.argmax(np.abs(coeffs)))]
-    scaled = coeffs / pivot
-    return [[c.real, c.imag] for c in scaled]
-
-
 def cmd_spectral(args):
-    out = _resolve_out(args)
-    if (args.model is None) == (args.system is None):
-        raise ValueError("pass exactly one of --system or --model")
-
-    if args.model is not None:
+    """eigenvalues, eigenfunction coefficients, and verification residuals of a lifted model"""
+    ctx = _Context(args)
+    system = ctx.system
+    if system is None:
         model = load_model(args.model)
-        system = None
         stem = pathlib.Path(args.model).stem
+        traj = None
     else:
-        system = _build_system(args)
-        model = _canonical_lift(system, rank=int(args.rank) if args.rank else 4)
+        ranks = ctx.ranks or [4]
+        if len(ranks) != 1:
+            raise ValueError("--rank takes one positive integer")
+        model = ctx.lift(ranks[0])
         stem = system.name
+        traj = ctx.trajectory(ctx.x0(), 40)
 
-    traj = _run(system, _default_x0(system, args), args, steps=40) if system is not None else None
     fns = eigenfunctions(model)
     entries = []
     for fn in fns:
+        pivot = fn.coeffs[int(np.argmax(np.abs(fn.coeffs)))]
         entry = {
             "eigenfunction": eigenfunction_to_json(fn),
-            "coeffs_normalized": _normalized_coeffs(fn.coeffs),
+            "coeffs_normalized": [[c.real, c.imag] for c in fn.coeffs / pivot],
             "residual": None,
         }
         if traj is not None:
@@ -363,8 +326,8 @@ def cmd_spectral(args):
     }
     if system is not None:
         payload["system"] = system.name
-        payload["params"] = dict(sorted(system.params.items()))
-        if system.time_kind == CONTINUOUS and _entry(system).get("manifold") == dynamics._PARABOLA:
+        payload["params"] = system.params
+        if system.time_kind == CONTINUOUS and ctx.entry.get("manifold") == dynamics._PARABOLA:
             # the eigenfunction x2 - b*x1^2 of the flow onto x2 = x1^2
             mu, lam = system.params["mu"], system.params["lambda"]
             if lam != 2 * mu:
@@ -376,7 +339,7 @@ def cmd_spectral(args):
 
     if args.named_observable is not None:
         name = args.named_observable.replace("-", "_")
-        named = _entry(system).get("eigenfunctions", {}) if system is not None else {}
+        named = ctx.entry.get("eigenfunctions", {}) if system is not None else {}
         if name not in named:
             raise ValueError(f"no named eigenfunction '{args.named_observable}' for this "
                              "system (exp-neg-inv belongs to --system center-manifold)")
@@ -386,7 +349,7 @@ def cmd_spectral(args):
         payload["named_observable_residual"] = verify_eigenfunction(fn, traj)
         print(f"{name} residual: {dynamics._fmt(payload['named_observable_residual'])}")
 
-    path = out / f"{stem}_spectral.json"
+    path = ctx.out / f"{stem}_spectral.json"
     dynamics._write_json(path, payload)
     eigvals = ", ".join(f"{w.real:g}{f'{w.imag:+g}j' if abs(w.imag) > 1e-12 else ''}"
                         for w in (fn.eigenvalue for fn in fns))
@@ -400,37 +363,33 @@ def cmd_spectral(args):
 # ---------------------------------------------------------------------------
 
 def cmd_control(args):
-    out = _resolve_out(args)
-    system = _build_system(args)
+    """lifted-design optimal control vs standard LQR on the actuated benchmark"""
+    ctx = _Context(args)
+    system, out = ctx.system, ctx.out
     if system.input_map is None:
         raise ValueError(f"system '{system.name}' has no input; control needs an actuated system")
-    x0 = _default_x0(system, args)
+    x0 = ctx.x0()
     q_scale, r_scale = args.q, args.r_cost
     if r_scale <= 0:
         raise ValueError("--r must be positive")
-    params = dict(sorted(system.params.items()))
-    params.update({"q": q_scale, "r": r_scale, "horizon": args.horizon, "dt": args.dt,
-                   "x0": list(x0)})
+    params = {**system.params, "q": q_scale, "r": r_scale, "horizon": args.horizon,
+              "dt": args.dt, "x0": list(x0)}
 
-    model = _canonical_lift(system)
+    model = ctx.lift()
+    gains_path = out / "control_gains.json"
+    payload = {"system": system.name, "params": params}
     if q_scale == 0.0:
         # No state cost: zero input is optimal (J = 0) and the Riccati
         # solution is identically zero, so both gains vanish.
-        payload = {
-            "system": system.name, "params": params,
-            "lqr_gain": [0.0, 0.0],
-            "kooc_gain": [0.0] * len(model.library),
-            "note": "zero state cost: optimal feedback is zero; simulation skipped",
-        }
-        path = out / "control_gains.json"
-        dynamics._write_json(path, payload)
+        payload.update(lqr_gain=[0.0, 0.0], kooc_gain=[0.0] * len(model.library),
+                       note="zero state cost: optimal feedback is zero; simulation skipped")
+        dynamics._write_json(gains_path, payload)
         print("zero state cost: gains are identically zero")
-        print(f"wrote {path}")
+        print(f"wrote {gains_path}")
         return 0
 
-    q = q_scale * np.eye(system.dim)
-    r = np.array([[r_scale]])
-    result = compare_lqr_kooc(system, model, q, r, x0, args.horizon, dt=args.dt)
+    result = compare_lqr_kooc(system, model, q_scale * np.eye(system.dim), np.array([[r_scale]]),
+                              x0, args.horizon, dt=args.dt)
 
     lqr_path = out / "control_lqr.csv"
     kooc_path = out / "control_kooc.csv"
@@ -441,9 +400,7 @@ def cmd_control(args):
                         zip(result.times, result.lqr_cost, result.kooc_cost,
                             result.lqr_cost_script, result.kooc_cost_script))
 
-    payload = {
-        "system": system.name,
-        "params": params,
+    payload.update({
         "library": model.library.names,
         "lqr_gain": [float(v) for v in result.lqr_gain.ravel()],
         "kooc_gain": [float(v) for v in result.kooc_controller.gain.ravel()],
@@ -453,18 +410,12 @@ def cmd_control(args):
         "final_cost_lqr_script": float(result.lqr_cost_script[-1]),
         "final_cost_kooc_script": float(result.kooc_cost_script[-1]),
         "ratio_script": result.ratio_script,
-    }
-    gains_path = out / "control_gains.json"
+    })
     dynamics._write_json(gains_path, payload)
 
     if args.gnuplot:
-        plt = out / "control.plt"
-        plt.write_text("\n".join([
-            "set datafile separator comma",
-            "set key autotitle columnhead",
-            "plot 'control_costs.csv' using 1:2 with lines, \\",
-            "     'control_costs.csv' using 1:3 with lines",
-        ]) + "\n")
+        plt = _gnuplot(out / "control.plt", ["plot 'control_costs.csv' using 1:2 with lines, \\",
+                                             "     'control_costs.csv' using 1:3 with lines"])
         print(f"wrote {plt}")
 
     print(f"cost ratio (applied inputs): {dynamics._fmt(result.ratio)}")
@@ -478,107 +429,76 @@ def cmd_control(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _registry_epilog():
-    info = dynamics.registry_info()
-    width = max(len(name) for name in info)
-    lines = [f"  {name.ljust(width)}  {text}" for name, text in info.items()]
-    return "registry systems (hyphens and underscores are interchangeable):\n" + "\n".join(lines)
+# Flags that more than one subcommand takes, each declared once. Every
+# subcommand ends with --out; a (flag, keywords) entry in _COMMANDS adds to or
+# overrides these keywords, or declares a flag of that subcommand alone.
+_FLAGS = {
+    "--system": {"help": "registry system (listed below)"},
+    "--mu": {"type": float, "help": "slow rate/multiplier"},
+    "--lambda": {"dest": "lam", "type": float, "help": "fast rate/multiplier"},
+    "--angle": {"type": float, "help": "coordinate tilt in radians (rotated-quad)"},
+    "--r": {"type": float, "help": "logistic growth rate"},
+    "--x0": {"help": "comma-separated initial state (use --x0=-5,5 form)"},
+    "--horizon": {"type": float, "help": "continuous end time"},
+    "--dt": {"type": float, "default": 0.01, "help": "RK4 step of a flow"},
+    "--steps": {"type": int, "help": "discrete step count"},
+    "--gnuplot": {"action": "store_true", "help": "also write a gnuplot script"},
+    "--out": {"default": ".", "help": "output directory (KOOPMANKIT_OUT overrides)"},
+}
+_PARAMS = ("--mu", "--lambda", "--angle")
 
-
-def _add_common(parser):
-    parser.add_argument("--out", default=".", help="output directory (KOOPMANKIT_OUT overrides)")
-
-
-def _add_params(parser):
-    parser.add_argument("--mu", type=float, default=None, help="slow rate/multiplier")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="fast rate/multiplier")
-    parser.add_argument("--angle", type=float, default=None,
-                        help="coordinate tilt in radians (rotated-quad)")
+_COMMANDS = {
+    cmd_simulate: [
+        ("--system", {"required": True}), *_PARAMS, "--r", "--x0", "--horizon", "--dt", "--steps",
+        ("--rank", {"help": "comma-separated Carleman ranks (center-manifold comparison, "
+                            "logistic divergence tables)"}),
+        "--gnuplot"],
+    cmd_identify: [
+        ("--system", {"required": True}), *_PARAMS, "--r",
+        ("--generate", {"action": "store_true", "help": "simulate training data"}),
+        ("--data", {"nargs": "+", "help": "trajectory CSV file(s)"}),
+        ("--degree", {"type": int, "default": 3, "help": "candidate monomial degree cap"}),
+        ("--threshold", {"type": float, "default": 0.025}),
+        "--horizon",
+        ("--dt", {"default": 0.005, "help": "sampling step for generated data (finer than the "
+                                            "simulate default so derivative estimates do not "
+                                            "limit recovery)"}),
+        "--steps"],
+    cmd_spectral: [
+        "--system", ("--model", {"help": "KoopmanModel JSON instead of a registry system"}),
+        *_PARAMS, "--r", ("--rank", {"help": "Carleman rank (default 4; center-manifold, logistic)"}),
+        ("--named-observable", {"help": "verify a named closed-form eigenfunction "
+                                        "(exp-neg-inv, center-manifold only)"}),
+        "--x0", "--horizon", "--dt", "--steps"],
+    cmd_control: [
+        ("--system", {"default": "kooc-demo"}), *_PARAMS,
+        ("--q", {"type": float, "default": 1.0, "help": "state cost weight (Q = q*I)"}),
+        ("--r", {"dest": "r_cost", "default": 1.0, "help": "input cost weight"}),
+        "--x0", ("--horizon", {"default": 50.0}), "--dt", "--gnuplot"],
+}
 
 
 def build_parser():
+    info = dynamics.registry_info()
+    width = max(len(name) for name in info)
+    epilog = "registry systems (hyphens and underscores are interchangeable):\n" + "\n".join(
+        f"  {name.ljust(width)}  {text}" for name, text in info.items())
     parser = argparse.ArgumentParser(
         prog="koopmankit",
         description="Finite Koopman-invariant linear representations: simulate, identify, "
                     "analyze spectra, and control benchmark nonlinear systems.",
-        epilog=_registry_epilog(),
+        epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate/iterate a registry system; "
-                                        "quad-manifold adds lifted trajectories and surface grids",
-                       epilog=_registry_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--system", required=True)
-    _add_params(p)
-    p.add_argument("--r", type=float, default=None, help="logistic growth rate")
-    p.add_argument("--x0", default=None, help="comma-separated initial state (use --x0=-5,5 form)")
-    p.add_argument("--horizon", type=float, default=None, help="continuous end time")
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=None, help="discrete step count")
-    p.add_argument("--rank", default=None,
-                   help="comma-separated Carleman ranks (center-manifold comparison, "
-                        "logistic divergence tables)")
-    p.add_argument("--gnuplot", action="store_true", help="also write a gnuplot script")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("identify", help="sparse regression + subspace refinement on "
-                                        "simulated or supplied trajectory data",
-                       epilog=_registry_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--system", required=True)
-    _add_params(p)
-    p.add_argument("--r", type=float, default=None, help="logistic growth rate")
-    p.add_argument("--generate", action="store_true", help="simulate training data")
-    p.add_argument("--data", nargs="+", default=None, help="trajectory CSV file(s)")
-    p.add_argument("--degree", type=int, default=3, help="candidate monomial degree cap")
-    p.add_argument("--threshold", type=float, default=0.025)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--dt", type=float, default=0.005,
-                   help="sampling step for generated data (finer than the simulate "
-                        "default so derivative estimates do not limit recovery)")
-    p.add_argument("--steps", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_identify)
-
-    p = sub.add_parser("spectral", help="eigenvalues, eigenfunction coefficients, and "
-                                        "verification residuals of a lifted model",
-                       epilog=_registry_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--system", default=None)
-    p.add_argument("--model", default=None, help="KoopmanModel JSON instead of a registry system")
-    _add_params(p)
-    p.add_argument("--r", type=float, default=None, help="logistic growth rate")
-    p.add_argument("--rank", default=None, help="Carleman rank (default 4)")
-    p.add_argument("--named-observable", default=None,
-                   help="verify a named closed-form eigenfunction (exp-neg-inv, "
-                        "center-manifold only)")
-    p.add_argument("--x0", default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_spectral)
-
-    p = sub.add_parser("control", help="lifted-design optimal control vs standard LQR "
-                                       "on the actuated benchmark",
-                       epilog=_registry_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--system", default="kooc-demo")
-    _add_params(p)
-    p.add_argument("--q", type=float, default=1.0, help="state cost weight (Q = q*I)")
-    p.add_argument("--r", dest="r_cost", type=float, default=1.0, help="input cost weight")
-    p.add_argument("--x0", default=None, help="initial state (use --x0=-5,5 form)")
-    p.add_argument("--horizon", type=float, default=50.0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--gnuplot", action="store_true", help="also write a gnuplot script")
-    _add_common(p)
-    p.set_defaults(func=cmd_control)
-
+    for func, flags in _COMMANDS.items():
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=func.__doc__, epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        for flag in (*flags, "--out"):
+            flag, keywords = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(flag, **{**_FLAGS.get(flag, {}), **keywords})
+        p.set_defaults(func=func)
     return parser
 
 

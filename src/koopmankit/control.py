@@ -243,29 +243,26 @@ class KoocController:
         return self.feedback(x)
 
 
-def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r,
-                    q_lifted=None) -> KoocController:
+def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r) -> KoocController:
     """LQR design on the lifted linear model.
 
     ``b_lifted`` is the input map in observable space (one row per library
     entry). ``q_state`` is the state cost; it is embedded into observable
-    space on the model's state rows (pass ``q_lifted`` to weight observables
-    directly instead). Stabilizability of the lifted pair is checked mode by
-    mode first; failure raises :class:`NotStabilizable` naming the offending
-    eigenvalues and the observables their eigenvectors live on.
+    space on the model's state rows. Stabilizability of the lifted pair is
+    checked mode by mode first; failure raises :class:`NotStabilizable`
+    naming the offending eigenvalues and the observables their eigenvectors
+    live on.
     """
     if model.time_kind != CONTINUOUS:
         raise ValueError("lifted LQR design requires a continuous-time model")
-    q = q_lifted
-    if q is None:
-        n = model.state_dim
-        q_state = np.asarray(q_state, dtype=float)
-        if q_state.shape != (n, n):
-            raise ValueError("q_state must match the state dimension")
-        m = len(model.library)
-        q = np.zeros((m, m))
-        rows = np.asarray(model.state_rows)
-        q[np.ix_(rows, rows)] = q_state
+    n = model.state_dim
+    q_state = np.asarray(q_state, dtype=float)
+    if q_state.shape != (n, n):
+        raise ValueError("q_state must match the state dimension")
+    m = len(model.library)
+    q = np.zeros((m, m))
+    rows = np.asarray(model.state_rows)
+    q[np.ix_(rows, rows)] = q_state
     prob = LqrProblem(model.K, b_lifted, q, r)
 
     modes = pbh_unstabilizable_modes(prob.a, prob.b)

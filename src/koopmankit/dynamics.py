@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from operator import add, mul
@@ -219,12 +220,18 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     return Trajectory(times=times, states=np.array(states), inputs=inputs)
 
 
+def _check_steps(steps):
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+
+
 def iterate(system: PolySystem, x0, steps):
     """Iterate a discrete map for ``steps`` steps (times are step indices)."""
     if system.time_kind != DISCRETE:
         raise ValueError("iterate requires a discrete-time system")
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    _check_steps(steps)
     x0 = _initial_state(system.dim, x0)
     step = system._map._evaluate
     x = x0.tolist()

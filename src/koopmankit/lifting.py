@@ -10,7 +10,6 @@ exact, and the neglected monomials are the truncation error.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -363,10 +362,7 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
             raise ValueError("a discrete model takes steps, not t_end")
         if steps is None:
             raise ValueError("steps required for a discrete model")
-        if not isinstance(steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {steps!r}")
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
+        dynamics._check_steps(steps)
         times, stack = np.arange(steps + 1, dtype=float), k
     else:
         if steps is not None:

@@ -8,6 +8,7 @@ final test exercises the installed ``koopmankit`` console script itself.
 import contextlib
 import io
 import json
+import re
 import shutil
 import subprocess
 
@@ -420,6 +421,37 @@ def test_spectral_named_observable_verifies_on_center_manifold(tmp_path):
     assert payload["named_observable_residual"] < 1e-4
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "quad-manifold", "--rank", "3"],
+    ["simulate", "--system", "tu-map", "--rank", "2"],
+    ["spectral", "--system", "quad-manifold", "--rank", "7"],
+    ["spectral", "--model", "{model}", "--rank", "3"],
+])
+def test_rank_is_refused_where_the_lift_takes_none(tmp_path, identify_quad, argv):
+    model = str(identify_quad[0] / "quad_manifold_model.json")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli([a.replace("{model}", model) for a in argv]
+                                   + ["--out", str(out)])
+    assert code == 2
+    assert "--rank" in stderr and "center-manifold" in stderr and "logistic" in stderr
+    assert stdout == ""
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectral", "--system", "logistic", "--rank", "4,8"], "--rank takes one positive integer"),
+    (["spectral", "--system", "logistic", "--rank", "0"], "--rank needs positive integers"),
+    (["simulate", "--system", "logistic", "--rank", "2,0"], "--rank needs positive integers"),
+    (["simulate", "--system", "logistic", "--rank", "abc"], "invalid literal"),
+])
+def test_a_bad_rank_is_refused_before_anything_is_written(tmp_path, argv, message):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli([*argv, "--out", str(out)])
+    assert code == 2
+    assert message in stderr
+    assert stdout == "" and not any(out.iterdir())
+
+
 def test_spectral_requires_exactly_one_source(tmp_path):
     code, _, stderr = run_cli(["spectral", "--out", str(tmp_path)])
     assert code == 2
@@ -497,6 +529,23 @@ def test_help_lists_the_registry_systems():
     assert code == 0
     for name in ("quad_manifold", "tu_map", "center_manifold", "logistic"):
         assert name in stdout
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--system", "--mu", "--lambda", "--angle", "--r", "--x0", "--horizon", "--dt",
+                  "--steps", "--rank", "--gnuplot", "--out"]),
+    ("identify", ["--system", "--mu", "--lambda", "--angle", "--r", "--generate", "--data",
+                  "--degree", "--threshold", "--horizon", "--dt", "--steps", "--out"]),
+    ("spectral", ["--system", "--model", "--mu", "--lambda", "--angle", "--r", "--rank",
+                  "--named-observable", "--x0", "--horizon", "--dt", "--steps", "--out"]),
+    ("control", ["--system", "--mu", "--lambda", "--angle", "--q", "--r", "--x0", "--horizon",
+                 "--dt", "--gnuplot", "--out"]),
+])
+def test_each_subcommand_help_lists_its_flags(command, flags):
+    code, stdout, _ = run_cli([command, "--help"])
+    assert code == 0
+    assert re.findall(r"^  (-[-\w]+)", stdout, re.MULTILINE) == ["-h", *flags]
+    assert "quad_manifold" in stdout  # the registry epilog
 
 
 @pytest.mark.parametrize("name", registry_names())

@@ -321,21 +321,6 @@ def test_kooc_limitation_system_raises_not_stabilizable():
     assert "x1^2" in str(err)
 
 
-def test_kooc_q_lifted_override():
-    model, b_lifted = kooc_ingredients()
-    default = kooc_synthesize(model, b_lifted, np.eye(2), [[1.0]])
-    # handing the embedded state cost in as q_lifted is the same design
-    embedded = np.zeros((3, 3))
-    embedded[:2, :2] = np.eye(2)
-    same = kooc_synthesize(model, b_lifted, None, [[1.0]], q_lifted=embedded)
-    np.testing.assert_allclose(same.gain, default.gain, atol=1e-12)
-    # a cross-weight coupling x2 with x1^2 reaches terms the state cost
-    # cannot express, so the synthesized gain moves
-    cross = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
-    alt = kooc_synthesize(model, b_lifted, None, [[1.0]], q_lifted=cross)
-    assert abs(alt.gain[0, 2] - default.gain[0, 2]) > 0.1
-
-
 # ---------------------------------------------------------------------------
 # costs
 # ---------------------------------------------------------------------------

@@ -150,6 +150,16 @@ def test_iterate_rejects_continuous_system():
         iterate(builtin("quad_manifold"), [1.0, 0.0], 5)
 
 
+def test_iterate_refuses_a_non_integer_or_negative_step_count():
+    system = builtin("tu_map")
+    for bad in (2.5, 2.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            iterate(system, [1.0, 1.0], bad)
+    with pytest.raises(ValueError, match="steps must be non-negative"):
+        iterate(system, [1.0, 1.0], -1)
+    assert len(iterate(system, [1.0, 1.0], np.int64(3))) == 4
+
+
 def test_integrate_rejects_discrete_system():
     with pytest.raises(ValueError):
         integrate(builtin("tu_map"), [1.0, 1.0], 5.0)
