@@ -4,13 +4,16 @@ Four subcommands mirror the library workflows: ``simulate``, ``identify``,
 ``spectral`` and ``control``; each ``cmd_*`` docstring is its ``--help`` line.
 ``_FLAGS`` declares each flag that several subcommands share, and
 ``_COMMANDS`` lists each subcommand's flags in order. ``--rank`` applies only
-to center-manifold and logistic, whose lifts are Carleman truncations. Every
-command is deterministic: the same configuration produces byte-identical
-files. The ``KOOPMANKIT_OUT`` environment variable, when set, overrides any
-``--out`` directory.
+to center-manifold and logistic, whose lifts are Carleman truncations, and
+``simulate`` refuses ``--steps`` for a flow and ``--horizon`` or ``--dt`` for
+a map. Every command is deterministic: the same configuration produces
+byte-identical files. The ``KOOPMANKIT_OUT`` environment variable, when set,
+overrides any ``--out`` directory.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 stabilizability failure (the PBH diagnostic is printed).
+Exit codes: 0 success, 1 stdout closed by its reader (as in
+``koopmankit simulate ... | head``; nothing is printed), 2 configuration
+error, 3 numerical failure, 4 stabilizability failure (the PBH diagnostic is
+printed).
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ class _Context:
             self.ranks = [int(v) for v in args.rank.split(",") if v.strip() != ""]
             if not self.ranks or any(r < 1 for r in self.ranks):
                 raise ValueError("--rank needs positive integers")
+        if args.command == "simulate":
+            flow = self.system.time_kind == CONTINUOUS
+            takes = "a flow: it takes --horizon and --dt" if flow else "a map: it takes --steps"
+            for flag in ("--steps",) if flow else ("--horizon", "--dt"):
+                if getattr(args, flag[2:]) is not None:
+                    raise ValueError(f"{flag} does not apply to --system {args.system}, {takes}")
+        if args.dt is None:
+            args.dt = dynamics.DEFAULT_DT
 
     def x0(self):
         """--x0, or the registry's start."""
@@ -440,7 +451,7 @@ _FLAGS = {
     "--r": {"type": float, "help": "logistic growth rate"},
     "--x0": {"help": "comma-separated initial state (use --x0=-5,5 form)"},
     "--horizon": {"type": float, "help": "continuous end time"},
-    "--dt": {"type": float, "default": 0.01, "help": "RK4 step of a flow"},
+    "--dt": {"type": float, "help": "RK4 step of a flow"},
     "--steps": {"type": int, "help": "discrete step count"},
     "--gnuplot": {"action": "store_true", "help": "also write a gnuplot script"},
     "--out": {"default": ".", "help": "output directory (KOOPMANKIT_OUT overrides)"},
@@ -506,7 +517,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point its descriptor at devnull so that the
+        # final flush at exit cannot fail again (Python docs, "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except NotStabilizable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -9,6 +9,14 @@ determinants, and its cost grows as m^3 in the state size m. Controllers
 designed on a lifted model feed back on observables: u = -C Theta(x), which
 is a nonlinear state feedback whenever the gain touches a nonlinear
 observable.
+
+When every observable is a polynomial, both laws a comparison runs, -C x and
+-C Theta(x), are polynomials in x, and so is each closed loop f(x) + B u(x).
+:func:`compare_lqr_kooc` builds each closed loop as one
+:class:`~koopmankit.dynamics.PolySystem`, compiled once, and integrates it
+with no controller callback; the applied inputs are one column evaluation of
+the law at the sample states. ``integrate(controller=...)`` remains the path
+for arbitrary feedback callables.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ import numpy as np
 from . import numerics
 from .dynamics import CONTINUOUS, PolySystem, Trajectory, integrate
 from .exceptions import NotStabilizable, NumericsError
-from .lifting import KoopmanModel, eval_library
+from .lifting import KoopmanModel, eval_library, monomials
+from .polynomials import PolynomialMap
 
 _SIGN_TOL = 1e-12
 _SIGN_MAX_ITER = 100
@@ -331,6 +340,28 @@ class ComparisonResult:
         return float(self.lqr_cost[-1]), float(self.kooc_cost[-1])
 
 
+def _closed_loop_run(system: PolySystem, library, gain, x0, horizon, dt) -> Trajectory:
+    """Integrate f(x) + B u(x) under the feedback u = -gain . Theta(x) on ``library``.
+
+    Theta must be polynomial, so u is too: the closed loop is one compiled
+    system with no input map, and the RK4 loop makes no controller call. The
+    applied inputs are the law evaluated once on the columns of the sampled
+    states.
+    """
+    law = [library.linear_combination(-row) for row in gain]
+    equations = []
+    for f, row in zip(system.equations, system.input_map):
+        for coeff, u in zip(row, law):
+            if coeff != 0.0:
+                f = f + coeff * u
+        equations.append(f)
+    closed = PolySystem(system.dim, CONTINUOUS, tuple(equations), params=system.params,
+                        name=system.name)
+    traj = integrate(closed, x0, horizon, dt=dt)
+    inputs = PolynomialMap(system.dim, law)(traj.states.T).T
+    return Trajectory(times=traj.times, states=traj.states, inputs=inputs)
+
+
 def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
                      horizon, dt=0.01) -> ComparisonResult:
     """Run both controllers on the true nonlinear system and cost them.
@@ -342,6 +373,10 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     cost). A second pair of series re-costs both trajectories with the LQR
     gain substituted into the integrand — a convention some published
     comparisons use — reported separately as the ``_script`` fields.
+
+    Both feedback laws must be polynomials in x, so every observable of the
+    model's library must be a polynomial: a named observable raises
+    ``ValueError``. Each closed loop runs as one compiled polynomial field.
     """
     if system.input_map is None:
         raise ValueError("system has no input map")
@@ -350,6 +385,10 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     n = system.dim
     if model.state_dim != n:
         raise ValueError("model state dimension must match the system")
+    for obs in model.library.observables:
+        if isinstance(obs, str):
+            raise ValueError(f"the KOOC law needs a polynomial library; observable "
+                             f"'{obs}' is not a polynomial")
     q = _symmetric(q, "q", psd=True)
     r = _symmetric(r, "r", pd=True)
     x0 = np.asarray(x0, dtype=float)
@@ -366,8 +405,8 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     b_lifted[rows, :] = b
     kooc = kooc_synthesize(model, b_lifted, q, r)
 
-    lqr_traj = integrate(system, x0, horizon, dt=dt, controller=lambda x: -(c_lqr @ x))
-    kooc_traj = integrate(system, x0, horizon, dt=dt, controller=kooc)
+    lqr_traj = _closed_loop_run(system, monomials(n, 1), c_lqr, x0, horizon, dt)
+    kooc_traj = _closed_loop_run(system, model.library, kooc.gain, x0, horizon, dt)
 
     lqr_cost = _trapezoid_cost(lqr_traj, lqr_traj.inputs, q, r)
     kooc_cost = _trapezoid_cost(kooc_traj, kooc_traj.inputs, q, r)

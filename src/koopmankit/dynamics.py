@@ -4,6 +4,10 @@ and the CSV and JSON formats of every artifact the package writes.
 Continuous systems are integrated with fixed-step classical RK4; feedback
 controllers are evaluated at every substep state, so closed-loop simulation
 treats the control law as continuous feedback rather than a zero-order hold.
+``integrate(controller=...)`` takes any callable, at the cost of one numpy
+call per substep; a polynomial law need not come this way:
+:func:`koopmankit.control.compare_lqr_kooc` compiles each of its closed loops
+f(x) + B u(x) into a system of its own and integrates it with no controller.
 Discrete systems are iterated exactly.
 
 Each :class:`PolySystem` compiles its equations once into a

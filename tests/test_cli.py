@@ -8,6 +8,7 @@ final test exercises the installed ``koopmankit`` console script itself.
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -450,6 +451,47 @@ def test_a_bad_rank_is_refused_before_anything_is_written(tmp_path, argv, messag
     assert code == 2
     assert message in stderr
     assert stdout == "" and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--system", "quad-manifold", "--steps", "5"], "--steps does not apply"),
+    (["simulate", "--system", "tu-map", "--horizon", "5", "--dt", "7"], "--horizon does not apply"),
+    (["simulate", "--system", "tu-map", "--dt", "7"], "--dt does not apply"),
+])
+def test_simulate_refuses_a_flag_its_system_does_not_read(tmp_path, argv, message):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli([*argv, "--out", str(out)])
+    assert code == 2
+    assert message in stderr
+    assert stdout == "" and not any(out.iterdir())
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout on descriptor ``fd`` whose reader has gone: every write raises."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_is_not_reported_as_a_bad_input(tmp_path):
+    stderr = io.StringIO()
+    with open(tmp_path / "stdout", "wb") as sink:
+        with contextlib.redirect_stdout(_ClosedPipe(sink.fileno())), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["simulate", "--system", "tu-map", "--steps", "3",
+                         "--out", str(tmp_path / "out")])
+        os.write(sink.fileno(), b"after")  # the descriptor now leads to devnull
+    assert code == 1
+    assert stderr.getvalue() == ""
+    assert (tmp_path / "out" / "tu_map_trajectory.csv").exists()
+    assert (tmp_path / "stdout").read_bytes() == b""
 
 
 def test_spectral_requires_exactly_one_source(tmp_path):

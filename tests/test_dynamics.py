@@ -9,6 +9,8 @@ from koopmankit import (
     BlowUp,
     CONTINUOUS,
     DISCRETE,
+    KoopmanModel,
+    ObservableLibrary,
     Polynomial,
     PolynomialMap,
     PolySystem,
@@ -19,6 +21,7 @@ from koopmankit import (
     eval_field,
     integrate,
     iterate,
+    lqr_gain,
     read_trajectory,
     registry_defaults,
     registry_info,
@@ -395,18 +398,43 @@ def test_integrate_is_bit_identical_to_the_numpy_loop(name):
         _assert_same_bits(integrate(system, x0, horizon), _reference_integrate(system, x0, horizon))
 
 
-def test_closed_loops_are_bit_identical_to_the_numpy_loop():
+def _assert_within(got, expected, bound=1e-12):
+    """Each series within ``bound`` of its reference, relative to the reference's max-abs."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= bound * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("x0, horizon", [((-5.0, 5.0), 50.0), ((-4.7, 5.3), 10.0)],
+                         ids=["paper", "near"])
+def test_compiled_closed_loops_match_the_callback_loop_within_1e_12(x0, horizon):
+    """Each compiled closed loop against the controller-callback loop it replaced."""
     system = builtin("kooc_demo")
     model = slow_manifold_lift_ct(-0.1, 1.0, {2: 1.0})
     q, r = np.eye(2), np.array([[1.0]])
-    comp = compare_lqr_kooc(system, model, q, r, (-5.0, 5.0), 10.0)
-    lqr = _reference_integrate(system, (-5.0, 5.0), 10.0,
-                               controller=lambda x: -(comp.lqr_gain @ x))
-    kooc = _reference_integrate(system, (-5.0, 5.0), 10.0, controller=comp.kooc_controller)
-    _assert_same_bits(comp.lqr_traj, lqr)
-    _assert_same_bits(comp.kooc_traj, kooc)
-    assert comp.lqr_cost.tobytes() == closed_loop_cost(lqr, q, r).tobytes()
-    assert comp.kooc_cost.tobytes() == closed_loop_cost(kooc, q, r).tobytes()
+    comp = compare_lqr_kooc(system, model, q, r, x0, horizon)
+    lqr = _reference_integrate(system, x0, horizon, controller=lambda x: -(comp.lqr_gain @ x))
+    kooc = _reference_integrate(system, x0, horizon, controller=comp.kooc_controller)
+    for got, expected in ((comp.lqr_traj, lqr), (comp.kooc_traj, kooc)):
+        assert got.times.tobytes() == expected.times.tobytes()
+        _assert_within(got.states, expected.states)
+        _assert_within(got.inputs, expected.inputs)
+    _assert_within(comp.lqr_cost, closed_loop_cost(lqr, q, r))
+    _assert_within(comp.kooc_cost, closed_loop_cost(kooc, q, r))
+
+
+def test_a_destabilizing_closed_loop_blows_up_where_the_callback_loop_does():
+    """dx = x^2 + u under u = -x escapes from x0 = 2 at t = ln 2; RK4 at dt 0.01 lags a little."""
+    system = PolySystem(1, CONTINUOUS, (Polynomial(1, {(2,): 1.0}),), input_map=[[1.0]])
+    # a stable made-up lift, so that the lifted design succeeds
+    model = KoopmanModel(ObservableLibrary(1, ((1,), (2,)), state_inclusive=True),
+                         [[0.0, 1.0], [0.0, -1.0]], CONTINUOUS, state_rows=(0,))
+    gain, _ = lqr_gain([[0.0]], [[1.0]], [[1.0]], [[1.0]])
+    t, norm = _raised(compare_lqr_kooc, system, model, [[1.0]], [[1.0]], [2.0], 3.0)
+    expected_t, expected_norm = _raised(_reference_integrate, system, [2.0], 3.0,
+                                        controller=lambda x: -(gain @ x))
+    assert t == expected_t and np.log(2.0) < t < np.log(2.0) + 0.05
+    assert norm == pytest.approx(expected_norm, rel=1e-12) and norm > BLOWUP_LIMIT
 
 
 @pytest.mark.parametrize("name", MAPS)
