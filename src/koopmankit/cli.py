@@ -6,9 +6,10 @@ Four subcommands mirror the library workflows: ``simulate``, ``identify``,
 ``_COMMANDS`` lists each subcommand's flags in order. ``--rank`` applies only
 to center-manifold and logistic, whose lifts are Carleman truncations, and
 ``simulate`` refuses ``--steps`` for a flow and ``--horizon`` or ``--dt`` for
-a map. Every command is deterministic: the same configuration produces
-byte-identical files. The ``KOOPMANKIT_OUT`` environment variable, when set,
-overrides any ``--out`` directory.
+a map; ``spectral --model`` refuses the system parameters, ``--x0``,
+``--horizon``, ``--dt`` and ``--steps``. Every command is deterministic: the
+same configuration produces byte-identical files. The ``KOOPMANKIT_OUT``
+environment variable, when set, overrides any ``--out`` directory.
 
 Exit codes: 0 success, 1 stdout closed by its reader (as in
 ``koopmankit simulate ... | head``; nothing is printed), 2 configuration
@@ -72,12 +73,18 @@ class _Context:
             self.ranks = [int(v) for v in args.rank.split(",") if v.strip() != ""]
             if not self.ranks or any(r < 1 for r in self.ranks):
                 raise ValueError("--rank needs positive integers")
+        unread = ()  # flags this invocation would ignore if given
         if args.command == "simulate":
             flow = self.system.time_kind == CONTINUOUS
             takes = "a flow: it takes --horizon and --dt" if flow else "a map: it takes --steps"
-            for flag in ("--steps",) if flow else ("--horizon", "--dt"):
-                if getattr(args, flag[2:]) is not None:
-                    raise ValueError(f"{flag} does not apply to --system {args.system}, {takes}")
+            unread = ("--steps",) if flow else ("--horizon", "--dt")
+            reader = f"--system {args.system}, {takes}"
+        elif self.system is None:  # spectral --model
+            unread = (*_PARAMS, "--r", "--x0", "--horizon", "--dt", "--steps")
+            reader = "--model, which reads a saved model and simulates nothing"
+        for flag in unread:
+            if getattr(args, _FLAGS[flag].get("dest", flag[2:])) is not None:
+                raise ValueError(f"{flag} does not apply to {reader}")
         if args.dt is None:
             args.dt = dynamics.DEFAULT_DT
 

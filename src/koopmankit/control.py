@@ -98,13 +98,6 @@ class LqrProblem:
         return self.a.shape[0]
 
 
-def care_residual(a, b, q, r, p) -> float:
-    """Frobenius norm of A'P + PA - P B R^-1 B' P + Q."""
-    rinv_bt = np.linalg.solve(r, b.T)
-    res = a.T @ p + p @ a - p @ b @ rinv_bt @ p + q
-    return float(np.linalg.norm(res))
-
-
 def _matrix_sign(z):
     """Matrix sign function by the determinant-scaled Newton iteration.
 
@@ -334,10 +327,6 @@ class ComparisonResult:
     ratio_script: float
     lqr_gain: np.ndarray
     kooc_controller: KoocController
-
-    @property
-    def final_costs(self):
-        return float(self.lqr_cost[-1]), float(self.kooc_cost[-1])
 
 
 def _closed_loop_run(system: PolySystem, library, gain, x0, horizon, dt) -> Trajectory:

@@ -457,10 +457,6 @@ def registry_info():
     return {key: _REGISTRY[key]["description"] for key in registry_names()}
 
 
-def registry_defaults(name):
-    return dict(_REGISTRY[_canonical(name)]["defaults"])
-
-
 def _canonical(name):
     key = str(name).replace("-", "_")
     if key not in _REGISTRY:

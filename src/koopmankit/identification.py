@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory, _read_json, _write_json
+from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory, _write_json
 from .exceptions import TrajectoryError
 from .lifting import (
     KoopmanModel,
     ObservableLibrary,
-    _library_from_json,
     _library_to_json,
     eval_library,
     observable_advance,
@@ -30,6 +29,7 @@ from .polynomials import Polynomial, PolynomialMap
 
 DEFAULT_THRESHOLD = 0.025
 DEFAULT_MAX_ITER = 10
+MAX_ROUNDS = 10  # refine_subspace's cap on closure rounds
 
 
 @dataclass
@@ -103,11 +103,6 @@ def _sampled_advance(values, times, time_kind):
     if dt <= 0 or not np.allclose(gaps, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("trajectory samples are not uniformly spaced")
     return values, differentiate_series(values, dt), dt
-
-
-def estimate_derivatives(traj: Trajectory) -> DataSet:
-    """Finite-difference derivative estimates along a uniformly sampled trajectory."""
-    return dataset_from_trajectories([traj], CONTINUOUS)
 
 
 def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
@@ -279,14 +274,13 @@ class RefinementResult:
     added: tuple
 
 
-def refine_subspace(sparse: SparseModel, data: DataSet, max_rounds=10,
-                    threshold=0.0) -> RefinementResult:
+def refine_subspace(sparse: SparseModel, data: DataSet, threshold=0.0) -> RefinementResult:
     """Grow the active observables into an invariant set and fit its advance matrix.
 
     Starting from the states plus the sparse model's active observables, each
     round symbolically advances every observable through the identified
     dynamics and adds any monomial the advances need, up to twice the
-    candidate library's degree, for at most ``max_rounds`` rounds. Once the
+    candidate library's degree, for at most ``MAX_ROUNDS`` rounds. Once the
     set is fixed, each observable's advance from the data (chain-rule
     derivative for flows, next value for maps) is regressed onto the set by
     the same fit as :func:`sindy`: threshold 0, the default, is plain least
@@ -311,7 +305,7 @@ def refine_subspace(sparse: SparseModel, data: DataSet, max_rounds=10,
     added = []
     converged = False
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         missing = {}
         for obs in working:
             advance = observable_advance(obs, identified)
@@ -391,20 +385,5 @@ def sparse_to_json(model: SparseModel) -> dict:
     }
 
 
-def sparse_from_json(data: dict) -> SparseModel:
-    lib = _library_from_json(data["library"])
-    names = lib.names
-    coeffs = np.zeros((len(data["rows"]), len(lib)))
-    for i, row in enumerate(data["rows"]):
-        for term in row["terms"]:
-            coeffs[i, names.index(term["observable"])] = term["coeff"]
-    return SparseModel(library=lib, coefficients=coeffs,
-                       threshold=float(data["threshold"]), time_kind=data["time_kind"])
-
-
 def save_sparse(model: SparseModel, path):
     _write_json(path, sparse_to_json(model))
-
-
-def load_sparse(path) -> SparseModel:
-    return sparse_from_json(_read_json(path))

@@ -103,9 +103,6 @@ class ObservableLibrary:
     def names(self):
         return [observable_name(o) for o in self.observables]
 
-    def index_of(self, name):
-        return self.names.index(name)
-
     def is_polynomial(self):
         return all(isinstance(o, Polynomial) for o in self.observables)
 
@@ -186,11 +183,6 @@ class KoopmanModel:
     @property
     def state_dim(self):
         return self.library.dim
-
-
-def lift_state(model: KoopmanModel, x):
-    """Evaluate the model's library at a state point."""
-    return eval_library(model.library, np.asarray(x, dtype=float))
 
 
 def _poly_dict(poly):
@@ -355,7 +347,7 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
     before them, stopping the stack before its first non-finite power; a map
     steps by K alone, as its powers can overflow where its samples do not.
     """
-    y0 = lift_state(model, dynamics._initial_state(model.state_dim, x0))
+    y0 = eval_library(model.library, dynamics._initial_state(model.state_dim, x0))
     k = model.K
     if model.time_kind == DISCRETE:
         if t_end is not None:

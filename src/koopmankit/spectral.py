@@ -14,16 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .dynamics import CONTINUOUS, Trajectory, _write_json
+from .dynamics import CONTINUOUS, Trajectory
 from .exceptions import DegenerateSpectrum
 from .identification import _sampled_advance
-from .lifting import (
-    KoopmanModel,
-    ObservableLibrary,
-    _library_from_json,
-    _library_to_json,
-    eval_library,
-)
+from .lifting import KoopmanModel, ObservableLibrary, _library_to_json, eval_library
 from .polynomials import Polynomial
 
 
@@ -199,14 +193,3 @@ def eigenfunction_to_json(fn: Eigenfunction) -> dict:
         "time_kind": fn.time_kind,
         "library": _library_to_json(fn.library),
     }
-
-
-def eigenfunction_from_json(data: dict) -> Eigenfunction:
-    coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-    return Eigenfunction(eigenvalue=complex(*data["eigenvalue"]), coeffs=coeffs,
-                         library=_library_from_json(data["library"]),
-                         time_kind=data["time_kind"])
-
-
-def save_eigenfunction(fn: Eigenfunction, path):
-    _write_json(path, eigenfunction_to_json(fn))

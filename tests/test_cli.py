@@ -21,7 +21,6 @@ from koopmankit import (
     builtin,
     integrate,
     load_model,
-    load_sparse,
     read_trajectory,
     registry_names,
     write_trajectory,
@@ -256,11 +255,10 @@ def test_identify_prints_recovered_equations(identify_quad):
 
 def test_identify_outputs_round_trip_through_the_loaders(identify_quad):
     out, _ = identify_quad
-    sparse = load_sparse(out / "quad_manifold_sparse.json")
+    sparse = json.loads((out / "quad_manifold_sparse.json").read_text())
     model = load_model(out / "quad_manifold_model.json")
     # sparse fit recovers the vector field coefficients
-    names = sparse.library.names
-    row2 = dict(zip(names, sparse.coefficients[1]))
+    row2 = {term["observable"]: term["coeff"] for term in sparse["rows"][1]["terms"]}
     assert row2["x2"] == pytest.approx(-1.0, abs=1e-3)
     assert row2["x1^2"] == pytest.approx(1.0, abs=1e-3)
     # refined linear representation closes on [x1, x2, x1^2]
@@ -463,6 +461,17 @@ def test_simulate_refuses_a_flag_its_system_does_not_read(tmp_path, argv, messag
     code, stdout, stderr = run_cli([*argv, "--out", str(out)])
     assert code == 2
     assert message in stderr
+    assert stdout == "" and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--mu", "--lambda", "--angle", "--r", "--x0", "--horizon",
+                                  "--dt", "--steps"])
+def test_spectral_refuses_a_system_flag_with_a_saved_model(tmp_path, identify_quad, flag):
+    model = str(identify_quad[0] / "quad_manifold_model.json")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(["spectral", "--model", model, f"{flag}=1", "--out", str(out)])
+    assert code == 2
+    assert f"error: {flag} does not apply to --model" in stderr
     assert stdout == "" and not any(out.iterdir())
 
 

@@ -23,7 +23,6 @@ from koopmankit import (
     iterate,
     lqr_gain,
     read_trajectory,
-    registry_defaults,
     registry_info,
     registry_names,
     slow_manifold_field,
@@ -69,8 +68,7 @@ def test_registry_lists_all_builtin_systems():
 
 
 def test_registry_defaults_and_lambda_alias():
-    defaults = registry_defaults("quad_manifold")
-    assert defaults["mu"] == -0.05
+    assert builtin("quad_manifold").params["mu"] == -0.05
     sys_a = builtin("quad_manifold", mu=-0.05, lam=1.0)
     assert sys_a.params["lambda"] == 1.0
 

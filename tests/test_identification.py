@@ -17,22 +17,22 @@ from koopmankit import (
     dataset_from_trajectories,
     differentiate_series,
     dmd,
-    estimate_derivatives,
     eval_library,
     integrate,
     invariance_residual,
     iterate,
-    load_sparse,
     lstsq,
     monomials,
     refine_subspace,
     save_sparse,
     sindy,
     slow_manifold_lift_ct,
-    sparse_from_json,
     sparse_to_json,
     tu_lift,
 )
+from koopmankit.dynamics import _MAP_STARTS
+from koopmankit.identification import MAX_ROUNDS
+from koopmankit.lifting import _library_from_json
 
 
 def quad_training_data(lam=-1.0, dt=0.002):
@@ -53,7 +53,7 @@ def quad_training_data(lam=-1.0, dt=0.002):
 def test_derivatives_of_exponential_are_accurate_inside():
     t = np.arange(0.0, 2.0 + 1e-12, 0.01)
     traj = Trajectory(times=t, states=np.exp(-0.05 * t)[:, None], inputs=None)
-    data = estimate_derivatives(traj)
+    data = dataset_from_trajectories([traj], CONTINUOUS)
     err = np.abs(data.Y[0] - (-0.05) * np.exp(-0.05 * t))
     assert err[1:-1].max() < 1e-9  # fourth-order stencils at interior samples
     assert err.max() < 1e-8  # the two end samples are second-order
@@ -62,7 +62,7 @@ def test_derivatives_of_exponential_are_accurate_inside():
 def test_derivatives_of_constant_are_exactly_zero():
     t = np.arange(0.0, 1.0 + 1e-12, 0.01)
     traj = Trajectory(times=t, states=np.full((len(t), 2), 3.25), inputs=None)
-    data = estimate_derivatives(traj)
+    data = dataset_from_trajectories([traj], CONTINUOUS)
     np.testing.assert_array_equal(data.Y, np.zeros_like(data.Y))
 
 
@@ -72,7 +72,7 @@ def test_derivatives_exact_for_quadratic_at_midpoint():
     dt = 1.0 / 128.0
     t = np.arange(129) * dt
     traj = Trajectory(times=t, states=(t * t)[:, None], inputs=None)
-    data = estimate_derivatives(traj)
+    data = dataset_from_trajectories([traj], CONTINUOUS)
     assert data.Y[0, 64] == 1.0  # t = 0.5
     np.testing.assert_array_equal(data.Y[0, 1:-1], 2.0 * t[1:-1])
 
@@ -81,7 +81,7 @@ def test_derivatives_reject_nonuniform_sampling():
     t = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5])
     traj = Trajectory(times=t, states=np.zeros((6, 1)), inputs=None)
     with pytest.raises(ValueError):
-        estimate_derivatives(traj)
+        dataset_from_trajectories([traj], CONTINUOUS)
 
 
 def test_a_one_sample_trajectory_is_refused_with_its_sample_count():
@@ -91,8 +91,6 @@ def test_a_one_sample_trajectory_is_refused_with_its_sample_count():
     for kind in (CONTINUOUS, DISCRETE):
         with pytest.raises(ValueError, match="at least 2 samples.*got 1"):
             dataset_from_trajectories([traj], kind)
-    with pytest.raises(ValueError, match="at least 2 samples.*got 1"):
-        estimate_derivatives(traj)
 
 
 def test_a_faulty_trajectory_is_named_by_its_index():
@@ -170,6 +168,16 @@ def test_dmd_rejects_mismatched_shapes():
         dmd(np.zeros((2, 5)), np.zeros((3, 5)))
     with pytest.raises(ValueError):
         dmd(np.zeros((2, 0)), np.zeros((2, 0)))
+
+
+def test_sindy_at_threshold_zero_on_the_linear_library_is_dmd():
+    """Sparse regression is related to DMD: with no thresholding on [x1, x2]
+    it is the least-squares advance Y pinv(X), here on the registry's tu_map."""
+    trajs = [iterate(builtin("tu_map"), x0, 40) for x0 in _MAP_STARTS]
+    data = dataset_from_trajectories(trajs, DISCRETE)
+    coefficients = sindy(data, monomials(2, 1), threshold=0.0).coefficients
+    xi = dmd(data.X, data.Y)
+    assert np.max(np.abs(coefficients - xi)) <= 1e-12 * np.max(np.abs(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +322,9 @@ def test_refine_center_manifold_does_not_converge():
     trajs = [integrate(system, [x0], 1.5, dt=0.002) for x0 in np.linspace(0.05, 0.45, 9)]
     data = dataset_from_trajectories(trajs, CONTINUOUS)
     sparse = sindy(data, monomials(1, 2), threshold=0.025)
-    result = refine_subspace(sparse, data, max_rounds=5)
+    result = refine_subspace(sparse, data)
     assert not result.converged
-    assert result.rounds == 5 or len(result.added) >= 2
+    assert result.rounds == MAX_ROUNDS or len(result.added) >= 2
     assert "x1^3" in result.added
 
 
@@ -366,17 +374,21 @@ def test_invariance_residual_discrete_exact_lift():
 def test_sparse_model_json_roundtrip(tmp_path):
     data = quad_training_data(dt=0.01)
     model = sindy(data, monomials(2, 2), threshold=0.025)
-    blob = sparse_to_json(model)
-    again = sparse_from_json(json.loads(json.dumps(blob)))
-    np.testing.assert_array_equal(again.coefficients, model.coefficients)
-    assert again.threshold == model.threshold
-    assert again.time_kind == model.time_kind
-    assert again.library.names == model.library.names
+    blob = json.loads(json.dumps(sparse_to_json(model)))
+    names = _library_from_json(blob["library"]).names
+    assert names == model.library.names
+    coeffs = np.zeros_like(model.coefficients)
+    for i, row in enumerate(blob["rows"]):
+        assert row["target"] == f"x{i + 1}"
+        for term in row["terms"]:
+            coeffs[i, names.index(term["observable"])] = term["coeff"]
+    np.testing.assert_array_equal(coeffs, model.coefficients)
+    assert blob["threshold"] == model.threshold
+    assert blob["time_kind"] == model.time_kind
 
     path = tmp_path / "sparse.json"
     save_sparse(model, path)
-    loaded = load_sparse(path)
-    np.testing.assert_array_equal(loaded.coefficients, model.coefficients)
+    assert json.loads(path.read_text()) == blob
 
 
 def test_sparse_model_as_system_reproduces_field():

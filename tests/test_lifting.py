@@ -22,7 +22,6 @@ from koopmankit import (
     eval_named_observable,
     integrate,
     iterate,
-    lift_state,
     load_model,
     model_from_json,
     model_to_json,
@@ -70,9 +69,9 @@ def test_named_observable_evaluation():
 
 def test_library_index_lookup():
     lib = monomials(2, 2)
-    assert lib.index_of("x1^2") == 2
+    assert lib.names.index("x1^2") == 2
     with pytest.raises(ValueError):
-        lib.index_of("x9")
+        lib.names.index("x9")
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +129,7 @@ def test_tu_lift_structure_and_closure():
 
 def test_lift_state_appends_observables():
     model = slow_manifold_lift_ct(-0.05, 1.0, {2: 1.0})
-    np.testing.assert_array_equal(lift_state(model, [1.5, -1.0]), [1.5, -1.0, 2.25])
+    np.testing.assert_array_equal(eval_library(model.library, [1.5, -1.0]), [1.5, -1.0, 2.25])
 
 
 def test_polynomial_exponents_must_be_at_least_two():
@@ -203,7 +202,7 @@ def _reference_rk4_step(k, y, dt):
 def _reference_loop(model, x0, n, step):
     """The lifted trajectory of n steps, one ``step(y)`` call per sample."""
     ys = np.empty((n + 1, len(model.library)))
-    ys[0] = y = lift_state(model, np.asarray(x0, dtype=float))
+    ys[0] = y = eval_library(model.library, np.asarray(x0, dtype=float))
     for i in range(n):
         y = step(y)
         ys[i + 1] = y

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from koopmankit import EigenPairSet, eig, lstsq, pinv, svd
+from koopmankit import eig, lstsq, pinv, svd
 from koopmankit.exceptions import NumericsError
 
 

@@ -125,6 +125,9 @@ MATRIX = [
     ["spectral", "--system", "logistic", "--rank", "0"],
     ["spectral", "--system", "logistic", "--rank", "abc"],
     ["spectral", "--model", "{in}/id/quad_manifold_model.json", "--rank", "3"],
+    # system flags with a saved model
+    ["spectral", "--model", "{in}/id/quad_manifold_model.json", "--mu", "0.3"],
+    ["spectral", "--model", "{in}/id/quad_manifold_model.json", "--steps", "5"],
 ]
 
 
