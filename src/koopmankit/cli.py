@@ -7,7 +7,8 @@ Four subcommands mirror the library workflows: ``simulate``, ``identify``,
 to center-manifold and logistic, whose lifts are Carleman truncations, and
 ``simulate`` refuses ``--steps`` for a flow and ``--horizon`` or ``--dt`` for
 a map; ``spectral --model`` refuses the system parameters, ``--x0``,
-``--horizon``, ``--dt`` and ``--steps``. Every command is deterministic: the
+``--horizon``, ``--dt`` and ``--steps``, and ``spectral`` refuses a
+trajectory too short to verify along. Every command is deterministic: the
 same configuration produces byte-identical files. The ``KOOPMANKIT_OUT``
 environment variable, when set, overrides any ``--out`` directory.
 
@@ -26,11 +27,13 @@ import sys
 
 import numpy as np
 
-from . import dynamics
+from . import __version__, dynamics
 from .control import compare_lqr_kooc
 from .dynamics import CONTINUOUS, DISCRETE, integrate, iterate, write_trajectory
 from .exceptions import BlowUp, DegenerateSpectrum, NotStabilizable, NumericsError, TrajectoryError
 from .identification import (
+    DEFAULT_THRESHOLD,
+    _sampled_advance,
     dataset_from_trajectories,
     invariance_residual,
     refine_subspace,
@@ -319,6 +322,7 @@ def cmd_spectral(args):
         model = ctx.lift(ranks[0])
         stem = system.name
         traj = ctx.trajectory(ctx.x0(), 40)
+        _sampled_advance(traj.states, traj.times, system.time_kind)  # too few samples: exit 2
 
     fns = eigenfunctions(model)
     entries = []
@@ -333,7 +337,7 @@ def cmd_spectral(args):
             try:
                 entry["residual"] = verify_eigenfunction(fn, traj)
             except ValueError:
-                entry["residual"] = None  # eigenfunction vanishes along this trajectory
+                pass  # the trajectory has enough samples, so phi vanishes along it
         entries.append(entry)
 
     payload = {
@@ -476,7 +480,7 @@ _COMMANDS = {
         ("--generate", {"action": "store_true", "help": "simulate training data"}),
         ("--data", {"nargs": "+", "help": "trajectory CSV file(s)"}),
         ("--degree", {"type": int, "default": 3, "help": "candidate monomial degree cap"}),
-        ("--threshold", {"type": float, "default": 0.025}),
+        ("--threshold", {"type": float, "default": DEFAULT_THRESHOLD}),
         "--horizon",
         ("--dt", {"default": 0.005, "help": "sampling step for generated data (finer than the "
                                             "simulate default so derivative estimates do not "
@@ -508,7 +512,7 @@ def build_parser():
         epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for func, flags in _COMMANDS.items():
         p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=func.__doc__, epilog=epilog,

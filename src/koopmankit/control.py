@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .dynamics import CONTINUOUS, PolySystem, Trajectory, integrate
+from .dynamics import CONTINUOUS, DEFAULT_DT, PolySystem, Trajectory, _initial_state, integrate
 from .exceptions import NotStabilizable, NumericsError
 from .lifting import KoopmanModel, eval_library, monomials
 from .polynomials import PolynomialMap
@@ -352,7 +352,7 @@ def _closed_loop_run(system: PolySystem, library, gain, x0, horizon, dt) -> Traj
 
 
 def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
-                     horizon, dt=0.01) -> ComparisonResult:
+                     horizon, dt=DEFAULT_DT) -> ComparisonResult:
     """Run both controllers on the true nonlinear system and cost them.
 
     The LQR gain comes from the model's state-block linearization with the
@@ -380,9 +380,7 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
                              f"'{obs}' is not a polynomial")
     q = _symmetric(q, "q", psd=True)
     r = _symmetric(r, "r", pd=True)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},)")
+    x0 = _initial_state(n, x0)
 
     rows = np.asarray(model.state_rows)
     a_lin = model.K[np.ix_(rows, np.arange(n))]
@@ -399,13 +397,10 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
 
     lqr_cost = _trapezoid_cost(lqr_traj, lqr_traj.inputs, q, r)
     kooc_cost = _trapezoid_cost(kooc_traj, kooc_traj.inputs, q, r)
-    denom = float(lqr_cost[-1])
-    ratio = 1.0 if denom == 0.0 else float(kooc_cost[-1]) / denom
-
     lqr_script = _trapezoid_cost(lqr_traj, -(lqr_traj.states @ c_lqr.T), q, r)
     kooc_script = _trapezoid_cost(kooc_traj, -(kooc_traj.states @ c_lqr.T), q, r)
-    denom_script = float(lqr_script[-1])
-    ratio_script = 1.0 if denom_script == 0.0 else float(kooc_script[-1]) / denom_script
+    ratio, ratio_script = (1.0 if lqr[-1] == 0.0 else float(kooc[-1]) / float(lqr[-1])
+                           for lqr, kooc in ((lqr_cost, kooc_cost), (lqr_script, kooc_script)))
 
     return ComparisonResult(
         times=lqr_traj.times, lqr_traj=lqr_traj, kooc_traj=kooc_traj,

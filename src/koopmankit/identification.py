@@ -25,7 +25,7 @@ from .lifting import (
     observable_advance,
     observable_name,
 )
-from .polynomials import Polynomial, PolynomialMap
+from .polynomials import Polynomial, PolynomialMap, _graded_lex
 
 DEFAULT_THRESHOLD = 0.025
 DEFAULT_MAX_ITER = 10
@@ -274,7 +274,7 @@ class RefinementResult:
     added: tuple
 
 
-def refine_subspace(sparse: SparseModel, data: DataSet, threshold=0.0) -> RefinementResult:
+def refine_subspace(sparse: SparseModel, data: DataSet) -> RefinementResult:
     """Grow the active observables into an invariant set and fit its advance matrix.
 
     Starting from the states plus the sparse model's active observables, each
@@ -283,9 +283,7 @@ def refine_subspace(sparse: SparseModel, data: DataSet, threshold=0.0) -> Refine
     candidate library's degree, for at most ``MAX_ROUNDS`` rounds. Once the
     set is fixed, each observable's advance from the data (chain-rule
     derivative for flows, next value for maps) is regressed onto the set by
-    the same fit as :func:`sindy`: threshold 0, the default, is plain least
-    squares; a positive ``threshold`` drops small entries of each row and
-    refits the rest. A negative threshold raises ``ValueError``.
+    plain least squares.
     """
     if not sparse.library.is_polynomial():
         raise ValueError("refinement needs a polynomial library")
@@ -316,8 +314,7 @@ def refine_subspace(sparse: SparseModel, data: DataSet, threshold=0.0) -> Refine
         if not missing:
             converged = True
             break
-        admissible = [missing[e] for e in sorted(missing, key=lambda e: (sum(e), tuple(-v for v in e)))
-                      if sum(e) <= degree_cap]
+        admissible = [missing[e] for e in sorted(missing, key=_graded_lex) if sum(e) <= degree_cap]
         if not admissible:
             break  # every needed monomial exceeds the degree cap
         for mono in admissible:
@@ -340,7 +337,7 @@ def refine_subspace(sparse: SparseModel, data: DataSet, threshold=0.0) -> Refine
     else:
         targets = eval_library(refined_lib, data.Y)
 
-    k, _ = _sparse_fit(theta.T, targets.T, threshold)
+    k = numerics.lstsq(theta.T, targets.T).T
     model = KoopmanModel(refined_lib, k, data.time_kind, state_rows=tuple(range(n)))
     return RefinementResult(model=model, converged=converged, rounds=rounds, added=tuple(added))
 

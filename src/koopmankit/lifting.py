@@ -11,13 +11,14 @@ exact, and the neglected monomials are the truncation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
 from . import dynamics
 from .dynamics import CONTINUOUS, DISCRETE, Trajectory
-from .polynomials import Polynomial, PolynomialMap, ipow, monomial_name, format_polynomial
+from .polynomials import Polynomial, PolynomialMap, _graded_lex, format_polynomial, ipow, monomial_name
 
 EXP_NEG_INV = "exp_neg_inv"
 _NAMED = (EXP_NEG_INV,)
@@ -123,21 +124,10 @@ def monomials(dim, max_degree):
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    exps = []
-
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            exps.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            gen(prefix + (e,), remaining - e, slots - 1)
-
-    all_exps = []
-    for degree in range(1, max_degree + 1):
-        exps = []
-        gen((), degree, dim)
-        all_exps.extend(exps)
-    return ObservableLibrary(dim, tuple(all_exps), state_inclusive=True)
+    exps = [tuple(combo.count(i) for i in range(dim))
+            for degree in range(1, max_degree + 1)
+            for combo in combinations_with_replacement(range(dim), degree)]
+    return ObservableLibrary(dim, tuple(sorted(exps, key=_graded_lex)), state_inclusive=True)
 
 
 def eval_library(library: ObservableLibrary, x):
@@ -188,15 +178,9 @@ class KoopmanModel:
 def _poly_dict(poly):
     """Normalize P given as {N: a} or iterable of (N, a); exponents >= 2, distinct."""
     if poly is None:
-        items = []
-    elif isinstance(poly, dict):
-        items = list(poly.items())
-    else:
-        items = [(int(n), float(a)) for n, a in poly]
-        if len({n for n, _ in items}) != len(items):
-            raise ValueError("duplicate exponents in manifold polynomial")
+        poly = {}
     out = {}
-    for n, a in items:
+    for n, a in poly.items() if isinstance(poly, dict) else poly:
         n = int(n)
         if n < 2:
             raise ValueError("manifold polynomial exponents must be >= 2 "

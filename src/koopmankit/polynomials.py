@@ -342,11 +342,17 @@ def monomial_name(exponents) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _graded_lex(exponents):
+    """Sort key of the graded-lexicographic order: total degree, then descending
+    exponent of the earliest variable, so x1 precedes x2 and x1^2 precedes x1*x2."""
+    return sum(exponents), tuple(-e for e in exponents)
+
+
 def format_polynomial(poly: Polynomial) -> str:
     """Compact display form with graded-lexicographic term order."""
     if not poly.terms:
         return "0"
-    ordered = sorted(poly.terms.items(), key=lambda item: (sum(item[0]), tuple(-e for e in item[0])))
+    ordered = sorted(poly.terms.items(), key=lambda item: _graded_lex(item[0]))
     parts = []
     for exps, coeff in ordered:
         name = monomial_name(exps)

@@ -71,12 +71,12 @@ def verify_eigenfunction(fn: Eigenfunction, traj: Trajectory) -> float:
     magnitude of phi; a trajectory on which phi vanishes identically is
     uninformative and raises.
     """
-    values = np.asarray(fn(traj.states.T), dtype=complex)
+    theta = eval_library(fn.library, traj.states.T)
+    values = fn.coeffs @ theta
     scale = float(np.sqrt(np.mean(np.abs(values) ** 2)))
     # compare against the observable magnitudes the combination was built
     # from: a trajectory started on the zero set of phi produces values that
     # are pure rounding noise, which must not masquerade as signal
-    theta = eval_library(fn.library, traj.states.T)
     floor = float(np.abs(fn.coeffs[:, None] * theta).max())
     if scale <= 1e-12 * max(floor, 1e-300):
         raise ValueError("eigenfunction vanishes along this trajectory; nothing to verify")

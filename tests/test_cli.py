@@ -18,6 +18,7 @@ import pytest
 
 from koopmankit import (
     Trajectory,
+    __version__,
     builtin,
     integrate,
     load_model,
@@ -391,6 +392,19 @@ def test_spectral_discrete_map_skips_verification_on_the_manifold(tmp_path):
     assert by_eig[0.5]["residual"] is None
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--system", "quad-manifold", "--horizon", "0.03"], "need at least 5 samples to differentiate"),
+    (["--system", "tu-map", "--steps", "0"], "a trajectory needs at least 2 samples, got 1"),
+])
+def test_spectral_refuses_a_trajectory_too_short_to_verify(tmp_path, argv, message):
+    """Too few samples is a bad input, not an eigenfunction that vanishes."""
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(["spectral", *argv, "--out", str(out)])
+    assert code == 2
+    assert message in stderr
+    assert stdout == "" and not any(out.iterdir())
+
+
 def test_spectral_accepts_a_saved_model_file(tmp_path):
     model_dir = tmp_path / "model"
     code, _, _ = run_cli([
@@ -580,6 +594,12 @@ def test_help_lists_the_registry_systems():
     assert code == 0
     for name in ("quad_manifold", "tu_map", "center_manifold", "logistic"):
         assert name in stdout
+
+
+def test_version_prints_the_package_version():
+    code, stdout, _ = run_cli(["--version"])
+    assert code == 0
+    assert stdout == f"koopmankit {__version__}\n"
 
 
 @pytest.mark.parametrize("command, flags", [

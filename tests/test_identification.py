@@ -285,20 +285,10 @@ def test_refine_recovers_quadratic_lift_matrix():
     np.testing.assert_allclose(result.model.K[np.ix_(idx, idx)], target.K, atol=1e-6)
 
 
-def test_refine_threshold_zeroes_the_entries_the_exact_lift_lacks():
-    system = builtin("quad_manifold")
-    trajs = [integrate(system, [a, b], 10.0, dt=0.005)
-             for a in (-2.0, -1.0, 1.0, 2.0) for b in (-2.0, 2.0)]
-    data = dataset_from_trajectories(trajs, CONTINUOUS)
-    sparse = sindy(data, monomials(2, 2), threshold=0.025)
-    plain = refine_subspace(sparse, data)
-    result = refine_subspace(sparse, data, threshold=0.025)
-    assert result.model.library.names == ["x1", "x2", "x1^2"]
-    target = slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0})
-    zeros = target.K == 0.0
-    assert np.all(plain.model.K[zeros] != 0.0)  # least squares leaves rounding noise
-    assert np.all(result.model.K[zeros] == 0.0)
-    np.testing.assert_allclose(result.model.K[~zeros], target.K[~zeros], atol=1e-6)
+def test_sindy_rejects_a_negative_threshold():
+    data = quad_training_data(dt=0.01)
+    with pytest.raises(ValueError, match="threshold must be non-negative"):
+        sindy(data, monomials(2, 2), threshold=-0.01)
 
 
 def test_refine_linear_system_reduces_to_dmd():
@@ -512,23 +502,3 @@ def test_a_one_sample_map_trajectory_is_refused_everywhere_with_one_message():
         dataset_from_trajectories([traj], DISCRETE)
     with pytest.raises(ValueError, match="at least 2 samples, got 1"):
         invariance_residual(tu_lift(0.9, 0.5), traj)
-
-
-def test_refine_threshold_refits_each_row_on_its_support():
-    data = _training_data("quad_manifold")
-    sparse = sindy(data, monomials(2, 2), threshold=0.025)
-    result = refine_subspace(sparse, data, threshold=0.025)
-    k = result.model.K
-    assert np.any(k == 0.0) and np.all(k.any(axis=1))
-    design = eval_library(result.model.library, data.X).T
-    targets = _reference_refine_targets(result.model.library, data)
-    for i, row in enumerate(k):
-        active = row != 0.0
-        np.testing.assert_array_equal(row[active], lstsq(design[:, active], targets[i]))
-
-
-def test_refine_rejects_a_negative_threshold():
-    data = _training_data("quad_manifold")
-    sparse = sindy(data, monomials(2, 2), threshold=0.025)
-    with pytest.raises(ValueError, match="non-negative"):
-        refine_subspace(sparse, data, threshold=-0.01)

@@ -1,5 +1,6 @@
 """Tests for observable libraries, exact lifts, and Carleman truncation."""
 
+import itertools
 import json
 import math
 import warnings
@@ -47,6 +48,16 @@ def test_monomials_graded_order_without_constant():
     assert lib.state_inclusive
     lib3 = monomials(2, 3)
     assert lib3.names[5:] == ["x1^3", "x1^2*x2", "x1*x2^2", "x2^3"]
+    for dim in range(1, 5):
+        for degree in range(1, 6):
+            # brute force: every exponent tuple of each total degree, the
+            # largest first exponent first
+            oracle = [exps for total in range(1, degree + 1)
+                      for exps in sorted(itertools.product(range(total + 1), repeat=dim),
+                                         reverse=True)
+                      if sum(exps) == total]
+            lib = monomials(dim, degree)
+            assert [obs.exponents() for obs in lib.observables] == oracle, (dim, degree)
 
 
 def test_eval_library_matches_direct_monomials():
@@ -133,10 +144,12 @@ def test_lift_state_appends_observables():
 
 
 def test_polynomial_exponents_must_be_at_least_two():
-    with pytest.raises(ValueError):
-        slow_manifold_lift_ct(-0.05, 1.0, {1: 2.0})
-    with pytest.raises(ValueError):
-        slow_manifold_lift_ct(-0.05, 1.0, [(2, 1.0), (2, 3.0)])
+    for poly in ({1: 2.0}, [(1, 2.0)], [(3, 1.0), (0, 2.0)]):
+        with pytest.raises(ValueError, match="exponents must be >= 2"):
+            slow_manifold_lift_ct(-0.05, 1.0, poly)
+    for poly in ([(2, 1.0), (2, 3.0)], [(3, 1.0), (2, 1.0), (2.0, 3.0)]):
+        with pytest.raises(ValueError, match="duplicate exponents"):
+            slow_manifold_lift_ct(-0.05, 1.0, poly)
 
 
 # ---------------------------------------------------------------------------

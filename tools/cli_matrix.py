@@ -128,6 +128,9 @@ MATRIX = [
     # system flags with a saved model
     ["spectral", "--model", "{in}/id/quad_manifold_model.json", "--mu", "0.3"],
     ["spectral", "--model", "{in}/id/quad_manifold_model.json", "--steps", "5"],
+    # trajectories too short to verify an eigenfunction along
+    ["spectral", "--system", "quad-manifold", "--horizon", "0.03"],
+    ["spectral", "--system", "tu-map", "--steps", "0"],
 ]
 
 
