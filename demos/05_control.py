@@ -35,7 +35,7 @@ print(f"cost ratio (gain-substituted integrand): {comp.ratio_script:.4f}")
 
 # where the trajectories actually differ
 i = np.argmax(np.abs(comp.lqr_traj.states[:, 1] - comp.kooc_traj.states[:, 1]))
-t = comp.times[i]
+t = comp.lqr_traj.times[i]
 print(f"\nlargest x2 separation at t = {t:.2f}: "
       f"LQR {comp.lqr_traj.states[i, 1]:+.3f} vs "
       f"lifted {comp.kooc_traj.states[i, 1]:+.3f}")

@@ -7,10 +7,11 @@ Four subcommands mirror the library workflows: ``simulate``, ``identify``,
 to center-manifold and logistic, whose lifts are Carleman truncations, and
 ``simulate`` refuses ``--steps`` for a flow and ``--horizon`` or ``--dt`` for
 a map; ``spectral --model`` refuses the system parameters, ``--x0``,
-``--horizon``, ``--dt`` and ``--steps``, and ``spectral`` refuses a
-trajectory too short to verify along. Every command is deterministic: the
-same configuration produces byte-identical files. The ``KOOPMANKIT_OUT``
-environment variable, when set, overrides any ``--out`` directory.
+``--horizon``, ``--dt`` and ``--steps``, ``spectral`` refuses a trajectory
+too short to verify along, and every flow refuses a ``--horizon`` that
+takes no step of ``--dt``. Every command is deterministic: the same
+configuration produces byte-identical files. ``KOOPMANKIT_OUT``, when set,
+overrides any ``--out`` directory.
 
 Exit codes: 0 success, 1 stdout closed by its reader (as in
 ``koopmankit simulate ... | head``; nothing is printed), 2 configuration
@@ -419,7 +420,7 @@ def cmd_control(args):
     write_trajectory(result.kooc_traj, kooc_path)
     costs_path = out / "control_costs.csv"
     dynamics._write_csv(costs_path, ["t", "j_lqr", "j_kooc", "j_lqr_script", "j_kooc_script"],
-                        zip(result.times, result.lqr_cost, result.kooc_cost,
+                        zip(result.lqr_traj.times, result.lqr_cost, result.kooc_cost,
                             result.lqr_cost_script, result.kooc_cost_script))
 
     payload.update({

@@ -37,7 +37,8 @@ _POLISH_STEPS = 4
 _BACKWARD_ERROR_TOL = 1e-8
 
 
-def _symmetric(mat, name, psd=False, pd=False):
+def _symmetric(mat, name, definite):
+    """``mat`` symmetrized, checked positive definite if ``definite``, else semidefinite."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
@@ -46,28 +47,20 @@ def _symmetric(mat, name, psd=False, pd=False):
     if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
         raise ValueError(f"{name} must be symmetric")
     m = 0.5 * (m + m.T)
-    if psd or pd:
-        w = np.linalg.eigvalsh(m)
-        bound = -1e-10 * max(1.0, float(np.max(np.abs(w))))
-        if pd and w.min() <= 0:
-            raise ValueError(f"{name} must be positive definite")
-        if psd and w.min() < bound:
-            raise ValueError(f"{name} must be positive semidefinite")
+    w = np.linalg.eigvalsh(m)
+    if definite and w.min() <= 0:
+        raise ValueError(f"{name} must be positive definite")
+    if not definite and w.min() < -1e-10 * max(1.0, float(np.max(np.abs(w)))):
+        raise ValueError(f"{name} must be positive semidefinite")
     return m
-
-
-def _input_matrix(b, n):
-    """``b`` as a matrix; a single row is read as a column when n > 1."""
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return b.T if b.shape[0] == 1 and n != 1 else b
 
 
 @dataclass
 class LqrProblem:
     """Continuous-time LQR data: dx/dt = a x + b u, cost integrand x'q x + u'r u.
 
-    Construction validates every field once; a 1 x n ``b`` is read as its
-    transpose, and ``q`` and ``r`` are symmetrized.
+    Construction validates every field once; ``b`` needs one row per state,
+    and ``q`` and ``r`` are symmetrized.
     """
 
     a: np.ndarray
@@ -77,7 +70,7 @@ class LqrProblem:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        b = _input_matrix(self.b, a.shape[0])
+        b = np.atleast_2d(np.asarray(self.b, dtype=float))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("a must be square")
         if b.shape[0] != a.shape[0]:
@@ -86,8 +79,8 @@ class LqrProblem:
             raise ValueError("a and b must be finite")
         self.a = a
         self.b = b
-        self.q = _symmetric(self.q, "q", psd=True)
-        self.r = _symmetric(self.r, "r", pd=True)
+        self.q = _symmetric(self.q, "q", definite=False)
+        self.r = _symmetric(self.r, "r", definite=True)
         if self.q.shape[0] != a.shape[0]:
             raise ValueError("q must match the state dimension")
         if self.r.shape[0] != b.shape[1]:
@@ -204,11 +197,14 @@ def _lqr(prob: LqrProblem):
 def pbh_unstabilizable_modes(a, b):
     """Eigenvalues of ``a`` with Re >= -1e-9 at which [A - lam I, B] loses rank.
 
-    The rank counts singular values above 1e-10 times max(1, the largest).
+    ``b`` needs one row per state. The rank counts singular values above
+    1e-10 times max(1, the largest).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    b = _input_matrix(b, n)
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if b.shape[0] != n:
+        raise ValueError("b must have one row per state")
     bad = []
     for lam in np.linalg.eigvals(a):
         if lam.real < -1e-9:
@@ -297,8 +293,8 @@ def closed_loop_cost(traj: Trajectory, q, r):
     """
     if traj.inputs is None:
         raise ValueError("trajectory has no recorded inputs; integrate with a controller")
-    q = _symmetric(q, "q", psd=True)
-    r = _symmetric(r, "r", pd=True)
+    q = _symmetric(q, "q", definite=False)
+    r = _symmetric(r, "r", definite=True)
     return _trapezoid_cost(traj, traj.inputs, q, r)
 
 
@@ -314,9 +310,11 @@ def _trapezoid_cost(traj: Trajectory, u, q, r):
 
 @dataclass
 class ComparisonResult:
-    """Closed-loop comparison of state-space LQR against lifted-design KOOC."""
+    """Closed-loop comparison of state-space LQR against lifted-design KOOC.
 
-    times: np.ndarray
+    Both trajectories share one time grid, on which every cost series is sampled.
+    """
+
     lqr_traj: Trajectory
     kooc_traj: Trajectory
     lqr_cost: np.ndarray
@@ -378,8 +376,8 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
         if isinstance(obs, str):
             raise ValueError(f"the KOOC law needs a polynomial library; observable "
                              f"'{obs}' is not a polynomial")
-    q = _symmetric(q, "q", psd=True)
-    r = _symmetric(r, "r", pd=True)
+    q = _symmetric(q, "q", definite=False)
+    r = _symmetric(r, "r", definite=True)
     x0 = _initial_state(n, x0)
 
     rows = np.asarray(model.state_rows)
@@ -403,7 +401,7 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
                            for lqr, kooc in ((lqr_cost, kooc_cost), (lqr_script, kooc_script)))
 
     return ComparisonResult(
-        times=lqr_traj.times, lqr_traj=lqr_traj, kooc_traj=kooc_traj,
+        lqr_traj=lqr_traj, kooc_traj=kooc_traj,
         lqr_cost=lqr_cost, kooc_cost=kooc_cost, ratio=ratio,
         lqr_cost_script=lqr_script, kooc_cost_script=kooc_script,
         ratio_script=ratio_script, lqr_gain=c_lqr, kooc_controller=kooc,

@@ -54,9 +54,9 @@ DEFAULT_DT = 0.01
 class PolySystem:
     """A polynomial ODE right-hand side (continuous) or map (discrete).
 
-    ``equations[i]`` is the polynomial for dx_i/dt or x_i(k+1). ``input_map``
-    is an optional n-by-q matrix B for actuated systems, in which case the
-    field is f(x) + B u. ``params`` records the named constants the equations
+    ``equations[i]`` is the :class:`Polynomial` for dx_i/dt or x_i(k+1).
+    ``input_map`` is an optional n-by-q matrix B for actuated systems, in
+    which case the field is f(x) + B u. ``params`` records the named constants the equations
     were built from. The equations are compiled once, at construction, into
     the :class:`PolynomialMap` that ``eval_field``, ``integrate`` and
     ``iterate`` share.
@@ -72,16 +72,14 @@ class PolySystem:
     def __post_init__(self):
         if self.time_kind not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"time_kind must be '{CONTINUOUS}' or '{DISCRETE}'")
-        eqs = []
+        self.equations = tuple(self.equations)
         for eq in self.equations:
             if not isinstance(eq, Polynomial):
-                eq = Polynomial.from_terms(self.dim, eq)
+                raise ValueError(f"each equation must be a Polynomial, got {type(eq).__name__}")
             if eq.dim != self.dim:
                 raise ValueError("equation dimension mismatch")
-            eqs.append(eq)
-        if len(eqs) != self.dim:
-            raise ValueError(f"expected {self.dim} equations, got {len(eqs)}")
-        self.equations = tuple(eqs)
+        if len(self.equations) != self.dim:
+            raise ValueError(f"expected {self.dim} equations, got {len(self.equations)}")
         if self.input_map is not None:
             b = np.atleast_2d(np.asarray(self.input_map, dtype=float))
             if b.shape[0] != self.dim:
@@ -151,10 +149,13 @@ def _initial_state(dim, x0):
 
 
 def _time_grid(t_end, dt):
-    """Sample times 0, dt, ..., n*dt with n = round(t_end/dt) steps."""
+    """Sample times 0, dt, ..., n*dt with n = round(t_end/dt) >= 1 steps."""
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ValueError("t_end and dt must be positive and finite")
-    return np.arange(int(round(t_end / dt)) + 1) * dt
+    steps = int(round(t_end / dt))
+    if steps < 1:
+        raise ValueError(f"t_end {t_end:g} takes no step of dt {dt:g}: round(t_end/dt) is 0")
+    return np.arange(steps + 1) * dt
 
 
 # The loops test the sum of squares against this, a hair under LIMIT^2 so that
@@ -186,18 +187,12 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     if controller is not None and system.input_map is None:
         raise ValueError("controller supplied but the system has no input map")
 
-    drift = system._map._evaluate
-    if controller is None:
-        rhs = first = drift
-    else:
+    drift = rhs = system._map._evaluate
+    if controller is not None:
         b = system.input_map
-        applied = []
+        applied = []  # four inputs per step; the first of each is its k1 input
 
         def rhs(x):
-            u = np.atleast_1d(controller(np.array(x)))
-            return list(map(add, drift(x), (b @ u).tolist()))
-
-        def first(x):
             u = np.atleast_1d(controller(np.array(x)))
             applied.append(u)
             return list(map(add, drift(x), (b @ u).tolist()))
@@ -207,7 +202,7 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     _check_state(x, times[0])
     states = [x]
     for k in range(len(times) - 1):
-        k1 = first(x)
+        k1 = rhs(x)
         k2 = rhs([a + half * d for a, d in zip(x, k1)])
         k3 = rhs([a + half * d for a, d in zip(x, k2)])
         k4 = rhs([a + dt * d for a, d in zip(x, k3)])
@@ -220,7 +215,7 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     inputs = None
     if controller is not None:
         applied.append(np.atleast_1d(controller(np.array(x))))
-        inputs = np.vstack(applied)
+        inputs = np.vstack(applied[::4])
     return Trajectory(times=times, states=np.array(states), inputs=inputs)
 
 

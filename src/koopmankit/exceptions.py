@@ -21,12 +21,12 @@ class BlowUp(KoopmankitError):
 class NotStabilizable(KoopmankitError):
     """No stabilizing solution exists for the requested Riccati problem.
 
-    ``modes`` carries the offending eigenvalues when a PBH test identified
-    specific uncontrollable unstable modes; it is empty when the failure was
-    detected structurally (no n-dimensional stable Hamiltonian subspace).
+    ``modes`` carries the uncontrollable unstable eigenvalues a PBH test
+    found, and ``observables`` the library entry each one's eigenvector
+    lives on.
     """
 
-    def __init__(self, message, modes=(), observables=()):
+    def __init__(self, message, modes, observables):
         self.modes = tuple(modes)
         self.observables = tuple(observables)
         super().__init__(message)

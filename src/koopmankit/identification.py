@@ -43,7 +43,7 @@ class DataSet:
     X: np.ndarray
     Y: np.ndarray
     dt: float
-    time_kind: str = CONTINUOUS
+    time_kind: str
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -315,14 +315,12 @@ def refine_subspace(sparse: SparseModel, data: DataSet) -> RefinementResult:
             converged = True
             break
         admissible = [missing[e] for e in sorted(missing, key=_graded_lex) if sum(e) <= degree_cap]
-        if not admissible:
-            break  # every needed monomial exceeds the degree cap
         for mono in admissible:
             working.append(mono)
             keys.add(mono.key())
             added.append(observable_name(mono))
         if len(admissible) < len(missing):
-            break  # part of the closure lies beyond the cap
+            break  # some or all of the closure lies beyond the cap
 
     refined_lib = ObservableLibrary(n, tuple(working), state_inclusive=True)
     theta = eval_library(refined_lib, data.X)  # (m, M)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import CONTINUOUS, DISCRETE, Trajectory
+from .exceptions import BlowUp
 from .polynomials import Polynomial, PolynomialMap, _graded_lex, format_polynomial, ipow, monomial_name
 
 EXP_NEG_INV = "exp_neg_inv"
@@ -153,7 +154,7 @@ class KoopmanModel:
     library: ObservableLibrary
     K: np.ndarray
     time_kind: str
-    state_rows: tuple = ()
+    state_rows: tuple
 
     def __post_init__(self):
         if self.time_kind not in (CONTINUOUS, DISCRETE):
@@ -177,8 +178,6 @@ class KoopmanModel:
 
 def _poly_dict(poly):
     """Normalize P given as {N: a} or iterable of (N, a); exponents >= 2, distinct."""
-    if poly is None:
-        poly = {}
     out = {}
     for n, a in poly.items() if isinstance(poly, dict) else poly:
         n = int(n)
@@ -196,7 +195,7 @@ def _manifold_library(powers):
     return ObservableLibrary(2, tuple(obs), state_inclusive=True)
 
 
-def slow_manifold_lift_ct(mu, lam, poly=None):
+def slow_manifold_lift_ct(mu, lam, poly):
     """Exact lift of dx1/dt = mu*x1, dx2/dt = lam*(x2 - P(x1)).
 
     P is given as {exponent: coefficient}. The library is
@@ -206,7 +205,7 @@ def slow_manifold_lift_ct(mu, lam, poly=None):
     return _slow_manifold_lift(mu, lam, poly, -lam, lambda n: mu * n, CONTINUOUS)
 
 
-def slow_manifold_lift_dt(mu, lam, poly=None):
+def slow_manifold_lift_dt(mu, lam, poly):
     """Exact lift of the discrete family x1 -> mu*x1, x2 -> lam*x2 + (1-lam)*P(x1).
 
     Same library as the continuous lift; the diagonal carries the multipliers
@@ -330,6 +329,9 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
     per product of the stacked powers T4, T4^2, ..., T4^64 with the sample
     before them, stopping the stack before its first non-finite power; a map
     steps by K alone, as its powers can overflow where its samples do not.
+    A non-finite sample raises :class:`~koopmankit.exceptions.BlowUp` at its
+    time. No norm limit applies: a truncated Carleman lift can hold finite
+    entries far above ``integrate``'s 1e8 while its state row stays accurate.
     """
     y0 = eval_library(model.library, dynamics._initial_state(model.state_dim, x0))
     k = model.K
@@ -356,9 +358,13 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
     block = len(stack) // m
     ys = np.empty((len(times), m))
     ys[0] = y0
-    for i in range(0, len(times) - 1, block):
-        n = min(block, len(times) - 1 - i)
-        ys[i + 1:i + 1 + n] = (stack[:n * m] @ ys[i]).reshape(n, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(times) - 1, block):
+            n = min(block, len(times) - 1 - i)
+            ys[i + 1:i + 1 + n] = (stack[:n * m] @ ys[i]).reshape(n, m)
+    finite = np.isfinite(ys)
+    if not finite.all():  # a whole-array test; rows only on failure, as all(axis=1) is slow
+        raise BlowUp(float(times[np.argmin(finite.all(axis=1))]), float("inf"), dynamics.BLOWUP_LIMIT)
     return Trajectory(times=times, states=ys)
 
 

@@ -24,7 +24,7 @@ from .exceptions import NumericsError
 DEFAULT_RCOND = 1e-12
 
 
-def as_matrix(a, name="matrix"):
+def as_matrix(a, name):
     """Validate and return a 2-D float (or complex) array with finite entries."""
     arr = np.asarray(a)
     if arr.ndim != 2:

@@ -47,12 +47,12 @@ class Polynomial:
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim, terms=None):
+    def __init__(self, dim, terms):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
         clean = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.dim:
                 raise ValueError(f"exponent tuple {exps} does not match dim={self.dim}")
@@ -84,8 +84,8 @@ class Polynomial:
         return cls(dim, {tuple(exps): 1.0})
 
     @classmethod
-    def monomial(cls, dim, exponents, coeff=1.0):
-        return cls(dim, {tuple(exponents): coeff})
+    def monomial(cls, dim, exponents):
+        return cls(dim, {tuple(exponents): 1.0})
 
     @classmethod
     def from_terms(cls, dim, term_list):

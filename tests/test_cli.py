@@ -12,6 +12,7 @@ import os
 import re
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -299,7 +300,7 @@ def test_identify_with_a_horizon_shorter_than_one_step_exits_with_usage_error(tm
         "--out", str(tmp_path),
     ])
     assert code == 2
-    assert "at least 2 samples" in stderr and "got 1" in stderr
+    assert "t_end 0.001 takes no step of dt 0.005: round(t_end/dt) is 0" in stderr
 
 
 def test_identify_on_a_header_only_csv_exits_with_usage_error(tmp_path):
@@ -650,6 +651,31 @@ def test_center_manifold_comparison_with_a_zero_step_exits_with_usage_error(tmp_
                                "--dt", "0", "--out", str(tmp_path)])
     assert code == 2
     assert "t_end and dt must be positive" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["control", "--horizon", "0.004"],
+    ["simulate", "--system", "center-manifold", "--rank", "2", "--horizon", "0.004"],
+    ["simulate", "--system", "quad-manifold", "--horizon", "0.004"],
+])
+def test_a_horizon_that_takes_no_step_is_refused_before_anything_is_written(tmp_path, argv):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli([*argv, "--out", str(out)])
+    assert code == 2
+    assert "t_end 0.004 takes no step of dt 0.01: round(t_end/dt) is 0" in stderr
+    assert stdout == "" and not any(out.iterdir())
+
+
+def test_a_lift_that_overflows_exits_with_runtime_error_and_no_warning(tmp_path):
+    """The rank-16 Carleman lift of the logistic map from 0.5 overflows at step 36."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(["simulate", "--system", "logistic", "--rank", "16",
+                                        "--steps", "60", "--out", str(tmp_path)])
+    assert code == 3
+    assert stderr == "error: state norm inf exceeded 1.0e+08 at t=36; trajectory is diverging\n"
+    assert stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["logistic_trajectory.csv"]
 
 
 def test_infinite_horizon_exits_with_usage_error(tmp_path):

@@ -181,9 +181,11 @@ def test_problem_validation():
         LqrProblem(np.eye(2), np.ones((2, 1)), [[1.0, 0.5], [0.2, 1.0]], [[1.0]])
     with pytest.raises(ValueError):
         LqrProblem(np.eye(2), np.ones((2, 1)), np.eye(2), [[-1.0]])
-    # a 1 x n input matrix is accepted as the transpose of n x 1
-    prob = LqrProblem(np.diag([-0.1, 1.0]), [[0.0, 1.0]], np.eye(2), [[1.0]])
-    assert prob.b.shape == (2, 1)
+    # b needs one row per state: a 1 x n input matrix is not read as its transpose
+    with pytest.raises(ValueError, match="b must have one row per state"):
+        LqrProblem(np.diag([-0.1, 1.0]), [[0.0, 1.0]], np.eye(2), [[1.0]])
+    with pytest.raises(ValueError, match="b must have one row per state"):
+        pbh_unstabilizable_modes(np.diag([-0.1, 1.0]), [[0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,11 @@ def test_custom_system_from_polynomials():
     assert traj.states[-1, 0] == pytest.approx(2.0 * np.exp(0.5), rel=1e-10)
 
 
+def test_poly_system_refuses_an_equation_that_is_not_a_polynomial():
+    with pytest.raises(ValueError, match="each equation must be a Polynomial, got list"):
+        PolySystem(1, CONTINUOUS, ([(0.5, (1,))],))
+
+
 def test_unknown_registry_name_raises():
     with pytest.raises(ValueError):
         builtin("not_a_system")

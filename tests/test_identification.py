@@ -85,9 +85,7 @@ def test_derivatives_reject_nonuniform_sampling():
 
 
 def test_a_one_sample_trajectory_is_refused_with_its_sample_count():
-    # integrate returns a single sample when the horizon rounds to zero steps
-    traj = integrate(builtin("quad_manifold"), [1.5, -1.0], 0.001, dt=0.005)
-    assert len(traj) == 1
+    traj = Trajectory(times=np.zeros(1), states=np.array([[1.5, -1.0]]), inputs=None)
     for kind in (CONTINUOUS, DISCRETE):
         with pytest.raises(ValueError, match="at least 2 samples.*got 1"):
             dataset_from_trajectories([traj], kind)

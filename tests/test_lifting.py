@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from koopmankit import (
+    BlowUp,
     CONTINUOUS,
     DISCRETE,
     EXP_NEG_INV,
@@ -239,14 +240,26 @@ FLOW_LIFTS = {
 FLOW_STEPS = (0, 1, 63, 64, 65, 10_000)
 
 
+def _assert_blows_up_no_earlier(run, reference, dt):
+    """``run()`` raises BlowUp no earlier than the reference's first non-finite row."""
+    with pytest.raises(BlowUp) as info:
+        run()
+    assert info.value.t >= np.argmin(np.all(np.isfinite(reference), axis=1)) * dt
+
+
 @pytest.mark.parametrize("name", MAP_LIFTS)
 def test_map_propagation_is_bit_identical_to_the_step_loop(name):
     model, x0 = MAP_LIFTS[name]
-    # carleman_logistic(3.5, 16) overflows within 40 steps; both sides must agree there too
+    # carleman_logistic(3.5, r) overflows within 65 steps for r >= 9 (within 40
+    # for r = 15, 16): there propagate raises BlowUp instead
     with np.errstate(over="ignore", invalid="ignore"):
         for steps in (0, 1, 40, 65):
             reference = _reference_loop(model, x0, steps, lambda y: model.K @ y)
-            assert propagate(model, x0, steps=steps).states.tobytes() == reference.tobytes()
+            if np.all(np.isfinite(reference)):
+                assert propagate(model, x0, steps=steps).states.tobytes() == reference.tobytes()
+            else:
+                _assert_blows_up_no_earlier(lambda: propagate(model, x0, steps=steps),
+                                            reference, 1.0)
     if name == "carleman_logistic_16":
         assert not np.all(np.isfinite(reference))
 
@@ -255,19 +268,36 @@ def test_map_propagation_is_bit_identical_to_the_step_loop(name):
 @pytest.mark.parametrize("name", FLOW_LIFTS)
 def test_flow_propagation_stays_within_1e12_of_the_rk4_loop(name, dt):
     model, x0 = FLOW_LIFTS[name]
-    # the unstable lifts overflow over 10,000 long steps: compare where the loop is finite
+    # the unstable lifts overflow over 10,000 long steps: there propagate raises BlowUp
     with np.errstate(over="ignore", invalid="ignore"):
         reference = _reference_loop(model, x0, FLOW_STEPS[-1],
                                     lambda y: _reference_rk4_step(model.K, y, dt))
-        for steps in FLOW_STEPS:
-            t_end = steps * dt if steps else 0.4 * dt  # a horizon under dt/2 takes no step
-            states = propagate(model, x0, t_end=t_end, dt=dt).states
-            assert len(states) == steps + 1
-            old = reference[:steps + 1]
-            finite = np.all(np.isfinite(old), axis=1)
-            assert np.all(np.isfinite(states[finite]))
-            gap = np.max(np.abs(states[finite] - old[finite]), axis=1)
-            assert np.all(gap <= 1e-12 * np.max(np.abs(old[finite]), axis=1))
+    for steps in FLOW_STEPS:
+        if steps == 0:  # a horizon under dt/2 takes no step
+            with pytest.raises(ValueError, match=r"takes no step .*round\(t_end/dt\) is 0"):
+                propagate(model, x0, t_end=0.4 * dt, dt=dt)
+            continue
+        old = reference[:steps + 1]
+        if not np.all(np.isfinite(old)):
+            _assert_blows_up_no_earlier(lambda: propagate(model, x0, t_end=steps * dt, dt=dt),
+                                        old, dt)
+            continue
+        states = propagate(model, x0, t_end=steps * dt, dt=dt).states
+        assert len(states) == steps + 1
+        gap = np.max(np.abs(states - old), axis=1)
+        assert np.all(gap <= 1e-12 * np.max(np.abs(old), axis=1))
+
+
+def test_propagate_raises_blowup_at_its_first_non_finite_sample():
+    flow, x0 = FLOW_LIFTS["kooc_demo"]  # from (-5, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUp, match=r"^state norm inf exceeded 1.0e\+08 at t=707.1;") as info:
+            propagate(flow, x0, t_end=1000.0, dt=0.1)
+        assert info.value.t == pytest.approx(707.1, abs=1e-9)
+        with pytest.raises(BlowUp, match="at t=36;") as info:
+            propagate(carleman_logistic(3.5, 16), [0.5], steps=40)
+        assert info.value.t == 36.0
 
 
 @pytest.mark.parametrize("dt", [0.001, 0.01, 0.1, 0.3])
@@ -275,7 +305,7 @@ def test_the_step_matrix_takes_each_unit_vector_one_rk4_step(dt):
     for model, _ in FLOW_LIFTS.values():
         m = len(model.library)
         # on the linear library the lift of a state is the state itself
-        linear = KoopmanModel(monomials(m, 1), model.K, CONTINUOUS)
+        linear = KoopmanModel(monomials(m, 1), model.K, CONTINUOUS, state_rows=())
         for e in np.eye(m):
             step = propagate(linear, e, t_end=dt, dt=dt).states[1]
             reference = _reference_rk4_step(model.K, e, dt)
@@ -290,7 +320,7 @@ def test_the_step_matrix_takes_each_unit_vector_one_rk4_step(dt):
     ([[-500.0, 0.0], [0.0, -1.0]], [0.0, 1.0], 0.1, 20.0),
 ])
 def test_a_stiff_flow_propagates_without_floating_point_warnings(k, x0, dt, t_end):
-    model = KoopmanModel(monomials(len(k), 1), np.array(k), CONTINUOUS)
+    model = KoopmanModel(monomials(len(k), 1), np.array(k), CONTINUOUS, state_rows=())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         states = propagate(model, x0, t_end=t_end, dt=dt).states
@@ -465,7 +495,16 @@ def test_propagate_rejects_a_negative_step_count():
 @pytest.mark.parametrize("t_end, dt", [(1.0, 0.01), (0.7, 0.03), (2.0, 0.3), (1.0, 1 / 3),
                                        (0.004, 0.01), (10.0, 0.005)])
 def test_integrate_and_propagate_sample_the_same_times(t_end, dt):
-    flow = integrate(builtin("quad_manifold"), [1.0, 0.5], t_end, dt=dt)
-    lifted = propagate(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}), [1.0, 0.5],
-                       t_end=t_end, dt=dt)
+    runs = (lambda: integrate(builtin("quad_manifold"), [1.0, 0.5], t_end, dt=dt),
+            lambda: propagate(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}), [1.0, 0.5],
+                              t_end=t_end, dt=dt))
+    if round(t_end / dt) == 0:  # no step: both refuse, with one message
+        messages = []
+        for run in runs:
+            with pytest.raises(ValueError, match=f"t_end {t_end:g} takes no step of dt {dt:g}") as info:
+                run()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        return
+    flow, lifted = (run() for run in runs)
     assert flow.times.tobytes() == lifted.times.tobytes()

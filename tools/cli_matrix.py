@@ -131,6 +131,11 @@ MATRIX = [
     # trajectories too short to verify an eigenfunction along
     ["spectral", "--system", "quad-manifold", "--horizon", "0.03"],
     ["spectral", "--system", "tu-map", "--steps", "0"],
+    # horizons that take no step, and a lift that overflows
+    ["control", "--horizon", "0.004"],
+    ["simulate", "--system", "center-manifold", "--rank", "2", "--horizon", "0.004"],
+    ["simulate", "--system", "quad-manifold", "--horizon", "0.004"],
+    ["simulate", "--system", "logistic", "--rank", "16", "--steps", "60"],
 ]
 
 
