@@ -9,9 +9,10 @@ to center-manifold and logistic, whose lifts are Carleman truncations, and
 a map; ``spectral --model`` refuses the system parameters, ``--x0``,
 ``--horizon``, ``--dt`` and ``--steps``, ``spectral`` refuses a trajectory
 too short to verify along, and every flow refuses a ``--horizon`` that
-takes no step of ``--dt``. Every command is deterministic: the same
-configuration produces byte-identical files. ``KOOPMANKIT_OUT``, when set,
-overrides any ``--out`` directory.
+takes no step of ``--dt``. ``simulate`` computes every table before it
+writes the first, so a run that fails writes nothing. Every command is
+deterministic: the same configuration produces byte-identical files.
+``KOOPMANKIT_OUT``, when set, overrides any ``--out`` directory.
 
 Exit codes: 0 success, 1 stdout closed by its reader (as in
 ``koopmankit simulate ... | head``; nothing is printed), 2 configuration
@@ -123,11 +124,6 @@ class _Context:
         return self.entry["lift"](self.system.params, rank)
 
 
-def _csv(out, name, header, rows):
-    dynamics._write_csv(out / name, header, rows)
-    return name
-
-
 def _gnuplot(path, plot):
     """Write a gnuplot script that reads the CSV artifacts beside it."""
     path.write_text("\n".join(["set datafile separator comma", "set key autotitle columnhead",
@@ -136,20 +132,20 @@ def _gnuplot(path, plot):
 
 
 # ---------------------------------------------------------------------------
-# simulate: each experiment returns (files written, gnuplot lines)
+# simulate: each experiment returns (tables, gnuplot lines); a table is
+# (file name, header, rows), written only once every table is computed
 # ---------------------------------------------------------------------------
 
 def _quad_manifold(ctx, x0):
     """Lifted trajectories and the three surface grids behind the manifold figure."""
     model = ctx.lift()
     horizon = ctx.horizon(x0)
-    files = []
+    tables = []
     starts = [("a", x0), ("b", np.array([1.0, -1.0])), ("c", np.array([2.0, -1.0]))]
     for label, start in starts:
         lifted = propagate(model, start, t_end=horizon, dt=ctx.args.dt)
-        path = ctx.out / f"quad_manifold_lifted_{label}.csv"
-        write_trajectory(lifted, path, state_names=["y1", "y2", "y3"])
-        files.append(path.name)
+        tables.append((f"quad_manifold_lifted_{label}.csv",
+                       *dynamics._trajectory_table(lifted, ["y1", "y2", "y3"])))
 
     slope = slow_subspace_slope(model)
     y1 = np.linspace(-2.5, 2.5, 21)
@@ -163,9 +159,9 @@ def _quad_manifold(ctx, x0):
         "green": [(a, b, slope * b) for a in y1 for b in y2],
     }
     for color, rows in surfaces.items():
-        files.append(_csv(ctx.out, f"quad_manifold_surface_{color}.csv", ["y1", "y2", "y3"], rows))
+        tables.append((f"quad_manifold_surface_{color}.csv", ["y1", "y2", "y3"], rows))
     print(f"slow-subspace slope: {dynamics._fmt(slope)}")
-    return files, [
+    return tables, [
         "set hidden3d",
         "splot \\",
         "  'quad_manifold_surface_blue.csv' every ::1 using 1:2:3 with dots lc rgb 'blue', \\",
@@ -197,26 +193,26 @@ def _center_comparison(ctx):
         horizons.append((rank, times[beyond[0]] if beyond.size else horizon))
 
     header = ["t", "truth"] + [f"rank_{r}" for r in ctx.ranks]
-    files = [_csv(ctx.out, "center_manifold_comparison.csv", header, zip(*columns)),
-             _csv(ctx.out, "center_manifold_horizons.csv", ["rank", "horizon"], horizons)]
-    return files, [f"plot for [col=2:*] '{files[0]}' using 1:col with lines"]
+    tables = [("center_manifold_comparison.csv", header, zip(*columns)),
+              ("center_manifold_horizons.csv", ["rank", "horizon"], horizons)]
+    return tables, [f"plot for [col=2:*] '{tables[0][0]}' using 1:col with lines"]
 
 
 def _logistic_divergence(ctx, x0):
     steps = 30 if ctx.args.steps is None else ctx.args.steps
     truth = iterate(ctx.system, x0, steps).states[:, 0]
-    files, horizons = [], []
+    tables, horizons = [], []
     for rank in ctx.ranks:
         pred = propagate(ctx.lift(rank), x0, steps=steps).states[:, 0]
         rel = np.abs(pred - truth) / np.maximum(np.abs(truth), 1e-12)
         beyond = np.flatnonzero(rel > 0.1)
         horizons.append((rank, int(beyond[0] - 1) if beyond.size else steps))
-        files.append(_csv(ctx.out, f"logistic_divergence_rank{rank}.csv",
-                          ["step", "truth", "prediction", "rel_error"],
-                          zip(range(steps + 1), truth, pred, rel)))
-    files.append(_csv(ctx.out, "logistic_horizons.csv", ["rank", "steps_within_10pct"], horizons))
-    first = files[0]
-    return files, [f"plot '{first}' using 1:2 with linespoints, '{first}' using 1:3 with linespoints"]
+        tables.append((f"logistic_divergence_rank{rank}.csv",
+                       ["step", "truth", "prediction", "rel_error"],
+                       zip(range(steps + 1), truth, pred, rel)))
+    tables.append(("logistic_horizons.csv", ["rank", "steps_within_10pct"], horizons))
+    first = tables[0][0]
+    return tables, [f"plot '{first}' using 1:2 with linespoints, '{first}' using 1:3 with linespoints"]
 
 
 def cmd_simulate(args):
@@ -224,19 +220,23 @@ def cmd_simulate(args):
     ctx = _Context(args)
     name = ctx.system.name
     if name == "center_manifold" and ctx.ranks:
-        files, plot = _center_comparison(ctx)
+        tables, plot = _center_comparison(ctx)
     else:
         x0 = ctx.x0()
-        path = ctx.out / f"{name}_trajectory.csv"
-        write_trajectory(ctx.trajectory(x0, 50), path)
-        files, plot = [path.name], [f"plot for [col=2:*] '{path.name}' using 1:col with lines"]
+        file = f"{name}_trajectory.csv"
+        tables = [(file, *dynamics._trajectory_table(ctx.trajectory(x0, 50)))]
+        plot = [f"plot for [col=2:*] '{file}' using 1:col with lines"]
         if name == "quad_manifold":
             more, plot = _quad_manifold(ctx, x0)
-            files += more
+            tables += more
         elif name == "logistic" and ctx.ranks:
             more, plot = _logistic_divergence(ctx, x0)
-            files += more
+            tables += more
 
+    files = []
+    for file, header, rows in tables:
+        dynamics._write_csv(ctx.out / file, header, rows)
+        files.append(file)
     if args.gnuplot:
         files.append(_gnuplot(ctx.out / f"{name}.plt", plot).name)
     for file in files:

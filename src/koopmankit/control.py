@@ -16,7 +16,8 @@ When every observable is a polynomial, both laws a comparison runs, -C x and
 :class:`~koopmankit.dynamics.PolySystem`, compiled once, and integrates it
 with no controller callback; the applied inputs are one column evaluation of
 the law at the sample states. ``integrate(controller=...)`` remains the path
-for arbitrary feedback callables.
+for arbitrary feedback callables: the same generated RK4 loop, with one call
+per substep that evaluates the law at the substep state.
 """
 
 from __future__ import annotations
@@ -35,6 +36,19 @@ _SIGN_TOL = 1e-12
 _SIGN_MAX_ITER = 100
 _POLISH_STEPS = 4
 _BACKWARD_ERROR_TOL = 1e-8
+
+
+def _pair(a, b):
+    """``a`` and ``b`` as float arrays: ``a`` square, ``b`` one row per state, both finite."""
+    a = np.asarray(a, dtype=float)
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("a must be square")
+    if b.shape[0] != a.shape[0]:
+        raise ValueError("b must have one row per state")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("a and b must be finite")
+    return a, b
 
 
 def _symmetric(mat, name, definite):
@@ -69,21 +83,12 @@ class LqrProblem:
     r: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("a must be square")
-        if b.shape[0] != a.shape[0]:
-            raise ValueError("b must have one row per state")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("a and b must be finite")
-        self.a = a
-        self.b = b
+        self.a, self.b = _pair(self.a, self.b)
         self.q = _symmetric(self.q, "q", definite=False)
         self.r = _symmetric(self.r, "r", definite=True)
-        if self.q.shape[0] != a.shape[0]:
+        if self.q.shape[0] != self.n:
             raise ValueError("q must match the state dimension")
-        if self.r.shape[0] != b.shape[1]:
+        if self.r.shape[0] != self.b.shape[1]:
             raise ValueError("r must match the input dimension")
 
     @property
@@ -197,14 +202,12 @@ def _lqr(prob: LqrProblem):
 def pbh_unstabilizable_modes(a, b):
     """Eigenvalues of ``a`` with Re >= -1e-9 at which [A - lam I, B] loses rank.
 
-    ``b`` needs one row per state. The rank counts singular values above
-    1e-10 times max(1, the largest).
+    ``a`` must be square, ``b`` needs one row per state, and both must be
+    finite. The rank counts singular values above 1e-10 times max(1, the
+    largest).
     """
-    a = np.asarray(a, dtype=float)
+    a, b = _pair(a, b)
     n = a.shape[0]
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if b.shape[0] != n:
-        raise ValueError("b must have one row per state")
     bad = []
     for lam in np.linalg.eigvals(a):
         if lam.real < -1e-9:

@@ -4,19 +4,24 @@ and the CSV and JSON formats of every artifact the package writes.
 Continuous systems are integrated with fixed-step classical RK4; feedback
 controllers are evaluated at every substep state, so closed-loop simulation
 treats the control law as continuous feedback rather than a zero-order hold.
-``integrate(controller=...)`` takes any callable, at the cost of one numpy
-call per substep; a polynomial law need not come this way:
-:func:`koopmankit.control.compare_lqr_kooc` compiles each of its closed loops
-f(x) + B u(x) into a system of its own and integrates it with no controller.
 Discrete systems are iterated exactly.
 
 Each :class:`PolySystem` compiles its equations once into a
-:class:`~koopmankit.polynomials.PolynomialMap`, and both loops run on lists of
-Python floats through its generated function, with no numpy call per step.
-Python float ``*`` and ``+`` round like numpy's, and every operation keeps the
-order of the numpy loop it replaced, so states are bit-identical to it. A
-controller still receives a numpy array of the state, and ``B @ u`` is added
-to the field component by component.
+:class:`~koopmankit.polynomials.PolynomialMap`. ``iterate`` steps a list of
+Python floats through the map's generated function. ``integrate`` runs one
+generated loop per system, compiled on its first call and kept on the
+system: the whole RK4 step is straight-line code on local floats ``x0, x1,
+...``, with the map's field lines inlined once per substep, so a step makes
+no Python call at all unless a power above 2 asks numpy for it. The
+``controller=`` path comes from the same generator: each substep adds one
+call that hands the controller a numpy array of the substep state, records
+u, and returns ``B @ u`` for the field to add component by component. A
+polynomial law need not come this way:
+:func:`koopmankit.control.compare_lqr_kooc` compiles each of its closed
+loops f(x) + B u(x) into a system of its own and integrates it with no
+controller. Python float ``*`` and ``+`` round like numpy's, and every
+operation keeps the order of the numpy loops these replaced, so states are
+bit-identical to them.
 
 Both loops abort with :class:`~koopmankit.exceptions.BlowUp` once the state
 norm passes 1e8; a start that is already non-finite is bad input and raises
@@ -36,7 +41,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -59,7 +64,8 @@ class PolySystem:
     which case the field is f(x) + B u. ``params`` records the named constants the equations
     were built from. The equations are compiled once, at construction, into
     the :class:`PolynomialMap` that ``eval_field``, ``integrate`` and
-    ``iterate`` share.
+    ``iterate`` share; ``integrate`` compiles its RK4 loops from it on first
+    use, and pickling drops them.
     """
 
     dim: int
@@ -88,6 +94,10 @@ class PolySystem:
                 raise ValueError("input map contains non-finite entries")
             self.input_map = b
         self._map = PolynomialMap(self.dim, self.equations)
+        self._loops = {}  # integrate's RK4 loops by controlled, compiled on first use
+
+    def __getstate__(self):
+        return {**self.__dict__, "_loops": {}}  # generated code does not pickle
 
 
 @dataclass
@@ -172,6 +182,55 @@ def _check_state(x, t):
         raise BlowUp(t, norm, BLOWUP_LIMIT)
 
 
+def _rk4_source(pmap, controlled):
+    """The body of ``integrate``'s loop over ``pmap``'s field, inlined four times.
+
+    The state is the locals ``x0, x1, ...`` and each substep's ``a0, a1, ...``;
+    ``d<s>_<i>`` is substep s's derivative. Every operation is the numpy RK4
+    loop's, in its order, so states keep its bits: ``a_i = x_i + half * d1_i``,
+    ``x_i + sixth * (d1_i + 2.0 * d2_i + 2.0 * d3_i + d4_i)``. A controlled
+    loop adds one ``push`` per substep, which returns B u at the substep
+    state, and ``d_i = r_i + g_i``.
+    """
+    n = pmap.dim
+    xs, subs = [f"x{i}" for i in range(n)], [f"a{i}" for i in range(n)]
+
+    def tuple_of(names):
+        return f"({''.join(f'{v}, ' for v in names)})"
+
+    step = []
+    substeps = ((xs, None), (subs, "half"), (subs, "half"), (subs, "dt"))
+    for s, (inputs, scale) in enumerate(substeps, 1):
+        if scale:
+            step += [f"a{i} = x{i} + {scale} * d{s - 1}_{i}" for i in range(n)]
+        derivs = [f"d{s}_{i}" for i in range(n)]
+        if not controlled:
+            step += pmap._lines(inputs, derivs)
+            continue
+        step.append(f"[{', '.join(f'g{i}' for i in range(n))}] = push({tuple_of(inputs)})")
+        step += pmap._lines(inputs, [f"r{i}" for i in range(n)])
+        step += [f"{d} = r{i} + g{i}" for i, d in enumerate(derivs)]
+    step += [f"x{i} = x{i} + sixth * (d1_{i} + 2.0 * d2_{i} + 2.0 * d3_{i} + d4_{i})"
+             for i in range(n)]
+    step += [f"append({tuple_of(xs)})",
+             f"if not {' + '.join(f'{v} * {v}' for v in xs)} <= guard:",
+             f"    check({tuple_of(xs)}, times[k + 1])"]
+    return [f"[{', '.join(xs)}] = x", "states = [x]", "append = states.append",
+            "for k in range(len(times) - 1):", *(f"    {line}" for line in step),
+            "return states"]
+
+
+def _rk4_loop(system, controlled):
+    """``system``'s compiled RK4 loop, generated on first use and kept on the system."""
+    loop = system._loops.get(controlled)
+    if loop is None:
+        loop = system._loops[controlled] = system._map._compile(
+            "_rk4(x, times, half, dt, sixth, push, zero=0.0, powers=_point_powers, "
+            "guard=_GUARD, check=_check_state)",
+            _rk4_source(system._map, controlled), _GUARD=_GUARD, _check_state=_check_state)
+    return loop
+
+
 def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     """Fixed-step RK4 integration from t=0 to n_steps*dt covering ``t_end``.
 
@@ -187,34 +246,22 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
     if controller is not None and system.input_map is None:
         raise ValueError("controller supplied but the system has no input map")
 
-    drift = rhs = system._map._evaluate
+    push = None
     if controller is not None:
         b = system.input_map
         applied = []  # four inputs per step; the first of each is its k1 input
 
-        def rhs(x):
+        def push(x):
             u = np.atleast_1d(controller(np.array(x)))
             applied.append(u)
-            return list(map(add, drift(x), (b @ u).tolist()))
+            return (b @ u).tolist()
 
-    half, sixth = 0.5 * dt, dt / 6.0
     x = x0.tolist()
     _check_state(x, times[0])
-    states = [x]
-    for k in range(len(times) - 1):
-        k1 = rhs(x)
-        k2 = rhs([a + half * d for a, d in zip(x, k1)])
-        k3 = rhs([a + half * d for a, d in zip(x, k2)])
-        k4 = rhs([a + dt * d for a, d in zip(x, k3)])
-        x = [a + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-             for a, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
-        states.append(x)
-        if not sum(map(mul, x, x)) <= _GUARD:
-            _check_state(x, times[k + 1])
-
+    states = _rk4_loop(system, controller is not None)(x, times, 0.5 * dt, dt, dt / 6.0, push)
     inputs = None
     if controller is not None:
-        applied.append(np.atleast_1d(controller(np.array(x))))
+        applied.append(np.atleast_1d(controller(np.array(states[-1]))))
         inputs = np.vstack(applied[::4])
     return Trajectory(times=times, states=np.array(states), inputs=inputs)
 
@@ -507,6 +554,11 @@ def _read_json(path):
 
 def write_trajectory(traj: Trajectory, path, state_names=None):
     """Write a trajectory as CSV with header t,x1,...,xn[,u or u1..uq]."""
+    _write_csv(path, *_trajectory_table(traj, state_names))
+
+
+def _trajectory_table(traj, state_names=None):
+    """The header and rows :func:`write_trajectory` writes."""
     n = traj.dim
     names = list(state_names) if state_names else [f"x{i + 1}" for i in range(n)]
     if len(names) != n:
@@ -517,7 +569,7 @@ def write_trajectory(traj: Trajectory, path, state_names=None):
         q = traj.inputs.shape[1]
         header += ["u"] if q == 1 else [f"u{i + 1}" for i in range(q)]
         columns.append(traj.inputs)
-    _write_csv(path, header, np.column_stack(columns))
+    return header, np.column_stack(columns)
 
 
 def _numeric_row(path, line, row):

@@ -247,10 +247,11 @@ _TERMS_PER_LINE = 32  # keeps each generated sum shallow for Python's compiler
 class PolynomialMap:
     """Compiled evaluator of a fixed tuple of polynomials in ``dim`` variables.
 
-    Construction generates one straight-line Python function for the whole
-    tuple. Its source holds only variable indices and names ``c0, c1, ...``
-    bound to the coefficients in order; no coefficient is formatted into it.
-    It computes, in the order of a term-by-term loop, so that values are
+    One emitter, :meth:`_lines`, writes the tuple as straight-line Python
+    source for any names of its inputs and outputs; the source holds only
+    those names, variable indices and names ``c0, c1, ...`` bound to the
+    coefficients in order, and no coefficient is formatted into it. It
+    computes, in the order of a term-by-term loop, so that values are
     bit-identical to one:
 
     1. each variable power once: ``x ** 1`` is ``x``; ``x ** 2`` is
@@ -262,15 +263,18 @@ class PolynomialMap:
     3. each row as the terms summed in dict order starting from ``zero``, so
        a sum that cancels is ``0.0``, never ``-0.0``.
 
-    The generated function, ``_evaluate(x, zero=0.0, powers=...)``, takes a
-    sequence of ``dim`` Python floats and returns a tuple of floats; given an
-    ``(n, M)`` array, a zero row and :func:`_column_powers` it returns a tuple
-    of rows. Python float ``*`` and ``+`` round like numpy's float64 ones, so
-    both give the same bits. ``__call__`` wraps it for numpy points and
-    columns; the integrators in :mod:`koopmankit.dynamics` call it directly.
+    Construction compiles one function from it, ``_evaluate(x, zero=0.0,
+    powers=...)``, which takes a sequence of ``dim`` Python floats and
+    returns a tuple of floats; given an ``(n, M)`` array, a zero row and
+    :func:`_column_powers` it returns a tuple of rows. Python float ``*`` and
+    ``+`` round like numpy's float64 ones, so both give the same bits.
+    ``__call__`` wraps it for numpy points and columns; :func:`iterate
+    <koopmankit.dynamics.iterate>` calls it directly, and :func:`integrate
+    <koopmankit.dynamics.integrate>` inlines the emitted lines into an RK4
+    loop of its own through :meth:`_compile`.
     """
 
-    __slots__ = ("dim", "polys", "_evaluate")
+    __slots__ = ("dim", "polys", "_coeffs", "_rows", "_powers", "_evaluate")
 
     def __init__(self, dim, polys):
         self.dim = int(dim)
@@ -279,42 +283,62 @@ class PolynomialMap:
         for poly in self.polys:
             if poly.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            terms = []
+            terms = []  # templates: "{i}" is variable i, "{i}_e" its e-th power
             for exps, coeff in poly.terms.items():
                 factors = [f"c{len(coeffs)}"]
                 for i, e in enumerate(exps):
                     if e:
-                        factors.append(f"x{i}" if e == 1 else f"x{i}_{e}")
+                        factors.append(f"{{{i}}}" if e == 1 else f"{{{i}}}_{e}")
                     if e > 1:
                         powers.setdefault(e, set()).add(i)
                 coeffs.append(coeff)
                 terms.append(" * ".join(factors))
             rows.append(terms)
+        self._coeffs = tuple(coeffs)
+        self._rows = tuple(rows)
+        self._powers = {e: tuple(sorted(used)) for e, used in sorted(powers.items())}
 
-        body = [f"[{', '.join(f'x{i}' for i in range(self.dim))}] = x"]
-        for e, used in sorted(powers.items()):
-            used = sorted(used)
+        xs = [f"x{i}" for i in range(self.dim)]
+        rs = [f"r{r}" for r in range(len(rows))]
+        self._evaluate = self._compile(
+            "_evaluate(x, zero=0.0, powers=_point_powers)",
+            [f"[{', '.join(xs)}] = x", *self._lines(xs, rs),
+             f"return ({''.join(f'{r}, ' for r in rs)})"])
+
+    def _lines(self, xs, outs):
+        """Source lines that set each name in ``outs`` to its row at the inputs named ``xs``.
+
+        The lines read ``c0, c1, ...``, ``zero`` and ``powers(x, e, used)``,
+        and assign ``p<e>`` and ``<input>_<e>`` besides the outputs.
+        """
+        lines = []
+        for e, used in self._powers.items():
             if e == 2:
-                body += [f"x{i}_2 = x{i} * x{i}" for i in used]
+                lines += [f"{xs[i]}_2 = {xs[i]} * {xs[i]}" for i in used]
             else:
-                body.append(f"p{e} = powers(x, {e}, {tuple(used)})")
-                body += [f"x{i}_{e} = p{e}[{i}]" for i in used]
-        for r, terms in enumerate(rows):
+                lines.append(f"p{e} = powers(({''.join(f'{v}, ' for v in xs)}), {e}, {used})")
+                lines += [f"{xs[i]}_{e} = p{e}[{i}]" for i in used]
+        for out, terms in zip(outs, self._rows):
+            products = [term.format(*xs) for term in terms]
             acc = "zero"
-            for j in range(0, max(len(terms), 1), _TERMS_PER_LINE):
-                body.append(f"r{r} = " + " + ".join([acc, *terms[j:j + _TERMS_PER_LINE]]))
-                acc = f"r{r}"
-        body.append(f"return ({''.join(f'r{r}, ' for r in range(len(rows)))})")
+            for j in range(0, max(len(products), 1), _TERMS_PER_LINE):
+                lines.append(f"{out} = " + " + ".join([acc, *products[j:j + _TERMS_PER_LINE]]))
+                acc = out
+        return lines
+
+    def _compile(self, signature, body, **names):
+        """The function ``def <signature>: <body>``, with ``c0, c1, ...`` bound to
+        the coefficients and ``names`` and :func:`_point_powers` as its globals."""
         source = "\n".join([
-            "def make(c, point_powers):",
-            f"    [{', '.join(f'c{j}' for j in range(len(coeffs)))}] = c",
-            "    def _evaluate(x, zero=0.0, powers=point_powers):",
+            "def make(c):",
+            f"    [{', '.join(f'c{j}' for j in range(len(self._coeffs)))}] = c",
+            f"    def {signature}:",
             *(f"        {line}" for line in body),
-            "    return _evaluate",
+            f"    return {signature.partition('(')[0]}",
         ])
-        namespace = {}
+        namespace = {"_point_powers": _point_powers, **names}
         exec(compile(source, "<PolynomialMap>", "exec"), namespace)
-        self._evaluate = namespace["make"](tuple(coeffs), _point_powers)
+        return namespace["make"](self._coeffs)
 
     def __reduce__(self):
         return PolynomialMap, (self.dim, self.polys)

@@ -675,7 +675,16 @@ def test_a_lift_that_overflows_exits_with_runtime_error_and_no_warning(tmp_path)
     assert code == 3
     assert stderr == "error: state norm inf exceeded 1.0e+08 at t=36; trajectory is diverging\n"
     assert stdout == ""
-    assert [p.name for p in tmp_path.iterdir()] == ["logistic_trajectory.csv"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_failing_simulate_writes_none_of_the_tables_it_computed_first(tmp_path):
+    """The trajectory and the rank-2 series are done before rank 16 overflows."""
+    code, stdout, stderr = run_cli(["simulate", "--system", "logistic", "--rank", "2,16",
+                                    "--steps", "60", "--out", str(tmp_path)])
+    assert code == 3
+    assert "at t=36" in stderr
+    assert stdout == "" and not any(tmp_path.iterdir())
 
 
 def test_infinite_horizon_exits_with_usage_error(tmp_path):

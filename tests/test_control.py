@@ -246,6 +246,14 @@ def test_pbh_clean_pair_has_no_bad_modes():
     assert pbh_unstabilizable_modes(np.diag([-0.1, 1.0]), [[0.0], [1.0]]) == []
 
 
+def test_pbh_refuses_a_non_square_or_non_finite_a_as_lqr_problem_does():
+    b = [[0.0], [1.0]]
+    with pytest.raises(ValueError, match="a must be square"):
+        pbh_unstabilizable_modes(np.ones((2, 3)), b)
+    with pytest.raises(ValueError, match="a and b must be finite"):
+        pbh_unstabilizable_modes([[1.0, np.nan], [0.0, -1.0]], b)
+
+
 def test_pbh_detects_uncontrollable_unstable_mode():
     modes = pbh_unstabilizable_modes(np.diag([1.0, -1.0]), [[0.0], [1.0]])
     assert len(modes) == 1

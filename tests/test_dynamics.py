@@ -313,6 +313,13 @@ def test_systems_and_their_compiled_maps_pickle():
     assert again._map([1.5, -1.0]).tobytes() == system._map([1.5, -1.0]).tobytes()
 
 
+def test_a_system_pickles_after_integrate_compiled_its_loop():
+    system = builtin("quartic_manifold")
+    traj = integrate(system, [1.5, -1.0], 1.0)
+    again = pickle.loads(pickle.dumps(system))
+    assert integrate(again, [1.5, -1.0], 1.0).states.tobytes() == traj.states.tobytes()
+
+
 # -- the float loops against the numpy loops they replaced --------------------
 
 def _reference_check_norm(x, t):
@@ -469,6 +476,50 @@ def test_the_guard_passes_a_state_at_the_limit_and_stops_one_past_it():
     _assert_same_bits(iterate(identity, at_limit, 3), _reference_iterate(identity, at_limit, 3))
     past = [np.nextafter(BLOWUP_LIMIT, np.inf), 0.0]
     assert _raised(iterate, identity, past, 3) == _raised(_reference_iterate, identity, past, 3)
+
+
+# -- fields the registry does not reach ---------------------------------------
+
+def test_a_row_longer_than_one_generated_line_integrates_bit_identically():
+    rng = np.random.default_rng(5)
+    exps = [(i, d - i) for d in range(8) for i in range(d + 1)]  # 36 > _TERMS_PER_LINE
+    rows = [{e: 0.05 * rng.uniform(-1.0, 1.0) for e in exps} for _ in range(2)]
+    rows[0][(1, 0)], rows[1][(0, 1)] = -1.0, -2.0
+    system = PolySystem(2, CONTINUOUS, tuple(Polynomial(2, row) for row in rows))
+    for x0 in ((0.4, -0.3), (-0.5, 0.6)):
+        _assert_same_bits(integrate(system, x0, 2.0), _reference_integrate(system, x0, 2.0))
+
+
+def test_high_powers_of_two_variables_integrate_bit_identically():
+    eq1 = Polynomial(2, {(1, 0): -1.0, (3, 4): 0.1, (0, 3): -0.2})
+    eq2 = Polynomial(2, {(0, 1): -0.5, (5, 0): 0.3, (3, 3): -0.1, (0, 6): 0.05})
+    system = PolySystem(2, CONTINUOUS, (eq1, eq2))
+    for x0 in ((1.1, -0.9), (-1.3, 0.7)):
+        _assert_same_bits(integrate(system, x0, 3.0), _reference_integrate(system, x0, 3.0))
+
+
+def _lorenz(input_map=None):
+    eqs = (Polynomial(3, {(1, 0, 0): -10.0, (0, 1, 0): 10.0}),
+           Polynomial(3, {(1, 0, 0): 28.0, (0, 1, 0): -1.0, (1, 0, 1): -1.0}),
+           Polynomial(3, {(0, 0, 1): -8.0 / 3.0, (1, 1, 0): 1.0, (0, 0, 3): -1e-3}))
+    return PolySystem(3, CONTINUOUS, eqs, input_map=input_map)
+
+
+def test_a_three_state_field_integrates_bit_identically():
+    system = _lorenz()
+    for x0 in ((1.0, 1.0, 1.0), (-3.0, 2.5, 20.0)):
+        _assert_same_bits(integrate(system, x0, 2.0), _reference_integrate(system, x0, 2.0))
+
+
+@pytest.mark.parametrize("system, law", [
+    (builtin("kooc_demo"), lambda x: -np.array([3.0 * x[1] + np.sin(x[0] * x[1])])),
+    (_lorenz(input_map=[[1.0, 0.0], [0.0, 0.5], [0.0, 1.0]]),
+     lambda x: -np.array([np.sin(x[0]) + x[1], 0.3 * x[2] - np.cos(x[1])])),
+], ids=["kooc_demo", "lorenz_two_inputs"])
+def test_controlled_integration_is_bit_identical_to_the_numpy_loop(system, law):
+    x0 = np.ones(system.dim)
+    _assert_same_bits(integrate(system, x0, 2.0, controller=law),
+                      _reference_integrate(system, x0, 2.0, controller=law))
 
 
 def test_empty_csv_file_is_rejected_by_name(tmp_path):

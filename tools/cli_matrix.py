@@ -136,6 +136,7 @@ MATRIX = [
     ["simulate", "--system", "center-manifold", "--rank", "2", "--horizon", "0.004"],
     ["simulate", "--system", "quad-manifold", "--horizon", "0.004"],
     ["simulate", "--system", "logistic", "--rank", "16", "--steps", "60"],
+    ["simulate", "--system", "logistic", "--rank", "2,16", "--steps", "60"],
 ]
 
 
