@@ -12,12 +12,10 @@ observable.
 
 When every observable is a polynomial, both laws a comparison runs, -C x and
 -C Theta(x), are polynomials in x, and so is each closed loop f(x) + B u(x).
-:func:`compare_lqr_kooc` builds each closed loop as one
-:class:`~koopmankit.dynamics.PolySystem`, compiled once, and integrates it
-with no controller callback; the applied inputs are one column evaluation of
-the law at the sample states. ``integrate(controller=...)`` remains the path
-for arbitrary feedback callables: the same generated RK4 loop, with one call
-per substep that evaluates the law at the substep state.
+:func:`compare_lqr_kooc` is the one place a closed loop is formed: it builds
+each as one :class:`~koopmankit.dynamics.PolySystem` and integrates it like
+any other field; the applied inputs are one column evaluation of the law at
+the sample states.
 """
 
 from __future__ import annotations
@@ -240,9 +238,6 @@ class KoocController:
         theta = eval_library(self.model.library, np.asarray(x, dtype=float))
         return -(self.gain @ theta)
 
-    def __call__(self, x):
-        return self.feedback(x)
-
 
 def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r) -> KoocController:
     """LQR design on the lifted linear model.
@@ -292,10 +287,13 @@ def closed_loop_cost(traj: Trajectory, q, r):
     """Cumulative quadratic cost J(t) = int_0^t (x'q x + u'r u) dtau.
 
     Trapezoidal accumulation on the trajectory's time grid; J(0) = 0. The
-    trajectory must carry the applied inputs.
+    trajectory must carry the applied inputs, as the closed loops of
+    :func:`compare_lqr_kooc` do and as :func:`~koopmankit.dynamics.read_trajectory`
+    reads them from a CSV with ``u`` columns.
     """
     if traj.inputs is None:
-        raise ValueError("trajectory has no recorded inputs; integrate with a controller")
+        raise ValueError("trajectory has no recorded inputs; cost a compare_lqr_kooc "
+                         "trajectory or one read from a CSV with u columns")
     q = _symmetric(q, "q", definite=False)
     r = _symmetric(r, "r", definite=True)
     return _trapezoid_cost(traj, traj.inputs, q, r)
@@ -334,9 +332,8 @@ def _closed_loop_run(system: PolySystem, library, gain, x0, horizon, dt) -> Traj
     """Integrate f(x) + B u(x) under the feedback u = -gain . Theta(x) on ``library``.
 
     Theta must be polynomial, so u is too: the closed loop is one compiled
-    system with no input map, and the RK4 loop makes no controller call. The
-    applied inputs are the law evaluated once on the columns of the sampled
-    states.
+    system with no input map. The applied inputs are the law evaluated once
+    on the columns of the sampled states.
     """
     law = [library.linear_combination(-row) for row in gain]
     equations = []

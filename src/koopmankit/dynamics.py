@@ -1,10 +1,8 @@
 """Polynomial vector fields and maps, trajectory generation, benchmark registry,
 and the CSV and JSON formats of every artifact the package writes.
 
-Continuous systems are integrated with fixed-step classical RK4; feedback
-controllers are evaluated at every substep state, so closed-loop simulation
-treats the control law as continuous feedback rather than a zero-order hold.
-Discrete systems are iterated exactly.
+Continuous systems are integrated with fixed-step classical RK4, and
+discrete systems are iterated exactly.
 
 Each :class:`PolySystem` compiles its equations once into a
 :class:`~koopmankit.polynomials.PolynomialMap`. ``iterate`` steps a list of
@@ -12,16 +10,12 @@ Python floats through the map's generated function. ``integrate`` runs one
 generated loop per system, compiled on its first call and kept on the
 system: the whole RK4 step is straight-line code on local floats ``x0, x1,
 ...``, with the map's field lines inlined once per substep, so a step makes
-no Python call at all unless a power above 2 asks numpy for it. The
-``controller=`` path comes from the same generator: each substep adds one
-call that hands the controller a numpy array of the substep state, records
-u, and returns ``B @ u`` for the field to add component by component. A
-polynomial law need not come this way:
-:func:`koopmankit.control.compare_lqr_kooc` compiles each of its closed
-loops f(x) + B u(x) into a system of its own and integrates it with no
-controller. Python float ``*`` and ``+`` round like numpy's, and every
-operation keeps the order of the numpy loops these replaced, so states are
-bit-identical to them.
+no Python call at all unless a power above 2 asks numpy for it.
+``integrate`` runs the field f(x) alone; the one closed-loop path,
+:func:`koopmankit.control.compare_lqr_kooc`, compiles each feedback law into
+its closed loop f(x) + B u(x), a system of its own. Python float ``*`` and
+``+`` round like numpy's, and every operation keeps the order of the numpy
+loops these replaced, so states are bit-identical to them.
 
 Both loops abort with :class:`~koopmankit.exceptions.BlowUp` once the state
 norm passes 1e8; a start that is already non-finite is bad input and raises
@@ -60,12 +54,13 @@ class PolySystem:
     """A polynomial ODE right-hand side (continuous) or map (discrete).
 
     ``equations[i]`` is the :class:`Polynomial` for dx_i/dt or x_i(k+1).
-    ``input_map`` is an optional n-by-q matrix B for actuated systems, in
-    which case the field is f(x) + B u. ``params`` records the named constants the equations
-    were built from. The equations are compiled once, at construction, into
-    the :class:`PolynomialMap` that ``eval_field``, ``integrate`` and
-    ``iterate`` share; ``integrate`` compiles its RK4 loops from it on first
-    use, and pickling drops them.
+    ``input_map`` is an optional n-by-q matrix B for actuated systems, which
+    :func:`koopmankit.control.compare_lqr_kooc` closes into f(x) + B u(x);
+    ``eval_field``, ``integrate`` and ``iterate`` use f alone. ``params``
+    records the named constants the equations were built from. The
+    equations go once, at construction, into the :class:`PolynomialMap` the
+    three share; ``integrate`` compiles its RK4 loop from it on first use,
+    and pickling drops the loop.
     """
 
     dim: int
@@ -94,10 +89,10 @@ class PolySystem:
                 raise ValueError("input map contains non-finite entries")
             self.input_map = b
         self._map = PolynomialMap(self.dim, self.equations)
-        self._loops = {}  # integrate's RK4 loops by controlled, compiled on first use
+        self._loop = None  # integrate's RK4 loop, compiled on first use
 
     def __getstate__(self):
-        return {**self.__dict__, "_loops": {}}  # generated code does not pickle
+        return {**self.__dict__, "_loop": None}  # generated code does not pickle
 
 
 @dataclass
@@ -131,22 +126,14 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def eval_field(system: PolySystem, x, u=None):
-    """Evaluate f(x), or f(x) + B u with the system's input map B.
-
-    Supplying ``u`` to a system without an input map is an error.
-    """
+def eval_field(system: PolySystem, x):
+    """Evaluate the field f(x) at one state."""
     x = np.asarray(x, dtype=float)
     if x.shape != (system.dim,):
         raise ValueError(f"state must have shape ({system.dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("state contains non-finite entries")
-    out = system._map(x)
-    if u is None:
-        return out
-    if system.input_map is None:
-        raise ValueError("input supplied but the system has no input map")
-    return out + system.input_map @ np.atleast_1d(np.asarray(u, dtype=float))
+    return system._map(x)
 
 
 def _initial_state(dim, x0):
@@ -182,88 +169,50 @@ def _check_state(x, t):
         raise BlowUp(t, norm, BLOWUP_LIMIT)
 
 
-def _rk4_source(pmap, controlled):
+def _rk4_source(pmap):
     """The body of ``integrate``'s loop over ``pmap``'s field, inlined four times.
 
     The state is the locals ``x0, x1, ...`` and each substep's ``a0, a1, ...``;
     ``d<s>_<i>`` is substep s's derivative. Every operation is the numpy RK4
     loop's, in its order, so states keep its bits: ``a_i = x_i + half * d1_i``,
-    ``x_i + sixth * (d1_i + 2.0 * d2_i + 2.0 * d3_i + d4_i)``. A controlled
-    loop adds one ``push`` per substep, which returns B u at the substep
-    state, and ``d_i = r_i + g_i``.
+    ``x_i + sixth * (d1_i + 2.0 * d2_i + 2.0 * d3_i + d4_i)``.
     """
     n = pmap.dim
     xs, subs = [f"x{i}" for i in range(n)], [f"a{i}" for i in range(n)]
-
-    def tuple_of(names):
-        return f"({''.join(f'{v}, ' for v in names)})"
-
+    state = f"({''.join(f'{v}, ' for v in xs)})"
     step = []
     substeps = ((xs, None), (subs, "half"), (subs, "half"), (subs, "dt"))
     for s, (inputs, scale) in enumerate(substeps, 1):
         if scale:
             step += [f"a{i} = x{i} + {scale} * d{s - 1}_{i}" for i in range(n)]
-        derivs = [f"d{s}_{i}" for i in range(n)]
-        if not controlled:
-            step += pmap._lines(inputs, derivs)
-            continue
-        step.append(f"[{', '.join(f'g{i}' for i in range(n))}] = push({tuple_of(inputs)})")
-        step += pmap._lines(inputs, [f"r{i}" for i in range(n)])
-        step += [f"{d} = r{i} + g{i}" for i, d in enumerate(derivs)]
+        step += pmap._lines(inputs, [f"d{s}_{i}" for i in range(n)])
     step += [f"x{i} = x{i} + sixth * (d1_{i} + 2.0 * d2_{i} + 2.0 * d3_{i} + d4_{i})"
              for i in range(n)]
-    step += [f"append({tuple_of(xs)})",
+    step += [f"append({state})",
              f"if not {' + '.join(f'{v} * {v}' for v in xs)} <= guard:",
-             f"    check({tuple_of(xs)}, times[k + 1])"]
+             f"    check({state}, times[k + 1])"]
     return [f"[{', '.join(xs)}] = x", "states = [x]", "append = states.append",
             "for k in range(len(times) - 1):", *(f"    {line}" for line in step),
             "return states"]
 
 
-def _rk4_loop(system, controlled):
-    """``system``'s compiled RK4 loop, generated on first use and kept on the system."""
-    loop = system._loops.get(controlled)
-    if loop is None:
-        loop = system._loops[controlled] = system._map._compile(
-            "_rk4(x, times, half, dt, sixth, push, zero=0.0, powers=_point_powers, "
-            "guard=_GUARD, check=_check_state)",
-            _rk4_source(system._map, controlled), _GUARD=_GUARD, _check_state=_check_state)
-    return loop
+def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT):
+    """Fixed-step RK4 integration of f from t=0 to n_steps*dt covering ``t_end``.
 
-
-def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT, controller=None):
-    """Fixed-step RK4 integration from t=0 to n_steps*dt covering ``t_end``.
-
-    ``controller`` maps a state to an input vector; it is re-evaluated at each
-    RK4 substep state, and the value at each sample time (the first substep
-    of the step that leaves it, or one extra call at the last sample) is
-    recorded in the returned trajectory.
+    The system's RK4 loop is compiled on its first call and kept on it.
     """
     if system.time_kind != CONTINUOUS:
         raise ValueError("integrate requires a continuous-time system")
     times = _time_grid(t_end, dt)
-    x0 = _initial_state(system.dim, x0)
-    if controller is not None and system.input_map is None:
-        raise ValueError("controller supplied but the system has no input map")
-
-    push = None
-    if controller is not None:
-        b = system.input_map
-        applied = []  # four inputs per step; the first of each is its k1 input
-
-        def push(x):
-            u = np.atleast_1d(controller(np.array(x)))
-            applied.append(u)
-            return (b @ u).tolist()
-
-    x = x0.tolist()
+    x = _initial_state(system.dim, x0).tolist()
     _check_state(x, times[0])
-    states = _rk4_loop(system, controller is not None)(x, times, 0.5 * dt, dt, dt / 6.0, push)
-    inputs = None
-    if controller is not None:
-        applied.append(np.atleast_1d(controller(np.array(states[-1]))))
-        inputs = np.vstack(applied[::4])
-    return Trajectory(times=times, states=np.array(states), inputs=inputs)
+    if system._loop is None:
+        system._loop = system._map._compile(
+            "_rk4(x, times, half, dt, sixth, zero=0.0, powers=_point_powers, "
+            "guard=_GUARD, check=_check_state)",
+            _rk4_source(system._map), _GUARD=_GUARD, _check_state=_check_state)
+    states = system._loop(x, times, 0.5 * dt, dt, dt / 6.0)
+    return Trajectory(times=times, states=np.array(states))
 
 
 def _check_steps(steps):

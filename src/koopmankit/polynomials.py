@@ -263,11 +263,12 @@ class PolynomialMap:
     3. each row as the terms summed in dict order starting from ``zero``, so
        a sum that cancels is ``0.0``, never ``-0.0``.
 
-    Construction compiles one function from it, ``_evaluate(x, zero=0.0,
-    powers=...)``, which takes a sequence of ``dim`` Python floats and
-    returns a tuple of floats; given an ``(n, M)`` array, a zero row and
-    :func:`_column_powers` it returns a tuple of rows. Python float ``*`` and
-    ``+`` round like numpy's float64 ones, so both give the same bits.
+    The first read of ``_evaluate`` compiles one function from it,
+    ``_evaluate(x, zero=0.0, powers=...)``, which takes a sequence of ``dim``
+    Python floats and returns a tuple of floats; given an ``(n, M)`` array,
+    a zero row and :func:`_column_powers` it returns a tuple of rows. Python
+    float ``*`` and ``+`` round like numpy's float64 ones, so both give the
+    same bits.
     ``__call__`` wraps it for numpy points and columns; :func:`iterate
     <koopmankit.dynamics.iterate>` calls it directly, and :func:`integrate
     <koopmankit.dynamics.integrate>` inlines the emitted lines into an RK4
@@ -298,12 +299,18 @@ class PolynomialMap:
         self._rows = tuple(rows)
         self._powers = {e: tuple(sorted(used)) for e, used in sorted(powers.items())}
 
+    def __getattr__(self, name):
+        """Compile ``_evaluate`` into its empty slot on first read; a map that is
+        only inlined or composed never pays for it."""
+        if name != "_evaluate":
+            raise AttributeError(name)
         xs = [f"x{i}" for i in range(self.dim)]
-        rs = [f"r{r}" for r in range(len(rows))]
+        rs = [f"r{r}" for r in range(len(self._rows))]
         self._evaluate = self._compile(
             "_evaluate(x, zero=0.0, powers=_point_powers)",
             [f"[{', '.join(xs)}] = x", *self._lines(xs, rs),
              f"return ({''.join(f'{r}, ' for r in rs)})"])
+        return self._evaluate
 
     def _lines(self, xs, outs):
         """Source lines that set each name in ``outs`` to its row at the inputs named ``xs``.

@@ -17,13 +17,14 @@ from koopmankit import (
     builtin,
     closed_loop_cost,
     compare_lqr_kooc,
-    integrate,
     kooc_synthesize,
     lqr_gain,
+    monomials,
     pbh_unstabilizable_modes,
     slow_manifold_lift_ct,
     solve_care,
 )
+from koopmankit.control import _closed_loop_run
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -229,8 +230,8 @@ def test_lqr_gain_is_a_cost_minimum():
     )
 
     def cost_with(scale):
-        controller = lambda x: -(scale * gain) @ x
-        traj = integrate(system, [-5.0, 5.0], 50.0, dt=0.01, controller=controller)
+        traj = _closed_loop_run(system, monomials(2, 1), scale * gain,
+                                np.array([-5.0, 5.0]), 50.0, 0.01)
         return closed_loop_cost(traj, q, r)[-1]
 
     base = cost_with(1.0)
@@ -316,7 +317,6 @@ def test_kooc_feedback_evaluates_on_the_lifted_state():
     lifted = np.array([2.0, 1.0, 4.0])
     expected = -(controller.gain @ lifted)
     np.testing.assert_allclose(controller.feedback(x), expected, atol=1e-12)
-    np.testing.assert_allclose(controller(x), expected, atol=1e-12)
 
 
 def test_kooc_zero_state_cost_returns_zero_gain():

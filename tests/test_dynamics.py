@@ -180,38 +180,6 @@ def test_tu_map_closed_form_iteration():
     np.testing.assert_allclose(traj.states[:, 1], x2, rtol=1e-13)
 
 
-def test_controlled_integration_records_inputs():
-    system = builtin("kooc_demo")  # xdot = (mu x1, lam x2 + u)
-    gain = np.array([[0.0, 3.0]])
-
-    def controller(x):
-        return -gain @ x
-
-    traj = integrate(system, [-5.0, 5.0], 1.0, dt=0.01, controller=controller)
-    assert traj.inputs is not None
-    assert traj.inputs.shape == (101, 1)
-    np.testing.assert_allclose(traj.inputs[:, 0], -3.0 * traj.states[:, 1], atol=1e-12)
-    # feedback with gain 3 > lam = 1 beats the open-loop growth of x2
-    free = integrate(system, [-5.0, 5.0], 1.0, dt=0.01)
-    assert abs(traj.states[-1, 1]) < abs(free.states[-1, 1])
-
-
-def test_controlled_integration_reuses_the_first_substep_input():
-    system = builtin("kooc_demo")
-    calls = []
-
-    def controller(x):
-        calls.append(1)
-        return -np.array([3.0 * x[1] + 0.7 * x[0] ** 2 - np.sin(x[0] * x[1])])
-
-    n_steps = 150
-    traj = integrate(system, [-5.0, 5.0], n_steps * 0.01, dt=0.01, controller=controller)
-    # four substeps per step, plus one call for the last sample
-    assert len(calls) == 4 * n_steps + 1
-    expected = np.vstack([np.atleast_1d(controller(s)) for s in traj.states])
-    assert traj.inputs.tobytes() == expected.tobytes()
-
-
 def test_slow_manifold_field_general_polynomial():
     # P(x) = x^4 - 2 x^2 gives dx2 = lam (x2 - x1^4 + 2 x1^2)
     eq1, eq2 = slow_manifold_field(-0.05, 1.0, {4: 1.0, 2: -2.0})
@@ -233,10 +201,8 @@ def test_trajectory_roundtrip_through_csv(tmp_path):
 
 
 def test_trajectory_csv_preserves_inputs_and_uses_crlf(tmp_path):
-    system = builtin("kooc_demo")
-    traj = integrate(
-        system, [-5.0, 5.0], 0.5, dt=0.01, controller=lambda x: np.array([0.25])
-    )
+    traj = integrate(builtin("kooc_demo"), [-5.0, 5.0], 0.5, dt=0.01)
+    traj = Trajectory(times=traj.times, states=traj.states, inputs=np.full(len(traj), 0.25))
     path = tmp_path / "controlled.csv"
     write_trajectory(traj, path)
     raw = path.read_bytes()
@@ -329,7 +295,8 @@ def _reference_check_norm(x, t):
 
 
 def _reference_integrate(system, x0, t_end, dt=0.01, controller=None):
-    """The numpy RK4 loop that ``integrate`` ran before it moved to Python floats."""
+    """The numpy RK4 loop that ``integrate`` ran before it moved to Python floats;
+    with ``controller``, the callback closed loop that compiled closed loops replaced."""
     drift = PolynomialMap(system.dim, system.equations)
     if controller is None:
         rhs = first = drift
@@ -424,7 +391,7 @@ def test_compiled_closed_loops_match_the_callback_loop_within_1e_12(x0, horizon)
     q, r = np.eye(2), np.array([[1.0]])
     comp = compare_lqr_kooc(system, model, q, r, x0, horizon)
     lqr = _reference_integrate(system, x0, horizon, controller=lambda x: -(comp.lqr_gain @ x))
-    kooc = _reference_integrate(system, x0, horizon, controller=comp.kooc_controller)
+    kooc = _reference_integrate(system, x0, horizon, controller=comp.kooc_controller.feedback)
     for got, expected in ((comp.lqr_traj, lqr), (comp.kooc_traj, kooc)):
         assert got.times.tobytes() == expected.times.tobytes()
         _assert_within(got.states, expected.states)
@@ -498,28 +465,17 @@ def test_high_powers_of_two_variables_integrate_bit_identically():
         _assert_same_bits(integrate(system, x0, 3.0), _reference_integrate(system, x0, 3.0))
 
 
-def _lorenz(input_map=None):
+def _lorenz():
     eqs = (Polynomial(3, {(1, 0, 0): -10.0, (0, 1, 0): 10.0}),
            Polynomial(3, {(1, 0, 0): 28.0, (0, 1, 0): -1.0, (1, 0, 1): -1.0}),
            Polynomial(3, {(0, 0, 1): -8.0 / 3.0, (1, 1, 0): 1.0, (0, 0, 3): -1e-3}))
-    return PolySystem(3, CONTINUOUS, eqs, input_map=input_map)
+    return PolySystem(3, CONTINUOUS, eqs)
 
 
 def test_a_three_state_field_integrates_bit_identically():
     system = _lorenz()
     for x0 in ((1.0, 1.0, 1.0), (-3.0, 2.5, 20.0)):
         _assert_same_bits(integrate(system, x0, 2.0), _reference_integrate(system, x0, 2.0))
-
-
-@pytest.mark.parametrize("system, law", [
-    (builtin("kooc_demo"), lambda x: -np.array([3.0 * x[1] + np.sin(x[0] * x[1])])),
-    (_lorenz(input_map=[[1.0, 0.0], [0.0, 0.5], [0.0, 1.0]]),
-     lambda x: -np.array([np.sin(x[0]) + x[1], 0.3 * x[2] - np.cos(x[1])])),
-], ids=["kooc_demo", "lorenz_two_inputs"])
-def test_controlled_integration_is_bit_identical_to_the_numpy_loop(system, law):
-    x0 = np.ones(system.dim)
-    _assert_same_bits(integrate(system, x0, 2.0, controller=law),
-                      _reference_integrate(system, x0, 2.0, controller=law))
 
 
 def test_empty_csv_file_is_rejected_by_name(tmp_path):

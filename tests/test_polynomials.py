@@ -1,5 +1,7 @@
 """Tests for the sparse polynomial engine."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,22 @@ def test_compiled_map_shapes_and_errors():
         pmap(np.ones((2, 2, 2)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         PolynomialMap(3, (x1,))
+
+
+def test_a_map_compiles_its_evaluator_on_first_use_and_once(monkeypatch):
+    compiled, compile_ = [], PolynomialMap._compile
+
+    def counted(self, signature, *args, **kw):
+        compiled.append(signature)
+        return compile_(self, signature, *args, **kw)
+
+    monkeypatch.setattr(PolynomialMap, "_compile", counted)
+    pmap = PolynomialMap(2, (Polynomial(2, {(3, 1): 2.0, (0, 1): -1.0}),))
+    assert compiled == []
+    value = pmap([1.5, -1.0])
+    assert pmap(np.array([[1.5], [-1.0]]))[:, 0].tobytes() == value.tobytes()
+    assert len(compiled) == 1 and compiled[0].startswith("_evaluate(")
+    with pytest.raises(AttributeError):
+        pmap.missing
+    again = pickle.loads(pickle.dumps(pmap))  # unpickled unused, compiled on its first call
+    assert again([1.5, -1.0]).tobytes() == value.tobytes()
