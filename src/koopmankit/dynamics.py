@@ -10,7 +10,7 @@ Python floats through the map's generated function. ``integrate`` runs one
 generated loop per system, compiled on its first call and kept on the
 system: the whole RK4 step is straight-line code on local floats ``x0, x1,
 ...``, with the map's field lines inlined once per substep, so a step makes
-no Python call at all unless a power above 2 asks numpy for it.
+no numpy call: a power above 2 is one call of the map's libm ``pow`` helper.
 ``integrate`` runs the field f(x) alone; the one closed-loop path,
 :func:`koopmankit.control.compare_lqr_kooc`, compiles each feedback law into
 its closed loop f(x) + B u(x), a system of its own. Python float ``*`` and
@@ -56,11 +56,11 @@ class PolySystem:
     ``equations[i]`` is the :class:`Polynomial` for dx_i/dt or x_i(k+1).
     ``input_map`` is an optional n-by-q matrix B for actuated systems, which
     :func:`koopmankit.control.compare_lqr_kooc` closes into f(x) + B u(x);
-    ``eval_field``, ``integrate`` and ``iterate`` use f alone. ``params``
-    records the named constants the equations were built from. The
-    equations go once, at construction, into the :class:`PolynomialMap` the
-    three share; ``integrate`` compiles its RK4 loop from it on first use,
-    and pickling drops the loop.
+    ``integrate`` and ``iterate`` use f alone. ``params`` records the named
+    constants the equations were built from. The equations go once, at
+    construction, into the :class:`PolynomialMap` the two share;
+    ``integrate`` compiles its RK4 loop from it on first use, and pickling
+    drops the loop.
     """
 
     dim: int
@@ -124,16 +124,6 @@ class Trajectory:
     @property
     def dim(self):
         return self.states.shape[1]
-
-
-def eval_field(system: PolySystem, x):
-    """Evaluate the field f(x) at one state."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.dim,):
-        raise ValueError(f"state must have shape ({system.dim},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("state contains non-finite entries")
-    return system._map(x)
 
 
 def _initial_state(dim, x0):
@@ -208,7 +198,7 @@ def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT):
     _check_state(x, times[0])
     if system._loop is None:
         system._loop = system._map._compile(
-            "_rk4(x, times, half, dt, sixth, zero=0.0, powers=_point_powers, "
+            "_rk4(x, times, half, dt, sixth, zero=0.0, pow=_pow, "
             "guard=_GUARD, check=_check_state)",
             _rk4_source(system._map), _GUARD=_GUARD, _check_state=_check_state)
     states = system._loop(x, times, 0.5 * dt, dt, dt / 6.0)

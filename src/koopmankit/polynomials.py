@@ -4,22 +4,23 @@ This is the symbolic substrate for closure checks, subspace refinement, and
 eigenfunction re-expression. Coefficients are plain floats and every routine
 is deterministic.
 
-Powers follow two conventions, one per path:
+Powers follow two rules, one per path:
 
 * Algebra (:func:`ipow`, ``Polynomial.__pow__``) multiplies by left folds,
   ((a*a)*a)*..., so that the same product of factors yields bit-identical
   results wherever a lift builder or the symbolic engine forms it.
 * Evaluation (:class:`PolynomialMap`, which ``Polynomial.__call__`` uses)
-  takes numpy's ``x ** e`` for each variable power, with ``x ** 2`` formed
-  as ``x * x``, which numpy's square equals bit for bit. Measured with numpy
-  2.4.6 on an AVX-512 CPU, left-fold products differ from numpy ``**`` in
-  the last bit for 26-46% of samples at exponents >= 3, and Python's float
-  ``**`` for 0.1% (x^2) to 2.7% (x^3..x^6), so evaluation keeps numpy
-  ``**`` above 2: trajectories and artifacts stay bit-identical to the
-  term-by-term evaluation it replaced.
+  takes x^1 as x, x^2 as ``x * x`` (one rounding, so correctly rounded)
+  and x^e for e > 2 from libm ``pow``: Python's float ``**`` at a point, and
+  ``np.float_power``, which returns the same bits, on columns. Measured
+  against exact ``Fraction`` powers on 20,000 samples in [-3, 3] for each
+  e = 3..6, ``pow`` misses the correctly rounded value in under 0.1% of
+  samples, numpy's SIMD ``**`` in 2.7% and left folds in 26-46%.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -231,14 +232,13 @@ class Polynomial:
         return f"Polynomial({self.dim}, {format_polynomial(self)!r})"
 
 
-def _point_powers(x, e, used):
-    """A point's Python floats raised to ``e`` by numpy ``**`` on the whole point."""
-    return (np.array(x) ** e).tolist()
-
-
-def _column_powers(x, e, used):
-    """The rows ``used`` of (n, M) columns raised to ``e`` by numpy ``**``."""
-    return {i: x[i] ** e for i in used}
+def _pow(x, e):
+    """A point's float ``x`` raised to the integer ``e`` by libm ``pow``; an
+    overflow gives +-inf, as ``np.float_power`` does, where ``x ** e`` raises."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.copysign(math.inf, x) if e % 2 else math.inf
 
 
 _TERMS_PER_LINE = 32  # keeps each generated sum shallow for Python's compiler
@@ -254,21 +254,19 @@ class PolynomialMap:
     computes, in the order of a term-by-term loop, so that values are
     bit-identical to one:
 
-    1. each variable power once: ``x ** 1`` is ``x``; ``x ** 2`` is
-       ``x * x``, which equals numpy's ``x ** 2`` bit for bit; an exponent
-       ``e > 2`` keeps numpy ``**``, on the whole point or on only the rows
-       of the columns that need it, because Python's float ``**`` rounds
-       differently in about 2.7% of samples (see the module docstring);
+    1. each variable power once, by the module's one evaluation rule:
+       ``x ** 1`` is ``x``, ``x ** 2`` is ``x * x`` and ``x ** e`` for
+       ``e > 2`` is ``pow(x, e)``, libm ``pow`` at a point or on a row;
     2. each term as its coefficient times its factors, variables ascending;
     3. each row as the terms summed in dict order starting from ``zero``, so
        a sum that cancels is ``0.0``, never ``-0.0``.
 
     The first read of ``_evaluate`` compiles one function from it,
-    ``_evaluate(x, zero=0.0, powers=...)``, which takes a sequence of ``dim``
+    ``_evaluate(x, zero=0.0, pow=_pow)``, which takes a sequence of ``dim``
     Python floats and returns a tuple of floats; given an ``(n, M)`` array,
-    a zero row and :func:`_column_powers` it returns a tuple of rows. Python
-    float ``*`` and ``+`` round like numpy's float64 ones, so both give the
-    same bits.
+    a zero row and ``np.float_power`` it returns a tuple of rows. Python
+    float ``*``, ``+`` and ``**`` round like numpy's float64 ``*``, ``+``
+    and ``float_power``, so both give the same bits.
     ``__call__`` wraps it for numpy points and columns; :func:`iterate
     <koopmankit.dynamics.iterate>` calls it directly, and :func:`integrate
     <koopmankit.dynamics.integrate>` inlines the emitted lines into an RK4
@@ -307,7 +305,7 @@ class PolynomialMap:
         xs = [f"x{i}" for i in range(self.dim)]
         rs = [f"r{r}" for r in range(len(self._rows))]
         self._evaluate = self._compile(
-            "_evaluate(x, zero=0.0, powers=_point_powers)",
+            "_evaluate(x, zero=0.0, pow=_pow)",
             [f"[{', '.join(xs)}] = x", *self._lines(xs, rs),
              f"return ({''.join(f'{r}, ' for r in rs)})"])
         return self._evaluate
@@ -315,16 +313,11 @@ class PolynomialMap:
     def _lines(self, xs, outs):
         """Source lines that set each name in ``outs`` to its row at the inputs named ``xs``.
 
-        The lines read ``c0, c1, ...``, ``zero`` and ``powers(x, e, used)``,
-        and assign ``p<e>`` and ``<input>_<e>`` besides the outputs.
+        The lines read ``c0, c1, ...``, ``zero`` and ``pow(x, e)``, and assign
+        ``<input>_<e>`` besides the outputs.
         """
-        lines = []
-        for e, used in self._powers.items():
-            if e == 2:
-                lines += [f"{xs[i]}_2 = {xs[i]} * {xs[i]}" for i in used]
-            else:
-                lines.append(f"p{e} = powers(({''.join(f'{v}, ' for v in xs)}), {e}, {used})")
-                lines += [f"{xs[i]}_{e} = p{e}[{i}]" for i in used]
+        lines = [f"{xs[i]}_{e} = " + (f"{xs[i]} * {xs[i]}" if e == 2 else f"pow({xs[i]}, {e})")
+                 for e, used in self._powers.items() for i in used]
         for out, terms in zip(outs, self._rows):
             products = [term.format(*xs) for term in terms]
             acc = "zero"
@@ -335,7 +328,7 @@ class PolynomialMap:
 
     def _compile(self, signature, body, **names):
         """The function ``def <signature>: <body>``, with ``c0, c1, ...`` bound to
-        the coefficients and ``names`` and :func:`_point_powers` as its globals."""
+        the coefficients and ``names`` and :func:`_pow` as its globals."""
         source = "\n".join([
             "def make(c):",
             f"    [{', '.join(f'c{j}' for j in range(len(self._coeffs)))}] = c",
@@ -343,7 +336,7 @@ class PolynomialMap:
             *(f"        {line}" for line in body),
             f"    return {signature.partition('(')[0]}",
         ])
-        namespace = {"_point_powers": _point_powers, **names}
+        namespace = {"_pow": _pow, **names}
         exec(compile(source, "<PolynomialMap>", "exec"), namespace)
         return namespace["make"](self._coeffs)
 
@@ -358,7 +351,7 @@ class PolynomialMap:
         if x.ndim == 1:
             values = self._evaluate(x.tolist())
         else:
-            values = self._evaluate(x, np.zeros(x.shape[1]), _column_powers)
+            values = self._evaluate(x, np.zeros(x.shape[1]), np.float_power)
         return np.array(values) if values else np.zeros((0,) + x.shape[1:])
 
 

@@ -18,7 +18,6 @@ from koopmankit import (
     builtin,
     closed_loop_cost,
     compare_lqr_kooc,
-    eval_field,
     integrate,
     iterate,
     lqr_gain,
@@ -71,12 +70,6 @@ def test_registry_defaults_and_lambda_alias():
     assert builtin("quad_manifold").params["mu"] == -0.05
     sys_a = builtin("quad_manifold", mu=-0.05, lam=1.0)
     assert sys_a.params["lambda"] == 1.0
-
-
-def test_eval_field_quadratic_manifold():
-    system = builtin("quad_manifold")  # mu=-0.05, lam=-1
-    x = np.array([2.0, 3.0])
-    np.testing.assert_allclose(eval_field(system, x), [-0.1, -(3.0 - 4.0)])
 
 
 def test_integrate_matches_closed_form():
@@ -435,6 +428,18 @@ def test_blowups_report_the_numpy_loops_time_and_norm():
             got = _raised(integrate, steep, [1e7], 1.0, dt=1.0)
             expected = _raised(_reference_integrate, steep, [1e7], 1.0, dt=1.0)
         assert got == expected == (1.0, np.inf)
+
+
+def test_a_quartic_field_past_the_limit_raises_blowup_after_one_step():
+    quartic = builtin("quartic_manifold")
+    with pytest.raises(BlowUp, match=r"^state norm 9.940e\+25 exceeded 1.0e\+08 at t=0.01;") as info:
+        integrate(quartic, (1e7, 0.0), 1.0)
+    assert info.value.t == 0.01
+    # here x1^4 overflows inside the second substep: the point power is inf,
+    # not an OverflowError, and the state it reaches is reported with norm inf
+    steep = builtin("quartic_manifold", mu=1e80)
+    with pytest.raises(BlowUp, match=r"^state norm inf exceeded 1.0e\+08 at t=0.01;"):
+        integrate(steep, (1.0, 0.0), 1.0)
 
 
 def test_the_guard_passes_a_state_at_the_limit_and_stops_one_past_it():

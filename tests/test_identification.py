@@ -10,6 +10,7 @@ from koopmankit import (
     CONTINUOUS,
     DISCRETE,
     DataSet,
+    PolynomialMap,
     Trajectory,
     TrajectoryError,
     builtin,
@@ -383,11 +384,9 @@ def test_sparse_model_as_system_reproduces_field():
     data = quad_training_data(dt=0.01)
     model = sindy(data, monomials(2, 2), threshold=0.025)
     system = model.as_system()
-    from koopmankit import eval_field
-
     x = np.array([0.7, -0.3])
     truth = np.array([-0.05 * 0.7, -1.0 * (-0.3 - 0.49)])
-    np.testing.assert_allclose(eval_field(system, x), truth, atol=1e-5)
+    np.testing.assert_allclose(PolynomialMap(system.dim, system.equations)(x), truth, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the sparse polynomial engine."""
 
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,7 +127,8 @@ def test_vanishing_leading_terms_reduce_degree():
 # -- the compiled evaluator against the term-by-term loop it replaced ------
 
 def _reference_eval(poly, x):
-    """The per-term evaluation loop that ``Polynomial.__call__`` used to run."""
+    """The per-term evaluation loop that ``Polynomial.__call__`` used to run,
+    with x^2 as ``x * x`` and libm ``pow`` (``np.float_power``) above 2."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     cols = x[:, None] if single else x
@@ -135,7 +137,8 @@ def _reference_eval(poly, x):
         term = np.full(cols.shape[1], coeff)
         for i, e in enumerate(exps):
             if e:
-                term = term * cols[i] ** e
+                term = term * (cols[i] if e == 1 else cols[i] * cols[i] if e == 2
+                               else np.float_power(cols[i], e))
         acc = acc + term
     return acc[0] if single else acc
 
@@ -243,3 +246,40 @@ def test_a_map_compiles_its_evaluator_on_first_use_and_once(monkeypatch):
         pmap.missing
     again = pickle.loads(pickle.dumps(pmap))  # unpickled unused, compiled on its first call
     assert again([1.5, -1.0]).tobytes() == value.tobytes()
+
+
+# -- the one power rule: libm pow at points and on columns -------------------
+
+_ORACLE_EXPONENTS = (3, 4, 5, 6)
+
+
+def _powers_at_points_and_columns(samples):
+    """x^3..x^6 at each sample as a point, and at all samples as one (1, M) column block."""
+    pmap = PolynomialMap(1, tuple(Polynomial(1, {(e,): 1.0}) for e in _ORACLE_EXPONENTS))
+    points = np.array([pmap([v]) for v in samples]).T
+    return points, pmap(np.array([samples]))
+
+
+def test_evaluated_powers_are_correctly_rounded_in_99_8_percent_of_samples():
+    samples = np.random.default_rng(17).uniform(-3.0, 3.0, 20_000).tolist()
+    points, columns = _powers_at_points_and_columns(samples)
+    for e, at_points, on_columns in zip(_ORACLE_EXPONENTS, points, columns):
+        exact = np.array([float(Fraction(v) ** e) for v in samples])  # correctly rounded
+        assert np.mean(at_points == exact) >= 0.998, e
+        assert np.mean(on_columns == exact) >= 0.998, e
+
+
+def test_points_and_columns_evaluate_powers_to_the_same_bits():
+    samples = np.random.default_rng(17).uniform(-3.0, 3.0, 20_000)
+    samples[:4] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308]
+    points, columns = _powers_at_points_and_columns(samples.tolist())
+    assert points.tobytes() == columns.tobytes()
+
+
+@pytest.mark.parametrize("e", [4, 5])
+def test_a_power_that_overflows_is_signed_infinity_at_points_and_on_columns(e):
+    p = Polynomial(1, {(e,): 1.0})
+    expected = [np.inf, (-1.0) ** e * np.inf]
+    assert [p([1e100]), p([-1e100])] == expected
+    with np.errstate(over="ignore"):
+        assert p(np.array([[1e100, -1e100]])).tolist() == expected

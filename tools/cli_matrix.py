@@ -131,12 +131,14 @@ MATRIX = [
     # trajectories too short to verify an eigenfunction along
     ["spectral", "--system", "quad-manifold", "--horizon", "0.03"],
     ["spectral", "--system", "tu-map", "--steps", "0"],
-    # horizons that take no step, and a lift that overflows
+    # horizons that take no step, a lift that overflows, and a quartic flow
+    # whose first step passes the blow-up limit
     ["control", "--horizon", "0.004"],
     ["simulate", "--system", "center-manifold", "--rank", "2", "--horizon", "0.004"],
     ["simulate", "--system", "quad-manifold", "--horizon", "0.004"],
     ["simulate", "--system", "logistic", "--rank", "16", "--steps", "60"],
     ["simulate", "--system", "logistic", "--rank", "2,16", "--steps", "60"],
+    ["simulate", "--system", "quartic-manifold", "--x0=1e7,0"],
 ]
 
 
