@@ -11,7 +11,9 @@ a map; ``spectral --model`` refuses the system parameters, ``--x0``,
 too short to verify along, and every flow refuses a ``--horizon`` that
 takes no step of ``--dt``. ``simulate`` computes every table before it
 writes the first, so a run that fails writes nothing. Every command is
-deterministic: the same configuration produces byte-identical files.
+deterministic at a fixed OpenBLAS thread count: the same configuration and
+thread count produce byte-identical files, but a least-squares fit (as in
+``identify``) can change in its last bits with the thread count.
 ``KOOPMANKIT_OUT``, when set, overrides any ``--out`` directory.
 
 Exit codes: 0 success, 1 stdout closed by its reader (as in

@@ -243,11 +243,11 @@ def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r) -> KoocController
     """LQR design on the lifted linear model.
 
     ``b_lifted`` is the input map in observable space (one row per library
-    entry). ``q_state`` is the state cost; it is embedded into observable
-    space on the model's state rows. Stabilizability of the lifted pair is
-    checked mode by mode first; failure raises :class:`NotStabilizable`
-    naming the offending eigenvalues and the observables their eigenvectors
-    live on.
+    entry). ``q_state`` is the state cost; it goes on the first n rows and
+    columns of the observable-space cost, where the state x1..xn sits.
+    Stabilizability of the lifted pair is checked mode by mode first; failure
+    raises :class:`NotStabilizable` naming the offending eigenvalues and the
+    observables their eigenvectors live on.
     """
     if model.time_kind != CONTINUOUS:
         raise ValueError("lifted LQR design requires a continuous-time model")
@@ -257,8 +257,7 @@ def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r) -> KoocController
         raise ValueError("q_state must match the state dimension")
     m = len(model.library)
     q = np.zeros((m, m))
-    rows = np.asarray(model.state_rows)
-    q[np.ix_(rows, rows)] = q_state
+    q[:n, :n] = q_state
     prob = LqrProblem(model.K, b_lifted, q, r)
 
     modes = pbh_unstabilizable_modes(prob.a, prob.b)
@@ -355,10 +354,10 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
 
     The LQR gain comes from the model's state-block linearization with the
     system's own input map; the KOOC gain comes from the full lifted design
-    with that input map embedded on the state rows. Each closed loop is
-    costed with the inputs it actually applied (``ratio`` = KOOC/LQR final
-    cost). A second pair of series re-costs both trajectories with the LQR
-    gain substituted into the integrand — a convention some published
+    with that input map on the first n rows, the state's. Each closed loop
+    is costed with the inputs it actually applied (``ratio`` = KOOC/LQR
+    final cost). A second pair of series re-costs both trajectories with the
+    LQR gain substituted into the integrand — a convention some published
     comparisons use — reported separately as the ``_script`` fields.
 
     Both feedback laws must be polynomials in x, so every observable of the
@@ -380,14 +379,11 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     r = _symmetric(r, "r", definite=True)
     x0 = _initial_state(n, x0)
 
-    rows = np.asarray(model.state_rows)
-    a_lin = model.K[np.ix_(rows, np.arange(n))]
     b = system.input_map
-    c_lqr, _ = lqr_gain(a_lin, b, q, r)
+    c_lqr, _ = lqr_gain(model.K[:n, :n], b, q, r)
 
-    m = len(model.library)
-    b_lifted = np.zeros((m, b.shape[1]))
-    b_lifted[rows, :] = b
+    b_lifted = np.zeros((len(model.library), b.shape[1]))
+    b_lifted[:n] = b
     kooc = kooc_synthesize(model, b_lifted, q, r)
 
     lqr_traj = _closed_loop_run(system, monomials(n, 1), c_lqr, x0, horizon, dt)

@@ -37,12 +37,11 @@ class DataSet:
     """Aligned snapshot data: X holds states as columns, Y their advances.
 
     For continuous-time data Y holds time-derivative estimates; for discrete
-    data Y holds the next-step states and dt is the step count (1.0).
+    data Y holds the next-step states.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    dt: float
     time_kind: str
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class DataSet:
             raise ValueError(f"X and Y must have the same shape, got {self.X.shape} vs {self.Y.shape}")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
             raise ValueError("data contains non-finite entries")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.time_kind not in (CONTINUOUS, DISCRETE):
             raise ValueError("bad time_kind")
 
@@ -133,7 +130,7 @@ def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
             raise TrajectoryError(i, f"sample step {step:g} differs from the first trajectory's {dt:g}")
         xs.append(now.T)
         ys.append(advance.T)
-    return DataSet(X=np.hstack(xs), Y=np.hstack(ys), dt=dt, time_kind=time_kind)
+    return DataSet(X=np.hstack(xs), Y=np.hstack(ys), time_kind=time_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +333,7 @@ def refine_subspace(sparse: SparseModel, data: DataSet) -> RefinementResult:
         targets = eval_library(refined_lib, data.Y)
 
     k = numerics.lstsq(theta.T, targets.T).T
-    model = KoopmanModel(refined_lib, k, data.time_kind, state_rows=tuple(range(n)))
+    model = KoopmanModel(refined_lib, k, data.time_kind)
     return RefinementResult(model=model, converged=converged, rounds=rounds, added=tuple(added))
 
 

@@ -144,21 +144,23 @@ def eval_library(library: ObservableLibrary, x):
 
 @dataclass
 class KoopmanModel:
-    """A linear advance matrix K over an observable library.
+    """A linear advance matrix K over a state-inclusive observable library.
 
     Continuous kind: d/dt Theta(x) = K Theta(x); discrete kind:
-    Theta(F(x)) = K Theta(x). ``state_rows`` lists the rows that advance the
-    original state coordinates.
+    Theta(F(x)) = K Theta(x). The first n rows of Theta are the state
+    x1..xn, so the first n rows of K advance it; any other library raises
+    ``ValueError``.
     """
 
     library: ObservableLibrary
     K: np.ndarray
     time_kind: str
-    state_rows: tuple
 
     def __post_init__(self):
         if self.time_kind not in (CONTINUOUS, DISCRETE):
             raise ValueError("bad time_kind")
+        if not self.library.state_inclusive:
+            raise ValueError("a Koopman model needs a state-inclusive library")
         k = np.asarray(self.K, dtype=float)
         m = len(self.library)
         if k.shape != (m, m):
@@ -166,28 +168,22 @@ class KoopmanModel:
         if not np.all(np.isfinite(k)):
             raise ValueError("K contains non-finite entries")
         self.K = k
-        rows = tuple(int(i) for i in self.state_rows)
-        if any(i < 0 or i >= m for i in rows):
-            raise ValueError("state_rows out of range")
-        self.state_rows = rows
 
     @property
     def state_dim(self):
         return self.library.dim
 
+    @property
+    def state_rows(self):
+        return tuple(range(self.state_dim))
+
 
 def _poly_dict(poly):
-    """Normalize P given as {N: a} or iterable of (N, a); exponents >= 2, distinct."""
-    out = {}
-    for n, a in poly.items() if isinstance(poly, dict) else poly:
-        n = int(n)
-        if n < 2:
-            raise ValueError("manifold polynomial exponents must be >= 2 "
-                             "(degree-1 terms belong to the linear part)")
-        if n in out:
-            raise ValueError("duplicate exponents in manifold polynomial")
-        out[n] = float(a)
-    return dict(sorted(out.items()))
+    """Normalize P given as {N: a}: integer exponents >= 2, ascending."""
+    if any(n < 2 or n != int(n) for n in poly):
+        raise ValueError("manifold polynomial exponents must be >= 2 and whole "
+                         "(degree-1 terms belong to the linear part)")
+    return {int(n): float(a) for n, a in sorted(poly.items())}
 
 
 def _manifold_library(powers):
@@ -225,7 +221,7 @@ def _slow_manifold_lift(mu, lam, poly, coupling, rate, time_kind):
     for i, n in enumerate(powers):
         k[1, 2 + i] = coupling * terms[n]
         k[2 + i, 2 + i] = rate(n)
-    return KoopmanModel(_manifold_library(powers), k, time_kind, state_rows=(0, 1))
+    return KoopmanModel(_manifold_library(powers), k, time_kind)
 
 
 def tu_lift(lam, mu):
@@ -240,7 +236,7 @@ def tu_lift(lam, mu):
     k[1, 1] = mu
     k[1, 2] = lam * lam - mu
     k[2, 2] = lam * lam
-    return KoopmanModel(_manifold_library([2]), k, DISCRETE, state_rows=(0, 1))
+    return KoopmanModel(_manifold_library([2]), k, DISCRETE)
 
 
 def carleman_logistic(r, rank):
@@ -260,7 +256,7 @@ def carleman_logistic(r, rank):
                 break
             coeff = comb(n, j) * rn
             k[n - 1, col - 1] = -coeff if j % 2 else coeff
-    return KoopmanModel(monomials(1, rank), k, DISCRETE, state_rows=(0,))
+    return KoopmanModel(monomials(1, rank), k, DISCRETE)
 
 
 def carleman_center(rank):
@@ -274,7 +270,7 @@ def carleman_center(rank):
     k = np.zeros((rank, rank))
     for i in range(1, rank):
         k[i - 1, i] = float(i)
-    return KoopmanModel(monomials(1, rank), k, CONTINUOUS, state_rows=(0,))
+    return KoopmanModel(monomials(1, rank), k, CONTINUOUS)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +365,8 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
 
 
 def project_states(model: KoopmanModel, lifted: Trajectory):
-    """Extract the original state coordinates from a lifted trajectory."""
-    if not model.state_rows:
-        raise ValueError("model has no state rows")
-    return lifted.states[:, list(model.state_rows)]
+    """Extract the original state coordinates: the lifted trajectory's first n rows."""
+    return lifted.states[:, :model.state_dim]
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +416,12 @@ def model_to_json(model: KoopmanModel) -> dict:
 
 
 def model_from_json(data: dict) -> KoopmanModel:
-    return KoopmanModel(_library_from_json(data), np.asarray(data["K"], dtype=float),
-                        data["time_kind"], state_rows=tuple(data.get("state_rows", ())))
+    model = KoopmanModel(_library_from_json(data), np.asarray(data["K"], dtype=float),
+                         data["time_kind"])
+    rows = data.get("state_rows")
+    if rows != list(model.state_rows):
+        raise ValueError(f"state_rows {rows} are not the library's first {model.state_dim} rows")
+    return model
 
 
 def save_model(model: KoopmanModel, path):

@@ -131,8 +131,7 @@ def rotate_model(model: KoopmanModel, angle) -> KoopmanModel:
     """
     mu, lam = _quad_shape(model)
     if angle == 0.0:
-        return KoopmanModel(model.library, model.K.copy(), model.time_kind,
-                            state_rows=model.state_rows)
+        return KoopmanModel(model.library, model.K.copy(), model.time_kind)
     if lam == 2 * mu:
         raise DegenerateSpectrum("lam = 2*mu: the x2 eigenfunction degenerates")
     t = rotation_matrix(angle)
@@ -152,7 +151,7 @@ def rotate_model(model: KoopmanModel, angle) -> KoopmanModel:
     phi = x2p - b * (x1p ** 2)
     lib = ObservableLibrary(2, (Polynomial.variable(2, 0), Polynomial.variable(2, 1), phi),
                             state_inclusive=True)
-    return KoopmanModel(lib, k, CONTINUOUS, state_rows=(0, 1))
+    return KoopmanModel(lib, k, CONTINUOUS)
 
 
 def slow_subspace_slope(model: KoopmanModel) -> float:

@@ -412,7 +412,7 @@ def test_comparison_refuses_a_named_observable_by_name():
     """The compiled closed loops need a polynomial law; exp(-1/x) is not one."""
     system = PolySystem(1, CONTINUOUS, (Polynomial(1, {(1,): -1.0}),), input_map=[[1.0]])
     library = ObservableLibrary(1, ((1,), "exp_neg_inv"), state_inclusive=True)
-    model = KoopmanModel(library, -np.eye(2), CONTINUOUS, state_rows=(0,))
+    model = KoopmanModel(library, -np.eye(2), CONTINUOUS)
     with pytest.raises(ValueError, match="'exp_neg_inv' is not a polynomial"):
         compare_lqr_kooc(system, model, [[1.0]], [[1.0]], [1.0], 1.0)
 

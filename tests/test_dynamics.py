@@ -398,7 +398,7 @@ def test_a_destabilizing_closed_loop_blows_up_where_the_callback_loop_does():
     system = PolySystem(1, CONTINUOUS, (Polynomial(1, {(2,): 1.0}),), input_map=[[1.0]])
     # a stable made-up lift, so that the lifted design succeeds
     model = KoopmanModel(ObservableLibrary(1, ((1,), (2,)), state_inclusive=True),
-                         [[0.0, 1.0], [0.0, -1.0]], CONTINUOUS, state_rows=(0,))
+                         [[0.0, 1.0], [0.0, -1.0]], CONTINUOUS)
     gain, _ = lqr_gain([[0.0]], [[1.0]], [[1.0]], [[1.0]])
     t, norm = _raised(compare_lqr_kooc, system, model, [[1.0]], [[1.0]], [2.0], 3.0)
     expected_t, expected_norm = _raised(_reference_integrate, system, [2.0], 3.0,

@@ -261,7 +261,6 @@ def test_sindy_warns_when_underdetermined():
     data = DataSet(
         X=np.random.default_rng(0).standard_normal((2, 4)),
         Y=np.zeros((2, 4)),
-        dt=0.01,
         time_kind=CONTINUOUS,
     )
     with pytest.warns(UserWarning):
@@ -296,7 +295,7 @@ def test_refine_linear_system_reduces_to_dmd():
     x[:, 0] = [1.0, -1.0]
     for k in range(79):
         x[:, k + 1] = a @ x[:, k]
-    data = DataSet(X=x[:, :-1], Y=x[:, 1:], dt=1.0, time_kind=DISCRETE)
+    data = DataSet(X=x[:, :-1], Y=x[:, 1:], time_kind=DISCRETE)
     sparse = sindy(data, monomials(2, 1), threshold=0.0)
     result = refine_subspace(sparse, data)
     assert result.converged

@@ -31,6 +31,7 @@ from koopmankit import (
     observable_advance,
     project_states,
     propagate,
+    registry_names,
     save_model,
     slow_manifold_lift_ct,
     slow_manifold_lift_dt,
@@ -145,11 +146,9 @@ def test_lift_state_appends_observables():
 
 
 def test_polynomial_exponents_must_be_at_least_two():
-    for poly in ({1: 2.0}, [(1, 2.0)], [(3, 1.0), (0, 2.0)]):
+    # 2.5 would otherwise truncate to 2 and overwrite the x1^2 coefficient
+    for poly in ({1: 2.0}, {3: 1.0, 0: 2.0}, {2.5: 1.0}, {2: 1.0, 2.5: 3.0}):
         with pytest.raises(ValueError, match="exponents must be >= 2"):
-            slow_manifold_lift_ct(-0.05, 1.0, poly)
-    for poly in ([(2, 1.0), (2, 3.0)], [(3, 1.0), (2, 1.0), (2.0, 3.0)]):
-        with pytest.raises(ValueError, match="duplicate exponents"):
             slow_manifold_lift_ct(-0.05, 1.0, poly)
 
 
@@ -305,7 +304,7 @@ def test_the_step_matrix_takes_each_unit_vector_one_rk4_step(dt):
     for model, _ in FLOW_LIFTS.values():
         m = len(model.library)
         # on the linear library the lift of a state is the state itself
-        linear = KoopmanModel(monomials(m, 1), model.K, CONTINUOUS, state_rows=())
+        linear = KoopmanModel(monomials(m, 1), model.K, CONTINUOUS)
         for e in np.eye(m):
             step = propagate(linear, e, t_end=dt, dt=dt).states[1]
             reference = _reference_rk4_step(model.K, e, dt)
@@ -320,7 +319,7 @@ def test_the_step_matrix_takes_each_unit_vector_one_rk4_step(dt):
     ([[-500.0, 0.0], [0.0, -1.0]], [0.0, 1.0], 0.1, 20.0),
 ])
 def test_a_stiff_flow_propagates_without_floating_point_warnings(k, x0, dt, t_end):
-    model = KoopmanModel(monomials(len(k), 1), np.array(k), CONTINUOUS, state_rows=())
+    model = KoopmanModel(monomials(len(k), 1), np.array(k), CONTINUOUS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         states = propagate(model, x0, t_end=t_end, dt=dt).states
@@ -455,8 +454,8 @@ def test_model_json_roundtrip_preserves_exact_floats(tmp_path):
 
 
 def test_model_json_roundtrip_with_named_observable(tmp_path):
-    lib = ObservableLibrary(1, [EXP_NEG_INV], state_inclusive=False)
-    model = KoopmanModel(lib, np.array([[1.0]]), CONTINUOUS, state_rows=())
+    lib = ObservableLibrary(1, [(1,), EXP_NEG_INV], state_inclusive=True)
+    model = KoopmanModel(lib, np.array([[-1.0, 0.0], [0.0, 1.0]]), CONTINUOUS)
     path = tmp_path / "named.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -470,7 +469,46 @@ def test_model_json_roundtrip_with_named_observable(tmp_path):
 def test_model_rejects_mismatched_matrix_size():
     lib = monomials(2, 2)
     with pytest.raises(ValueError):
-        KoopmanModel(lib, np.eye(3), CONTINUOUS, state_rows=(0, 1))
+        KoopmanModel(lib, np.eye(3), CONTINUOUS)
+
+
+@pytest.mark.parametrize("lib", [
+    ObservableLibrary(1, [EXP_NEG_INV]),
+    ObservableLibrary(2, [(0, 1), (1, 0)]),
+    ObservableLibrary(2, [(1, 0), (0, 1)]),  # x1, x2 first, but not declared state-inclusive
+])
+def test_model_refuses_a_library_that_is_not_state_inclusive(lib):
+    with pytest.raises(ValueError, match="needs a state-inclusive library"):
+        KoopmanModel(lib, np.eye(len(lib)), CONTINUOUS)
+
+
+@pytest.mark.parametrize("rows", [[1, 0], [2, 1], [0], [0, 1, 2], None])
+def test_load_model_refuses_state_rows_other_than_the_first_n(tmp_path, rows):
+    data = model_to_json(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}))
+    if rows is None:
+        del data["state_rows"]
+    else:
+        data["state_rows"] = rows
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"are not the library's first 2 rows"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_every_registry_lift_holds_its_state_in_its_first_rows(name):
+    system = builtin(name)
+    model = _REGISTRY[name]["lift"](system.params, 4)
+    n = system.dim
+    assert model.state_rows == tuple(range(n))
+    x0 = _REGISTRY[name]["x0"]
+    if model.time_kind == DISCRETE:
+        lifted = propagate(model, x0, steps=3)
+    else:
+        lifted = propagate(model, x0, t_end=0.03, dt=0.01)
+    states = project_states(model, lifted)
+    np.testing.assert_array_equal(states, lifted.states[:, :n])
+    np.testing.assert_array_equal(states[0], x0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

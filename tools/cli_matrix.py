@@ -36,6 +36,11 @@ INPUT_FILES = {
     "good.csv": "t,x1,x2\n0,1,2\n0.01,1,2\n",
     "bad_cell.csv": "t,x1,x2\n0,1,2\n0.01,abc,2\n",
     "one_state.csv": "t,x1\n0,1\n0.01,1\n",
+    # the quad-manifold lift with its state rows listed out of order
+    "swapped_rows.json": ('{"time_kind": "continuous", "dim": 2, "state_inclusive": true, '
+                          '"observables": [[1, 0], [0, 1], [2, 0]], '
+                          '"K": [[-0.05, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -0.1]], '
+                          '"state_rows": [1, 0]}\n'),
 }
 INPUT_RUNS = (
     ("sim", ["simulate", "--system", "quad-manifold"]),
@@ -139,6 +144,8 @@ MATRIX = [
     ["simulate", "--system", "logistic", "--rank", "16", "--steps", "60"],
     ["simulate", "--system", "logistic", "--rank", "2,16", "--steps", "60"],
     ["simulate", "--system", "quartic-manifold", "--x0=1e7,0"],
+    # a saved model whose state rows are not the library's first n rows
+    ["spectral", "--model", "{in}/swapped_rows.json"],
 ]
 
 
