@@ -5,19 +5,19 @@ Continuous systems are integrated with fixed-step classical RK4, and
 discrete systems are iterated exactly.
 
 Each :class:`PolySystem` compiles its equations once into a
-:class:`~koopmankit.polynomials.PolynomialMap`. ``iterate`` steps a list of
-Python floats through the map's generated function. ``integrate`` runs one
-generated loop per system, compiled on its first call and kept on the
-system: the whole RK4 step is straight-line code on local floats ``x0, x1,
-...``, with the map's field lines inlined once per substep, so a step makes
-no numpy call: a power above 2 is one call of the map's libm ``pow`` helper.
-``integrate`` runs the field f(x) alone; the one closed-loop path,
+:class:`~koopmankit.polynomials.PolynomialMap`. Maps and flows run one
+generated trajectory loop per system, compiled on the first ``iterate`` or
+``integrate`` call and kept on the system. A step is straight-line code on
+local floats ``x0, x1, ...``: a map's lines once, or one RK4 step with the
+field's lines inlined once per substep. A step makes no numpy call: a power
+above 2 is one call of the map's libm ``pow`` helper. ``integrate`` runs the
+field f(x) alone; the one closed-loop path,
 :func:`koopmankit.control.compare_lqr_kooc`, compiles each feedback law into
 its closed loop f(x) + B u(x), a system of its own. Python float ``*`` and
 ``+`` round like numpy's, and every operation keeps the order of the numpy
-loops these replaced, so states are bit-identical to them.
+loops this replaced, so states are bit-identical to them.
 
-Both loops abort with :class:`~koopmankit.exceptions.BlowUp` once the state
+The loop aborts with :class:`~koopmankit.exceptions.BlowUp` once the state
 norm passes 1e8; a start that is already non-finite is bad input and raises
 ``ValueError`` instead. After each step a cheap sum-of-squares test runs,
 set a hair under the limit squared so that rounding cannot hide a blow-up.
@@ -35,7 +35,6 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 
@@ -58,9 +57,9 @@ class PolySystem:
     :func:`koopmankit.control.compare_lqr_kooc` closes into f(x) + B u(x);
     ``integrate`` and ``iterate`` use f alone. ``params`` records the named
     constants the equations were built from. The equations go once, at
-    construction, into the :class:`PolynomialMap` the two share;
-    ``integrate`` compiles its RK4 loop from it on first use, and pickling
-    drops the loop.
+    construction, into the :class:`PolynomialMap` the two share; the first
+    ``integrate`` or ``iterate`` call compiles the system's trajectory loop
+    from it, and pickling drops the loop.
     """
 
     dim: int
@@ -89,7 +88,7 @@ class PolySystem:
                 raise ValueError("input map contains non-finite entries")
             self.input_map = b
         self._map = PolynomialMap(self.dim, self.equations)
-        self._loop = None  # integrate's RK4 loop, compiled on first use
+        self._loop = None  # the trajectory loop of either time kind, compiled on first use
 
     def __getstate__(self):
         return {**self.__dict__, "_loop": None}  # generated code does not pickle
@@ -139,13 +138,16 @@ def _time_grid(t_end, dt):
     """Sample times 0, dt, ..., n*dt with n = round(t_end/dt) >= 1 steps."""
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ValueError("t_end and dt must be positive and finite")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end {t_end:g} takes too many steps of dt {dt:g}: "
+                         "t_end/dt is not finite")
     steps = int(round(t_end / dt))
     if steps < 1:
         raise ValueError(f"t_end {t_end:g} takes no step of dt {dt:g}: round(t_end/dt) is 0")
     return np.arange(steps + 1) * dt
 
 
-# The loops test the sum of squares against this, a hair under LIMIT^2 so that
+# The loop tests the sum of squares against this, a hair under LIMIT^2 so that
 # rounding cannot let a norm past the limit; only a state that trips it gets
 # the full test, _check_state.
 _GUARD = BLOWUP_LIMIT**2 * (1.0 - 1e-9)
@@ -159,50 +161,55 @@ def _check_state(x, t):
         raise BlowUp(t, norm, BLOWUP_LIMIT)
 
 
-def _rk4_source(pmap):
-    """The body of ``integrate``'s loop over ``pmap``'s field, inlined four times.
+def _loop_source(pmap, time_kind):
+    """The body of the trajectory loop over ``pmap``, the one loop of both time kinds.
 
-    The state is the locals ``x0, x1, ...`` and each substep's ``a0, a1, ...``;
-    ``d<s>_<i>`` is substep s's derivative. Every operation is the numpy RK4
-    loop's, in its order, so states keep its bits: ``a_i = x_i + half * d1_i``,
+    The state is the locals ``x0, x1, ...``. A map's step is its lines once,
+    into ``a0, a1, ...``. A flow's step is one RK4 step with the field inlined
+    four times: ``a0, a1, ...`` hold each substep's state and ``d<s>_<i>`` its
+    derivative. Every operation is the numpy loop's, in its order, so states
+    keep its bits: ``a_i = x_i + half * d1_i``,
     ``x_i + sixth * (d1_i + 2.0 * d2_i + 2.0 * d3_i + d4_i)``.
     """
     n = pmap.dim
     xs, subs = [f"x{i}" for i in range(n)], [f"a{i}" for i in range(n)]
     state = f"({''.join(f'{v}, ' for v in xs)})"
-    step = []
-    substeps = ((xs, None), (subs, "half"), (subs, "half"), (subs, "dt"))
-    for s, (inputs, scale) in enumerate(substeps, 1):
-        if scale:
-            step += [f"a{i} = x{i} + {scale} * d{s - 1}_{i}" for i in range(n)]
-        step += pmap._lines(inputs, [f"d{s}_{i}" for i in range(n)])
-    step += [f"x{i} = x{i} + sixth * (d1_{i} + 2.0 * d2_{i} + 2.0 * d3_{i} + d4_{i})"
-             for i in range(n)]
+    if time_kind == DISCRETE:
+        start, step = [], pmap._lines(xs, subs) + [f"x{i} = a{i}" for i in range(n)]
+    else:
+        start, step = ["half = 0.5 * dt", "sixth = dt / 6.0"], []
+        substeps = ((xs, None), (subs, "half"), (subs, "half"), (subs, "dt"))
+        for s, (inputs, scale) in enumerate(substeps, 1):
+            if scale:
+                step += [f"a{i} = x{i} + {scale} * d{s - 1}_{i}" for i in range(n)]
+            step += pmap._lines(inputs, [f"d{s}_{i}" for i in range(n)])
+        step += [f"x{i} = x{i} + sixth * (d1_{i} + 2.0 * d2_{i} + 2.0 * d3_{i} + d4_{i})"
+                 for i in range(n)]
     step += [f"append({state})",
              f"if not {' + '.join(f'{v} * {v}' for v in xs)} <= guard:",
              f"    check({state}, times[k + 1])"]
-    return [f"[{', '.join(xs)}] = x", "states = [x]", "append = states.append",
+    return [*start, f"[{', '.join(xs)}] = x", "states = [x]", "append = states.append",
             "for k in range(len(times) - 1):", *(f"    {line}" for line in step),
             "return states"]
 
 
-def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT):
-    """Fixed-step RK4 integration of f from t=0 to n_steps*dt covering ``t_end``.
-
-    The system's RK4 loop is compiled on its first call and kept on it.
-    """
-    if system.time_kind != CONTINUOUS:
-        raise ValueError("integrate requires a continuous-time system")
-    times = _time_grid(t_end, dt)
+def _run(system, x0, times, dt=None):
+    """Run ``system``'s loop from ``x0`` over ``times``, a flow's at step ``dt``;
+    the first call compiles the loop and keeps it on the system."""
     x = _initial_state(system.dim, x0).tolist()
     _check_state(x, times[0])
     if system._loop is None:
         system._loop = system._map._compile(
-            "_rk4(x, times, half, dt, sixth, zero=0.0, pow=_pow, "
-            "guard=_GUARD, check=_check_state)",
-            _rk4_source(system._map), _GUARD=_GUARD, _check_state=_check_state)
-    states = system._loop(x, times, 0.5 * dt, dt, dt / 6.0)
-    return Trajectory(times=times, states=np.array(states))
+            "_loop(x, times, dt, zero=0.0, pow=_pow, guard=_GUARD, check=_check_state)",
+            _loop_source(system._map, system.time_kind), _GUARD=_GUARD, _check_state=_check_state)
+    return Trajectory(times=times, states=np.array(system._loop(x, times, dt)))
+
+
+def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT):
+    """Fixed-step RK4 integration of f from t=0 to n_steps*dt covering ``t_end``."""
+    if system.time_kind != CONTINUOUS:
+        raise ValueError("integrate requires a continuous-time system")
+    return _run(system, x0, _time_grid(t_end, dt), dt)
 
 
 def _check_steps(steps):
@@ -217,17 +224,7 @@ def iterate(system: PolySystem, x0, steps):
     if system.time_kind != DISCRETE:
         raise ValueError("iterate requires a discrete-time system")
     _check_steps(steps)
-    x0 = _initial_state(system.dim, x0)
-    step = system._map._evaluate
-    x = x0.tolist()
-    _check_state(x, 0.0)
-    states = [x]
-    for k in range(steps):
-        x = step(x)
-        states.append(x)
-        if not sum(map(mul, x, x)) <= _GUARD:
-            _check_state(x, float(k + 1))
-    return Trajectory(times=np.arange(steps + 1, dtype=float), states=np.array(states))
+    return _run(system, x0, np.arange(steps + 1, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,8 @@ def iterate(system: PolySystem, x0, steps):
 def slow_manifold_field(mu, lam, poly):
     """Equations of dx1/dt = mu*x1, dx2/dt = lam*(x2 - P(x1)).
 
-    ``poly`` maps exponent N -> coefficient a for P(x) = sum a*x^N.
+    ``poly`` maps exponent N -> coefficient a for P(x) = sum a*x^N; the
+    field and the lift accept the same P, whole exponents N >= 2.
     """
     return _slow_manifold_equations(mu, lam, poly, -lam)
 
@@ -249,10 +247,16 @@ def _slow_manifold_equations(mu, lam, poly, coupling):
     x2 -> lam*x2 + (1 - lam)*P(x1) takes 1 - lam.
     """
     eq1 = Polynomial(2, {(1, 0): mu})
-    terms = {(0, 1): lam}
-    for n, a in poly.items():
-        terms[(int(n), 0)] = terms.get((int(n), 0), 0.0) + coupling * a
-    return (eq1, Polynomial(2, terms))
+    terms = {(n, 0): coupling * a for n, a in _poly_dict(poly).items()}
+    return (eq1, Polynomial(2, {(0, 1): lam, **terms}))
+
+
+def _poly_dict(poly):
+    """Normalize P given as {N: a}: integer exponents >= 2, ascending."""
+    if any(n < 2 or n != int(n) for n in poly):
+        raise ValueError("manifold polynomial exponents must be >= 2 and whole "
+                         "(degree-1 terms belong to the linear part)")
+    return {int(n): float(a) for n, a in sorted(poly.items())}
 
 
 def _lifting():
@@ -491,13 +495,14 @@ def _read_json(path):
         return json.load(fh)
 
 
-def write_trajectory(traj: Trajectory, path, state_names=None):
+def write_trajectory(traj: Trajectory, path):
     """Write a trajectory as CSV with header t,x1,...,xn[,u or u1..uq]."""
-    _write_csv(path, *_trajectory_table(traj, state_names))
+    _write_csv(path, *_trajectory_table(traj))
 
 
 def _trajectory_table(traj, state_names=None):
-    """The header and rows :func:`write_trajectory` writes."""
+    """The header and rows of a trajectory CSV; the states are named x1..xn
+    unless ``state_names`` names them."""
     n = traj.dim
     names = list(state_names) if state_names else [f"x{i + 1}" for i in range(n)]
     if len(names) != n:

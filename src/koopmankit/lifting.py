@@ -178,14 +178,6 @@ class KoopmanModel:
         return tuple(range(self.state_dim))
 
 
-def _poly_dict(poly):
-    """Normalize P given as {N: a}: integer exponents >= 2, ascending."""
-    if any(n < 2 or n != int(n) for n in poly):
-        raise ValueError("manifold polynomial exponents must be >= 2 and whole "
-                         "(degree-1 terms belong to the linear part)")
-    return {int(n): float(a) for n, a in sorted(poly.items())}
-
-
 def _manifold_library(powers):
     obs = [(1, 0), (0, 1)] + [(n, 0) for n in powers]
     return ObservableLibrary(2, tuple(obs), state_inclusive=True)
@@ -212,7 +204,7 @@ def slow_manifold_lift_dt(mu, lam, poly):
 
 def _slow_manifold_lift(mu, lam, poly, coupling, rate, time_kind):
     """K = diag(mu, lam, rate(N1), ...) with row-2 couplings coupling*a_i."""
-    terms = _poly_dict(poly)
+    terms = dynamics._poly_dict(poly)
     powers = list(terms)
     m = 2 + len(powers)
     k = np.zeros((m, m))

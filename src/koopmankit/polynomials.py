@@ -267,10 +267,10 @@ class PolynomialMap:
     a zero row and ``np.float_power`` it returns a tuple of rows. Python
     float ``*``, ``+`` and ``**`` round like numpy's float64 ``*``, ``+``
     and ``float_power``, so both give the same bits.
-    ``__call__`` wraps it for numpy points and columns; :func:`iterate
-    <koopmankit.dynamics.iterate>` calls it directly, and :func:`integrate
-    <koopmankit.dynamics.integrate>` inlines the emitted lines into an RK4
-    loop of its own through :meth:`_compile`.
+    ``__call__`` wraps it for numpy points and columns. :func:`iterate
+    <koopmankit.dynamics.iterate>` and :func:`integrate
+    <koopmankit.dynamics.integrate>` inline the emitted lines, through
+    :meth:`_compile`, into the one trajectory loop that maps and flows share.
     """
 
     __slots__ = ("dim", "polys", "_coeffs", "_rows", "_powers", "_evaluate")

@@ -688,10 +688,12 @@ def test_a_failing_simulate_writes_none_of_the_tables_it_computed_first(tmp_path
 
 
 def test_infinite_horizon_exits_with_usage_error(tmp_path):
-    code, _, stderr = run_cli(["simulate", "--system", "quad-manifold", "--horizon", "inf",
-                               "--out", str(tmp_path)])
-    assert code == 2
-    assert "finite" in stderr
+    # the second horizon is finite, but its step count t_end/dt overflows to inf
+    for times in (["--horizon", "inf"], ["--horizon", "1e300", "--dt", "1e-300"]):
+        code, _, stderr = run_cli(["simulate", "--system", "quad-manifold", *times,
+                                   "--out", str(tmp_path)])
+        assert code == 2
+        assert "finite" in stderr
 
 
 def test_identify_on_an_empty_csv_exits_with_usage_error(tmp_path):

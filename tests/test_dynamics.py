@@ -28,7 +28,7 @@ from koopmankit import (
     slow_manifold_lift_ct,
     write_trajectory,
 )
-from koopmankit.dynamics import BLOWUP_LIMIT, _REGISTRY
+from koopmankit.dynamics import BLOWUP_LIMIT, _REGISTRY, _trajectory_table, _write_csv
 
 MU, LAM = -0.05, -1.0
 
@@ -246,7 +246,7 @@ def test_named_states_round_trip_through_csv(tmp_path):
     for inputs in (None, rng.normal(size=(6, 1)), rng.normal(size=(6, 2))):
         traj = Trajectory(times=times, states=states, inputs=inputs)
         path = tmp_path / "lifted.csv"
-        write_trajectory(traj, path, state_names=["y1", "y2", "y3"])
+        _write_csv(path, *_trajectory_table(traj, ["y1", "y2", "y3"]))
         again = read_trajectory(path)
         assert again.states.tobytes() == traj.states.tobytes()
         if inputs is None:
@@ -427,6 +427,18 @@ def test_blowups_report_the_numpy_loops_time_and_norm():
         with np.errstate(over="ignore", invalid="ignore"):
             got = _raised(integrate, steep, [1e7], 1.0, dt=1.0)
             expected = _raised(_reference_integrate, steep, [1e7], 1.0, dt=1.0)
+        assert got == expected == (1.0, np.inf)
+    # the maps' loop: logistic r = 5 from 2 passes the limit at step 4, and
+    # x^50 and x^50 - x^52 overflow in one step to inf and to nan
+    logistic = builtin("logistic", r=5.0)
+    got = _raised(iterate, logistic, [2.0], 40)
+    assert got == _raised(_reference_iterate, logistic, [2.0], 40)
+    assert got[0] == 4.0 and got[1] == pytest.approx(1.148e13, rel=1e-3)
+    for terms in ({(50,): 1.0}, {(50,): 1.0, (52,): -1.0}):
+        steep = PolySystem(1, DISCRETE, (Polynomial(1, terms),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _raised(iterate, steep, [1e7], 3)
+            expected = _raised(_reference_iterate, steep, [1e7], 3)
         assert got == expected == (1.0, np.inf)
 
 

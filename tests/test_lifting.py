@@ -33,6 +33,7 @@ from koopmankit import (
     propagate,
     registry_names,
     save_model,
+    slow_manifold_field,
     slow_manifold_lift_ct,
     slow_manifold_lift_dt,
     tu_lift,
@@ -150,6 +151,8 @@ def test_polynomial_exponents_must_be_at_least_two():
     for poly in ({1: 2.0}, {3: 1.0, 0: 2.0}, {2.5: 1.0}, {2: 1.0, 2.5: 3.0}):
         with pytest.raises(ValueError, match="exponents must be >= 2"):
             slow_manifold_lift_ct(-0.05, 1.0, poly)
+        with pytest.raises(ValueError, match="exponents must be >= 2"):
+            slow_manifold_field(-0.05, 1.0, poly)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ TREE is a checkout of this repository; its ``src/`` is imported, so the
 matrix can be run against any two trees (say a change and its parent) and the
 two OUTPUT files compared with ``diff``. Each invocation runs in-process
 through ``koopmankit.cli.main`` in a fresh directory. For each one the JSON
-records the exit code, stdout and stderr (with the run and input directories
-masked as ``<run>`` and ``<in>``), and the SHA-256 of every file the run
-wrote. Input files (CSV data, a saved model) are made first, by the tree
-itself; their hashes are recorded under ``"inputs"``.
+records the exit code (or the type name of an exception that escapes
+``main``), stdout and stderr (with the run and input directories masked as
+``<run>`` and ``<in>``), and the SHA-256 of every file the run wrote. Input
+files (CSV data, a saved model) are made first, by the tree itself; their
+hashes are recorded under ``"inputs"``.
 """
 
 from __future__ import annotations
@@ -146,16 +147,24 @@ MATRIX = [
     ["simulate", "--system", "quartic-manifold", "--x0=1e7,0"],
     # a saved model whose state rows are not the library's first n rows
     ["spectral", "--model", "{in}/swapped_rows.json"],
+    # a map whose fourth step passes the blow-up limit, and a finite horizon
+    # whose step count round(t_end/dt) overflows
+    ["simulate", "--system", "logistic", "--r", "5", "--x0=2", "--steps", "40"],
+    ["simulate", "--system", "quad-manifold", "--horizon", "1e300", "--dt", "1e-300"],
 ]
 
 
 def _invoke(main, argv):
+    """Exit code, stdout and stderr of ``main(argv)``; an exception that escapes
+    ``main`` is recorded as the code, by its type name."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
+        except Exception as exc:
+            code = type(exc).__name__
     return code, stdout.getvalue(), stderr.getvalue()
 
 
