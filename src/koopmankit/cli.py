@@ -4,7 +4,7 @@ Four subcommands mirror the library workflows: ``simulate``, ``identify``,
 ``spectral`` and ``control``; each ``cmd_*`` docstring is its ``--help`` line.
 ``_FLAGS`` declares each flag that several subcommands share, and
 ``_COMMANDS`` lists each subcommand's flags in order. ``--rank`` applies only
-to center-manifold and logistic, whose lifts are Carleman truncations, and
+to the registry entries marked ``"ranked"`` (Carleman truncations), and
 ``simulate`` refuses ``--steps`` for a flow and ``--horizon`` or ``--dt`` for
 a map; ``spectral --model`` refuses the system parameters, ``--x0``,
 ``--horizon``, ``--dt`` and ``--steps``, ``spectral`` refuses a trajectory
@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, dynamics
+from . import __version__, dynamics, registry
 from .control import compare_lqr_kooc
 from .dynamics import CONTINUOUS, DISCRETE, integrate, iterate, write_trajectory
 from .exceptions import BlowUp, DegenerateSpectrum, NotStabilizable, NumericsError, TrajectoryError
@@ -54,9 +54,6 @@ from .spectral import (
     verify_eigenfunction,
 )
 
-_RANKED = ("center_manifold", "logistic")  # registry lifts that take a Carleman rank
-
-
 class _Context:
     """One invocation resolved: output directory, registry system and its defaults."""
 
@@ -70,13 +67,15 @@ class _Context:
         if args.system is not None:
             params = {k: v for k in ("mu", "lam", "r", "angle")
                       if (v := getattr(args, k, None)) is not None}
-            self.system = dynamics.builtin(args.system, **params)
-            self.entry = dynamics._REGISTRY[self.system.name]
+            self.system = registry.builtin(args.system, **params)
+            self.entry = registry._REGISTRY[self.system.name]
         self.ranks = None
         if getattr(args, "rank", None) is not None:
-            if getattr(self.system, "name", None) not in _RANKED:
-                raise ValueError("--rank applies only to --system center-manifold and --system "
-                                 "logistic, whose lifts are Carleman truncations")
+            if not (self.entry or {}).get("ranked"):
+                ranked = [f"--system {name.replace('_', '-')}" for name, entry in
+                          sorted(registry._REGISTRY.items()) if entry.get("ranked")]
+                raise ValueError(f"--rank applies only to {' and '.join(ranked)}, "
+                                 "whose lifts are Carleman truncations")
             self.ranks = [int(v) for v in args.rank.split(",") if v.strip() != ""]
             if not self.ranks or any(r < 1 for r in self.ranks):
                 raise ValueError("--rank needs positive integers")
@@ -352,7 +351,7 @@ def cmd_spectral(args):
     if system is not None:
         payload["system"] = system.name
         payload["params"] = system.params
-        if system.time_kind == CONTINUOUS and ctx.entry.get("manifold") == dynamics._PARABOLA:
+        if system.time_kind == CONTINUOUS and ctx.entry.get("manifold") == registry._PARABOLA:
             # the eigenfunction x2 - b*x1^2 of the flow onto x2 = x1^2
             mu, lam = system.params["mu"], system.params["lambda"]
             if lam != 2 * mu:
@@ -413,7 +412,8 @@ def cmd_control(args):
         print(f"wrote {gains_path}")
         return 0
 
-    result = compare_lqr_kooc(system, model, q_scale * np.eye(system.dim), np.array([[r_scale]]),
+    # Q = q*I formed without inf * 0, so --q inf reaches the non-finite check unwarned
+    result = compare_lqr_kooc(system, model, np.diag([q_scale] * system.dim), np.array([[r_scale]]),
                               x0, args.horizon, dt=args.dt)
 
     lqr_path = out / "control_lqr.csv"
@@ -504,7 +504,7 @@ _COMMANDS = {
 
 
 def build_parser():
-    info = dynamics.registry_info()
+    info = registry.registry_info()
     width = max(len(name) for name in info)
     epilog = "registry systems (hyphens and underscores are interchangeable):\n" + "\n".join(
         f"  {name.ljust(width)}  {text}" for name, text in info.items())

@@ -198,7 +198,7 @@ def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD
     ``DEFAULT_MAX_ITER`` times, and each target is then refit on its final
     support in the original scaling. Threshold 0 is plain least squares.
     Warns when there are fewer samples than features; raises ``ValueError``
-    when the threshold is negative or leaves a target with no term.
+    when the threshold is negative or NaN, or leaves a target with no term.
     """
     theta = eval_library(library, data.X).T  # samples x features
     n_samples, n_features = theta.shape
@@ -226,7 +226,7 @@ def _sparse_fit(design, targets, threshold):
     Threshold 0 skips the loop: every term stays and the fit is plain least
     squares. Returns (coefficients, support), both targets x features.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too: it would pass both tests and skip the loop
         raise ValueError("threshold must be non-negative")
     support = np.ones((targets.shape[1], design.shape[1]), dtype=bool)
     if threshold > 0:

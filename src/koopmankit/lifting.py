@@ -328,8 +328,7 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
             raise ValueError("a discrete model takes steps, not t_end")
         if steps is None:
             raise ValueError("steps required for a discrete model")
-        dynamics._check_steps(steps)
-        times, stack = np.arange(steps + 1, dtype=float), k
+        times, stack = dynamics._step_grid(steps), k
     else:
         if steps is not None:
             raise ValueError("a continuous model takes t_end, not steps")

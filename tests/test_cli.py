@@ -688,12 +688,33 @@ def test_a_failing_simulate_writes_none_of_the_tables_it_computed_first(tmp_path
 
 
 def test_infinite_horizon_exits_with_usage_error(tmp_path):
-    # the second horizon is finite, but its step count t_end/dt overflows to inf
-    for times in (["--horizon", "inf"], ["--horizon", "1e300", "--dt", "1e-300"]):
-        code, _, stderr = run_cli(["simulate", "--system", "quad-manifold", *times,
-                                   "--out", str(tmp_path)])
-        assert code == 2
-        assert "finite" in stderr
+    # the second horizon is finite, but its step count t_end/dt overflows to inf;
+    # the last two take 10^15 steps, a grid of 8 PB that numpy refuses to allocate
+    for argv, text in ((["--system", "quad-manifold", "--horizon", "inf"], "finite"),
+                       (["--system", "quad-manifold", "--horizon", "1e300", "--dt", "1e-300"],
+                        "finite"),
+                       (["--system", "quad-manifold", "--horizon", "1e15", "--dt", "1"],
+                        "1000000000000000 steps"),
+                       (["--system", "tu-map", "--steps", "1000000000000000"],
+                        "1000000000000000 steps")):
+        code, _, stderr = run_cli(["simulate", *argv, "--out", str(tmp_path)])
+        assert code == 2, argv
+        assert text in stderr, argv
+
+
+def test_no_numpy_warning_reaches_stderr(tmp_path):
+    # a state norm that overflows the float range, and Q = q*I at q = inf
+    for argv, code, text in (
+            (["simulate", "--system", "logistic", "--r", "1e200", "--x0=2", "--steps", "3"], 3,
+             "error: state norm inf exceeded 1.0e+08 at t=1"),
+            (["simulate", "--system", "quad-manifold", "--x0=1e300,1"], 3,
+             "error: state norm inf exceeded 1.0e+08 at t=0"),
+            (["control", "--q", "inf"], 2, "error: q has non-finite entries")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli([*argv, "--out", str(tmp_path)])
+        assert result[0] == code, (argv, result)
+        assert text in result[2], argv
 
 
 def test_identify_on_an_empty_csv_exits_with_usage_error(tmp_path):

@@ -28,7 +28,8 @@ from koopmankit import (
     slow_manifold_lift_ct,
     write_trajectory,
 )
-from koopmankit.dynamics import BLOWUP_LIMIT, _REGISTRY, _trajectory_table, _write_csv
+from koopmankit.dynamics import BLOWUP_LIMIT, _trajectory_table, _write_csv
+from koopmankit.registry import _REGISTRY
 
 MU, LAM = -0.05, -1.0
 

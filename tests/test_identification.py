@@ -31,7 +31,7 @@ from koopmankit import (
     sparse_to_json,
     tu_lift,
 )
-from koopmankit.dynamics import _MAP_STARTS
+from koopmankit.registry import _MAP_STARTS
 from koopmankit.identification import MAX_ROUNDS
 from koopmankit.lifting import _library_from_json
 
@@ -285,8 +285,9 @@ def test_refine_recovers_quadratic_lift_matrix():
 
 def test_sindy_rejects_a_negative_threshold():
     data = quad_training_data(dt=0.01)
-    with pytest.raises(ValueError, match="threshold must be non-negative"):
-        sindy(data, monomials(2, 2), threshold=-0.01)
+    for threshold in (-0.01, float("nan")):  # NaN would skip thresholding unrefused
+        with pytest.raises(ValueError, match="threshold must be non-negative"):
+            sindy(data, monomials(2, 2), threshold=threshold)
 
 
 def test_refine_linear_system_reduces_to_dmd():

@@ -38,7 +38,7 @@ from koopmankit import (
     slow_manifold_lift_dt,
     tu_lift,
 )
-from koopmankit.dynamics import _REGISTRY
+from koopmankit.registry import _REGISTRY
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The package's public surface: ``koopmankit.__all__`` and the README's list of it."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -34,3 +35,35 @@ def test_the_readme_lists_exactly_the_exported_names_under_their_modules():
         defining = importlib.import_module(module)
         for name in names:
             assert getattr(defining, name) is getattr(koopmankit, name), (module, name)
+
+
+# The package's modules from the bottom layer up: each imports only earlier ones.
+LAYERS = ("exceptions", "polynomials", "numerics", "dynamics", "lifting", "identification",
+          "spectral", "control", "registry", "cli")
+PACKAGE = pathlib.Path(koopmankit.__file__).resolve().parent
+
+
+def _package_imports(tree):
+    """(imported module, import node) for each package-relative import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0], node
+            else:  # from . import a, b: each name that is a module
+                for alias in node.names:
+                    if alias.name in LAYERS:
+                        yield alias.name, node
+
+
+def test_each_module_imports_only_earlier_layers_and_only_at_module_level():
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = path.stem
+        if name == "__init__":
+            continue
+        assert name in LAYERS, f"place the new module {name} in LAYERS"
+        tree = ast.parse(path.read_text())
+        top_level = set(map(id, tree.body))
+        for imported, node in _package_imports(tree):
+            assert id(node) in top_level, f"{name}.py:{node.lineno} imports {imported} in a body"
+            assert LAYERS.index(imported) < LAYERS.index(name), \
+                f"{name}.py:{node.lineno} imports the later module {imported}"

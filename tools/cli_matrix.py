@@ -151,6 +151,13 @@ MATRIX = [
     # whose step count round(t_end/dt) overflows
     ["simulate", "--system", "logistic", "--r", "5", "--x0=2", "--steps", "40"],
     ["simulate", "--system", "quad-manifold", "--horizon", "1e300", "--dt", "1e-300"],
+    # a NaN threshold; sample grids numpy cannot allocate (10^15 samples, 8 PB);
+    # a map whose state norm overflows, and a state cost of inf
+    ["identify", "--system", "quad-manifold", "--generate", "--threshold", "nan"],
+    ["simulate", "--system", "quad-manifold", "--horizon", "1e15", "--dt", "1"],
+    ["simulate", "--system", "tu-map", "--steps", "1000000000000000"],
+    ["simulate", "--system", "logistic", "--r", "1e200", "--x0=2", "--steps", "3"],
+    ["control", "--q", "inf"],
 ]
 
 
