@@ -10,8 +10,10 @@ designed on a lifted model feed back on observables: u = -C Theta(x), which
 is a nonlinear state feedback whenever the gain touches a nonlinear
 observable.
 
-When every observable is a polynomial, both laws a comparison runs, -C x and
--C Theta(x), are polynomials in x, and so is each closed loop f(x) + B u(x).
+A comparison designs both laws with :func:`kooc_synthesize`: LQR on the
+state library x1..xn with the state block of K, KOOC on the whole lift. When
+every observable is a polynomial, both laws, -C x and -C Theta(x), are
+polynomials in x, and so is each closed loop f(x) + B u(x).
 :func:`compare_lqr_kooc` is the one place a closed loop is formed: it builds
 each as one :class:`~koopmankit.dynamics.PolySystem` and integrates it like
 any other field; the applied inputs are one column evaluation of the law at
@@ -56,9 +58,9 @@ def _symmetric(mat, name, definite):
         raise ValueError(f"{name} must be a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
-    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+    if not np.all(np.abs(m - m.T) <= 1e-12 + 1e-10 * np.abs(m.T)):  # np.allclose's test, inlined
         raise ValueError(f"{name} must be symmetric")
-    m = 0.5 * (m + m.T)
+    m = 0.5 * m + 0.5 * m.T  # halves first, so a finite m cannot overflow
     w = np.linalg.eigvalsh(m)
     if definite and w.min() <= 0:
         raise ValueError(f"{name} must be positive definite")
@@ -102,25 +104,29 @@ def _matrix_sign(z):
     stops shrinking once below 1e-3: in that quadratic regime a step that
     does not shrink is the rounding floor of an ill-conditioned z, and the
     caller's gates judge the result. Raises :class:`NumericsError` on a
-    singular iterate (z has eigenvalues on the imaginary axis) or after
-    ``_SIGN_MAX_ITER`` steps without convergence.
+    singular iterate (z has eigenvalues on the imaginary axis), on an iterate
+    that overflows, or after ``_SIGN_MAX_ITER`` steps without convergence.
     """
     n = z.shape[0]
     prev = np.inf
-    for it in range(_SIGN_MAX_ITER):
-        sign, logdet = np.linalg.slogdet(z)
-        if sign == 0 or not np.isfinite(logdet):
-            raise NumericsError(
-                f"matrix sign iteration hit a singular iterate at step {it}; "
-                "the matrix has eigenvalues on the imaginary axis"
-            )
-        c = np.exp(logdet / n)
-        new = 0.5 * (z / c + c * np.linalg.inv(z))
-        step = np.linalg.norm(new - z, 1) / np.linalg.norm(z, 1)
-        z = new
-        if step <= _SIGN_TOL or (prev <= 1e-3 and step >= prev):
-            return z
-        prev = step
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for it in range(_SIGN_MAX_ITER):
+            sign, logdet = np.linalg.slogdet(z)
+            if sign == 0 or not np.isfinite(logdet):
+                raise NumericsError(
+                    f"matrix sign iteration hit a singular iterate at step {it}; "
+                    "the matrix has eigenvalues on the imaginary axis"
+                )
+            c = np.exp(logdet / n)
+            new = 0.5 * (z / c + c * np.linalg.inv(z))
+            step = np.linalg.norm(new - z, 1) / np.linalg.norm(z, 1)
+            if not step < np.inf:
+                raise NumericsError(f"matrix sign iteration overflowed at step {it}: "
+                                    "the iterate or its step is not finite")
+            z = new
+            if step <= _SIGN_TOL or (prev <= 1e-3 and step >= prev):
+                return z
+            prev = step
     raise NumericsError(f"matrix sign iteration did not converge in {_SIGN_MAX_ITER} steps")
 
 
@@ -133,8 +139,8 @@ def solve_care(a, b, q, r) -> np.ndarray:
     defect-correction form polish it: P <- P + X with
     A_cl' X + X A_cl = -Res(P), each Lyapunov solve read off
     sign([[A_cl', Res], [0, -A_cl]]) = [[-I, 2X], [0, I]]; the best residual
-    seen is kept. Raises :class:`NumericsError` if a sign iteration fails,
-    the closed loop A - G P is not Hurwitz, or the relative backward error
+    seen is kept. Raises :class:`NumericsError` if G is not finite, a sign
+    iteration fails, A - G P is not Hurwitz, or the relative backward error
     |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL``.
     """
     return _care(LqrProblem(a, b, q, r))
@@ -143,10 +149,13 @@ def solve_care(a, b, q, r) -> np.ndarray:
 def _care(prob: LqrProblem) -> np.ndarray:
     a, b, q, r = prob.a, prob.b, prob.q, prob.r
     n = prob.n
-    g = b @ np.linalg.solve(r, b.T)
-    eye = np.eye(n)
     norm = np.linalg.norm
-    a_norm, g_norm, q_norm = norm(a), norm(g), norm(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = b @ np.linalg.solve(r, b.T)
+        a_norm, g_norm, q_norm = norm(a), norm(g), norm(q)
+    if not np.isfinite(g).all():
+        raise NumericsError("G = B R^-1 B' is not finite: R is too close to singular")
+    eye = np.eye(n)
 
     def defect(p):
         """Residual of p, its norm, and its relative backward error."""
@@ -352,12 +361,12 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
                      horizon, dt=DEFAULT_DT) -> ComparisonResult:
     """Run both controllers on the true nonlinear system and cost them.
 
-    The LQR gain comes from the model's state-block linearization with the
-    system's own input map; the KOOC gain comes from the full lifted design
-    with that input map on the first n rows, the state's. Each closed loop
-    is costed with the inputs it actually applied (``ratio`` = KOOC/LQR
-    final cost). A second pair of series re-costs both trajectories with the
-    LQR gain substituted into the integrand — a convention some published
+    Both laws are :func:`kooc_synthesize` designs with the system's input
+    map on the state rows: LQR on the state library x1..xn with the state
+    block K[:n, :n], KOOC on the whole lift. Each closed loop is costed with
+    the inputs it actually applied (``ratio`` = KOOC/LQR final cost). A
+    second pair of series re-costs both trajectories with the LQR gain
+    substituted into the integrand — a convention some published
     comparisons use — reported separately as the ``_script`` fields.
 
     Both feedback laws must be polynomials in x, so every observable of the
@@ -379,26 +388,24 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     r = _symmetric(r, "r", definite=True)
     x0 = _initial_state(n, x0)
 
-    b = system.input_map
-    c_lqr, _ = lqr_gain(model.K[:n, :n], b, q, r)
-
-    b_lifted = np.zeros((len(model.library), b.shape[1]))
-    b_lifted[:n] = b
-    kooc = kooc_synthesize(model, b_lifted, q, r)
-
-    lqr_traj = _closed_loop_run(system, monomials(n, 1), c_lqr, x0, horizon, dt)
-    kooc_traj = _closed_loop_run(system, model.library, kooc.gain, x0, horizon, dt)
+    b_lifted = np.zeros((len(model.library), system.input_map.shape[1]))
+    b_lifted[:n] = system.input_map
+    state_block = KoopmanModel(monomials(n, 1), model.K[:n, :n], CONTINUOUS)
+    lqr, kooc = (kooc_synthesize(lift, b_lifted[:len(lift.library)], q, r)
+                 for lift in (state_block, model))
+    lqr_traj, kooc_traj = (_closed_loop_run(system, d.model.library, d.gain, x0, horizon, dt)
+                           for d in (lqr, kooc))
 
     lqr_cost = _trapezoid_cost(lqr_traj, lqr_traj.inputs, q, r)
     kooc_cost = _trapezoid_cost(kooc_traj, kooc_traj.inputs, q, r)
-    lqr_script = _trapezoid_cost(lqr_traj, -(lqr_traj.states @ c_lqr.T), q, r)
-    kooc_script = _trapezoid_cost(kooc_traj, -(kooc_traj.states @ c_lqr.T), q, r)
-    ratio, ratio_script = (1.0 if lqr[-1] == 0.0 else float(kooc[-1]) / float(lqr[-1])
-                           for lqr, kooc in ((lqr_cost, kooc_cost), (lqr_script, kooc_script)))
+    lqr_script = _trapezoid_cost(lqr_traj, -(lqr_traj.states @ lqr.gain.T), q, r)
+    kooc_script = _trapezoid_cost(kooc_traj, -(kooc_traj.states @ lqr.gain.T), q, r)
+    ratio, ratio_script = (1.0 if j_lqr[-1] == 0.0 else float(j_kooc[-1]) / float(j_lqr[-1])
+                           for j_lqr, j_kooc in ((lqr_cost, kooc_cost), (lqr_script, kooc_script)))
 
     return ComparisonResult(
         lqr_traj=lqr_traj, kooc_traj=kooc_traj,
         lqr_cost=lqr_cost, kooc_cost=kooc_cost, ratio=ratio,
         lqr_cost_script=lqr_script, kooc_cost_script=kooc_script,
-        ratio_script=ratio_script, lqr_gain=c_lqr, kooc_controller=kooc,
+        ratio_script=ratio_script, lqr_gain=lqr.gain, kooc_controller=kooc,
     )

@@ -242,18 +242,20 @@ def slow_manifold_field(mu, lam, poly):
     ``poly`` maps exponent N -> coefficient a for P(x) = sum a*x^N; the
     field and the lift accept the same P, whole exponents N >= 2.
     """
-    return _slow_manifold_equations(mu, lam, poly, -lam)
+    return _slow_manifold_equations(mu, lam, poly, CONTINUOUS)
 
 
-def _slow_manifold_equations(mu, lam, poly, coupling):
-    """Equations of x1' = mu*x1, x2' = lam*x2 + coupling*P(x1).
-
-    The flow takes coupling -lam; the map x1 -> mu*x1,
-    x2 -> lam*x2 + (1 - lam)*P(x1) takes 1 - lam.
-    """
+def _slow_manifold_equations(mu, lam, poly, time_kind):
+    """Equations of x1' = mu*x1, x2' = lam*x2 + c*P(x1), c the coupling of
+    ``time_kind``: the flow of slow_manifold_field, or the map x2 -> lam*x2 + (1 - lam)*P(x1)."""
     eq1 = Polynomial(2, {(1, 0): mu})
-    terms = {(n, 0): coupling * a for n, a in _poly_dict(poly).items()}
+    terms = {(n, 0): _manifold_coupling(lam, time_kind) * a for n, a in _poly_dict(poly).items()}
     return (eq1, Polynomial(2, {(0, 1): lam, **terms}))
+
+
+def _manifold_coupling(lam, time_kind):
+    """The x2 equation's factor on P(x1): -lam in the flow, 1 - lam in the map."""
+    return -lam if time_kind == CONTINUOUS else 1.0 - lam
 
 
 def _poly_dict(poly):

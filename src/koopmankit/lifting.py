@@ -190,7 +190,7 @@ def slow_manifold_lift_ct(mu, lam, poly):
     [x1, x2, x1^N1, ..., x1^NM] with exponents ascending, and K is
     diag(mu, lam, mu*N1, ..., mu*NM) plus row-2 couplings -a_i*lam.
     """
-    return _slow_manifold_lift(mu, lam, poly, -lam, lambda n: mu * n, CONTINUOUS)
+    return _slow_manifold_lift(mu, lam, poly, lambda n: mu * n, CONTINUOUS)
 
 
 def slow_manifold_lift_dt(mu, lam, poly):
@@ -199,11 +199,11 @@ def slow_manifold_lift_dt(mu, lam, poly):
     Same library as the continuous lift; the diagonal carries the multipliers
     mu, lam, mu^N1, ..., and row 2 couples through a_i*(1-lam).
     """
-    return _slow_manifold_lift(mu, lam, poly, 1.0 - lam, lambda n: ipow(mu, n), DISCRETE)
+    return _slow_manifold_lift(mu, lam, poly, lambda n: ipow(mu, n), DISCRETE)
 
 
-def _slow_manifold_lift(mu, lam, poly, coupling, rate, time_kind):
-    """K = diag(mu, lam, rate(N1), ...) with row-2 couplings coupling*a_i."""
+def _slow_manifold_lift(mu, lam, poly, rate, time_kind):
+    """K = diag(mu, lam, rate(N1), ...) with row 2 the x2 equation's couplings c*a_i."""
     terms = dynamics._poly_dict(poly)
     powers = list(terms)
     m = 2 + len(powers)
@@ -211,7 +211,7 @@ def _slow_manifold_lift(mu, lam, poly, coupling, rate, time_kind):
     k[0, 0] = mu
     k[1, 1] = lam
     for i, n in enumerate(powers):
-        k[1, 2 + i] = coupling * terms[n]
+        k[1, 2 + i] = dynamics._manifold_coupling(lam, time_kind) * terms[n]
         k[2 + i, 2 + i] = rate(n)
     return KoopmanModel(_manifold_library(powers), k, time_kind)
 

@@ -25,10 +25,8 @@ def _slow_manifold(poly, time_kind=CONTINUOUS, input_map=None):
     The field (or map) and its lift are both built from the one ``poly``.
     """
     def builder(p):
-        lam = p["lambda"]
-        coupling = -lam if time_kind == CONTINUOUS else 1.0 - lam
-        return PolySystem(2, time_kind, _slow_manifold_equations(p["mu"], lam, poly, coupling),
-                          params=p, input_map=input_map)
+        equations = _slow_manifold_equations(p["mu"], p["lambda"], poly, time_kind)
+        return PolySystem(2, time_kind, equations, params=p, input_map=input_map)
 
     def lift(p, rank):
         make = slow_manifold_lift_ct if time_kind == CONTINUOUS else slow_manifold_lift_dt

@@ -578,12 +578,13 @@ def test_control_zero_state_cost_skips_the_simulation(tmp_path):
 
 
 def test_control_unstabilizable_pair_exits_with_synthesis_error(tmp_path):
-    code, _, stderr = run_cli([
-        "control", "--system", "limitation", "--out", str(tmp_path),
-    ])
-    assert code == 4
-    assert "0.2" in stderr
-    assert "x1^2" in stderr
+    # the lifted x1^2 mode of the limitation system, and the LQR design's x1 at mu > 0
+    for argv, texts in ((["--system", "limitation"], ("0.2", "x1^2")),
+                        (["--mu", "0.1"], ("unstabilizable unstable modes: 0.1 (on x1)",))):
+        code, _, stderr = run_cli(["control", *argv, "--out", str(tmp_path)])
+        assert code == 4, argv
+        for text in texts:
+            assert text in stderr, argv
 
 
 # ---------------------------------------------------------------------------
@@ -703,13 +704,17 @@ def test_infinite_horizon_exits_with_usage_error(tmp_path):
 
 
 def test_no_numpy_warning_reaches_stderr(tmp_path):
-    # a state norm that overflows the float range, and Q = q*I at q = inf
+    # a state norm that overflows the float range; Q = q*I at q = inf; a sign
+    # iterate that overflows at q = 1e308; and G = B R^-1 B' that overflows
     for argv, code, text in (
             (["simulate", "--system", "logistic", "--r", "1e200", "--x0=2", "--steps", "3"], 3,
              "error: state norm inf exceeded 1.0e+08 at t=1"),
             (["simulate", "--system", "quad-manifold", "--x0=1e300,1"], 3,
              "error: state norm inf exceeded 1.0e+08 at t=0"),
-            (["control", "--q", "inf"], 2, "error: q has non-finite entries")):
+            (["control", "--q", "inf"], 2, "error: q has non-finite entries"),
+            (["control", "--q", "1e308"], 3, "error: matrix sign iteration overflowed at step 0"),
+            (["control", "--r", "1e-320"], 3,
+             "error: G = B R^-1 B' is not finite: R is too close to singular")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_cli([*argv, "--out", str(tmp_path)])

@@ -324,6 +324,12 @@ def test_kooc_zero_state_cost_returns_zero_gain():
     controller = kooc_synthesize(model, b_lifted, np.zeros((2, 2)), [[1.0]])
     np.testing.assert_array_equal(controller.gain, np.zeros((1, 3)))
     np.testing.assert_array_equal(controller.p, np.zeros((3, 3)))
+    # the comparison designs its LQR law the same way, so both laws vanish
+    comp = compare_lqr_kooc(builtin("kooc_demo"), model, np.zeros((2, 2)), [[1.0]],
+                            (-5.0, 5.0), 5.0)
+    np.testing.assert_array_equal(comp.lqr_gain, np.zeros((1, 2)))
+    np.testing.assert_array_equal(comp.kooc_controller.gain, np.zeros((1, 3)))
+    assert comp.ratio == 1.0
 
 
 def test_kooc_limitation_system_raises_not_stabilizable():
@@ -337,6 +343,15 @@ def test_kooc_limitation_system_raises_not_stabilizable():
     assert err.observables == ("x1^2",)
     assert "0.2" in str(err)
     assert "x1^2" in str(err)
+
+
+def test_comparison_refuses_an_unstabilizable_state_block_by_mode():
+    """At mu > 0 the LQR design's x1 mode is unreachable from the input on x2."""
+    with pytest.raises(NotStabilizable) as excinfo:
+        compare_lqr_kooc(builtin("kooc_demo", mu=0.1), slow_manifold_lift_ct(0.1, 1.0, {2: 1.0}),
+                         np.eye(2), [[1.0]], (-5.0, 5.0), 5.0)
+    assert excinfo.value.modes == pytest.approx((0.1,))
+    assert excinfo.value.observables == ("x1",)
 
 
 # ---------------------------------------------------------------------------
@@ -438,3 +453,8 @@ def test_kooc_gain_is_the_lqr_gain_of_the_lifted_problem():
     gain, p = lqr_gain(model.K, b_lifted, q_lifted, [[1.0]])
     assert controller.gain.tobytes() == gain.tobytes()
     assert controller.p.tobytes() == p.tobytes()
+    # the comparison's two designs: KOOC as above, LQR on the state block
+    comp = compare_lqr_kooc(system, model, np.eye(2), [[1.0]], (-5.0, 5.0), 1.0)
+    assert comp.kooc_controller.gain.tobytes() == gain.tobytes()
+    state_gain, _ = lqr_gain(model.K[:2, :2], system.input_map, np.eye(2), [[1.0]])
+    assert comp.lqr_gain.tobytes() == state_gain.tobytes()

@@ -158,6 +158,11 @@ MATRIX = [
     ["simulate", "--system", "tu-map", "--steps", "1000000000000000"],
     ["simulate", "--system", "logistic", "--r", "1e200", "--x0=2", "--steps", "3"],
     ["control", "--q", "inf"],
+    # a linearization with an unstabilizable unstable mode; a state cost whose
+    # sign iterate overflows; an input weight whose inverse overflows
+    ["control", "--mu", "0.1"],
+    ["control", "--q", "1e308"],
+    ["control", "--r", "1e-320"],
 ]
 
 
