@@ -141,7 +141,8 @@ def solve_care(a, b, q, r) -> np.ndarray:
     sign([[A_cl', Res], [0, -A_cl]]) = [[-I, 2X], [0, I]]; the best residual
     seen is kept. Raises :class:`NumericsError` if G is not finite, a sign
     iteration fails, A - G P is not Hurwitz, or the relative backward error
-    |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL``.
+    |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL`` or
+    cannot be measured because |Res| or its scale overflows.
     """
     return _care(LqrProblem(a, b, q, r))
 
@@ -159,9 +160,14 @@ def _care(prob: LqrProblem) -> np.ndarray:
 
     def defect(p):
         """Residual of p, its norm, and its relative backward error."""
-        res = a.T @ p + p @ a - p @ g @ p + q
-        res_norm, p_norm = norm(res), norm(p)
-        scale = q_norm + 2.0 * a_norm * p_norm + g_norm * p_norm ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            res = a.T @ p + p @ a - p @ g @ p + q
+            res_norm, p_norm = norm(res), norm(p)
+            scale = q_norm + 2.0 * a_norm * p_norm + g_norm * p_norm ** 2
+        if not (np.isfinite(res_norm) and np.isfinite(scale)):
+            raise NumericsError(
+                f"Riccati backward error overflowed (residual {res_norm:.3e}, scale {scale:.3e}): "
+                "Q or R is too far from unit scale for it to be measured")
         return res, res_norm, (res_norm / scale if scale else 0.0)
 
     s = _matrix_sign(np.block([[a, -g], [-q, -a.T]]))

@@ -6,16 +6,18 @@ discrete systems are iterated exactly.
 
 Each :class:`PolySystem` compiles its equations once into a
 :class:`~koopmankit.polynomials.PolynomialMap`. Maps and flows run one
-generated trajectory loop per system, compiled on the first ``iterate`` or
-``integrate`` call and kept on the system. A step is straight-line code on
-local floats ``x0, x1, ...``: a map's lines once, or one RK4 step with the
-field's lines inlined once per substep. A step makes no numpy call: a power
-above 2 is one call of the map's libm ``pow`` helper. ``integrate`` runs the
-field f(x) alone; the one closed-loop path,
-:func:`koopmankit.control.compare_lqr_kooc`, compiles each feedback law into
-its closed loop f(x) + B u(x), a system of its own. Python float ``*`` and
-``+`` round like numpy's, and every operation keeps the order of the numpy
-loops this replaced, so states are bit-identical to them.
+generated trajectory loop per system, built on the first ``iterate`` or
+``integrate`` call and kept on the system (systems of one structure share
+one compile of its source); its state tuples reach numpy as one flat
+buffer. A step is straight-line code on local floats ``x0, x1, ...``: a
+map's lines once, or one RK4 step with the field's lines inlined once per
+substep. A step makes no numpy call: a power above 2 is one call of the
+map's libm ``pow`` helper. ``integrate`` runs the field f(x) alone; the one
+closed-loop path, :func:`koopmankit.control.compare_lqr_kooc`, compiles
+each feedback law into its closed loop f(x) + B u(x), a system of its own.
+Python float ``*`` and ``+`` round like numpy's, and every operation keeps
+the order of the numpy loops this replaced, so states are bit-identical to
+them.
 
 The loop aborts with :class:`~koopmankit.exceptions.BlowUp` once the state
 norm passes 1e8; a start that is already non-finite is bad input and raises
@@ -30,6 +32,7 @@ every step.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -208,14 +211,16 @@ def _loop_source(pmap, time_kind):
 
 def _run(system, x0, times, dt=None):
     """Run ``system``'s loop from ``x0`` over ``times``, a flow's at step ``dt``;
-    the first call compiles the loop and keeps it on the system."""
+    the first call builds the loop and keeps it on the system."""
     x = _initial_state(system.dim, x0).tolist()
     _check_state(x, times[0])
     if system._loop is None:
         system._loop = system._map._compile(
             "_loop(x, times, dt, zero=0.0, pow=_pow, guard=_GUARD, check=_check_state)",
             _loop_source(system._map, system.time_kind), _GUARD=_GUARD, _check_state=_check_state)
-    return Trajectory(times=times, states=np.array(system._loop(x, times, dt)))
+    flat = itertools.chain.from_iterable(system._loop(x, times, dt))
+    n, samples = system.dim, len(times)
+    return Trajectory(times=times, states=np.fromiter(flat, float, n * samples).reshape(samples, n))
 
 
 def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT):

@@ -722,6 +722,19 @@ def test_no_numpy_warning_reaches_stderr(tmp_path):
         assert text in result[2], argv
 
 
+def test_a_riccati_backward_error_that_overflows_is_named_and_warns_nothing(tmp_path):
+    # q = 1e200 overflows the residual; r = 1e-300 overflows |G||P|^2 only
+    for argv in (["--q", "1e200"], ["--r", "1e-300"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run_cli(["control", *argv, "--out", str(tmp_path)])
+        assert caught == [], argv
+        assert code == 3, argv
+        assert stderr.startswith("error: Riccati backward error overflowed (residual "), argv
+        assert stderr.endswith("): Q or R is too far from unit scale for it to be measured\n")
+        assert stderr.count("\n") == 1 and stdout == "", argv
+
+
 def test_identify_on_an_empty_csv_exits_with_usage_error(tmp_path):
     data = tmp_path / "blank.csv"
     data.write_text("")

@@ -1,5 +1,7 @@
 """Tests for the Riccati solver, LQR/KOOC synthesis, and cost comparison."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from koopmankit import (
     slow_manifold_lift_ct,
     solve_care,
 )
+from koopmankit import polynomials
 from koopmankit.control import _closed_loop_run
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -175,6 +178,16 @@ def test_care_refuses_a_hamiltonian_with_imaginary_axis_eigenvalues():
     # an undamped oscillator with no input: the Hamiltonian has eigenvalues +-i
     with pytest.raises(NumericsError, match="imaginary axis"):
         solve_care([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 1)), np.eye(2), [[1.0]])
+
+
+@pytest.mark.parametrize("q", [1e160, 1e200])
+def test_care_refuses_a_backward_error_that_overflows_without_a_warning(q):
+    # |P| ~ 5q: at q = 1e160 P is right but |G||P|^2 overflows, so the
+    # backward error cannot be measured; at 1e200 the residual overflows too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="backward error overflowed .*unit scale"):
+            solve_care(np.diag([-0.1, 1.0]), [[0.0], [1.0]], q * np.eye(2), [[1.0]])
 
 
 def test_problem_validation():
@@ -458,3 +471,23 @@ def test_kooc_gain_is_the_lqr_gain_of_the_lifted_problem():
     assert comp.kooc_controller.gain.tobytes() == gain.tobytes()
     state_gain, _ = lqr_gain(model.K[:2, :2], system.input_map, np.eye(2), [[1.0]])
     assert comp.lqr_gain.tobytes() == state_gain.tobytes()
+
+
+def test_comparisons_keep_their_bits_with_a_warm_code_cache():
+    """Closed loops and laws of one structure reuse compiled code across calls and q."""
+    system = builtin("kooc_demo")
+    model = slow_manifold_lift_ct(-0.1, 1.0, {2: 1.0})
+
+    def run(q):
+        comp = compare_lqr_kooc(system, model, q * np.eye(2), [[1.0]], (-5.0, 5.0), 2.0)
+        return [x.tobytes() for x in (comp.lqr_traj.states, comp.lqr_traj.inputs,
+                                      comp.kooc_traj.states, comp.kooc_traj.inputs,
+                                      comp.lqr_cost, comp.kooc_cost)]
+
+    cold = []
+    for q in (1.0, 3.0):
+        polynomials._code.cache_clear()
+        cold.append(run(q))
+    warm = [run(q) for q in (1.0, 3.0)]
+    assert polynomials._code.cache_info().hits > 0
+    assert warm == cold and cold[0] != cold[1]

@@ -496,6 +496,21 @@ def test_a_three_state_field_integrates_bit_identically():
         _assert_same_bits(integrate(system, x0, 2.0), _reference_integrate(system, x0, 2.0))
 
 
+@pytest.mark.parametrize("system, x0, extent", [
+    (builtin("logistic"), [0.3], 40),
+    (builtin("logistic"), [0.3], 0),
+    (builtin("center_manifold"), [0.4], 2.0),
+    (_lorenz(), (1.0, 1.0, 1.0), 1.0),
+], ids=["1-state map", "1-state map, no step", "1-state flow", "3-state flow"])
+def test_states_come_out_one_row_per_sample_with_the_loops_bits(system, x0, extent):
+    run, reference = ((iterate, _reference_iterate) if system.time_kind == DISCRETE
+                      else (integrate, _reference_integrate))
+    traj = run(system, x0, extent)
+    assert traj.states.shape == (len(traj.times), system.dim)
+    assert traj.states.dtype == np.float64 and traj.states.flags.c_contiguous
+    _assert_same_bits(traj, reference(system, x0, extent))
+
+
 def test_empty_csv_file_is_rejected_by_name(tmp_path):
     path = tmp_path / "nothing.csv"
     path.write_text("")

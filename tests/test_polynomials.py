@@ -21,6 +21,7 @@ from koopmankit import (
     monomials,
     registry_names,
 )
+from koopmankit import polynomials
 from koopmankit.polynomials import ipow
 
 
@@ -246,6 +247,52 @@ def test_a_map_compiles_its_evaluator_on_first_use_and_once(monkeypatch):
         pmap.missing
     again = pickle.loads(pickle.dumps(pmap))  # unpickled unused, compiled on its first call
     assert again([1.5, -1.0]).tobytes() == value.tobytes()
+
+
+def _count_compiles(monkeypatch):
+    """Empty the code cache and record each source that ``compile()`` then sees."""
+    sources = []
+
+    def counted(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    polynomials._code.cache_clear()
+    monkeypatch.setattr(polynomials, "compile", counted, raising=False)
+    return sources
+
+
+def test_maps_of_one_structure_share_one_compile_and_keep_their_coefficients(monkeypatch):
+    sources = _count_compiles(monkeypatch)
+    rng = np.random.default_rng(23)
+    exps = [(3, 1), (0, 1), (2, 0), (1, 1)]
+    polys = [Polynomial(2, dict(zip(exps, rng.uniform(-2.0, 2.0, len(exps))))) for _ in range(2)]
+    maps = [PolynomialMap(2, (p,)) for p in polys]
+    points, batches = _evaluation_inputs(2, rng)
+    for pmap, poly in zip(maps, polys):
+        for x in points:
+            assert pmap(x).tobytes() == np.array([_reference_eval(poly, x)]).tobytes()
+        for cols in batches:
+            assert pmap(cols)[0].tobytes() == _reference_eval(poly, cols).tobytes()
+    assert len(sources) == 1
+    assert maps[0]._evaluate is not maps[1]._evaluate
+    assert maps[0]([1.5, -1.0]).tobytes() != maps[1]([1.5, -1.0]).tobytes()
+
+
+def test_the_code_cache_stays_within_its_bound_and_recompiles_what_it_evicted(monkeypatch):
+    sources = _count_compiles(monkeypatch)
+    bound = polynomials._CODE_CACHE_SIZE
+    x1 = Polynomial.variable(1, 0)
+    first = PolynomialMap(1, (2.0 * x1 ** 3,))
+    assert first([1.5]).tolist() == [2.0 * 1.5 ** 3]
+    for e in range(4, bound + 6):  # one distinct source per exponent
+        PolynomialMap(1, (x1 ** e,))([1.0])
+        assert polynomials._code.cache_info().currsize <= bound
+    assert len(sources) == bound + 3
+    evicted = PolynomialMap(1, (-3.0 * x1 ** 3,))
+    assert evicted([1.5]).tolist() == [-3.0 * 1.5 ** 3]
+    assert len(sources) == bound + 4 and sources[-1] == sources[0]
+    assert first([1.5]).tolist() == [2.0 * 1.5 ** 3]
 
 
 # -- the one power rule: libm pow at points and on columns -------------------
