@@ -44,10 +44,10 @@ from .identification import (
     save_sparse,
     sindy,
 )
-from .lifting import ObservableLibrary, load_model, monomials, propagate, save_model
+from .lifting import load_model, monomials, propagate, save_model
 from .polynomials import format_polynomial
 from .spectral import (
-    Eigenfunction,
+    eigen_residual,
     eigenfunction_to_json,
     eigenfunctions,
     slow_subspace_slope,
@@ -367,11 +367,10 @@ def cmd_spectral(args):
         if name not in named:
             raise ValueError(f"no named eigenfunction '{args.named_observable}' for this "
                              "system (exp-neg-inv belongs to --system center-manifold)")
-        fn = Eigenfunction(named[name], np.array([1.0]), ObservableLibrary(1, (name,)),
-                           system.time_kind)
-        payload["named_observable"] = name
-        payload["named_observable_residual"] = verify_eigenfunction(fn, traj)
-        print(f"{name} residual: {dynamics._fmt(payload['named_observable_residual'])}")
+        eigenvalue, phi = named[name]
+        residual = eigen_residual(phi(traj.states[:, 0]), eigenvalue, traj.times, system.time_kind)
+        payload.update(named_observable=name, named_observable_residual=residual)
+        print(f"{name} residual: {dynamics._fmt(residual)}")
 
     path = ctx.out / f"{stem}_spectral.json"
     dynamics._write_json(path, payload)

@@ -374,10 +374,7 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     second pair of series re-costs both trajectories with the LQR gain
     substituted into the integrand — a convention some published
     comparisons use — reported separately as the ``_script`` fields.
-
-    Both feedback laws must be polynomials in x, so every observable of the
-    model's library must be a polynomial: a named observable raises
-    ``ValueError``. Each closed loop runs as one compiled polynomial field.
+    Each closed loop runs as one compiled polynomial field.
     """
     if system.input_map is None:
         raise ValueError("system has no input map")
@@ -386,10 +383,6 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     n = system.dim
     if model.state_dim != n:
         raise ValueError("model state dimension must match the system")
-    for obs in model.library.observables:
-        if isinstance(obs, str):
-            raise ValueError(f"the KOOC law needs a polynomial library; observable "
-                             f"'{obs}' is not a polynomial")
     q = _symmetric(q, "q", definite=False)
     r = _symmetric(r, "r", definite=True)
     x0 = _initial_state(n, x0)

@@ -17,15 +17,8 @@ import numpy as np
 from . import numerics
 from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory, _write_json
 from .exceptions import TrajectoryError
-from .lifting import (
-    KoopmanModel,
-    ObservableLibrary,
-    _library_to_json,
-    eval_library,
-    observable_advance,
-    observable_name,
-)
-from .polynomials import Polynomial, PolynomialMap, _graded_lex
+from .lifting import KoopmanModel, ObservableLibrary, _library_to_json, eval_library, observable_advance
+from .polynomials import Polynomial, PolynomialMap, _graded_lex, format_polynomial
 
 DEFAULT_THRESHOLD = 0.025
 DEFAULT_MAX_ITER = 10
@@ -178,9 +171,7 @@ class SparseModel:
         return self.coefficients != 0.0
 
     def equations(self):
-        """Per-target polynomials (requires a polynomial library)."""
-        if not self.library.is_polynomial():
-            raise ValueError("equations need a polynomial library")
+        """Per-target polynomials."""
         return tuple(self.library.linear_combination(row) for row in self.coefficients)
 
     def as_system(self) -> PolySystem:
@@ -210,9 +201,8 @@ def sindy(data: DataSet, library: ObservableLibrary, threshold=DEFAULT_THRESHOLD
     coeffs, support = _sparse_fit(theta, data.Y.T, threshold)
     empty = np.flatnonzero(~support.any(axis=1))
     if empty.size:
-        raise ValueError(
-            f"threshold eliminated every term for target(s) {list(empty)}; lower it"
-        )
+        targets = ", ".join(f"x{i + 1}" for i in empty)
+        raise ValueError(f"threshold eliminated every term for target(s) {targets}; lower it")
     return SparseModel(library=library, coefficients=coeffs, threshold=threshold,
                        time_kind=data.time_kind)
 
@@ -282,20 +272,15 @@ def refine_subspace(sparse: SparseModel, data: DataSet) -> RefinementResult:
     derivative for flows, next value for maps) is regressed onto the set by
     plain least squares.
     """
-    if not sparse.library.is_polynomial():
-        raise ValueError("refinement needs a polynomial library")
     n = sparse.library.dim
     if sparse.n_targets != n:
         raise ValueError("sparse model does not cover the full state")
     identified = sparse.as_system()
 
     degree_cap = 2 * max(o.degree() for o in sparse.library.observables)
-    working = [Polynomial.variable(n, i) for i in range(n)]
-    keys = {w.key() for w in working}
-    for obs, col in zip(sparse.library.observables, sparse.active_mask().any(axis=0)):
-        if col and obs.key() not in keys:
-            working.append(obs)
-            keys.add(obs.key())
+    active = [o for o, col in zip(sparse.library.observables, sparse.active_mask().any(axis=0)) if col]
+    working = list(dict.fromkeys([Polynomial.variable(n, i) for i in range(n)] + active))
+    known = set(working)
 
     added = []
     converged = False
@@ -306,7 +291,7 @@ def refine_subspace(sparse: SparseModel, data: DataSet) -> RefinementResult:
             advance = observable_advance(obs, identified)
             for exps in advance.terms:
                 mono = Polynomial.monomial(n, exps)
-                if mono.key() not in keys:
+                if mono not in known:
                     missing[exps] = mono
         if not missing:
             converged = True
@@ -314,12 +299,12 @@ def refine_subspace(sparse: SparseModel, data: DataSet) -> RefinementResult:
         admissible = [missing[e] for e in sorted(missing, key=_graded_lex) if sum(e) <= degree_cap]
         for mono in admissible:
             working.append(mono)
-            keys.add(mono.key())
-            added.append(observable_name(mono))
+            known.add(mono)
+            added.append(format_polynomial(mono))
         if len(admissible) < len(missing):
             break  # some or all of the closure lies beyond the cap
 
-    refined_lib = ObservableLibrary(n, tuple(working), state_inclusive=True)
+    refined_lib = ObservableLibrary(n, tuple(working))
     theta = eval_library(refined_lib, data.X)  # (m, M)
     if data.time_kind == CONTINUOUS:
         # chain rule, summed in axis order from +0.0: zero partials add

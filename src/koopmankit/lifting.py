@@ -1,9 +1,10 @@
 """Observable libraries, closed-form Koopman lifts, and truncated Carleman matrices.
 
-A lift packages an observable library together with the square matrix that
-advances it, as a :class:`KoopmanModel`. For the slow-manifold family the
-matrix closes exactly on the library; :func:`closure_residual` verifies that
-symbolically, with zero residual, by comparing polynomial coefficients.
+Every observable is a polynomial. A lift packages an observable library
+together with the square matrix that advances it, as a :class:`KoopmanModel`.
+For the slow-manifold family the matrix closes exactly on the library;
+:func:`closure_residual` verifies that symbolically, with zero residual, by
+comparing polynomial coefficients.
 Carleman constructions are truncations: rows within the retained rank are
 exact, and the neglected monomials are the truncation error.
 """
@@ -19,94 +20,54 @@ import numpy as np
 from . import dynamics
 from .dynamics import CONTINUOUS, DISCRETE, Trajectory
 from .exceptions import BlowUp
-from .polynomials import Polynomial, PolynomialMap, _graded_lex, format_polynomial, ipow, monomial_name
-
-EXP_NEG_INV = "exp_neg_inv"
-_NAMED = (EXP_NEG_INV,)
-
-
-def eval_named_observable(name, values):
-    """Evaluate a named closed-form observable on scalar samples.
-
-    ``exp_neg_inv`` is exp(-1/x) for x > 0, extended continuously by 0 at
-    x = 0; negative arguments are outside its domain.
-    """
-    if name != EXP_NEG_INV:
-        raise ValueError(f"unknown named observable '{name}'")
-    v = np.asarray(values, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("exp_neg_inv is undefined for negative arguments")
-    safe = np.where(v > 0, v, 1.0)
-    return np.where(v > 0, np.exp(-1.0 / safe), 0.0)
+from .polynomials import Polynomial, PolynomialMap, _graded_lex, format_polynomial, ipow
 
 
 def _as_observable(obs, dim):
-    if isinstance(obs, str):
-        name = obs.replace("-", "_")
-        if name not in _NAMED:
-            raise ValueError(f"unknown named observable '{obs}'")
-        if dim != 1:
-            raise ValueError("named observables require a 1-state library")
-        return name
     if isinstance(obs, Polynomial):
         if obs.dim != dim:
             raise ValueError("observable dimension mismatch")
         if obs.is_zero():
             raise ValueError("zero polynomial is not a valid observable")
         return obs
-    # bare exponent tuple -> monomial
-    return Polynomial.monomial(dim, tuple(obs))
-
-
-def observable_name(obs):
     if isinstance(obs, str):
-        return obs
-    if obs.is_monomial():
-        return monomial_name(obs.exponents())
-    return format_polynomial(obs)
+        raise ValueError(f"observable {obs!r} is not a polynomial")
+    return Polynomial.monomial(dim, tuple(obs))  # an exponent sequence
 
 
 @dataclass
 class ObservableLibrary:
-    """Ordered collection of observables on an n-dimensional state.
+    """Ordered collection of polynomial observables on an n-dimensional state.
 
-    Entries are polynomials (monomials being the common case) or the name of
-    a closed-form scalar function. ``state_inclusive`` asserts that the first
-    n observables are the state coordinates themselves. The polynomial
-    entries are compiled into one :class:`PolynomialMap` at construction; a
-    named entry keeps its own row, filled by :func:`eval_named_observable`.
+    An entry is a :class:`Polynomial` or an exponent sequence, read as that
+    monomial. ``state_inclusive`` is read off the entries at construction:
+    True when the first n are x1..xn. The entries are compiled into one
+    :class:`PolynomialMap` at construction.
     """
 
     dim: int
     observables: tuple
-    state_inclusive: bool = False
 
     def __post_init__(self):
         obs = tuple(_as_observable(o, self.dim) for o in self.observables)
-        keys = [o if isinstance(o, str) else o.key() for o in obs]
-        if len(set(keys)) != len(keys):
+        if len(set(obs)) != len(obs):
             raise ValueError("duplicate observables in library")
-        if self.state_inclusive:
-            if len(obs) < self.dim:
-                raise ValueError("state-inclusive library shorter than the state")
-            for i in range(self.dim):
-                expected = Polynomial.variable(self.dim, i)
-                if not (isinstance(obs[i], Polynomial) and obs[i] == expected):
-                    raise ValueError(f"observable {i} must be x{i + 1} in a state-inclusive library")
         self.observables = obs
-        zero = Polynomial.zero(self.dim)
-        self._map = PolynomialMap(self.dim, (zero if isinstance(o, str) else o for o in obs))
-        self._named = tuple((j, o) for j, o in enumerate(obs) if isinstance(o, str))
+        self._state_inclusive = obs[:self.dim] == tuple(Polynomial.variable(self.dim, i)
+                                                        for i in range(self.dim))
+        self._map = PolynomialMap(self.dim, obs)
 
     def __len__(self):
         return len(self.observables)
 
     @property
     def names(self):
-        return [observable_name(o) for o in self.observables]
+        return [format_polynomial(o) for o in self.observables]
 
-    def is_polynomial(self):
-        return all(isinstance(o, Polynomial) for o in self.observables)
+    @property
+    def state_inclusive(self):
+        """True when the first n observables are the state coordinates x1..xn."""
+        return self._state_inclusive
 
     def linear_combination(self, coeffs):
         """The polynomial sum of coeffs[j] * observable j, zero coefficients skipped."""
@@ -128,18 +89,16 @@ def monomials(dim, max_degree):
     exps = [tuple(combo.count(i) for i in range(dim))
             for degree in range(1, max_degree + 1)
             for combo in combinations_with_replacement(range(dim), degree)]
-    return ObservableLibrary(dim, tuple(sorted(exps, key=_graded_lex)), state_inclusive=True)
+    return ObservableLibrary(dim, tuple(sorted(exps, key=_graded_lex)))
 
 
 def eval_library(library: ObservableLibrary, x):
-    """Stack observable values: (m,) for a point, (m, M) for snapshot columns."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != library.dim:
-        raise ValueError(f"state dimension {x.shape[0]} does not match library dim {library.dim}")
-    out = library._map(x)
-    for j, name in library._named:
-        out[j] = eval_named_observable(name, x[0])
-    return out
+    """Stack observable values: (m,) for a point, (m, M) for snapshot columns.
+
+    The values come from the library's one compiled :class:`PolynomialMap`,
+    which refuses a state whose leading dimension is not the library's.
+    """
+    return library._map(x)
 
 
 @dataclass
@@ -179,8 +138,7 @@ class KoopmanModel:
 
 
 def _manifold_library(powers):
-    obs = [(1, 0), (0, 1)] + [(n, 0) for n in powers]
-    return ObservableLibrary(2, tuple(obs), state_inclusive=True)
+    return ObservableLibrary(2, ((1, 0), (0, 1), *((n, 0) for n in powers)))
 
 
 def slow_manifold_lift_ct(mu, lam, poly):
@@ -284,8 +242,6 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
     monomials lie outside the library (the discarded tail of a Carleman
     truncation) are dropped before comparing.
     """
-    if not model.library.is_polynomial():
-        raise ValueError("closure check requires a polynomial library")
     if system.time_kind != model.time_kind:
         raise ValueError("model and system time kinds differ")
     if system.dim != model.library.dim:
@@ -365,19 +321,27 @@ def project_states(model: KoopmanModel, lifted: Trajectory):
 # ---------------------------------------------------------------------------
 
 def observable_to_json(obs):
-    if isinstance(obs, str):
-        return obs
     if obs.is_monomial():
         return list(obs.exponents())
     return {"terms": [[c, list(e)] for e, c in sorted(obs.terms.items())]}
 
 
 def observable_from_json(entry, dim):
-    if isinstance(entry, str):
-        return entry
-    if isinstance(entry, dict):
-        return Polynomial.from_terms(dim, [(c, tuple(e)) for c, e in entry["terms"]])
-    return Polynomial.monomial(dim, tuple(entry))
+    """An exponent list, or {"terms": [[coefficient, exponents], ...]}; anything else raises."""
+    try:
+        if isinstance(entry, dict):
+            return Polynomial.from_terms(dim, entry["terms"])
+        return _as_observable(entry, dim)
+    except (KeyError, TypeError):
+        raise ValueError(f"observable {entry!r} is not a polynomial") from None
+
+
+def _json_fields(data, *keys):
+    """The values of ``keys`` in a JSON object; a non-object or a missing key raises."""
+    missing = [key for key in keys if key not in data] if isinstance(data, dict) else keys
+    if missing:
+        raise ValueError(f"expected a JSON object with {', '.join(map(repr, missing))}")
+    return [data[key] for key in keys]
 
 
 def _library_to_json(library: ObservableLibrary) -> dict:
@@ -389,12 +353,16 @@ def _library_to_json(library: ObservableLibrary) -> dict:
 
 
 def _library_from_json(data: dict) -> ObservableLibrary:
-    dim = int(data["dim"])
-    return ObservableLibrary(
-        dim,
-        tuple(observable_from_json(o, dim) for o in data["observables"]),
-        state_inclusive=bool(data.get("state_inclusive", False)),
-    )
+    dim, declared, entries = _json_fields(data, "dim", "state_inclusive", "observables")
+    if not (type(dim) is int and dim >= 1):  # a JSON true is no dimension
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    if not isinstance(entries, list):
+        raise ValueError(f"observables must be a list, got {type(entries).__name__}")
+    library = ObservableLibrary(dim, tuple(observable_from_json(o, dim) for o in entries))
+    if declared is not library.state_inclusive:
+        raise ValueError(f"state_inclusive is {declared!r}, but the observables make it "
+                         f"{library.state_inclusive}")
+    return library
 
 
 def model_to_json(model: KoopmanModel) -> dict:
@@ -407,8 +375,8 @@ def model_to_json(model: KoopmanModel) -> dict:
 
 
 def model_from_json(data: dict) -> KoopmanModel:
-    model = KoopmanModel(_library_from_json(data), np.asarray(data["K"], dtype=float),
-                         data["time_kind"])
+    time_kind, k = _json_fields(data, "time_kind", "K")
+    model = KoopmanModel(_library_from_json(data), np.asarray(k, dtype=float), time_kind)
     rows = data.get("state_rows")
     if rows != list(model.state_rows):
         raise ValueError(f"state_rows {rows} are not the library's first {model.state_dim} rows")

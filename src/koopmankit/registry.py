@@ -19,6 +19,15 @@ from .spectral import rotate_model, rotation_matrix
 _PARABOLA = {2: 1.0}  # P(x1) = x1^2
 
 
+def _exp_neg_inv(x):
+    """exp(-1/x), 0 at x = 0: d/dt exp(-1/x) = exp(-1/x) along dx/dt = x^2; x < 0 raises."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("exp_neg_inv is undefined for negative arguments")
+    with np.errstate(divide="ignore"):  # -1/0 = -inf, and exp(-inf) = 0
+        return np.exp(-1.0 / np.abs(x))  # abs: -1/-0.0 would be +inf
+
+
 def _slow_manifold(poly, time_kind=CONTINUOUS, input_map=None):
     """Builder and exact lift of the slow-manifold system on x2 = P(x1).
 
@@ -95,7 +104,8 @@ _MAP_STARTS = tuple((a, b) for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 
 #   lift(params, rank) -> the closed-form lifted model;
 #   "ranked"    True where the lift is a Carleman truncation that rank sets;
 #   "manifold"  P of the slow manifold x2 = P(x1), where there is one;
-#   "eigenfunctions"  named closed-form eigenfunctions -> eigenvalue.
+#   "eigenfunctions"  name -> (eigenvalue, phi) for a closed-form scalar
+#               eigenfunction phi of x1 that the lift does not hold.
 _REGISTRY = {
     "quad_manifold": {
         **_slow_manifold(_PARABOLA),
@@ -146,7 +156,7 @@ _REGISTRY = {
         "x0": (0.5,),
         "horizon": _center_manifold_horizon,
         "training": (tuple((v,) for v in np.linspace(0.05, 0.45, 9)), 1.5),
-        "eigenfunctions": {"exp_neg_inv": 1.0},  # d/dt exp(-1/x) = exp(-1/x)
+        "eigenfunctions": {"exp_neg_inv": (1.0, _exp_neg_inv)},
     },
     "kooc_demo": {
         **_slow_manifold(_PARABOLA, input_map=((0.0,), (1.0,))),

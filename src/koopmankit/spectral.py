@@ -45,9 +45,7 @@ class Eigenfunction:
         return self.coeffs @ eval_library(self.library, x)
 
     def as_polynomial(self):
-        """Real polynomial form (requires a polynomial library, real coeffs)."""
-        if not self.library.is_polynomial():
-            raise ValueError("not a polynomial eigenfunction")
+        """Real polynomial form (requires real coeffs)."""
         if np.max(np.abs(self.coeffs.imag)) > 1e-10 * max(1.0, np.max(np.abs(self.coeffs))):
             raise ValueError("coefficients are not real to tolerance")
         return self.library.linear_combination(self.coeffs.real)
@@ -72,16 +70,32 @@ def verify_eigenfunction(fn: Eigenfunction, traj: Trajectory) -> float:
     uninformative and raises.
     """
     theta = eval_library(fn.library, traj.states.T)
-    values = fn.coeffs @ theta
-    scale = float(np.sqrt(np.mean(np.abs(values) ** 2)))
     # compare against the observable magnitudes the combination was built
     # from: a trajectory started on the zero set of phi produces values that
     # are pure rounding noise, which must not masquerade as signal
     floor = float(np.abs(fn.coeffs[:, None] * theta).max())
+    return _relative_defect(fn.coeffs @ theta, fn.eigenvalue, traj.times, fn.time_kind, floor)
+
+
+def eigen_residual(values, eigenvalue, times, time_kind) -> float:
+    """The defect :func:`verify_eigenfunction` measures, for any phi sampled at ``times``.
+
+    ``values`` holds phi at each time; values that vanish identically raise ``ValueError``.
+    """
+    values = np.asarray(values, dtype=complex)
+    if values.shape != (len(times),):
+        raise ValueError(f"values has shape {values.shape}; expected one per time, ({len(times)},)")
+    floor = float(np.abs(values).max())
+    return _relative_defect(values, complex(eigenvalue), times, time_kind, floor)
+
+
+def _relative_defect(values, eigenvalue, times, time_kind, floor):
+    """RMS of advance - eigenvalue * value over RMS of value; an RMS under 1e-12 * floor raises."""
+    scale = float(np.sqrt(np.mean(np.abs(values) ** 2)))
     if scale <= 1e-12 * max(floor, 1e-300):
         raise ValueError("eigenfunction vanishes along this trajectory; nothing to verify")
-    now, advance, _ = _sampled_advance(values, traj.times, fn.time_kind)
-    defect = advance - fn.eigenvalue * now
+    now, advance, _ = _sampled_advance(values, times, time_kind)
+    defect = advance - eigenvalue * now
     return float(np.sqrt(np.mean(np.abs(defect) ** 2))) / scale
 
 
@@ -91,9 +105,8 @@ def verify_eigenfunction(fn: Eigenfunction, traj: Trajectory) -> float:
 
 def _quad_shape(model: KoopmanModel):
     """Extract (mu, lam) after checking the exact quad-lift structure."""
-    lib = model.library
-    if model.time_kind != CONTINUOUS or not lib.is_polynomial() \
-            or [o.terms for o in lib.observables] != [{(1, 0): 1.0}, {(0, 1): 1.0}, {(2, 0): 1.0}]:
+    if model.time_kind != CONTINUOUS or [o.terms for o in model.library.observables] \
+            != [{(1, 0): 1.0}, {(0, 1): 1.0}, {(2, 0): 1.0}]:
         raise ValueError("unsupported model shape: expected the continuous lift on [x1, x2, x1^2]")
     k = model.K
     mu = k[0, 0]
@@ -149,8 +162,7 @@ def rotate_model(model: KoopmanModel, angle) -> KoopmanModel:
     x1p = Polynomial(2, {(1, 0): tinv[0, 0], (0, 1): tinv[0, 1]})
     x2p = Polynomial(2, {(1, 0): tinv[1, 0], (0, 1): tinv[1, 1]})
     phi = x2p - b * (x1p ** 2)
-    lib = ObservableLibrary(2, (Polynomial.variable(2, 0), Polynomial.variable(2, 1), phi),
-                            state_inclusive=True)
+    lib = ObservableLibrary(2, (Polynomial.variable(2, 0), Polynomial.variable(2, 1), phi))
     return KoopmanModel(lib, k, CONTINUOUS)
 
 

@@ -435,6 +435,26 @@ def test_spectral_named_observable_verifies_on_center_manifold(tmp_path):
     assert payload["named_observable_residual"] < 1e-4
 
 
+_QUAD_MODEL = {"time_kind": "continuous", "dim": 2, "state_inclusive": True,
+               "observables": [[1, 0], [0, 1], [2, 0]],
+               "K": [[-0.05, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -0.1]], "state_rows": [0, 1]}
+
+
+@pytest.mark.parametrize("content, message", [
+    ({k: v for k, v in _QUAD_MODEL.items() if k != "K"}, "expected a JSON object with 'K'"),
+    ([_QUAD_MODEL], "expected a JSON object with 'time_kind', 'K'"),
+    ({**_QUAD_MODEL, "observables": [[1, 0], [0, 1], 5]}, "observable 5 is not a polynomial"),
+    ({**_QUAD_MODEL, "dim": 1, "observables": [[1], "exp_neg_inv"], "K": [[-1.0, 0.0], [0.0, 1.0]],
+      "state_rows": [0]}, "observable 'exp_neg_inv' is not a polynomial"),
+])
+def test_a_malformed_model_file_exits_2_naming_what_is_wrong(tmp_path, content, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(content))
+    code, stdout, stderr = run_cli(["spectral", "--model", str(path), "--out", str(tmp_path / "out")])
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert not list((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--system", "quad-manifold", "--rank", "3"],
     ["simulate", "--system", "tu-map", "--rank", "2"],

@@ -8,11 +8,9 @@ import pytest
 from koopmankit import (
     CONTINUOUS,
     KoocController,
-    KoopmanModel,
     LqrProblem,
     NotStabilizable,
     NumericsError,
-    ObservableLibrary,
     PolySystem,
     Polynomial,
     Trajectory,
@@ -434,15 +432,6 @@ def test_comparison_trajectories_carry_applied_inputs():
     # LQR applies -C x with the state-space gain
     expected = -(comp.lqr_traj.states @ comp.lqr_gain.T)
     np.testing.assert_allclose(comp.lqr_traj.inputs, expected, atol=1e-10)
-
-
-def test_comparison_refuses_a_named_observable_by_name():
-    """The compiled closed loops need a polynomial law; exp(-1/x) is not one."""
-    system = PolySystem(1, CONTINUOUS, (Polynomial(1, {(1,): -1.0}),), input_map=[[1.0]])
-    library = ObservableLibrary(1, ((1,), "exp_neg_inv"), state_inclusive=True)
-    model = KoopmanModel(library, -np.eye(2), CONTINUOUS)
-    with pytest.raises(ValueError, match="'exp_neg_inv' is not a polynomial"):
-        compare_lqr_kooc(system, model, [[1.0]], [[1.0]], [1.0], 1.0)
 
 
 def test_kooc_controller_stabilizes_where_lqr_diverges_less():

@@ -398,7 +398,7 @@ def test_a_destabilizing_closed_loop_blows_up_where_the_callback_loop_does():
     """dx = x^2 + u under u = -x escapes from x0 = 2 at t = ln 2; RK4 at dt 0.01 lags a little."""
     system = PolySystem(1, CONTINUOUS, (Polynomial(1, {(2,): 1.0}),), input_map=[[1.0]])
     # a stable made-up lift, so that the lifted design succeeds
-    model = KoopmanModel(ObservableLibrary(1, ((1,), (2,)), state_inclusive=True),
+    model = KoopmanModel(ObservableLibrary(1, ((1,), (2,))),
                          [[0.0, 1.0], [0.0, -1.0]], CONTINUOUS)
     gain, _ = lqr_gain([[0.0]], [[1.0]], [[1.0]], [[1.0]])
     t, norm = _raised(compare_lqr_kooc, system, model, [[1.0]], [[1.0]], [2.0], 3.0)

@@ -256,6 +256,16 @@ def test_sindy_raises_when_threshold_wipes_a_row():
         sindy(data, monomials(2, 2), threshold=50.0)
 
 
+def test_sindy_names_the_targets_a_threshold_wipes_as_the_report_does():
+    message = r"^threshold eliminated every term for target\(s\) {}; lower it$"
+    with pytest.raises(ValueError, match=message.format("x1, x2")):
+        sindy(quad_training_data(dt=0.01), monomials(2, 2), threshold=10.0)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 40))
+    only_x2 = DataSet(X=x, Y=np.vstack([-x[0], np.zeros(40)]), time_kind=CONTINUOUS)
+    with pytest.raises(ValueError, match=message.format("x2")):
+        sindy(only_x2, monomials(2, 2), threshold=0.1)
+
+
 def test_sindy_warns_when_underdetermined():
     lib = monomials(2, 3)
     data = DataSet(

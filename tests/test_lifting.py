@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from koopmankit import (
     BlowUp,
     CONTINUOUS,
     DISCRETE,
-    EXP_NEG_INV,
     KoopmanModel,
     ObservableLibrary,
     Polynomial,
@@ -21,7 +21,6 @@ from koopmankit import (
     carleman_logistic,
     closure_residual,
     eval_library,
-    eval_named_observable,
     integrate,
     iterate,
     load_model,
@@ -38,7 +37,7 @@ from koopmankit import (
     slow_manifold_lift_dt,
     tu_lift,
 )
-from koopmankit.registry import _REGISTRY
+from koopmankit.registry import _REGISTRY, _exp_neg_inv
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +74,41 @@ def test_eval_library_matches_direct_monomials():
 
 
 def test_named_observable_evaluation():
-    x = np.array([0.25, 0.5, 2.0])
-    np.testing.assert_allclose(
-        eval_named_observable(EXP_NEG_INV, x), np.exp(-1.0 / x), rtol=1e-15
-    )
+    """The registry's exp(-1/x) has the bits of np.exp(-1/x) for x > 0 and is 0 at x = 0."""
+    assert _REGISTRY["center_manifold"]["eigenfunctions"]["exp_neg_inv"] == (1.0, _exp_neg_inv)
+    x = np.array([0.25, 0.5, 2.0, 1e-3, 7.5])
+    assert _exp_neg_inv(x).tobytes() == np.exp(-1.0 / x).tobytes()
+    assert _exp_neg_inv(np.array([0.0, -0.0])).tolist() == [0.0, 0.0]
+    assert _exp_neg_inv(np.array([0.0, 0.5]))[1] == np.exp(-2.0)
+
+
+def test_the_named_observable_refuses_a_negative_argument():
+    with pytest.raises(ValueError, match="exp_neg_inv is undefined for negative arguments"):
+        _exp_neg_inv(np.array([0.5, -0.25]))
+
+
+@pytest.mark.parametrize("entry", ["exp_neg_inv", "exp-neg-inv", "x1"])
+def test_a_library_refuses_a_string_observable_by_name(entry):
+    with pytest.raises(ValueError, match=f"observable '{entry}' is not a polynomial"):
+        ObservableLibrary(1, ((1,), entry))
+
+
+@pytest.mark.parametrize("dim, entries, expected", [
+    (2, [(1, 0), (0, 1), (2, 0)], True),
+    (2, [(1, 0), (0, 1)], True),
+    (1, [(1,), (2,), (3,)], True),
+    (2, [(0, 1), (1, 0)], False),
+    (2, [(1, 0)], False),
+    (1, [(2,), (1,)], False),
+    (1, [Polynomial(1, {(1,): 2.0})], False),
+])
+def test_state_inclusion_is_read_off_the_entries(dim, entries, expected):
+    lib = ObservableLibrary(dim, entries)
+    assert lib.state_inclusive is expected
+    with pytest.raises(AttributeError):
+        lib.state_inclusive = not expected
+    with pytest.raises(TypeError):
+        ObservableLibrary(dim, entries, state_inclusive=expected)
 
 
 def test_library_index_lookup():
@@ -456,17 +486,73 @@ def test_model_json_roundtrip_preserves_exact_floats(tmp_path):
     np.testing.assert_array_equal(loaded.K, model.K)
 
 
-def test_model_json_roundtrip_with_named_observable(tmp_path):
-    lib = ObservableLibrary(1, [(1,), EXP_NEG_INV], state_inclusive=True)
-    model = KoopmanModel(lib, np.array([[-1.0, 0.0], [0.0, 1.0]]), CONTINUOUS)
+def _center_model_json():
+    return model_to_json(carleman_center(2))
+
+
+def test_a_model_file_with_a_named_observable_is_refused_by_name(tmp_path):
+    data = _center_model_json()
+    data["observables"][1] = "exp_neg_inv"
     path = tmp_path / "named.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="observable 'exp_neg_inv' is not a polynomial"):
+        load_model(path)
+
+
+def test_a_model_file_without_k_names_the_missing_key(tmp_path):
+    data = _center_model_json()
+    del data["K"]
+    path = tmp_path / "no_k.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="expected a JSON object with 'K'"):
+        load_model(path)
+
+
+def test_a_model_file_holding_a_list_is_refused(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([_center_model_json()]))
+    with pytest.raises(ValueError, match="expected a JSON object with 'time_kind', 'K'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("entry", [5, None, [[1]], {"coeffs": [1.0]}, {"terms": 5}])
+def test_a_model_file_with_a_malformed_observable_names_it(tmp_path, entry):
+    data = _center_model_json()
+    data["observables"][1] = entry
+    path = tmp_path / "bad_entry.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"observable {re.escape(repr(entry))} is not a polynomial"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("state_inclusive"), "expected a JSON object with 'state_inclusive'"),
+    (lambda d: d.update(state_inclusive=False),
+     "state_inclusive is False, but the observables make it True"),
+    (lambda d: d.update(observables=[[2], [1]]),
+     "state_inclusive is True, but the observables make it False"),
+    (lambda d: d.update(dim="1"), "dim must be a positive integer, got '1'"),
+    (lambda d: d.update(dim=True), "dim must be a positive integer, got True"),
+    (lambda d: d.update(observables=5), "observables must be a list, got int"),
+])
+def test_a_model_file_whose_library_header_is_wrong_is_refused(tmp_path, edit, message):
+    data = _center_model_json()
+    edit(data)
+    path = tmp_path / "bad_library.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(path)
+
+
+def test_a_model_file_with_a_polynomial_observable_round_trips(tmp_path):
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    lib = ObservableLibrary(2, (x1, x2, x2 - 0.5 * x1 ** 2))
+    model = KoopmanModel(lib, np.diag([-0.05, -1.0, -1.0]), CONTINUOUS)
+    path = tmp_path / "poly.json"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.library.names == model.library.names
-    np.testing.assert_array_equal(
-        eval_library(loaded.library, np.array([[0.5]])),
-        eval_library(model.library, np.array([[0.5]])),
-    )
+    assert loaded.library == lib and loaded.library.state_inclusive
+    np.testing.assert_array_equal(loaded.K, model.K)
 
 
 def test_model_rejects_mismatched_matrix_size():
@@ -476,13 +562,16 @@ def test_model_rejects_mismatched_matrix_size():
 
 
 @pytest.mark.parametrize("lib", [
-    ObservableLibrary(1, [EXP_NEG_INV]),
     ObservableLibrary(2, [(0, 1), (1, 0)]),
-    ObservableLibrary(2, [(1, 0), (0, 1)]),  # x1, x2 first, but not declared state-inclusive
+    ObservableLibrary(1, [(2,), (1,)]),
+    ObservableLibrary(2, [(1, 0)]),
 ])
 def test_model_refuses_a_library_that_is_not_state_inclusive(lib):
     with pytest.raises(ValueError, match="needs a state-inclusive library"):
         KoopmanModel(lib, np.eye(len(lib)), CONTINUOUS)
+    # x1, x2 first is state-inclusive: there is nothing left to declare
+    accepted = KoopmanModel(ObservableLibrary(2, [(1, 0), (0, 1)]), np.eye(2), CONTINUOUS)
+    assert accepted.state_rows == (0, 1)
 
 
 @pytest.mark.parametrize("rows", [[1, 0], [2, 1], [0], [0, 1, 2], None])

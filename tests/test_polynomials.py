@@ -8,13 +8,10 @@ import pytest
 
 from koopmankit import (
     CONTINUOUS,
-    EXP_NEG_INV,
-    ObservableLibrary,
     Polynomial,
     PolynomialMap,
     builtin,
     eval_library,
-    eval_named_observable,
     format_polynomial,
     integrate,
     monomial_name,
@@ -203,17 +200,6 @@ def test_compiled_sum_never_returns_negative_zero():
     for x in ([0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]):
         assert np.signbit(PolynomialMap(2, (p,))(x)).tolist() == [False]
         assert not np.signbit(p(x))
-
-
-def test_library_keeps_a_named_observable_row():
-    lib = ObservableLibrary(1, ((1,), EXP_NEG_INV, (2,)))
-    for x in ([0.5], [0.0], np.array([[0.0, 0.25, 2.0]])):
-        x = np.asarray(x, dtype=float)
-        cols = x[:, None] if x.ndim == 1 else x
-        expected = np.vstack([cols[0], eval_named_observable(EXP_NEG_INV, cols[0]), cols[0] ** 2])
-        if x.ndim == 1:
-            expected = expected[:, 0]
-        assert eval_library(lib, x).tobytes() == expected.tobytes()
 
 
 def test_compiled_map_shapes_and_errors():

@@ -8,12 +8,11 @@ import pytest
 from koopmankit import (
     CONTINUOUS,
     DegenerateSpectrum,
-    EXP_NEG_INV,
     Eigenfunction,
-    ObservableLibrary,
     Trajectory,
     builtin,
     differentiate_series,
+    eigen_residual,
     eigenfunction_to_json,
     eigenfunctions,
     format_polynomial,
@@ -28,7 +27,9 @@ from koopmankit import (
     tu_lift,
     verify_eigenfunction,
 )
+from koopmankit.cli import main
 from koopmankit.lifting import _library_from_json
+from koopmankit.registry import _REGISTRY
 
 MU, LAM = -0.05, 1.0
 B_COEFF = LAM / (LAM - 2 * MU)  # 1/1.1 = 0.909090...
@@ -152,14 +153,41 @@ def test_continuous_eigenfunction_generator_identity():
 
 def test_named_observable_eigenfunction_on_center_manifold():
     """exp(-1/x) is a lam = 1 eigenfunction of dx = x^2."""
-    lib = ObservableLibrary(1, [EXP_NEG_INV], state_inclusive=False)
-    fn = Eigenfunction(
-        eigenvalue=1.0, coeffs=np.array([1.0]), library=lib, time_kind=CONTINUOUS
-    )
     system = builtin("center_manifold")
     for x0 in (0.25, 0.5):
         traj = integrate(system, [x0], 0.8 / x0, dt=0.002)  # stop before blow-up
-        assert verify_eigenfunction(fn, traj) < 1e-4
+        assert eigen_residual(np.exp(-1.0 / traj.states[:, 0]), 1.0, traj.times, CONTINUOUS) < 1e-4
+
+
+def test_eigen_residual_of_the_registry_phi_is_what_spectral_writes(tmp_path):
+    eigenvalue, phi = _REGISTRY["center_manifold"]["eigenfunctions"]["exp_neg_inv"]
+    traj = integrate(builtin("center_manifold"), [0.25], 0.8 / 0.25, dt=0.002)
+    residual = eigen_residual(phi(traj.states[:, 0]), eigenvalue, traj.times, CONTINUOUS)
+    assert main(["spectral", "--system", "center-manifold", "--named-observable", "exp-neg-inv",
+                 "--x0=0.25", "--dt", "0.002", "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "center_manifold_spectral.json").read_text())
+    assert written["named_observable_residual"].hex() == residual.hex() == "0x1.69e1954a746b4p-24"
+
+
+@pytest.mark.parametrize("values", [np.zeros(50), np.zeros(50, dtype=complex), -0.0 * np.ones(50)])
+def test_eigen_residual_refuses_values_that_vanish_identically(values):
+    times = np.arange(50) * 0.01
+    with pytest.raises(ValueError, match="vanishes along this trajectory"):
+        eigen_residual(values, 1.0, times, CONTINUOUS)
+
+
+def test_eigen_residual_matches_verify_eigenfunction_bit_for_bit():
+    flow = integrate(builtin("quad_manifold", mu=MU, lam=LAM), [1.5, -1.0], 10.0, dt=0.01)
+    steps = iterate(builtin("tu_map", lam=0.9, mu=0.5), [1.0, 2.0], 40)
+    for model, traj in ((quad_model(), flow), (tu_lift(0.9, 0.5), steps)):
+        for fn in eigenfunctions(model):
+            expected = verify_eigenfunction(fn, traj)
+            assert eigen_residual(fn(traj.states.T), fn.eigenvalue, traj.times, fn.time_kind) == expected
+
+
+def test_eigen_residual_refuses_values_that_do_not_match_the_times():
+    with pytest.raises(ValueError, match=r"values has shape \(4,\); expected one per time, \(5,\)"):
+        eigen_residual(np.ones(4), 1.0, np.arange(5) * 0.1, CONTINUOUS)
 
 
 # ---------------------------------------------------------------------------

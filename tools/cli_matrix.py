@@ -42,6 +42,21 @@ INPUT_FILES = {
                           '"observables": [[1, 0], [0, 1], [2, 0]], '
                           '"K": [[-0.05, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -0.1]], '
                           '"state_rows": [1, 0]}\n'),
+    # malformed model files: no "K", a JSON list, an observable that is a number,
+    # and one that names exp(-1/x), which is not a polynomial
+    "no_k.json": ('{"time_kind": "continuous", "dim": 2, "state_inclusive": true, '
+                  '"observables": [[1, 0], [0, 1], [2, 0]], "state_rows": [0, 1]}\n'),
+    "list.json": ('[{"time_kind": "continuous", "dim": 2, "state_inclusive": true, '
+                  '"observables": [[1, 0], [0, 1], [2, 0]], '
+                  '"K": [[-0.05, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -0.1]], '
+                  '"state_rows": [0, 1]}]\n'),
+    "int_observable.json": ('{"time_kind": "continuous", "dim": 2, "state_inclusive": true, '
+                            '"observables": [[1, 0], [0, 1], 5], '
+                            '"K": [[-0.05, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -0.1]], '
+                            '"state_rows": [0, 1]}\n'),
+    "named_observable.json": ('{"time_kind": "continuous", "dim": 1, "state_inclusive": true, '
+                              '"observables": [[1], "exp_neg_inv"], '
+                              '"K": [[-1.0, 0.0], [0.0, 1.0]], "state_rows": [0]}\n'),
 }
 INPUT_RUNS = (
     ("sim", ["simulate", "--system", "quad-manifold"]),
@@ -163,6 +178,15 @@ MATRIX = [
     ["control", "--mu", "0.1"],
     ["control", "--q", "1e308"],
     ["control", "--r", "1e-320"],
+    # malformed model files; a threshold that leaves no term for either target;
+    # the exp(-1/x) check on the acceptance trajectory
+    ["spectral", "--model", "{in}/no_k.json"],
+    ["spectral", "--model", "{in}/list.json"],
+    ["spectral", "--model", "{in}/int_observable.json"],
+    ["spectral", "--model", "{in}/named_observable.json"],
+    ["identify", "--system", "quad-manifold", "--generate", "--threshold", "10"],
+    ["spectral", "--system", "center-manifold", "--named-observable", "exp-neg-inv",
+     "--x0=0.25", "--dt", "0.002"],
 ]
 
 
