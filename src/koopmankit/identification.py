@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics
 from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory, _write_json
 from .exceptions import TrajectoryError
-from .lifting import KoopmanModel, ObservableLibrary, _library_to_json, eval_library, observable_advance
+from .lifting import KoopmanModel, ObservableLibrary, _advances, _library_to_json, eval_library
 from .polynomials import Polynomial, PolynomialMap, _graded_lex, format_polynomial
 
 DEFAULT_THRESHOLD = 0.025
@@ -287,8 +287,7 @@ def refine_subspace(sparse: SparseModel, data: DataSet) -> RefinementResult:
     rounds = 0
     for rounds in range(1, MAX_ROUNDS + 1):
         missing = {}
-        for obs in working:
-            advance = observable_advance(obs, identified)
+        for advance in _advances(working, identified):
             for exps in advance.terms:
                 mono = Polynomial.monomial(n, exps)
                 if mono not in known:

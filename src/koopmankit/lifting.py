@@ -20,7 +20,8 @@ import numpy as np
 from . import dynamics
 from .dynamics import CONTINUOUS, DISCRETE, Trajectory
 from .exceptions import BlowUp
-from .polynomials import Polynomial, PolynomialMap, _graded_lex, format_polynomial, ipow
+from .polynomials import (Polynomial, PolynomialMap, _compose_all, _graded_lex, _linear_sum,
+                          format_polynomial, ipow)
 
 
 def _as_observable(obs, dim):
@@ -70,12 +71,14 @@ class ObservableLibrary:
         return self._state_inclusive
 
     def linear_combination(self, coeffs):
-        """The polynomial sum of coeffs[j] * observable j, zero coefficients skipped."""
-        out = Polynomial.zero(self.dim)
-        for coeff, obs in zip(coeffs, self.observables):
-            if coeff != 0.0:
-                out = out + coeff * obs
-        return out
+        """The polynomial sum of coeffs[j] * observable j, zero coefficients skipped.
+
+        The terms are summed in one dict, in the order and with the bits of
+        the fold ``out + coeff * obs``.
+        """
+        return _linear_sum(self.dim, ((float(coeff), obs)
+                                      for coeff, obs in zip(coeffs, self.observables)
+                                      if coeff != 0.0))
 
 
 def monomials(dim, max_degree):
@@ -229,9 +232,15 @@ def carleman_center(rank):
 
 def observable_advance(obs: Polynomial, system) -> Polynomial:
     """The observable's image under the dynamics: Lie derivative or composition."""
+    return _advances((obs,), system)[0]
+
+
+def _advances(observables, system):
+    """Each observable's image under the dynamics; the compositions of a map
+    share one table of the powers of its equations."""
     if system.time_kind == CONTINUOUS:
-        return obs.lie_derivative(system.equations)
-    return obs.compose(system.equations)
+        return [obs.lie_derivative(system.equations) for obs in observables]
+    return _compose_all(observables, system.equations)
 
 
 def closure_residual(model: KoopmanModel, system, truncate=False):
@@ -248,8 +257,7 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
         raise ValueError("state dimension mismatch")
     retained = {o.exponents() for o in model.library.observables if o.is_monomial()}
     worst = 0.0
-    for i, obs in enumerate(model.library.observables):
-        lhs = observable_advance(obs, system)
+    for i, lhs in enumerate(_advances(model.library.observables, system)):
         if truncate:
             lhs = Polynomial(lhs.dim, {e: c for e, c in lhs.terms.items() if e in retained})
         rhs = model.library.linear_combination(model.K[i])
@@ -271,8 +279,10 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
     fixed RK4 steps of dt on [0, t_end], each the step matrix T4(dt K) =
     I + dt K + (dt K)^2/2 + (dt K)^3/6 + (dt K)^4/24. A flow fills 64 samples
     per product of the stacked powers T4, T4^2, ..., T4^64 with the sample
-    before them, stopping the stack before its first non-finite power; a map
-    steps by K alone, as its powers can overflow where its samples do not.
+    before them. The 64 powers fill one preallocated stack, each the product
+    of the one before it with T4, and one finiteness test over the stack cuts
+    it before its first non-finite power; a map steps by K alone, as its
+    powers can overflow where its samples do not.
     A non-finite sample raises :class:`~koopmankit.exceptions.BlowUp` at its
     time. No norm limit applies: a truncated Carleman lift can hold finite
     entries far above ``integrate``'s 1e8 while its state row stays accurate.
@@ -292,11 +302,15 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
             raise ValueError("t_end required for a continuous model")
         times = dynamics._time_grid(t_end, dt)
         eye, hk = np.eye(len(k)), dt * k
-        powers = [eye + hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))]
+        powers = np.empty((_BLOCK, len(k), len(k)))
         with np.errstate(over="ignore", invalid="ignore"):
-            while len(powers) < _BLOCK and np.all(np.isfinite(nxt := powers[-1] @ powers[0])):
-                powers.append(nxt)
-        stack = np.vstack(powers)
+            powers[0] = eye + hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))
+            for j in range(1, _BLOCK):
+                np.matmul(powers[j - 1], powers[0], out=powers[j])
+        finite = np.isfinite(powers)
+        if not finite.all():  # per power only on failure; T4 itself is always kept
+            powers = powers[:max(1, np.argmin(finite.all(axis=(1, 2))))]
+        stack = powers.reshape(-1, len(k))
     m = len(y0)
     block = len(stack) // m
     ys = np.empty((len(times), m))
@@ -328,12 +342,16 @@ def observable_to_json(obs):
 
 def observable_from_json(entry, dim):
     """An exponent list, or {"terms": [[coefficient, exponents], ...]}; anything else raises."""
+    refusal = ValueError(f"observable {entry!r} is not a polynomial")
     try:
         if isinstance(entry, dict):
-            return Polynomial.from_terms(dim, entry["terms"])
+            terms = entry["terms"]
+            if not all(isinstance(term, list) and len(term) == 2 for term in terms):
+                raise refusal
+            return Polynomial.from_terms(dim, terms)
         return _as_observable(entry, dim)
     except (KeyError, TypeError):
-        raise ValueError(f"observable {entry!r} is not a polynomial") from None
+        raise refusal from None
 
 
 def _json_fields(data, *keys):
@@ -376,7 +394,11 @@ def model_to_json(model: KoopmanModel) -> dict:
 
 def model_from_json(data: dict) -> KoopmanModel:
     time_kind, k = _json_fields(data, "time_kind", "K")
-    model = KoopmanModel(_library_from_json(data), np.asarray(k, dtype=float), time_kind)
+    try:
+        k = np.asarray(k, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"K must be a matrix of numbers, got {k!r}") from None
+    model = KoopmanModel(_library_from_json(data), k, time_kind)
     rows = data.get("state_rows")
     if rows != list(model.state_rows):
         raise ValueError(f"state_rows {rows} are not the library's first {model.state_dim} rows")

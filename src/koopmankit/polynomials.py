@@ -9,6 +9,10 @@ Powers follow two rules, one per path:
 * Algebra (:func:`ipow`, ``Polynomial.__pow__``) multiplies by left folds,
   ((a*a)*a)*..., so that the same product of factors yields bit-identical
   results wherever a lift builder or the symbolic engine forms it.
+  Composition keeps that rule while forming each power of a component once:
+  its power table holds p^e = p^(e-1) * p, the fold ``__pow__`` makes
+  (``1.0 * c == c``), and one table serves every polynomial that one call
+  composes (:func:`_compose_all`).
 * Evaluation (:class:`PolynomialMap`, which ``Polynomial.__call__`` uses)
   takes x^1 as x, x^2 as ``x * x`` (one rounding, so correctly rounded)
   and x^e for e > 2 from libm ``pow``: Python's float ``**`` at a point, and
@@ -40,6 +44,18 @@ def ipow(base: float, n: int) -> float:
     return out
 
 
+def _whole_exponents(exps):
+    """``exps`` as a tuple of ints; an exponent that is not a whole number raises."""
+    exps = tuple(exps)
+    try:
+        whole = tuple(int(e) for e in exps)
+    except (ValueError, OverflowError):  # NaN and infinite exponents
+        whole = None
+    if whole != exps or any(isinstance(e, (bool, np.bool_)) for e in exps):  # a JSON true is no exponent
+        raise ValueError(f"exponent tuple {exps} holds an exponent that is not a whole number")
+    return whole
+
+
 class Polynomial:
     """Real polynomial in ``dim`` variables, stored as {exponent tuple: coefficient}.
 
@@ -55,19 +71,36 @@ class Polynomial:
         self.dim = int(dim)
         clean = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = _whole_exponents(exps)
             if len(exps) != self.dim:
                 raise ValueError(f"exponent tuple {exps} does not match dim={self.dim}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             coeff = float(coeff)
-            if not np.isfinite(coeff):
+            if not math.isfinite(coeff):
                 raise ValueError("non-finite coefficient")
             if coeff != 0.0:
                 clean[exps] = clean.get(exps, 0.0) + coeff
                 if clean[exps] == 0.0:
                     del clean[exps]
         self.terms = clean
+
+    @classmethod
+    def _of(cls, dim, terms):
+        """The result of arithmetic on validated polynomials, whose exponent
+        tuples need no second check: zero coefficients are dropped in order,
+        and every other one must be finite."""
+        clean = {}
+        for exps, coeff in terms.items():
+            if coeff != 0.0:
+                coeff = float(coeff)
+                if not math.isfinite(coeff):
+                    raise ValueError("non-finite coefficient")
+                clean[exps] = coeff
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.terms = clean
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -94,24 +127,20 @@ class Polynomial:
         """Build from an iterable of (coefficient, exponents) pairs."""
         out = {}
         for coeff, exps in term_list:
-            exps = tuple(int(e) for e in exps)
+            exps = _whole_exponents(exps)
             out[exps] = out.get(exps, 0.0) + float(coeff)
         return cls(dim, out)
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, 0.0) + coeff
-        return Polynomial(self.dim, merged)
+        return _linear_sum(self.dim, ((1.0, self), (1.0, self._coerce(other))))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self.__add__(self._coerce(other).__neg__())
@@ -120,15 +149,15 @@ class Polynomial:
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return Polynomial(self.dim, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, Polynomial) and np.isscalar(other):
+            return Polynomial._of(self.dim, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 out[exps] = out.get(exps, 0.0) + c1 * c2
-        return Polynomial(self.dim, out)
+        return Polynomial._of(self.dim, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -162,33 +191,19 @@ class Polynomial:
                 continue
             lowered = list(exps)
             lowered[index] = e - 1
-            key = tuple(lowered)
-            out[key] = out.get(key, 0.0) + e * coeff
-        return Polynomial(self.dim, out)
+            out[tuple(lowered)] = e * coeff  # distinct terms lower to distinct keys
+        return Polynomial._of(self.dim, out)
 
     def lie_derivative(self, fields):
         """Derivative along a vector field: sum_i (d/dx_i) * f_i."""
         if len(fields) != self.dim:
             raise ValueError("field component count does not match dim")
-        out = Polynomial.zero(self.dim)
-        for i, f in enumerate(fields):
-            di = self.derivative(i)
-            if di.terms:
-                out = out + di * f
-        return out
+        partials = (self.derivative(i) for i in range(self.dim))
+        return _linear_sum(self.dim, ((1.0, di * f) for di, f in zip(partials, fields) if di.terms))
 
     def compose(self, components):
         """Substitute x_i -> components[i] (each a Polynomial of the same dim)."""
-        if len(components) != self.dim:
-            raise ValueError("component count does not match dim")
-        out = Polynomial.zero(self.dim)
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(self.dim, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * (components[i] ** e)
-            out = out + term
-        return out
+        return _compose_all((self,), components)[0]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -231,6 +246,54 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.dim}, {format_polynomial(self)!r})"
+
+
+def _linear_sum(dim, pairs):
+    """The polynomial sum of ``scale * poly`` over ``(scale, poly)`` pairs, in one dict.
+
+    Terms are added in the order that ``+`` of the scaled polynomials would add
+    them, and a sum that cancels to zero leaves the dict at once, so a later
+    term re-enters at the end: the result has the terms, order and bits of
+    that fold of ``Polynomial`` objects. A scaled coefficient that is zero adds
+    nothing, and one that is not finite stays so to the finiteness check.
+    """
+    acc = {}
+    for scale, poly in pairs:
+        for exps, coeff in poly.terms.items():
+            total = acc.get(exps, 0.0) + coeff * scale
+            if total == 0.0:
+                acc.pop(exps, None)
+            else:
+                acc[exps] = total
+    return Polynomial._of(dim, acc)
+
+
+def _compose_all(polys, components):
+    """Each of ``polys`` with x_i -> components[i], from one table of powers.
+
+    ``powers[i][e]`` is components[i]^e, formed once as ``powers[i][e-1] *
+    components[i]``: the left fold of ``__pow__``, whose first factor
+    ``1.0 * p`` is ``p`` itself. Each term is its coefficient times its
+    factors' powers, variables ascending, and each result the sum of its
+    terms in order, as the term-by-term substitution forms them.
+    """
+    if any(poly.dim != len(components) for poly in polys):
+        raise ValueError("component count does not match dim")
+    powers = [[None, p] for p in components]
+    out = []
+    for poly in polys:
+        terms = []
+        for exps, coeff in poly.terms.items():
+            term = Polynomial.constant(poly.dim, coeff)
+            for i, e in enumerate(exps):
+                if e:
+                    table = powers[i]
+                    while len(table) <= e:
+                        table.append(table[-1] * table[1])
+                    term = term * table[e]
+            terms.append((1.0, term))
+        out.append(_linear_sum(poly.dim, terms))
+    return out
 
 
 def _pow(x, e):

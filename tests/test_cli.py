@@ -446,6 +446,11 @@ _QUAD_MODEL = {"time_kind": "continuous", "dim": 2, "state_inclusive": True,
     ({**_QUAD_MODEL, "observables": [[1, 0], [0, 1], 5]}, "observable 5 is not a polynomial"),
     ({**_QUAD_MODEL, "dim": 1, "observables": [[1], "exp_neg_inv"], "K": [[-1.0, 0.0], [0.0, 1.0]],
       "state_rows": [0]}, "observable 'exp_neg_inv' is not a polynomial"),
+    ({**_QUAD_MODEL, "K": {"a": 1}}, "K must be a matrix of numbers, got {'a': 1}"),
+    ({**_QUAD_MODEL, "observables": [[1, 0], [0, 1], {"terms": [[1.0]]}]},
+     "observable {'terms': [[1.0]]} is not a polynomial"),
+    ({**_QUAD_MODEL, "observables": [[1, 0], [0, 1], [1.5, 0]]},
+     "exponent tuple (1.5, 0) holds an exponent that is not a whole number"),
 ])
 def test_a_malformed_model_file_exits_2_naming_what_is_wrong(tmp_path, content, message):
     path = tmp_path / "model.json"

@@ -515,13 +515,35 @@ def test_a_model_file_holding_a_list_is_refused(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("entry", [5, None, [[1]], {"coeffs": [1.0]}, {"terms": 5}])
+@pytest.mark.parametrize("entry", [5, None, [[1]], {"coeffs": [1.0]}, {"terms": 5},
+                                   {"terms": [[1.0]]}, {"terms": [[1.0, [1], 2]]}])
 def test_a_model_file_with_a_malformed_observable_names_it(tmp_path, entry):
     data = _center_model_json()
     data["observables"][1] = entry
     path = tmp_path / "bad_entry.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"observable {re.escape(repr(entry))} is not a polynomial"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("k", [{"a": 1}, [[0.0, 1.0], [0.0]], "K", [[0.0, [1.0]], [0.0, 0.0]]])
+def test_a_model_file_whose_k_is_not_a_matrix_of_numbers_names_k(tmp_path, k):
+    data = _center_model_json()
+    data["K"] = k
+    path = tmp_path / "bad_k.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"K must be a matrix of numbers, got {k!r}")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("exponents", [[1.5], [float("nan")], [2.000001]])
+def test_a_model_file_whose_exponent_is_not_whole_names_the_tuple(tmp_path, exponents):
+    data = _center_model_json()
+    data["observables"][1] = exponents
+    path = tmp_path / "bad_exponent.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(
+            f"exponent tuple {tuple(exponents)} holds an exponent that is not a whole number")):
         load_model(path)
 
 
@@ -638,3 +660,188 @@ def test_integrate_and_propagate_sample_the_same_times(t_end, dt):
         return
     flow, lifted = (run() for run in runs)
     assert flow.times.tobytes() == lifted.times.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# exact algebra: the references are the parent's object-by-object folds
+# ---------------------------------------------------------------------------
+
+def _bits(poly):
+    """A polynomial's terms in dict order, coefficients as exact hex strings."""
+    return poly.dim, [(exps, float.hex(coeff)) for exps, coeff in poly.terms.items()]
+
+
+def _ref_mul(a, b):
+    if not isinstance(b, Polynomial):
+        return Polynomial(a.dim, {e: c * b for e, c in a.terms.items()})
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            out[exps] = out.get(exps, 0.0) + c1 * c2
+    return Polynomial(a.dim, out)
+
+
+def _ref_add(a, b):
+    merged = dict(a.terms)
+    for exps, coeff in b.terms.items():
+        merged[exps] = merged.get(exps, 0.0) + coeff
+    return Polynomial(a.dim, merged)
+
+
+def _ref_pow(p, n):
+    out = Polynomial.constant(p.dim, 1.0)
+    for _ in range(n):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_advance(obs, system):
+    """Lie derivative by ``out + d_i * f_i``, or composition by ``__pow__`` per factor."""
+    out = Polynomial.zero(obs.dim)
+    if system.time_kind == CONTINUOUS:
+        for i, f in enumerate(system.equations):
+            di = obs.derivative(i)
+            if di.terms:
+                out = _ref_add(out, _ref_mul(di, f))
+        return out
+    for exps, coeff in obs.terms.items():
+        term = Polynomial.constant(obs.dim, coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = _ref_mul(term, _ref_pow(system.equations[i], e))
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_linear_combination(library, coeffs):
+    out = Polynomial.zero(library.dim)
+    for coeff, obs in zip(coeffs, library.observables):
+        if coeff != 0.0:
+            out = _ref_add(out, _ref_mul(obs, coeff))
+    return out
+
+
+def _ref_closure_residual(model, system, truncate):
+    retained = {o.exponents() for o in model.library.observables if o.is_monomial()}
+    worst = 0.0
+    for i, obs in enumerate(model.library.observables):
+        lhs = _ref_advance(obs, system)
+        if truncate:
+            lhs = Polynomial(lhs.dim, {e: c for e, c in lhs.terms.items() if e in retained})
+        rhs = _ref_linear_combination(model.library, model.K[i])
+        diff = _ref_add(lhs, Polynomial(rhs.dim, {e: -c for e, c in rhs.terms.items()}))
+        worst = max(worst, diff.max_abs_coeff())
+    return worst
+
+
+def _assert_closure_matches_the_reference(model, system):
+    for obs in model.library.observables:
+        assert _bits(observable_advance(obs, system)) == _bits(_ref_advance(obs, system))
+    for truncate in (False, True):
+        got = closure_residual(model, system, truncate=truncate)
+        assert float.hex(got) == float.hex(_ref_closure_residual(model, system, truncate))
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_closure_and_advances_are_bit_identical_to_the_reference_on_every_system(name):
+    system = builtin(name)
+    _assert_closure_matches_the_reference(_REGISTRY[name]["lift"](system.params, 4), system)
+    # a full degree-4 library advances through many-term powers of both equations
+    for obs in monomials(system.dim, 4).observables:
+        assert _bits(observable_advance(obs, system)) == _bits(_ref_advance(obs, system))
+
+
+@pytest.mark.parametrize("rank", range(1, 17))
+def test_carleman_closure_is_bit_identical_to_the_reference_at_every_rank(rank):
+    _assert_closure_matches_the_reference(carleman_logistic(3.5, rank), builtin("logistic"))
+    _assert_closure_matches_the_reference(carleman_center(rank), builtin("center_manifold"))
+    assert closure_residual(carleman_logistic(3.5, rank), builtin("logistic"), truncate=True) == 0.0
+    assert closure_residual(carleman_center(rank), builtin("center_manifold"), truncate=True) == 0.0
+
+
+def test_linear_combinations_are_bit_identical_to_the_reference():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    lib = ObservableLibrary(2, (x1, x2, x1 ** 2, x2 - x1 ** 2, 0.1 * x1 ** 2 + 0.3 * x2,
+                                x1 * x2 + x1 ** 2, x1 ** 3 + 10.0 * x2 ** 2))
+    rng = np.random.default_rng(25)
+    rows = [
+        rng.standard_normal((40, len(lib))) * (rng.random((40, len(lib))) < 0.6),
+        # x1^2 cancels after entry 3 and re-enters at the end from entry 5
+        np.array([[0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]]),
+        # x2 and x1^2 cancel exactly, leaving x1*x2 alone
+        np.array([[0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0]]),
+        # 5e-324 * 0.1 and 5e-324 * 0.3 round to zero, so entry 4 adds nothing; -0.0 is skipped
+        np.array([[1e-310, -0.0, 1.0, 0.0, 5e-324, 0.0, 0.0]]),
+    ]
+    for row in np.vstack(rows):
+        assert _bits(lib.linear_combination(row)) == _bits(_ref_linear_combination(lib, row))
+    assert lib.linear_combination(np.zeros(len(lib))).is_zero()
+    # a product (10 * 1e308) or a sum (1e308 + 1e308) that overflows is refused
+    for row in ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308], [0.0, 0.0, 1e308, 0.0, 0.0, 1e308, 0.0]):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            lib.linear_combination(np.array(row))
+
+
+def test_closure_makes_a_number_of_products_linear_in_the_rank(monkeypatch):
+    system = builtin("logistic", r=3.5)
+    models = {rank: carleman_logistic(3.5, rank) for rank in (4, 8, 16)}
+    calls = []
+    multiply = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
+    counts = {}
+    for rank, model in models.items():
+        calls.clear()
+        assert closure_residual(model, system, truncate=True) == 0.0
+        counts[rank] = len(calls)
+    # one new power of the map and one product per observable: the count is affine
+    # in the rank (forming each observable's power afresh and scaling each entry of
+    # K by a product made 22, 68 and 232)
+    assert counts[16] - counts[8] == 2 * (counts[8] - counts[4])
+    assert counts[16] <= 2 * 16
+
+
+def _reference_flow_propagate(model, x0, t_end, dt):
+    """The flow loop with the stack grown by a while loop of per-power finiteness tests."""
+    k = model.K
+    eye, hk = np.eye(len(k)), dt * k
+    powers = [eye + hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(powers) < 64 and np.all(np.isfinite(nxt := powers[-1] @ powers[0])):
+            powers.append(nxt)
+    stack = np.vstack(powers)
+    n = round(t_end / dt)
+    m = len(k)
+    ys = np.empty((n + 1, m))
+    ys[0] = eval_library(model.library, np.asarray(x0, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, len(powers)):
+            j = min(len(powers), n - i)
+            ys[i + 1:i + 1 + j] = (stack[:j * m] @ ys[i]).reshape(j, m)
+    return len(powers), ys
+
+
+@pytest.mark.parametrize("model, x0, dt, held", [
+    (FLOW_LIFTS["kooc_demo"][0], [-5.0, 5.0], 0.01, 64),
+    (carleman_center(16), [0.5], 0.001, 64),
+    (KoopmanModel(monomials(1, 1), np.array([[-500.0]]), CONTINUOUS), [1e-300], 0.1, 57),
+    (KoopmanModel(monomials(1, 1), np.array([[-1e50]]), CONTINUOUS), [1e-300], 0.1, 1),
+    # T4 itself overflows: the stack still holds it, and the first sample blows up
+    # with no floating-point warning
+    (KoopmanModel(monomials(1, 1), np.array([[-1e80]]), CONTINUOUS), [1.0], 0.1, 1),
+])
+def test_flow_propagation_is_bit_identical_to_the_while_loop_stack(model, x0, dt, held):
+    for steps in (1, 2, held, held + 3, 200):
+        with np.errstate(over="ignore", invalid="ignore"):  # forming T4 = inf warns
+            count, reference = _reference_flow_propagate(model, x0, steps * dt, dt)
+        assert count == held
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.all(np.isfinite(reference)):
+                states = propagate(model, x0, t_end=steps * dt, dt=dt).states
+                assert states.tobytes() == reference.tobytes()
+                continue
+            with pytest.raises(BlowUp) as info:
+                propagate(model, x0, t_end=steps * dt, dt=dt)
+        first = np.argmin(np.all(np.isfinite(reference), axis=1))
+        assert info.value.t == pytest.approx(first * dt, rel=1e-12)

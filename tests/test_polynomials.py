@@ -1,6 +1,7 @@
 """Tests for the sparse polynomial engine."""
 
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from koopmankit import (
     CONTINUOUS,
+    ObservableLibrary,
     Polynomial,
     PolynomialMap,
     builtin,
@@ -120,6 +122,101 @@ def test_vanishing_leading_terms_reduce_degree():
     x1 = Polynomial.variable(1, 0)
     p = (x1**3 + x1) - x1**3
     assert p.degree() == 1
+
+
+# -- exponents are whole numbers ----------------------------------------------
+
+@pytest.mark.parametrize("exps", [(1.5,), (float("nan"),), (float("inf"),), ("2",), (2, 0.5),
+                                  (True, 0)])
+def test_an_exponent_that_is_not_a_whole_number_is_refused_naming_its_tuple(exps):
+    message = re.escape(f"exponent tuple {exps} holds an exponent that is not a whole number")
+    dim = len(exps)
+    with pytest.raises(ValueError, match=message):
+        Polynomial(dim, {exps: 1.0})
+    with pytest.raises(ValueError, match=message):
+        Polynomial.from_terms(dim, [(1.0, exps)])
+    with pytest.raises(ValueError, match=message):
+        Polynomial.monomial(dim, exps)
+
+
+def test_whole_float_and_numpy_exponents_are_read_as_ints():
+    p = Polynomial(2, {(2.0, np.int64(1)): 1.0})
+    assert list(p.terms) == [(2, 1)] and all(type(e) is int for e in next(iter(p.terms)))
+    assert Polynomial.from_terms(1, [(1.0, [1.0]), (2.0, (1,))]).terms == {(1,): 3.0}
+
+
+def test_a_library_refuses_a_fractional_exponent():
+    with pytest.raises(ValueError, match=re.escape("exponent tuple (1.5,) holds an exponent")):
+        ObservableLibrary(1, [(1.5,), (2,)])
+
+
+# -- exact algebra: the references are the object-by-object folds ----------------
+
+def _bits(poly):
+    """A polynomial's terms in dict order, coefficients as exact hex strings."""
+    return poly.dim, [(exps, float.hex(coeff)) for exps, coeff in poly.terms.items()]
+
+
+def _fold_add(a, b):
+    """``a + b`` as a fresh dict cleaned by the constructor, one call per sum."""
+    merged = dict(a.terms)
+    for exps, coeff in b.terms.items():
+        merged[exps] = merged.get(exps, 0.0) + coeff
+    return Polynomial(a.dim, merged)
+
+
+def _fold_compose(poly, components):
+    """Term by term, each factor a fresh ``__pow__``, each term added to the sum."""
+    out = Polynomial.zero(poly.dim)
+    for exps, coeff in poly.terms.items():
+        term = Polynomial.constant(poly.dim, coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * (components[i] ** e)
+        out = _fold_add(out, term)
+    return out
+
+
+def _random_polynomial(rng, dim, degree, size):
+    exps = [tuple(int(e) for e in rng.integers(0, degree + 1, dim)) for _ in range(size)]
+    # simple coefficients make products and sums cancel often
+    return Polynomial(dim, {e: float(rng.choice([1.0, -1.0, 2.0, -0.5, 0.1, 3.5])) for e in exps})
+
+
+def test_compose_is_bit_identical_to_the_term_by_term_power_fold():
+    rng = np.random.default_rng(2025)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    # (x1 - x2)^e (x1 + x2)^e cancels cross terms, and 3.5 x - 3.5 x^2 is the logistic map
+    fixed = [([x1 - x2, x1 + x2], 2), ([0.5 * (x1 + x2), 0.5 * (x1 - x2)], 2),
+             ([3.5 * x1 - 3.5 * x1 ** 2, x2 + x1 ** 2], 2)]
+    cases = fixed + [([_random_polynomial(rng, dim, 2, 4) for _ in range(dim)], dim)
+                     for dim in (1, 2, 3) for _ in range(6)]
+    for components, dim in cases:
+        polys = [_random_polynomial(rng, dim, 5, 8) for _ in range(4)]
+        for poly in polys + [Polynomial.monomial(dim, (6,) + (0,) * (dim - 1))]:
+            assert _bits(poly.compose(components)) == _bits(_fold_compose(poly, components))
+        shared = polynomials._compose_all(polys, components)
+        assert [_bits(p) for p in shared] == [_bits(_fold_compose(p, components)) for p in polys]
+
+
+def test_sums_and_lie_derivatives_are_bit_identical_to_the_object_fold():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    # x1^2 cancels and comes back: the term re-enters at the end of the dict
+    p = (x1 ** 2 + x2) + (-(x1 ** 2) + x1) + (x1 ** 2 + 2.0)
+    assert _bits(p) == _bits(_fold_add(_fold_add(x1 ** 2 + x2, -(x1 ** 2) + x1), x1 ** 2 + 2.0))
+    assert list(p.terms) == [(0, 1), (1, 0), (2, 0), (0, 0)]
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        poly = _random_polynomial(rng, 2, 4, 6)
+        fields = [_random_polynomial(rng, 2, 3, 4) for _ in range(2)]
+        reference = Polynomial.zero(2)
+        for i, f in enumerate(fields):
+            if poly.derivative(i).terms:
+                reference = _fold_add(reference, poly.derivative(i) * f)
+        assert _bits(poly.lie_derivative(fields)) == _bits(reference)
+    assert _bits(x1 * np.float64(0.1)) == _bits(Polynomial(2, {(1, 0): 0.1}))
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        Polynomial.constant(1, 1e200) * Polynomial.constant(1, 1e200)
 
 
 # -- the compiled evaluator against the term-by-term loop it replaced ------
