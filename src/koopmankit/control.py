@@ -14,15 +14,22 @@ A comparison designs both laws with :func:`kooc_synthesize`: LQR on the
 state library x1..xn with the state block of K, KOOC on the whole lift. When
 every observable is a polynomial, both laws, -C x and -C Theta(x), are
 polynomials in x, and so is each closed loop f(x) + B u(x).
-:func:`compare_lqr_kooc` is the one place a closed loop is formed: it builds
-each as one :class:`~koopmankit.dynamics.PolySystem` and integrates it like
-any other field; the applied inputs are one column evaluation of the law at
-the sample states.
+:func:`compare_lqr_kooc` is the one place a closed loop is formed. It works
+in two steps. The design step makes both gains and builds each closed loop
+as one compiled :class:`~koopmankit.dynamics.PolySystem`, with its law as one
+compiled map; it runs once per (plant, lift, Q, R), and a bounded memo keyed
+on the content of those four keeps its result for the next start. The run
+step, the only work of a call whose design is memoized, integrates both
+loops from x0 like any other field, evaluates each law once on the columns
+of the sample states, and costs the two trajectories.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +43,8 @@ _SIGN_TOL = 1e-12
 _SIGN_MAX_ITER = 100
 _POLISH_STEPS = 4
 _BACKWARD_ERROR_TOL = 1e-8
+_PBH_MIN_REAL = -1e-9  # a mode with a real part at or above this is marginal or unstable
+_DESIGN_CACHE_SIZE = 32
 
 
 def _pair(a, b):
@@ -213,7 +222,7 @@ def _lqr(prob: LqrProblem):
 
 
 def pbh_unstabilizable_modes(a, b):
-    """Eigenvalues of ``a`` with Re >= -1e-9 at which [A - lam I, B] loses rank.
+    """Eigenvalues of ``a`` with Re >= ``_PBH_MIN_REAL`` at which [A - lam I, B] loses rank.
 
     ``a`` must be square, ``b`` needs one row per state, and both must be
     finite. The rank counts singular values above 1e-10 times max(1, the
@@ -223,7 +232,7 @@ def pbh_unstabilizable_modes(a, b):
     n = a.shape[0]
     bad = []
     for lam in np.linalg.eigvals(a):
-        if lam.real < -1e-9:
+        if lam.real < _PBH_MIN_REAL:
             continue
         pencil = np.hstack([a - lam * np.eye(n), b.astype(complex)])
         s = np.linalg.svd(pencil, compute_uv=False)
@@ -283,7 +292,8 @@ def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r) -> KoocController
             for lam, name in zip(modes, names)
         )
         raise NotStabilizable(
-            f"lifted pair has unstabilizable unstable modes: {listing}",
+            f"lifted pair has unstabilizable unstable modes: {listing}; a mode counts "
+            f"when its real part is >= {_PBH_MIN_REAL:g} (marginal or unstable)",
             modes=tuple(modes), observables=names,
         )
 
@@ -342,12 +352,13 @@ class ComparisonResult:
     kooc_controller: KoocController
 
 
-def _closed_loop_run(system: PolySystem, library, gain, x0, horizon, dt) -> Trajectory:
-    """Integrate f(x) + B u(x) under the feedback u = -gain . Theta(x) on ``library``.
+def _closed_loop(system: PolySystem, library, gain):
+    """f(x) + B u(x) under the feedback u = -gain . Theta(x) on ``library``, and u.
 
     Theta must be polynomial, so u is too: the closed loop is one compiled
-    system with no input map. The applied inputs are the law evaluated once
-    on the columns of the sampled states.
+    system with no input map, and the law one compiled map. Neither carries
+    the plant's ``params`` or ``name``, so a memoized loop holds nothing of
+    the caller that built it.
     """
     law = [library.linear_combination(-row) for row in gain]
     equations = []
@@ -356,11 +367,68 @@ def _closed_loop_run(system: PolySystem, library, gain, x0, horizon, dt) -> Traj
             if coeff != 0.0:
                 f = f + coeff * u
         equations.append(f)
-    closed = PolySystem(system.dim, CONTINUOUS, tuple(equations), params=system.params,
-                        name=system.name)
+    return PolySystem(system.dim, CONTINUOUS, tuple(equations)), PolynomialMap(system.dim, law)
+
+
+def _run_loop(loop, x0, horizon, dt) -> Trajectory:
+    """Integrate a :func:`_closed_loop` from ``x0``; the applied inputs are the
+    law evaluated once on the columns of the sampled states."""
+    closed, law = loop
     traj = integrate(closed, x0, horizon, dt=dt)
-    inputs = PolynomialMap(system.dim, law)(traj.states.T).T
-    return Trajectory(times=traj.times, states=traj.states, inputs=inputs)
+    return Trajectory(times=traj.times, states=traj.states, inputs=law(traj.states.T).T)
+
+
+def _closed_loop_run(system: PolySystem, library, gain, x0, horizon, dt) -> Trajectory:
+    """Build the closed loop of ``gain`` on ``library`` and run it from ``x0``."""
+    return _run_loop(_closed_loop(system, library, gain), x0, horizon, dt)
+
+
+class _Design(NamedTuple):
+    """Both laws of a comparison and their closed loops, LQR first."""
+
+    lqr_gain: np.ndarray
+    kooc_gain: np.ndarray
+    kooc_p: np.ndarray
+    loops: tuple
+
+
+# design key -> _Design, least recently used first; at most _DESIGN_CACHE_SIZE
+_designs = OrderedDict()
+_designs_lock = threading.Lock()
+
+
+def _design_key(system: PolySystem, model: KoopmanModel, q, r):
+    """Everything the design reads, by content. Terms are taken in dict order,
+    the order in which a compiled loop sums them, so equal keys give equal bits."""
+    arrays = (np.asarray(system.input_map, dtype=float), np.asarray(model.K, dtype=float), q, r)
+    return (system.dim,
+            tuple(tuple(eq.terms.items()) for eq in system.equations),
+            tuple(tuple(obs.terms.items()) for obs in model.library.observables),
+            tuple((a.shape, a.tobytes()) for a in arrays))
+
+
+def _design(system: PolySystem, model: KoopmanModel, q, r) -> _Design:
+    """Both laws and their compiled closed loops, built once per key while the
+    memo holds it. A refusal raises before anything is stored."""
+    key = _design_key(system, model, q, r)
+    with _designs_lock:
+        design = _designs.get(key)
+        if design is not None:
+            _designs.move_to_end(key)
+            return design
+    n = system.dim
+    b_lifted = np.zeros((len(model.library), system.input_map.shape[1]))
+    b_lifted[:n] = system.input_map
+    state_block = KoopmanModel(monomials(n, 1), model.K[:n, :n], CONTINUOUS)
+    lqr, kooc = (kooc_synthesize(lift, b_lifted[:len(lift.library)], q, r)
+                 for lift in (state_block, model))
+    loops = tuple(_closed_loop(system, d.model.library, d.gain) for d in (lqr, kooc))
+    design = _Design(lqr.gain, kooc.gain, kooc.p, loops)
+    with _designs_lock:
+        _designs[key] = design
+        if len(_designs) > _DESIGN_CACHE_SIZE:
+            _designs.popitem(last=False)
+    return design
 
 
 def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
@@ -374,7 +442,16 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     second pair of series re-costs both trajectories with the LQR gain
     substituted into the integrand — a convention some published
     comparisons use — reported separately as the ``_script`` fields.
-    Each closed loop runs as one compiled polynomial field.
+
+    The design, both gains and each closed loop compiled as one polynomial
+    field, is built once per (system, model, q, r) and reused across starts
+    and horizons. A bounded memo of the most recently used designs is keyed
+    on the content of the equations, input map, observables, K, q and r, so
+    a changed input gives a new design. The run step, integrating both loops
+    from ``x0`` and costing them, is the only per-call work, and a memoized
+    call returns the same bits as a fresh one. ``q``, ``r`` and ``x0`` are validated on every
+    call, every refusal is raised on every call, and the returned gains and
+    P are the caller's own copies.
     """
     if system.input_map is None:
         raise ValueError("system has no input map")
@@ -387,18 +464,13 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     r = _symmetric(r, "r", definite=True)
     x0 = _initial_state(n, x0)
 
-    b_lifted = np.zeros((len(model.library), system.input_map.shape[1]))
-    b_lifted[:n] = system.input_map
-    state_block = KoopmanModel(monomials(n, 1), model.K[:n, :n], CONTINUOUS)
-    lqr, kooc = (kooc_synthesize(lift, b_lifted[:len(lift.library)], q, r)
-                 for lift in (state_block, model))
-    lqr_traj, kooc_traj = (_closed_loop_run(system, d.model.library, d.gain, x0, horizon, dt)
-                           for d in (lqr, kooc))
+    design = _design(system, model, q, r)
+    lqr_traj, kooc_traj = (_run_loop(loop, x0, horizon, dt) for loop in design.loops)
 
     lqr_cost = _trapezoid_cost(lqr_traj, lqr_traj.inputs, q, r)
     kooc_cost = _trapezoid_cost(kooc_traj, kooc_traj.inputs, q, r)
-    lqr_script = _trapezoid_cost(lqr_traj, -(lqr_traj.states @ lqr.gain.T), q, r)
-    kooc_script = _trapezoid_cost(kooc_traj, -(kooc_traj.states @ lqr.gain.T), q, r)
+    lqr_script = _trapezoid_cost(lqr_traj, -(lqr_traj.states @ design.lqr_gain.T), q, r)
+    kooc_script = _trapezoid_cost(kooc_traj, -(kooc_traj.states @ design.lqr_gain.T), q, r)
     ratio, ratio_script = (1.0 if j_lqr[-1] == 0.0 else float(j_kooc[-1]) / float(j_lqr[-1])
                            for j_lqr, j_kooc in ((lqr_cost, kooc_cost), (lqr_script, kooc_script)))
 
@@ -406,5 +478,7 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
         lqr_traj=lqr_traj, kooc_traj=kooc_traj,
         lqr_cost=lqr_cost, kooc_cost=kooc_cost, ratio=ratio,
         lqr_cost_script=lqr_script, kooc_cost_script=kooc_script,
-        ratio_script=ratio_script, lqr_gain=lqr.gain, kooc_controller=kooc,
+        ratio_script=ratio_script, lqr_gain=design.lqr_gain.copy(),
+        kooc_controller=KoocController(model=model, gain=design.kooc_gain.copy(),
+                                       p=design.kooc_p.copy()),
     )

@@ -9,9 +9,11 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import re
 import shutil
 import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -781,3 +783,14 @@ def test_identify_names_the_csv_file_with_a_bad_cell(tmp_path):
     ])
     assert code == 2
     assert "bad.csv" in stderr and "line 3" in stderr and "abc" in stderr
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv, expected in ((["--help"], 0),
+                           (["simulate", "--system", "no-such-system", "--out", str(tmp_path)], 2)):
+        proc = subprocess.run([sys.executable, "-m", "koopmankit", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == expected, (argv, proc.stderr)
+    assert "no-such-system" in proc.stderr

@@ -8,9 +8,11 @@ import pytest
 from koopmankit import (
     CONTINUOUS,
     KoocController,
+    KoopmanModel,
     LqrProblem,
     NotStabilizable,
     NumericsError,
+    ObservableLibrary,
     PolySystem,
     Polynomial,
     Trajectory,
@@ -24,7 +26,7 @@ from koopmankit import (
     slow_manifold_lift_ct,
     solve_care,
 )
-from koopmankit import polynomials
+from koopmankit import control, polynomials
 from koopmankit.control import _closed_loop_run
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -354,6 +356,7 @@ def test_kooc_limitation_system_raises_not_stabilizable():
     assert err.observables == ("x1^2",)
     assert "0.2" in str(err)
     assert "x1^2" in str(err)
+    assert "a mode counts when its real part is >= -1e-09 (marginal or unstable)" in str(err)
 
 
 def test_comparison_refuses_an_unstabilizable_state_block_by_mode():
@@ -462,21 +465,137 @@ def test_kooc_gain_is_the_lqr_gain_of_the_lifted_problem():
     assert comp.lqr_gain.tobytes() == state_gain.tobytes()
 
 
+def _comparison_bits(comp):
+    """Every array and ratio of a comparison, as bytes and floats."""
+    arrays = (comp.lqr_traj.states, comp.lqr_traj.inputs, comp.kooc_traj.states,
+              comp.kooc_traj.inputs, comp.lqr_cost, comp.kooc_cost, comp.lqr_cost_script,
+              comp.kooc_cost_script, comp.lqr_gain, comp.kooc_controller.gain,
+              comp.kooc_controller.p)
+    return [a.tobytes() for a in arrays] + [comp.ratio, comp.ratio_script]
+
+
 def test_comparisons_keep_their_bits_with_a_warm_code_cache():
-    """Closed loops and laws of one structure reuse compiled code across calls and q."""
+    """Closed loops and laws of one structure reuse compiled code across calls
+    and q, and memoized designs reuse their loops; all three give one set of bits."""
     system = builtin("kooc_demo")
     model = slow_manifold_lift_ct(-0.1, 1.0, {2: 1.0})
 
     def run(q):
-        comp = compare_lqr_kooc(system, model, q * np.eye(2), [[1.0]], (-5.0, 5.0), 2.0)
-        return [x.tobytes() for x in (comp.lqr_traj.states, comp.lqr_traj.inputs,
-                                      comp.kooc_traj.states, comp.kooc_traj.inputs,
-                                      comp.lqr_cost, comp.kooc_cost)]
+        return _comparison_bits(compare_lqr_kooc(system, model, q * np.eye(2), [[1.0]],
+                                                 (-5.0, 5.0), 2.0))
 
     cold = []
     for q in (1.0, 3.0):
         polynomials._code.cache_clear()
+        control._designs.clear()
         cold.append(run(q))
-    warm = [run(q) for q in (1.0, 3.0)]
+    control._designs.clear()
+    warm_code = [run(q) for q in (1.0, 3.0)]  # designs rebuilt on cached code
     assert polynomials._code.cache_info().hits > 0
-    assert warm == cold and cold[0] != cold[1]
+    warm = [run(q) for q in (1.0, 3.0)]  # designs from the memo
+    assert len(control._designs) == 2
+    assert warm_code == cold and warm == cold and cold[0] != cold[1]
+
+
+# ---------------------------------------------------------------------------
+# the design memo of compare_lqr_kooc
+# ---------------------------------------------------------------------------
+
+def _demo_pair():
+    system = builtin("kooc_demo")
+    return system, slow_manifold_lift_ct(system.params["mu"], system.params["lambda"], {2: 1.0})
+
+
+def _compare(system, model, q=np.eye(2), r=((1.0,),), x0=(-5.0, 5.0), horizon=1.0):
+    return compare_lqr_kooc(system, model, q, r, x0, horizon)
+
+
+def test_a_memoized_design_gives_the_bits_of_a_cold_one_from_every_start():
+    system, model = _demo_pair()
+    starts = ((-5.0, 5.0), (-4.6, 5.3), (0.0, 0.0))
+    cold = []
+    for x0 in starts:
+        control._designs.clear()
+        cold.append(_comparison_bits(_compare(system, model, x0=x0)))
+    assert len(control._designs) == 1
+    warm = [_comparison_bits(_compare(system, model, x0=x0)) for x0 in starts]
+    assert warm == cold
+    # keyed by content: an equal plant and lift built afresh hit the same design
+    comp = _compare(*_demo_pair())
+    assert len(control._designs) == 1
+    assert _comparison_bits(comp) == cold[0]
+
+
+def test_a_memoized_comparison_returns_the_callers_model_and_its_own_arrays():
+    system, model = _demo_pair()
+    control._designs.clear()
+    first = _compare(system, model)
+    expected = _comparison_bits(first)
+    first.lqr_gain[:] = 7.0
+    first.kooc_controller.gain[:] = 7.0
+    first.kooc_controller.p[:] = 7.0
+    other = slow_manifold_lift_ct(system.params["mu"], system.params["lambda"], {2: 1.0})
+    again = _compare(system, other)
+    assert _comparison_bits(again) == expected
+    assert again.kooc_controller.model is other
+
+
+def _scale_k(system, model):
+    model.K[1, 2] *= 1.5
+    return system, model, {}
+
+
+def _scale_input_map(system, model):
+    system.input_map[1, 0] = 2.0
+    return system, model, {}
+
+
+def _scale_observable(system, model):
+    x1, x2 = (Polynomial.variable(2, i) for i in range(2))
+    library = ObservableLibrary(2, (x1, x2, Polynomial(2, {(2, 0): 1.5})))
+    return system, KoopmanModel(library, model.K, CONTINUOUS), {}
+
+
+@pytest.mark.parametrize("change", [
+    _scale_k,
+    _scale_input_map,
+    lambda system, model: (system, model, {"q": np.diag([1.0, 2.0])}),
+    lambda system, model: (system, model, {"r": [[2.0]]}),
+    _scale_observable,
+], ids=["K", "input_map", "q", "r", "observable"])
+def test_each_design_input_misses_the_memo_and_gives_a_new_design(change):
+    system, model = _demo_pair()
+    control._designs.clear()
+    base = _comparison_bits(_compare(system, model))
+    system, model, kwargs = change(system, model)  # in place where the input is an array
+    changed = _comparison_bits(_compare(system, model, **kwargs))
+    assert len(control._designs) == 2
+    control._designs.clear()
+    assert _comparison_bits(_compare(system, model, **kwargs)) == changed
+    assert changed[:4] != base[:4]  # new closed-loop states and inputs
+
+
+def test_the_design_memo_stays_within_its_bound_and_recomputes_what_it_evicted():
+    system, model = _demo_pair()
+    bound = control._DESIGN_CACHE_SIZE
+    control._designs.clear()
+    first = _comparison_bits(_compare(system, model, horizon=0.1))
+    key = next(iter(control._designs))
+    for k in range(1, bound + 3):  # one distinct design per state cost
+        _compare(system, model, q=(1.0 + k / 16) * np.eye(2), horizon=0.1)
+        assert len(control._designs) <= bound
+    assert key not in control._designs
+    assert _comparison_bits(_compare(system, model, horizon=0.1)) == first
+    assert key in control._designs and len(control._designs) == bound
+
+
+def test_a_refused_design_raises_on_every_call_and_is_never_stored():
+    system = builtin("kooc_demo", mu=0.1)
+    model = slow_manifold_lift_ct(0.1, 1.0, {2: 1.0})
+    control._designs.clear()
+    for _ in range(3):
+        with pytest.raises(NotStabilizable, match="unstabilizable unstable modes: 0.1 \\(on x1\\)"):
+            _compare(system, model)
+        with pytest.raises(ValueError, match="r must be positive definite"):
+            _compare(*_demo_pair(), r=[[0.0]])
+    assert not control._designs
