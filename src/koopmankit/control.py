@@ -17,17 +17,15 @@ polynomials in x, and so is each closed loop f(x) + B u(x).
 :func:`compare_lqr_kooc` is the one place a closed loop is formed. It works
 in two steps. The design step makes both gains and builds each closed loop
 as one compiled :class:`~koopmankit.dynamics.PolySystem`, with its law as one
-compiled map; it runs once per (plant, lift, Q, R), and a bounded memo keyed
-on the content of those four keeps its result for the next start. The run
-step, the only work of a call whose design is memoized, integrates both
-loops from x0 like any other field, evaluates each law once on the columns
-of the sample states, and costs the two trajectories.
+compiled map. The last design built is kept, keyed on the content of the
+plant, lift, Q and R, so a comparison repeated from another start reuses it.
+The run step, the only work of such a repeat, integrates both loops from x0
+like any other field, evaluates each law once on the columns of the sample
+states, and costs the two trajectories.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,7 +42,6 @@ _SIGN_MAX_ITER = 100
 _POLISH_STEPS = 4
 _BACKWARD_ERROR_TOL = 1e-8
 _PBH_MIN_REAL = -1e-9  # a mode with a real part at or above this is marginal or unstable
-_DESIGN_CACHE_SIZE = 32
 
 
 def _pair(a, b):
@@ -357,8 +354,8 @@ def _closed_loop(system: PolySystem, library, gain):
 
     Theta must be polynomial, so u is too: the closed loop is one compiled
     system with no input map, and the law one compiled map. Neither carries
-    the plant's ``params`` or ``name``, so a memoized loop holds nothing of
-    the caller that built it.
+    the plant's ``params`` or ``name``, so a kept loop holds nothing of the
+    caller that built it.
     """
     law = [library.linear_combination(-row) for row in gain]
     equations = []
@@ -392,9 +389,11 @@ class _Design(NamedTuple):
     loops: tuple
 
 
-# design key -> _Design, least recently used first; at most _DESIGN_CACHE_SIZE
-_designs = OrderedDict()
-_designs_lock = threading.Lock()
+# (key, design) of the last design built, or None. One slot: the callers that
+# repeat a design (a comparison from several starts) repeat it back to back.
+# Reading or rebinding it is atomic, so threads need no lock; a design built
+# concurrently under another key simply replaces it.
+_last = None
 
 
 def _design_key(system: PolySystem, model: KoopmanModel, q, r):
@@ -408,14 +407,14 @@ def _design_key(system: PolySystem, model: KoopmanModel, q, r):
 
 
 def _design(system: PolySystem, model: KoopmanModel, q, r) -> _Design:
-    """Both laws and their compiled closed loops, built once per key while the
-    memo holds it. A refusal raises before anything is stored."""
+    """Both laws and their compiled closed loops; the last one built is kept
+    and returned again while its key repeats. A refusal raises before anything
+    is stored."""
+    global _last
     key = _design_key(system, model, q, r)
-    with _designs_lock:
-        design = _designs.get(key)
-        if design is not None:
-            _designs.move_to_end(key)
-            return design
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
     n = system.dim
     b_lifted = np.zeros((len(model.library), system.input_map.shape[1]))
     b_lifted[:n] = system.input_map
@@ -424,10 +423,7 @@ def _design(system: PolySystem, model: KoopmanModel, q, r) -> _Design:
                  for lift in (state_block, model))
     loops = tuple(_closed_loop(system, d.model.library, d.gain) for d in (lqr, kooc))
     design = _Design(lqr.gain, kooc.gain, kooc.p, loops)
-    with _designs_lock:
-        _designs[key] = design
-        if len(_designs) > _DESIGN_CACHE_SIZE:
-            _designs.popitem(last=False)
+    _last = (key, design)
     return design
 
 
@@ -444,14 +440,14 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     comparisons use — reported separately as the ``_script`` fields.
 
     The design, both gains and each closed loop compiled as one polynomial
-    field, is built once per (system, model, q, r) and reused across starts
-    and horizons. A bounded memo of the most recently used designs is keyed
-    on the content of the equations, input map, observables, K, q and r, so
-    a changed input gives a new design. The run step, integrating both loops
-    from ``x0`` and costing them, is the only per-call work, and a memoized
-    call returns the same bits as a fresh one. ``q``, ``r`` and ``x0`` are validated on every
-    call, every refusal is raised on every call, and the returned gains and
-    P are the caller's own copies.
+    field, is kept from the last call and reused while the (system, model,
+    q, r) it was built for repeats, as it does when one design is compared
+    from several starts or horizons. The key is the content of the
+    equations, input map, observables, K, q and r, so a changed input gives
+    a new design. A repeat does only the run step, integrating both loops
+    from ``x0`` and costing them, and returns the same bits as a fresh
+    design. ``q``, ``r`` and ``x0`` are validated and every refusal raised
+    on every call, and the returned gains and P are the caller's own copies.
     """
     if system.input_map is None:
         raise ValueError("system has no input map")

@@ -476,7 +476,7 @@ def _comparison_bits(comp):
 
 def test_comparisons_keep_their_bits_with_a_warm_code_cache():
     """Closed loops and laws of one structure reuse compiled code across calls
-    and q, and memoized designs reuse their loops; all three give one set of bits."""
+    and q, and a kept design reuses its loops; all three give one set of bits."""
     system = builtin("kooc_demo")
     model = slow_manifold_lift_ct(-0.1, 1.0, {2: 1.0})
 
@@ -487,18 +487,18 @@ def test_comparisons_keep_their_bits_with_a_warm_code_cache():
     cold = []
     for q in (1.0, 3.0):
         polynomials._code.cache_clear()
-        control._designs.clear()
+        control._last = None
         cold.append(run(q))
-    control._designs.clear()
-    warm_code = [run(q) for q in (1.0, 3.0)]  # designs rebuilt on cached code
+    warm_code = [run(q) for q in (1.0, 3.0)]  # alternating q misses the kept design
     assert polynomials._code.cache_info().hits > 0
-    warm = [run(q) for q in (1.0, 3.0)]  # designs from the memo
-    assert len(control._designs) == 2
-    assert warm_code == cold and warm == cold and cold[0] != cold[1]
+    kept = control._last[1]
+    warm = run(3.0)  # the design kept from the last call
+    assert control._last[1] is kept
+    assert warm_code == cold and warm == cold[1] and cold[0] != cold[1]
 
 
 # ---------------------------------------------------------------------------
-# the design memo of compare_lqr_kooc
+# the design kept by compare_lqr_kooc
 # ---------------------------------------------------------------------------
 
 def _demo_pair():
@@ -510,25 +510,25 @@ def _compare(system, model, q=np.eye(2), r=((1.0,),), x0=(-5.0, 5.0), horizon=1.
     return compare_lqr_kooc(system, model, q, r, x0, horizon)
 
 
-def test_a_memoized_design_gives_the_bits_of_a_cold_one_from_every_start():
+def test_a_kept_design_gives_the_bits_of_a_cold_one_from_every_start():
     system, model = _demo_pair()
     starts = ((-5.0, 5.0), (-4.6, 5.3), (0.0, 0.0))
     cold = []
     for x0 in starts:
-        control._designs.clear()
+        control._last = None
         cold.append(_comparison_bits(_compare(system, model, x0=x0)))
-    assert len(control._designs) == 1
+    kept = control._last[1]
     warm = [_comparison_bits(_compare(system, model, x0=x0)) for x0 in starts]
-    assert warm == cold
-    # keyed by content: an equal plant and lift built afresh hit the same design
+    assert warm == cold and control._last[1] is kept
+    # keyed by content: an equal plant and lift built afresh reuse the design
     comp = _compare(*_demo_pair())
-    assert len(control._designs) == 1
+    assert control._last[1] is kept
     assert _comparison_bits(comp) == cold[0]
 
 
-def test_a_memoized_comparison_returns_the_callers_model_and_its_own_arrays():
+def test_a_kept_design_returns_the_callers_model_and_its_own_arrays():
     system, model = _demo_pair()
-    control._designs.clear()
+    control._last = None
     first = _compare(system, model)
     expected = _comparison_bits(first)
     first.lqr_gain[:] = 7.0
@@ -563,39 +563,37 @@ def _scale_observable(system, model):
     lambda system, model: (system, model, {"r": [[2.0]]}),
     _scale_observable,
 ], ids=["K", "input_map", "q", "r", "observable"])
-def test_each_design_input_misses_the_memo_and_gives_a_new_design(change):
+def test_each_design_input_misses_the_kept_design_and_gives_a_new_one(change):
     system, model = _demo_pair()
-    control._designs.clear()
+    control._last = None
     base = _comparison_bits(_compare(system, model))
+    kept = control._last[1]
     system, model, kwargs = change(system, model)  # in place where the input is an array
     changed = _comparison_bits(_compare(system, model, **kwargs))
-    assert len(control._designs) == 2
-    control._designs.clear()
+    assert control._last[1] is not kept
+    control._last = None
     assert _comparison_bits(_compare(system, model, **kwargs)) == changed
     assert changed[:4] != base[:4]  # new closed-loop states and inputs
 
 
-def test_the_design_memo_stays_within_its_bound_and_recomputes_what_it_evicted():
+def test_one_design_is_kept_and_a_replaced_one_recomputes_to_its_bits():
     system, model = _demo_pair()
-    bound = control._DESIGN_CACHE_SIZE
-    control._designs.clear()
+    control._last = None
     first = _comparison_bits(_compare(system, model, horizon=0.1))
-    key = next(iter(control._designs))
-    for k in range(1, bound + 3):  # one distinct design per state cost
-        _compare(system, model, q=(1.0 + k / 16) * np.eye(2), horizon=0.1)
-        assert len(control._designs) <= bound
-    assert key not in control._designs
+    key = control._last[0]
+    _compare(system, model, q=2.0 * np.eye(2), horizon=0.1)
+    assert control._last[0] != key
     assert _comparison_bits(_compare(system, model, horizon=0.1)) == first
-    assert key in control._designs and len(control._designs) == bound
+    assert control._last[0] == key
 
 
 def test_a_refused_design_raises_on_every_call_and_is_never_stored():
     system = builtin("kooc_demo", mu=0.1)
     model = slow_manifold_lift_ct(0.1, 1.0, {2: 1.0})
-    control._designs.clear()
+    control._last = None
     for _ in range(3):
         with pytest.raises(NotStabilizable, match="unstabilizable unstable modes: 0.1 \\(on x1\\)"):
             _compare(system, model)
         with pytest.raises(ValueError, match="r must be positive definite"):
             _compare(*_demo_pair(), r=[[0.0]])
-    assert not control._designs
+    assert control._last is None
