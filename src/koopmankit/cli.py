@@ -4,16 +4,19 @@ Four subcommands mirror the library workflows: ``simulate``, ``identify``,
 ``spectral`` and ``control``; each ``cmd_*`` docstring is its ``--help`` line.
 ``_FLAGS`` declares each flag that several subcommands share, and
 ``_COMMANDS`` lists each subcommand's flags in order. ``--rank`` applies only
-to the registry entries marked ``"ranked"`` (Carleman truncations), and
+to the registry entries marked ``"ranked"`` (Carleman truncations).
 ``simulate`` refuses ``--steps`` for a flow and ``--horizon`` or ``--dt`` for
-a map; ``spectral --model`` refuses the system parameters, ``--x0``,
-``--horizon``, ``--dt`` and ``--steps``, ``spectral`` refuses a trajectory
-too short to verify along, and every flow refuses a ``--horizon`` that
-takes no step of ``--dt``. ``simulate`` computes every table before it
-writes the first, so a run that fails writes nothing. Every command is
-deterministic at a fixed OpenBLAS thread count: the same configuration and
-thread count produce byte-identical files, but a least-squares fit (as in
-``identify``) can change in its last bits with the thread count.
+a map; ``identify`` refuses ``--steps`` for a flow and ``--horizon`` for a map
+(its ``--dt`` has a default, so it goes unchecked), and ``identify --data``
+refuses ``--generate``, ``--horizon`` and ``--steps``; ``spectral --model``
+refuses the system parameters, ``--x0``, ``--horizon``, ``--dt`` and
+``--steps``, ``spectral`` refuses a trajectory too short to verify along, and
+every flow refuses a ``--horizon`` that takes no step of ``--dt``.
+``simulate`` computes every table before it writes the first, so a run that
+fails writes nothing. Every command is deterministic at a fixed OpenBLAS
+thread count: the same configuration and thread count produce byte-identical
+files, but a least-squares fit (as in ``identify``) can change in its last
+bits with the thread count.
 ``KOOPMANKIT_OUT``, when set, overrides any ``--out`` directory.
 
 Exit codes: 0 success, 1 stdout closed by its reader (as in
@@ -80,16 +83,22 @@ class _Context:
             if not self.ranks or any(r < 1 for r in self.ranks):
                 raise ValueError("--rank needs positive integers")
         unread = ()  # flags this invocation would ignore if given
-        if args.command == "simulate":
+        if getattr(args, "data", None):  # identify --data
+            unread = ("--generate", "--horizon", "--steps")
+            reader = "--data, which reads trajectories and simulates nothing"
+        elif args.command in ("simulate", "identify"):
             flow = self.system.time_kind == CONTINUOUS
             takes = "a flow: it takes --horizon and --dt" if flow else "a map: it takes --steps"
             unread = ("--steps",) if flow else ("--horizon", "--dt")
+            if args.command == "identify":  # its --dt has a default: a passed one looks the same
+                unread = unread[:1]
             reader = f"--system {args.system}, {takes}"
         elif self.system is None:  # spectral --model
             unread = (*_PARAMS, "--r", "--x0", "--horizon", "--dt", "--steps")
             reader = "--model, which reads a saved model and simulates nothing"
         for flag in unread:
-            if getattr(args, _FLAGS[flag].get("dest", flag[2:])) is not None:
+            value = getattr(args, _FLAGS.get(flag, {}).get("dest", flag[2:]))
+            if value is not None and value is not False:  # --generate defaults to False
                 raise ValueError(f"{flag} does not apply to {reader}")
         if args.dt is None:
             args.dt = dynamics.DEFAULT_DT

@@ -375,11 +375,6 @@ def _run_loop(loop, x0, horizon, dt) -> Trajectory:
     return Trajectory(times=traj.times, states=traj.states, inputs=law(traj.states.T).T)
 
 
-def _closed_loop_run(system: PolySystem, library, gain, x0, horizon, dt) -> Trajectory:
-    """Build the closed loop of ``gain`` on ``library`` and run it from ``x0``."""
-    return _run_loop(_closed_loop(system, library, gain), x0, horizon, dt)
-
-
 class _Design(NamedTuple):
     """Both laws of a comparison and their closed loops, LQR first."""
 

@@ -1,10 +1,12 @@
-"""Data-driven identification: DMD, sparse regression, and subspace refinement.
+"""Data-driven identification: sparse regression and subspace refinement.
 
 The sparse regression is sequential thresholded least squares on a candidate
 observable library. Library columns are scaled to unit RMS before regression
 and coefficients un-scaled afterwards, so the threshold acts on each term's
 contribution to the signal rather than on raw coefficients whose size depends
-on monomial degree.
+on monomial degree. DMD is the special case
+``sindy(data, monomials(n, 1), threshold=0.0)``: with no threshold on the
+linear library the fit is plain least squares, the advance Y pinv(X).
 """
 
 from __future__ import annotations
@@ -124,19 +126,6 @@ def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
         xs.append(now.T)
         ys.append(advance.T)
     return DataSet(X=np.hstack(xs), Y=np.hstack(ys), time_kind=time_kind)
-
-
-# ---------------------------------------------------------------------------
-# dynamic mode decomposition
-# ---------------------------------------------------------------------------
-
-def dmd(x, xp):
-    """Best-fit linear advance Xi minimizing ||Xi X - Xp||_F: Xi = Xp pinv(X)."""
-    x = numerics.as_matrix(x, "x")
-    xp = numerics.as_matrix(xp, "xp")
-    if x.shape != xp.shape:
-        raise ValueError("snapshot matrices must share a shape")
-    return xp @ numerics.pinv(x)
 
 
 # ---------------------------------------------------------------------------

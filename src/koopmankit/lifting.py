@@ -230,11 +230,6 @@ def carleman_center(rank):
 # symbolic closure
 # ---------------------------------------------------------------------------
 
-def observable_advance(obs: Polynomial, system) -> Polynomial:
-    """The observable's image under the dynamics: Lie derivative or composition."""
-    return _advances((obs,), system)[0]
-
-
 def _advances(observables, system):
     """Each observable's image under the dynamics; the compositions of a map
     share one table of the powers of its equations."""

@@ -54,28 +54,6 @@ def lstsq(a, b):
     return x
 
 
-def svd(a):
-    """Singular value decomposition a = U @ diag(s) @ V.T (economy size).
-
-    Returns (U, s, V) with singular values in descending order; note V, not
-    its transpose, so reconstruction uses V.T.
-    """
-    a = as_matrix(a, "a")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
-        raise NumericsError(f"svd did not converge: {exc}") from exc
-    return u, s, vh.conj().T
-
-
-def pinv(a):
-    """Moore-Penrose pseudoinverse with relative singular-value cutoff ``DEFAULT_RCOND``."""
-    u, s, v = svd(a)
-    cutoff = DEFAULT_RCOND * (s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return v @ (inv[:, None] * u.conj().T)
-
-
 @dataclass
 class EigenPairSet:
     """Right and left eigenpairs of a square matrix under fixed conventions.

@@ -114,6 +114,8 @@ class Polynomial:
 
     @classmethod
     def variable(cls, dim, index):
+        if not 0 <= index < dim:
+            raise ValueError(f"variable index {index} is out of range for dim={dim}")
         exps = [0] * dim
         exps[index] = 1
         return cls(dim, {tuple(exps): 1.0})
@@ -164,10 +166,11 @@ class Polynomial:
 
     def __pow__(self, n):
         # left-fold to match ipow's factor grouping
+        (n,) = _whole_exponents((n,))
         if n < 0:
             raise ValueError("negative exponent")
         out = Polynomial.constant(self.dim, 1.0)
-        for _ in range(int(n)):
+        for _ in range(n):
             out = out * self
         return out
 

@@ -506,6 +506,26 @@ def test_simulate_refuses_a_flag_its_system_does_not_read(tmp_path, argv, messag
     assert stdout == "" and not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--system", "logistic", "--generate", "--horizon", "5"],
+     "--horizon does not apply to --system logistic, a map: it takes --steps"),
+    (["--system", "quad-manifold", "--generate", "--steps", "7"],
+     "--steps does not apply to --system quad-manifold, a flow: it takes --horizon and --dt"),
+    (["--system", "quad-manifold", "--data", "unread.csv", "--generate", "--horizon", "99",
+      "--steps", "3"], "--generate does not apply to --data"),
+    (["--system", "quad-manifold", "--data", "unread.csv", "--horizon", "0"],
+     "--horizon does not apply to --data"),
+    (["--system", "tu-map", "--data", "unread.csv", "--steps", "0"],
+     "--steps does not apply to --data"),
+])
+def test_identify_refuses_a_flag_its_system_or_data_does_not_read(tmp_path, argv, message):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(["identify", *argv, "--out", str(out)])
+    assert code == 2
+    assert stderr.startswith(f"error: {message}") and stderr.count("\n") == 1
+    assert stdout == "" and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--mu", "--lambda", "--angle", "--r", "--x0", "--horizon",
                                   "--dt", "--steps"])
 def test_spectral_refuses_a_system_flag_with_a_saved_model(tmp_path, identify_quad, flag):

@@ -27,7 +27,7 @@ from koopmankit import (
     solve_care,
 )
 from koopmankit import control, polynomials
-from koopmankit.control import _closed_loop_run
+from koopmankit.control import _closed_loop, _run_loop
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -243,8 +243,8 @@ def test_lqr_gain_is_a_cost_minimum():
     )
 
     def cost_with(scale):
-        traj = _closed_loop_run(system, monomials(2, 1), scale * gain,
-                                np.array([-5.0, 5.0]), 50.0, 0.01)
+        traj = _run_loop(_closed_loop(system, monomials(2, 1), scale * gain),
+                         np.array([-5.0, 5.0]), 50.0, 0.01)
         return closed_loop_cost(traj, q, r)[-1]
 
     base = cost_with(1.0)

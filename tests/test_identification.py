@@ -1,4 +1,8 @@
-"""Tests for DMD, sparse regression, and subspace refinement."""
+"""Tests for sparse regression and subspace refinement.
+
+DMD has no function of its own: it is ``sindy`` at threshold 0 on the linear
+library ``monomials(n, 1)``, and the DMD tests below fit it that way.
+"""
 
 import itertools
 import json
@@ -17,7 +21,6 @@ from koopmankit import (
     carleman_logistic,
     dataset_from_trajectories,
     differentiate_series,
-    dmd,
     eval_library,
     integrate,
     invariance_residual,
@@ -120,29 +123,27 @@ def test_derivatives_need_five_samples():
 # DMD
 # ---------------------------------------------------------------------------
 
+def _dmd(x, xp):
+    """DMD of the snapshot pairs (x, xp): the threshold-0 fit on the linear library."""
+    data = DataSet(X=x, Y=xp, time_kind=DISCRETE)
+    return sindy(data, monomials(x.shape[0], 1), threshold=0.0).coefficients
+
+
 def test_dmd_recovers_known_linear_map():
     a = np.diag([0.9, 0.5])
     x = np.empty((2, 50))
     x[:, 0] = [1.0, 1.0]
     for k in range(49):
         x[:, k + 1] = a @ x[:, k]
-    xi = dmd(x[:, :-1], x[:, 1:])
+    xi = _dmd(x[:, :-1], x[:, 1:])
     np.testing.assert_allclose(xi, a, atol=1e-10)
-
-
-def test_dmd_identity_on_fixed_data():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((3, 30))
-    xi = dmd(x, x)
-    # identity on the span of x, which is all of R^3 here
-    np.testing.assert_allclose(xi, np.eye(3), atol=1e-12)
 
 
 def test_dmd_equals_pseudoinverse_formula():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 60))
     xp = rng.standard_normal((4, 60))
-    xi = dmd(x, xp)
+    xi = _dmd(x, xp)
     oracle = xp @ np.linalg.pinv(x)
     np.testing.assert_allclose(xi, oracle, atol=1e-12)
 
@@ -158,15 +159,17 @@ def test_dmd_on_lifted_tu_snapshots_recovers_the_lift():
         lifted = eval_library(lib, traj.states.T)
         cols.append(lifted[:, :-1])
         cols_next.append(lifted[:, 1:])
-    xi = dmd(np.hstack(cols), np.hstack(cols_next))
+    # DMD on the lifted snapshots: the threshold-0 fit on the lift's own
+    # three observables, which monomials(3, 1) names as states
+    xi = _dmd(np.hstack(cols), np.hstack(cols_next))
     np.testing.assert_allclose(xi, tu_lift(lam, mu).K, atol=1e-8)
 
 
 def test_dmd_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        dmd(np.zeros((2, 5)), np.zeros((3, 5)))
-    with pytest.raises(ValueError):
-        dmd(np.zeros((2, 0)), np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="X and Y must have the same shape"):
+        _dmd(np.zeros((2, 5)), np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="empty"), pytest.warns(UserWarning, match="0 samples"):
+        _dmd(np.zeros((2, 0)), np.zeros((2, 0)))
 
 
 def test_sindy_at_threshold_zero_on_the_linear_library_is_dmd():
@@ -175,7 +178,7 @@ def test_sindy_at_threshold_zero_on_the_linear_library_is_dmd():
     trajs = [iterate(builtin("tu_map"), x0, 40) for x0 in _MAP_STARTS]
     data = dataset_from_trajectories(trajs, DISCRETE)
     coefficients = sindy(data, monomials(2, 1), threshold=0.0).coefficients
-    xi = dmd(data.X, data.Y)
+    xi = data.Y @ np.linalg.pinv(data.X)
     assert np.max(np.abs(coefficients - xi)) <= 1e-12 * np.max(np.abs(xi))
 
 
@@ -311,7 +314,7 @@ def test_refine_linear_system_reduces_to_dmd():
     result = refine_subspace(sparse, data)
     assert result.converged
     assert result.model.library.names == ["x1", "x2"]
-    oracle = dmd(x[:, :-1], x[:, 1:])
+    oracle = x[:, 1:] @ np.linalg.pinv(x[:, :-1])
     np.testing.assert_allclose(result.model.K, oracle, atol=1e-10)
 
 

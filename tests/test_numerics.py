@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from koopmankit import eig, lstsq, pinv, svd
+from koopmankit import eig, lstsq
 from koopmankit.exceptions import NumericsError
 
 
@@ -22,23 +22,6 @@ def test_lstsq_rank_deficient_returns_min_norm_solution():
     b = np.array([2.0, 4.0, 6.0])
     x = lstsq(a, b)
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
-
-
-def test_pinv_reconstruction_identities():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 3))
-    ap = pinv(a)
-    np.testing.assert_allclose(a @ ap @ a, a, atol=1e-12)
-    np.testing.assert_allclose(ap @ a @ ap, ap, atol=1e-12)
-
-
-def test_svd_reconstructs_and_orders_singular_values():
-    # returns (U, s, V) untransposed, so a = U diag(s) V.T
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((6, 4))
-    u, s, v = svd(a)
-    assert np.all(np.diff(s) <= 0)
-    np.testing.assert_allclose(u @ np.diag(s) @ v.T, a, atol=1e-12)
 
 
 def test_eig_ordering_descending_real_then_imag():

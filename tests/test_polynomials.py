@@ -127,7 +127,7 @@ def test_vanishing_leading_terms_reduce_degree():
 # -- exponents are whole numbers ----------------------------------------------
 
 @pytest.mark.parametrize("exps", [(1.5,), (float("nan"),), (float("inf"),), ("2",), (2, 0.5),
-                                  (True, 0)])
+                                  (True, 0), (np.bool_(True),)])
 def test_an_exponent_that_is_not_a_whole_number_is_refused_naming_its_tuple(exps):
     message = re.escape(f"exponent tuple {exps} holds an exponent that is not a whole number")
     dim = len(exps)
@@ -137,12 +137,23 @@ def test_an_exponent_that_is_not_a_whole_number_is_refused_naming_its_tuple(exps
         Polynomial.from_terms(dim, [(1.0, exps)])
     with pytest.raises(ValueError, match=message):
         Polynomial.monomial(dim, exps)
+    if dim == 1:  # a one-exponent tuple is a power, too
+        with pytest.raises(ValueError, match=message):
+            Polynomial.variable(1, 0) ** exps[0]
 
 
 def test_whole_float_and_numpy_exponents_are_read_as_ints():
     p = Polynomial(2, {(2.0, np.int64(1)): 1.0})
     assert list(p.terms) == [(2, 1)] and all(type(e) is int for e in next(iter(p.terms)))
     assert Polynomial.from_terms(1, [(1.0, [1.0]), (2.0, (1,))]).terms == {(1,): 3.0}
+    x = Polynomial.variable(2, 0)
+    assert x ** 2.0 == x ** 2 == x * x and x ** np.int64(3) == x * x * x
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5])
+def test_a_variable_index_outside_the_dimension_is_refused_by_name(index):
+    with pytest.raises(ValueError, match=f"variable index {index} is out of range for dim=2"):
+        Polynomial.variable(2, index)
 
 
 def test_a_library_refuses_a_fractional_exponent():

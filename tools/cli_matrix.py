@@ -187,6 +187,11 @@ MATRIX = [
     ["identify", "--system", "quad-manifold", "--generate", "--threshold", "10"],
     ["spectral", "--system", "center-manifold", "--named-observable", "exp-neg-inv",
      "--x0=0.25", "--dt", "0.002"],
+    # identify flags that the system or the data would leave unread
+    ["identify", "--system", "logistic", "--generate", "--horizon", "5"],
+    ["identify", "--system", "quad-manifold", "--generate", "--steps", "7"],
+    ["identify", "--system", "quad-manifold", "--data", "{in}/sim/quad_manifold_trajectory.csv",
+     "--generate", "--horizon", "99", "--steps", "3"],
 ]
 
 
