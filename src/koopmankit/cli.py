@@ -5,13 +5,14 @@ Four subcommands mirror the library workflows: ``simulate``, ``identify``,
 ``_FLAGS`` declares each flag that several subcommands share, and
 ``_COMMANDS`` lists each subcommand's flags in order. ``--rank`` applies only
 to the registry entries marked ``"ranked"`` (Carleman truncations).
-``simulate`` refuses ``--steps`` for a flow and ``--horizon`` or ``--dt`` for
-a map; ``identify`` refuses ``--steps`` for a flow and ``--horizon`` for a map
-(its ``--dt`` has a default, so it goes unchecked), and ``identify --data``
-refuses ``--generate``, ``--horizon`` and ``--steps``; ``spectral --model``
-refuses the system parameters, ``--x0``, ``--horizon``, ``--dt`` and
-``--steps``, ``spectral`` refuses a trajectory too short to verify along, and
-every flow refuses a ``--horizon`` that takes no step of ``--dt``.
+Every subcommand refuses a flag its run would ignore, by one rule: a run that
+simulates nothing (``spectral --model``, ``identify --data``) refuses the
+system parameters (``--mu``, ``--lambda``, ``--angle``, ``--r``) and the
+simulation flags (``--generate``, ``--x0``, ``--horizon``, ``--dt``,
+``--steps``); a run that simulates a registry system refuses ``--steps`` for
+a flow and ``--horizon`` or ``--dt`` for a map.
+``spectral`` refuses a trajectory too short to verify along, and every flow
+refuses a ``--horizon`` that takes no step of ``--dt``.
 ``simulate`` computes every table before it writes the first, so a run that
 fails writes nothing. Every command is deterministic at a fixed OpenBLAS
 thread count: the same configuration and thread count produce byte-identical
@@ -34,8 +35,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, dynamics, registry
-from .control import compare_lqr_kooc
+from . import __version__, control, dynamics, registry
 from .dynamics import CONTINUOUS, DISCRETE, integrate, iterate, write_trajectory
 from .exceptions import BlowUp, DegenerateSpectrum, NotStabilizable, NumericsError, TrajectoryError
 from .identification import (
@@ -58,9 +58,10 @@ from .spectral import (
 )
 
 class _Context:
-    """One invocation resolved: output directory, registry system and its defaults."""
+    """One invocation resolved: output directory, registry system and its defaults;
+    ``dt`` and ``horizon`` default only once the flags the run ignores are refused."""
 
-    def __init__(self, args):
+    def __init__(self, args, dt=dynamics.DEFAULT_DT, horizon=None):
         self.args = args
         self.out = pathlib.Path(os.environ.get("KOOPMANKIT_OUT") or args.out)
         self.out.mkdir(parents=True, exist_ok=True)
@@ -82,26 +83,20 @@ class _Context:
             self.ranks = [int(v) for v in args.rank.split(",") if v.strip() != ""]
             if not self.ranks or any(r < 1 for r in self.ranks):
                 raise ValueError("--rank needs positive integers")
-        unread = ()  # flags this invocation would ignore if given
-        if getattr(args, "data", None):  # identify --data
-            unread = ("--generate", "--horizon", "--steps")
-            reader = "--data, which reads trajectories and simulates nothing"
-        elif args.command in ("simulate", "identify"):
+        if self.system is None or getattr(args, "data", None):  # spectral --model, identify --data
+            unread = ("--generate", *_PARAMS, "--r", "--x0", "--horizon", "--dt", "--steps")
+            reader = ("--model, which reads a saved model" if self.system is None
+                      else "--data, which reads trajectories") + " and simulates nothing"
+        else:
             flow = self.system.time_kind == CONTINUOUS
-            takes = "a flow: it takes --horizon and --dt" if flow else "a map: it takes --steps"
             unread = ("--steps",) if flow else ("--horizon", "--dt")
-            if args.command == "identify":  # its --dt has a default: a passed one looks the same
-                unread = unread[:1]
+            takes = "a flow: it takes --horizon and --dt" if flow else "a map: it takes --steps"
             reader = f"--system {args.system}, {takes}"
-        elif self.system is None:  # spectral --model
-            unread = (*_PARAMS, "--r", "--x0", "--horizon", "--dt", "--steps")
-            reader = "--model, which reads a saved model and simulates nothing"
         for flag in unread:
-            value = getattr(args, _FLAGS.get(flag, {}).get("dest", flag[2:]))
-            if value is not None and value is not False:  # --generate defaults to False
+            if getattr(args, _FLAGS.get(flag, {}).get("dest", flag[2:]), None) is not None:
                 raise ValueError(f"{flag} does not apply to {reader}")
-        if args.dt is None:
-            args.dt = dynamics.DEFAULT_DT
+        args.dt = dt if args.dt is None else args.dt
+        args.horizon = horizon if args.horizon is None else args.horizon
 
     def x0(self):
         """--x0, or the registry's start."""
@@ -260,7 +255,7 @@ def cmd_simulate(args):
 
 def cmd_identify(args):
     """sparse regression + subspace refinement on simulated or supplied trajectory data"""
-    ctx = _Context(args)
+    ctx = _Context(args, dt=_IDENTIFY_DT)
     system, out = ctx.system, ctx.out
     if args.data:
         trajs = [dynamics.read_trajectory(path) for path in args.data]
@@ -396,7 +391,7 @@ def cmd_spectral(args):
 
 def cmd_control(args):
     """lifted-design optimal control vs standard LQR on the actuated benchmark"""
-    ctx = _Context(args)
+    ctx = _Context(args, horizon=50.0)
     system, out = ctx.system, ctx.out
     if system.input_map is None:
         raise ValueError(f"system '{system.name}' has no input; control needs an actuated system")
@@ -410,19 +405,21 @@ def cmd_control(args):
     model = ctx.lift()
     gains_path = out / "control_gains.json"
     payload = {"system": system.name, "params": params}
+    # Q = q*I formed without inf * 0, so --q inf reaches the non-finite check unwarned
+    q, r = np.diag([q_scale] * system.dim), np.array([[r_scale]])
     if q_scale == 0.0:
-        # No state cost: zero input is optimal (J = 0) and the Riccati
-        # solution is identically zero, so both gains vanish.
-        payload.update(lqr_gain=[0.0, 0.0], kooc_gain=[0.0] * len(model.library),
+        # No state cost: both designs (stabilizability checked first) give
+        # zero gains, since zero input attains J = 0; nothing to simulate.
+        design = control._design(system, model, q, r)
+        payload.update(lqr_gain=[float(v) for v in design.lqr_gain.ravel()],
+                       kooc_gain=[float(v) for v in design.kooc_gain.ravel()],
                        note="zero state cost: optimal feedback is zero; simulation skipped")
         dynamics._write_json(gains_path, payload)
         print("zero state cost: gains are identically zero")
         print(f"wrote {gains_path}")
         return 0
 
-    # Q = q*I formed without inf * 0, so --q inf reaches the non-finite check unwarned
-    result = compare_lqr_kooc(system, model, np.diag([q_scale] * system.dim), np.array([[r_scale]]),
-                              x0, args.horizon, dt=args.dt)
+    result = control.compare_lqr_kooc(system, model, q, r, x0, args.horizon, dt=args.dt)
 
     lqr_path = out / "control_lqr.csv"
     kooc_path = out / "control_kooc.csv"
@@ -479,6 +476,7 @@ _FLAGS = {
     "--out": {"default": ".", "help": "output directory (KOOPMANKIT_OUT overrides)"},
 }
 _PARAMS = ("--mu", "--lambda", "--angle")
+_IDENTIFY_DT = 0.005
 
 _COMMANDS = {
     cmd_simulate: [
@@ -488,14 +486,14 @@ _COMMANDS = {
         "--gnuplot"],
     cmd_identify: [
         ("--system", {"required": True}), *_PARAMS, "--r",
-        ("--generate", {"action": "store_true", "help": "simulate training data"}),
+        ("--generate", {"action": "store_true", "default": None, "help": "simulate training data"}),
         ("--data", {"nargs": "+", "help": "trajectory CSV file(s)"}),
         ("--degree", {"type": int, "default": 3, "help": "candidate monomial degree cap"}),
         ("--threshold", {"type": float, "default": DEFAULT_THRESHOLD}),
         "--horizon",
-        ("--dt", {"default": 0.005, "help": "sampling step for generated data (finer than the "
-                                            "simulate default so derivative estimates do not "
-                                            "limit recovery)"}),
+        ("--dt", {"help": f"sampling step for generated data (default {_IDENTIFY_DT:g}, finer "
+                          "than the simulate default so derivative estimates do not limit "
+                          "recovery)"}),
         "--steps"],
     cmd_spectral: [
         "--system", ("--model", {"help": "KoopmanModel JSON instead of a registry system"}),
@@ -507,7 +505,7 @@ _COMMANDS = {
         ("--system", {"default": "kooc-demo"}), *_PARAMS,
         ("--q", {"type": float, "default": 1.0, "help": "state cost weight (Q = q*I)"}),
         ("--r", {"dest": "r_cost", "default": 1.0, "help": "input cost weight"}),
-        "--x0", ("--horizon", {"default": 50.0}), "--dt", "--gnuplot"],
+        "--x0", "--horizon", "--dt", "--gnuplot"],
 }
 
 

@@ -44,6 +44,8 @@ class DataSet:
         self.Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
         if self.X.shape != self.Y.shape:
             raise ValueError(f"X and Y must have the same shape, got {self.X.shape} vs {self.Y.shape}")
+        if self.X.shape[1] == 0:
+            raise ValueError("data has no samples: X and Y have no columns")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
             raise ValueError("data contains non-finite entries")
         if self.time_kind not in (CONTINUOUS, DISCRETE):

@@ -517,6 +517,12 @@ def test_simulate_refuses_a_flag_its_system_does_not_read(tmp_path, argv, messag
      "--horizon does not apply to --data"),
     (["--system", "tu-map", "--data", "unread.csv", "--steps", "0"],
      "--steps does not apply to --data"),
+    (["--system", "logistic", "--generate", "--dt", "0.1"],
+     "--dt does not apply to --system logistic, a map: it takes --steps"),
+    (["--system", "quad-manifold", "--data", "unread.csv", "--dt", "0.3"],
+     "--dt does not apply to --data, which reads trajectories and simulates nothing"),
+    (["--system", "quad-manifold", "--data", "unread.csv", "--mu", "0.3"],
+     "--mu does not apply to --data, which reads trajectories and simulates nothing"),
 ])
 def test_identify_refuses_a_flag_its_system_or_data_does_not_read(tmp_path, argv, message):
     out = tmp_path / "out"
@@ -534,6 +540,22 @@ def test_spectral_refuses_a_system_flag_with_a_saved_model(tmp_path, identify_qu
     code, stdout, stderr = run_cli(["spectral", "--model", model, f"{flag}=1", "--out", str(out)])
     assert code == 2
     assert f"error: {flag} does not apply to --model" in stderr
+    assert stdout == "" and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--system", "logistic", "--horizon", "5"],
+     "--horizon does not apply to --system logistic, a map: it takes --steps"),
+    (["--system", "logistic", "--dt", "0.5"],
+     "--dt does not apply to --system logistic, a map: it takes --steps"),
+    (["--system", "quad-manifold", "--steps", "5"],
+     "--steps does not apply to --system quad-manifold, a flow: it takes --horizon and --dt"),
+])
+def test_spectral_refuses_a_flag_its_system_does_not_read(tmp_path, argv, message):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(["spectral", *argv, "--out", str(out)])
+    assert code == 2
+    assert stderr == f"error: {message}\n"
     assert stdout == "" and not any(out.iterdir())
 
 
@@ -625,13 +647,16 @@ def test_control_zero_state_cost_skips_the_simulation(tmp_path):
 
 
 def test_control_unstabilizable_pair_exits_with_synthesis_error(tmp_path):
-    # the lifted x1^2 mode of the limitation system, and the LQR design's x1 at mu > 0
+    # the lifted x1^2 mode of the limitation system, with and without a state
+    # cost, and the LQR design's x1 at mu > 0
     for argv, texts in ((["--system", "limitation"], ("0.2", "x1^2")),
+                        (["--system", "limitation", "--q", "0"], ("0.2", "x1^2")),
                         (["--mu", "0.1"], ("unstabilizable unstable modes: 0.1 (on x1)",))):
         code, _, stderr = run_cli(["control", *argv, "--out", str(tmp_path)])
         assert code == 4, argv
         for text in texts:
             assert text in stderr, argv
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_dmd_on_lifted_tu_snapshots_recovers_the_lift():
 def test_dmd_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="X and Y must have the same shape"):
         _dmd(np.zeros((2, 5)), np.zeros((3, 5)))
-    with pytest.raises(ValueError, match="empty"), pytest.warns(UserWarning, match="0 samples"):
+    with pytest.raises(ValueError, match="no samples"):
         _dmd(np.zeros((2, 0)), np.zeros((2, 0)))
 
 

@@ -192,6 +192,18 @@ MATRIX = [
     ["identify", "--system", "quad-manifold", "--generate", "--steps", "7"],
     ["identify", "--system", "quad-manifold", "--data", "{in}/sim/quad_manifold_trajectory.csv",
      "--generate", "--horizon", "99", "--steps", "3"],
+    # more flags a run would leave unread: a map's --dt, a simulation flag or a
+    # system parameter with --data, and the other time kind's flags in spectral
+    ["identify", "--system", "logistic", "--generate", "--dt", "0.1"],
+    ["identify", "--system", "quad-manifold", "--data", "{in}/sim/quad_manifold_trajectory.csv",
+     "--dt", "0.3"],
+    ["identify", "--system", "quad-manifold", "--data", "{in}/sim/quad_manifold_trajectory.csv",
+     "--mu", "0.3"],
+    ["spectral", "--system", "logistic", "--horizon", "5"],
+    ["spectral", "--system", "logistic", "--dt", "0.5"],
+    ["spectral", "--system", "quad-manifold", "--steps", "5"],
+    # no state cost on a lift with an unstabilizable mode
+    ["control", "--system", "limitation", "--q", "0"],
 ]
 
 
