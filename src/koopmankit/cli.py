@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, control, dynamics, registry
+from . import __version__, control, dynamics, numerics, registry
 from .dynamics import CONTINUOUS, DISCRETE, integrate, iterate, write_trajectory
 from .exceptions import BlowUp, DegenerateSpectrum, NotStabilizable, NumericsError, TrajectoryError
 from .identification import (
@@ -378,9 +378,7 @@ def cmd_spectral(args):
 
     path = ctx.out / f"{stem}_spectral.json"
     dynamics._write_json(path, payload)
-    eigvals = ", ".join(f"{w.real:g}{f'{w.imag:+g}j' if abs(w.imag) > 1e-12 else ''}"
-                        for w in (fn.eigenvalue for fn in fns))
-    print(f"eigenvalues: {eigvals}")
+    print(f"eigenvalues: {', '.join(numerics.format_eigenvalue(fn.eigenvalue) for fn in fns)}")
     print(f"wrote {path}")
     return 0
 

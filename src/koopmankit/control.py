@@ -177,6 +177,7 @@ def _care(prob: LqrProblem) -> np.ndarray:
         return res, res_norm, (res_norm / scale if scale else 0.0)
 
     s = _matrix_sign(np.block([[a, -g], [-q, -a.T]]))
+    # numpy's default cutoff on purpose: numerics.lstsq's 1e-12 refuses more random problems
     p = np.linalg.lstsq(np.vstack([s[:n, n:], s[n:, n:] + eye]),
                         -np.vstack([s[:n, :n] + eye, s[n:, :n]]), rcond=None)[0]
     p = 0.5 * (p + p.T)
@@ -225,26 +226,23 @@ def pbh_unstabilizable_modes(a, b):
     finite. The rank counts singular values above 1e-10 times max(1, the
     largest).
     """
-    a, b = _pair(a, b)
+    return [complex(lam) for lam, _ in _unstabilizable(*_pair(a, b))]
+
+
+def _unstabilizable(a, b):
+    """(eigenvalue, eigenvector) of each mode ``pbh_unstabilizable_modes`` reports, in eig order."""
     n = a.shape[0]
+    pairs = numerics.eig(a)
     bad = []
-    for lam in np.linalg.eigvals(a):
+    for lam, vec in zip(pairs.eigenvalues, pairs.right_vectors.T):
         if lam.real < _PBH_MIN_REAL:
             continue
         pencil = np.hstack([a - lam * np.eye(n), b.astype(complex)])
         s = np.linalg.svd(pencil, compute_uv=False)
         rank = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
         if rank < n:
-            bad.append(complex(lam))
+            bad.append((lam, vec))
     return bad
-
-
-def _dominant_observable(model: KoopmanModel, eigenvalue) -> str:
-    """Library name of the largest component of the right eigenvector."""
-    pairs = numerics.eig(model.K)
-    idx = int(np.argmin(np.abs(pairs.eigenvalues - eigenvalue)))
-    comp = int(np.argmax(np.abs(pairs.right_vectors[:, idx])))
-    return model.library.names[comp]
 
 
 @dataclass
@@ -281,17 +279,16 @@ def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r) -> KoocController
     q[:n, :n] = q_state
     prob = LqrProblem(model.K, b_lifted, q, r)
 
-    modes = pbh_unstabilizable_modes(prob.a, prob.b)
-    if modes:
-        names = tuple(_dominant_observable(model, lam) for lam in modes)
-        listing = ", ".join(
-            f"{lam.real:g}{'' if abs(lam.imag) < 1e-12 else f'{lam.imag:+g}j'} (on {name})"
-            for lam, name in zip(modes, names)
-        )
+    bad = _unstabilizable(prob.a, prob.b)
+    if bad:
+        modes = tuple(complex(lam) for lam, _ in bad)
+        names = tuple(model.library.names[int(np.argmax(np.abs(vec)))] for _, vec in bad)
+        listing = ", ".join(f"{numerics.format_eigenvalue(lam)} (on {name})"
+                            for lam, name in zip(modes, names))
         raise NotStabilizable(
             f"lifted pair has unstabilizable unstable modes: {listing}; a mode counts "
             f"when its real part is >= {_PBH_MIN_REAL:g} (marginal or unstable)",
-            modes=tuple(modes), observables=names,
+            modes=modes, observables=names,
         )
 
     if not prob.q.any():

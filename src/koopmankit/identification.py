@@ -85,14 +85,16 @@ def _sampled_advance(values, times, time_kind):
 
     ``values`` holds one sample per row (leading axis). Continuous: every
     sample with its finite-difference derivative, which needs uniform
-    sampling; discrete: every sample but the last with the next one, dt 1.0.
-    Returns (now, advance, dt).
+    sampling; discrete: every sample but the last with the next one, which
+    needs samples one step (time 1) apart. Returns (now, advance, dt).
     """
     if len(times) < 2:
         raise ValueError(f"a trajectory needs at least 2 samples, got {len(times)}")
-    if time_kind != CONTINUOUS:
-        return values[:-1], values[1:], 1.0
     gaps = np.diff(times)
+    if time_kind != CONTINUOUS:
+        if not np.allclose(gaps, 1.0, rtol=1e-9, atol=1e-12):
+            raise ValueError("map samples are not one step (time 1) apart")
+        return values[:-1], values[1:], 1.0
     dt = float(gaps[0])
     if dt <= 0 or not np.allclose(gaps, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("trajectory samples are not uniformly spaced")

@@ -8,7 +8,8 @@ reproducible:
   part, which keeps complex-conjugate pairs adjacent (positive imaginary
   member first);
 * eigenvectors scaled to unit 2-norm with the largest-magnitude component
-  rotated to the positive real axis;
+  rotated to the positive real axis, each from the one decomposition that
+  gave its eigenvalue (left eigenvectors of K come from eig(K.T));
 * rank decisions use the fixed relative cutoff ``DEFAULT_RCOND`` = 1e-12
   times the largest singular value.
 """
@@ -56,19 +57,14 @@ def lstsq(a, b):
 
 @dataclass
 class EigenPairSet:
-    """Right and left eigenpairs of a square matrix under fixed conventions.
+    """Eigenpairs of a square matrix under fixed conventions.
 
-    ``right_vectors`` holds eigenvectors as columns; ``left_vectors`` holds
-    row vectors xi such that xi @ K = eigenvalue * xi, matched entry-for-entry
-    to ``eigenvalues``. Both are unit 2-norm with the sign convention applied.
+    ``right_vectors`` holds unit 2-norm eigenvectors as columns, column i
+    belonging to ``eigenvalues[i]``, with the sign convention applied.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
-
-    def __len__(self):
-        return self.eigenvalues.size
 
     def closest(self, value):
         """Index of the eigenvalue nearest ``value``; (index, separation_ok)."""
@@ -93,39 +89,25 @@ def _canonical_phase(vec):
     return v
 
 
-def _sorted_eig(mat):
-    try:
-        w, v = np.linalg.eig(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
-        raise NumericsError(f"eigendecomposition did not converge: {exc}") from exc
-    order = np.lexsort((-w.imag, -w.real))
-    return w[order], v[:, order]
-
-
 def eig(k):
-    """Eigen-decomposition of a square matrix as an :class:`EigenPairSet`.
+    """Eigenvalues and right eigenvectors of a square matrix as an :class:`EigenPairSet`.
 
-    Left eigenvectors are computed from the transpose (xi @ K = lambda * xi
-    iff K.T @ xi.T = lambda * xi.T) and matched to the right eigenvalues by
-    nearest complex distance.
+    One decomposition answers one question. A left eigenvector of K
+    (xi @ K = lambda * xi) is a right eigenvector of K.T, so ``eig(k.T)``
+    gives the left pairs; no eigenvalue is matched across two decompositions.
     """
     k = as_matrix(k, "k")
     if k.shape[0] != k.shape[1]:
         raise ValueError(f"matrix must be square, got shape {k.shape}")
-    w, v = _sorted_eig(k)
-    wl, vl = _sorted_eig(k.T)
+    try:
+        w, v = np.linalg.eig(k)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
+        raise NumericsError(f"eigendecomposition did not converge: {exc}") from exc
+    order = np.lexsort((-w.imag, -w.real))
+    right = np.column_stack([_canonical_phase(v[:, i]) for i in order])
+    return EigenPairSet(eigenvalues=w[order], right_vectors=right)
 
-    # Greedy matching of the transpose's eigenvalues onto w. For a real matrix
-    # the two sorted lists usually coincide; matching guards against LAPACK
-    # returning conjugate pairs in a different order.
-    used = np.zeros(len(wl), dtype=bool)
-    left_rows = np.zeros_like(v.T)
-    for i, lam in enumerate(w):
-        gaps = np.where(used, np.inf, np.abs(wl - lam))
-        j = int(np.argmin(gaps))
-        used[j] = True
-        left_rows[i] = vl[:, j]
 
-    right = np.column_stack([_canonical_phase(v[:, i]) for i in range(len(w))])
-    left = np.vstack([_canonical_phase(left_rows[i]) for i in range(len(w))])
-    return EigenPairSet(eigenvalues=w, right_vectors=right, left_vectors=left)
+def format_eigenvalue(lam):
+    """``lam`` as text: its real part, then its imaginary part when |imag| > 1e-12."""
+    return f"{lam.real:g}{f'{lam.imag:+g}j' if abs(lam.imag) > 1e-12 else ''}"

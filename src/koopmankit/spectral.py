@@ -2,9 +2,10 @@
 
 Left eigenvectors of a finite advance matrix give eigenfunction coordinates:
 if xi K = lambda xi then phi(x) = xi . Theta(x) satisfies the eigenfunction
-relation for the model's time kind. Quantities tied to a particular
-eigenvalue are always located by matching the eigenvalue, never by position
-in the returned ordering.
+relation for the model's time kind. Each eigen question reads one
+decomposition (eigenfunctions that of K.T, whose right eigenvectors are K's
+left ones) and locates an eigenvalue by value, never by position in the
+returned ordering, and never by pairing eigenvalues of two decompositions.
 """
 
 from __future__ import annotations
@@ -52,13 +53,10 @@ class Eigenfunction:
 
 
 def eigenfunctions(model: KoopmanModel):
-    """All eigenfunctions of the model, ordered like the eigenvalues."""
-    pairs = numerics.eig(model.K)
-    return [
-        Eigenfunction(eigenvalue=pairs.eigenvalues[i], coeffs=pairs.left_vectors[i],
-                      library=model.library, time_kind=model.time_kind)
-        for i in range(len(pairs))
-    ]
+    """All eigenfunctions, ordered like the eigenvalues; their coeffs are K.T's right eigenvectors."""
+    pairs = numerics.eig(model.K.T)
+    return [Eigenfunction(eigenvalue=lam, coeffs=xi, library=model.library, time_kind=model.time_kind)
+            for lam, xi in zip(pairs.eigenvalues, pairs.right_vectors.T)]
 
 
 def verify_eigenfunction(fn: Eigenfunction, traj: Trajectory) -> float:

@@ -335,6 +335,21 @@ def test_identify_names_the_data_file_at_fault(tmp_path):
         assert stderr.startswith(f"error: {tmp_path / 'bad.csv'}: {reason}")
 
 
+def test_identify_refuses_a_flow_csv_for_a_map(tmp_path):
+    # a flow sampled every 0.01 is not a map's data, whose samples are one step apart
+    assert run_cli(["simulate", "--system", "quad-manifold", "--out", str(tmp_path)])[0] == 0
+    assert run_cli(["simulate", "--system", "tu-map", "--out", str(tmp_path)])[0] == 0
+    flow, out = tmp_path / "quad_manifold_trajectory.csv", tmp_path / "out"
+    code, stdout, stderr = run_cli(["identify", "--system", "tu-map", "--data", str(flow),
+                                    "--out", str(out)])
+    assert code == 2
+    assert stderr == f"error: {flow}: map samples are not one step (time 1) apart\n"
+    assert stdout == "" and not any(out.iterdir())
+    code, stdout, _ = run_cli(["identify", "--system", "tu-map", "--data",
+                               str(tmp_path / "tu_map_trajectory.csv"), "--out", str(out)])
+    assert code == 0 and "next x1 = 0.9*x1" in stdout
+
+
 def test_identify_discrete_map_recovers_exact_coefficients(tmp_path):
     code, stdout, _ = run_cli([
         "identify", "--system", "tu-map", "--generate", "--out", str(tmp_path),

@@ -359,6 +359,25 @@ def test_kooc_limitation_system_raises_not_stabilizable():
     assert "a mode counts when its real part is >= -1e-09 (marginal or unstable)" in str(err)
 
 
+def test_a_repeated_unstabilizable_eigenvalue_names_each_mode_by_its_own_eigenvector():
+    """K = 0.1 I with no input: one mode lives on x1, the other on x2."""
+    model = KoopmanModel(monomials(2, 1), 0.1 * np.eye(2), CONTINUOUS)
+    with pytest.raises(NotStabilizable) as excinfo:
+        kooc_synthesize(model, np.zeros((2, 1)), np.eye(2), [[1.0]])
+    assert excinfo.value.modes == pytest.approx((0.1, 0.1))
+    assert excinfo.value.observables == ("x1", "x2")
+
+
+def test_unstabilizable_modes_are_listed_by_descending_real_part():
+    model = KoopmanModel(monomials(2, 1), np.diag([0.1, 0.3]), CONTINUOUS)
+    with pytest.raises(NotStabilizable, match=r"modes: 0\.3 \(on x2\), 0\.1 \(on x1\);") \
+            as excinfo:
+        kooc_synthesize(model, np.zeros((2, 1)), np.eye(2), [[1.0]])
+    assert excinfo.value.modes == pytest.approx((0.3, 0.1))
+    assert excinfo.value.observables == ("x2", "x1")
+    assert pbh_unstabilizable_modes(model.K, np.zeros((2, 1))) == pytest.approx([0.3, 0.1])
+
+
 def test_comparison_refuses_an_unstabilizable_state_block_by_mode():
     """At mu > 0 the LQR design's x1 mode is unreachable from the input on x2."""
     with pytest.raises(NotStabilizable) as excinfo:

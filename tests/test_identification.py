@@ -88,6 +88,16 @@ def test_derivatives_reject_nonuniform_sampling():
         dataset_from_trajectories([traj], CONTINUOUS)
 
 
+def test_map_samples_must_be_one_step_apart():
+    flow = np.arange(6) * 0.01  # a flow's sample times
+    for times in (flow, np.array([0.0, 1.0, 2.0, 4.0, 5.0, 6.0])):
+        traj = Trajectory(times=times, states=np.zeros((6, 1)), inputs=None)
+        with pytest.raises(ValueError, match="^trajectory 0: map samples are not one step"):
+            dataset_from_trajectories([traj], DISCRETE)
+    shifted = Trajectory(times=np.arange(6.0) + 3.0, states=np.zeros((6, 1)), inputs=None)
+    assert dataset_from_trajectories([shifted], DISCRETE).n_samples == 5
+
+
 def test_a_one_sample_trajectory_is_refused_with_its_sample_count():
     traj = Trajectory(times=np.zeros(1), states=np.array([[1.5, -1.0]]), inputs=None)
     for kind in (CONTINUOUS, DISCRETE):
@@ -110,8 +120,9 @@ def test_a_faulty_trajectory_is_named_by_its_index():
         with pytest.raises(TrajectoryError, match=f"^trajectory 2: {reason}$") as info:
             dataset_from_trajectories([good, good, bad], CONTINUOUS)
         assert (info.value.index, info.value.reason) == (2, reason)
+    steps = Trajectory(np.arange(len(good), dtype=float), good.states)  # map samples, one step apart
     with pytest.raises(TrajectoryError, match="^trajectory 1: a trajectory needs at least 2"):
-        dataset_from_trajectories([good, Trajectory(np.zeros(1), [[1.0, 1.0]])], DISCRETE)
+        dataset_from_trajectories([steps, Trajectory(np.zeros(1), [[1.0, 1.0]])], DISCRETE)
 
 
 def test_derivatives_need_five_samples():

@@ -204,6 +204,8 @@ MATRIX = [
     ["spectral", "--system", "quad-manifold", "--steps", "5"],
     # no state cost on a lift with an unstabilizable mode
     ["control", "--system", "limitation", "--q", "0"],
+    # a flow's CSV, sampled every 0.01, given as a map's data
+    ["identify", "--system", "tu-map", "--data", "{in}/sim/quad_manifold_trajectory.csv"],
 ]
 
 
