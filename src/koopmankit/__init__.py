@@ -7,6 +7,14 @@ optimal control designed on the lifted linear model benchmarked against
 standard LQR.
 """
 
+from .artifacts import (
+    eigenfunction_to_json,
+    load_model,
+    read_trajectory,
+    save_model,
+    save_sparse,
+    write_trajectory,
+)
 from .control import (
     ComparisonResult,
     KoocController,
@@ -25,9 +33,7 @@ from .dynamics import (
     Trajectory,
     integrate,
     iterate,
-    read_trajectory,
     slow_manifold_field,
-    write_trajectory,
 )
 from .exceptions import (
     BlowUp,
@@ -45,9 +51,7 @@ from .identification import (
     differentiate_series,
     invariance_residual,
     refine_subspace,
-    save_sparse,
     sindy,
-    sparse_to_json,
 )
 from .lifting import (
     KoopmanModel,
@@ -56,13 +60,9 @@ from .lifting import (
     carleman_logistic,
     closure_residual,
     eval_library,
-    load_model,
-    model_from_json,
-    model_to_json,
     monomials,
     project_states,
     propagate,
-    save_model,
     slow_manifold_lift_ct,
     slow_manifold_lift_dt,
     tu_lift,
@@ -73,7 +73,6 @@ from .registry import builtin, registry_info, registry_names
 from .spectral import (
     Eigenfunction,
     eigen_residual,
-    eigenfunction_to_json,
     eigenfunctions,
     rotate_model,
     rotation_matrix,
@@ -126,8 +125,6 @@ __all__ = [
     "load_model",
     "lqr_gain",
     "lstsq",
-    "model_from_json",
-    "model_to_json",
     "monomial_name",
     "monomials",
     "pbh_unstabilizable_modes",
@@ -141,7 +138,6 @@ __all__ = [
     "rotation_matrix",
     "save_model",
     "save_sparse",
-    "sparse_to_json",
     "sindy",
     "slow_manifold_field",
     "slow_manifold_lift_ct",

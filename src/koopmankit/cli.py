@@ -35,33 +35,22 @@ import sys
 
 import numpy as np
 
-from . import __version__, control, dynamics, numerics, registry
-from .dynamics import CONTINUOUS, DISCRETE, integrate, iterate, write_trajectory
+from . import __version__, control, numerics, registry
+from .artifacts import (_fmt, _trajectory_table, _write_csv, _write_json, eigenfunction_to_json,
+                        load_model, read_trajectory, save_model, save_sparse, write_trajectory)
+from .dynamics import CONTINUOUS, DEFAULT_DT, DISCRETE, integrate, iterate
 from .exceptions import BlowUp, DegenerateSpectrum, NotStabilizable, NumericsError, TrajectoryError
-from .identification import (
-    DEFAULT_THRESHOLD,
-    _sampled_advance,
-    dataset_from_trajectories,
-    invariance_residual,
-    refine_subspace,
-    save_sparse,
-    sindy,
-)
-from .lifting import load_model, monomials, propagate, save_model
+from .identification import (DEFAULT_THRESHOLD, _sampled_advance, dataset_from_trajectories,
+                             invariance_residual, refine_subspace, sindy)
+from .lifting import monomials, propagate
 from .polynomials import format_polynomial
-from .spectral import (
-    eigen_residual,
-    eigenfunction_to_json,
-    eigenfunctions,
-    slow_subspace_slope,
-    verify_eigenfunction,
-)
+from .spectral import eigen_residual, eigenfunctions, slow_subspace_slope, verify_eigenfunction
 
 class _Context:
     """One invocation resolved: output directory, registry system and its defaults;
     ``dt`` and ``horizon`` default only once the flags the run ignores are refused."""
 
-    def __init__(self, args, dt=dynamics.DEFAULT_DT, horizon=None):
+    def __init__(self, args, dt=DEFAULT_DT, horizon=None):
         self.args = args
         self.out = pathlib.Path(os.environ.get("KOOPMANKIT_OUT") or args.out)
         self.out.mkdir(parents=True, exist_ok=True)
@@ -150,7 +139,7 @@ def _quad_manifold(ctx, x0):
     for label, start in starts:
         lifted = propagate(model, start, t_end=horizon, dt=ctx.args.dt)
         tables.append((f"quad_manifold_lifted_{label}.csv",
-                       *dynamics._trajectory_table(lifted, ["y1", "y2", "y3"])))
+                       *_trajectory_table(lifted, model.time_kind, ["y1", "y2", "y3"])))
 
     slope = slow_subspace_slope(model)
     y1 = np.linspace(-2.5, 2.5, 21)
@@ -165,7 +154,7 @@ def _quad_manifold(ctx, x0):
     }
     for color, rows in surfaces.items():
         tables.append((f"quad_manifold_surface_{color}.csv", ["y1", "y2", "y3"], rows))
-    print(f"slow-subspace slope: {dynamics._fmt(slope)}")
+    print(f"slow-subspace slope: {_fmt(slope)}")
     return tables, [
         "set hidden3d",
         "splot \\",
@@ -185,20 +174,20 @@ def _center_comparison(ctx):
     horizon = ctx.horizon(x0, min(1.8, 0.9 * blowup))
     if horizon >= blowup:
         raise ValueError(f"horizon must stay below the blow-up time 1/x0 = {blowup:g}")
-    times = dynamics._time_grid(horizon, ctx.args.dt)
+    lifted = [propagate(ctx.lift(rank), np.array([x0]), t_end=horizon, dt=ctx.args.dt)
+              for rank in ctx.ranks]
+    times = lifted[0].times
     truth = 1.0 / (1.0 / x0 - times)
 
-    columns = [times, truth]
+    columns = [times, truth] + [traj.states[:, 0] for traj in lifted]
     horizons = []
-    for rank in ctx.ranks:
-        pred = propagate(ctx.lift(rank), np.array([x0]), t_end=horizon, dt=ctx.args.dt).states[:, 0]
-        columns.append(pred)
+    for rank, pred in zip(ctx.ranks, columns[2:]):
         rel = np.abs(pred - truth) / np.abs(truth)
         beyond = np.flatnonzero(rel > 0.1)
         horizons.append((rank, times[beyond[0]] if beyond.size else horizon))
 
     header = ["t", "truth"] + [f"rank_{r}" for r in ctx.ranks]
-    tables = [("center_manifold_comparison.csv", header, zip(*columns)),
+    tables = [("center_manifold_comparison.csv", header, np.column_stack(columns)),
               ("center_manifold_horizons.csv", ["rank", "horizon"], horizons)]
     return tables, [f"plot for [col=2:*] '{tables[0][0]}' using 1:col with lines"]
 
@@ -214,7 +203,7 @@ def _logistic_divergence(ctx, x0):
         horizons.append((rank, int(beyond[0] - 1) if beyond.size else steps))
         tables.append((f"logistic_divergence_rank{rank}.csv",
                        ["step", "truth", "prediction", "rel_error"],
-                       zip(range(steps + 1), truth, pred, rel)))
+                       np.column_stack([np.arange(steps + 1), truth, pred, rel])))
     tables.append(("logistic_horizons.csv", ["rank", "steps_within_10pct"], horizons))
     first = tables[0][0]
     return tables, [f"plot '{first}' using 1:2 with linespoints, '{first}' using 1:3 with linespoints"]
@@ -229,7 +218,7 @@ def cmd_simulate(args):
     else:
         x0 = ctx.x0()
         file = f"{name}_trajectory.csv"
-        tables = [(file, *dynamics._trajectory_table(ctx.trajectory(x0, 50)))]
+        tables = [(file, *_trajectory_table(ctx.trajectory(x0, 50), ctx.system.time_kind))]
         plot = [f"plot for [col=2:*] '{file}' using 1:col with lines"]
         if name == "quad_manifold":
             more, plot = _quad_manifold(ctx, x0)
@@ -240,7 +229,7 @@ def cmd_simulate(args):
 
     files = []
     for file, header, rows in tables:
-        dynamics._write_csv(ctx.out / file, header, rows)
+        _write_csv(ctx.out / file, header, rows)
         files.append(file)
     if args.gnuplot:
         files.append(_gnuplot(ctx.out / f"{name}.plt", plot).name)
@@ -258,7 +247,7 @@ def cmd_identify(args):
     ctx = _Context(args, dt=_IDENTIFY_DT)
     system, out = ctx.system, ctx.out
     if args.data:
-        trajs = [dynamics.read_trajectory(path) for path in args.data]
+        trajs = [read_trajectory(path, system.time_kind) for path in args.data]
     elif args.generate:
         starts, span = ctx.entry["training"]  # span: a flow's horizon or a map's step count
         trajs = [ctx.trajectory(x0, span, span) for x0 in starts]
@@ -298,12 +287,12 @@ def cmd_identify(args):
         "max_invariance_residual": max(residuals),
     }
     report_path = out / f"{system.name}_report.json"
-    dynamics._write_json(report_path, report)
+    _write_json(report_path, report)
 
     for eq_name, eq in zip((f"x{i + 1}" for i in range(system.dim)), report["equations"]):
         kind = "d/dt" if system.time_kind == CONTINUOUS else "next"
         print(f"{kind} {eq_name} = {eq}")
-    print(f"max invariance residual: {dynamics._fmt(report['max_invariance_residual'])}")
+    print(f"max invariance residual: {_fmt(report['max_invariance_residual'])}")
     for path in (sparse_path, model_path, report_path):
         print(f"wrote {path}")
     return 0
@@ -374,10 +363,10 @@ def cmd_spectral(args):
         eigenvalue, phi = named[name]
         residual = eigen_residual(phi(traj.states[:, 0]), eigenvalue, traj.times, system.time_kind)
         payload.update(named_observable=name, named_observable_residual=residual)
-        print(f"{name} residual: {dynamics._fmt(residual)}")
+        print(f"{name} residual: {_fmt(residual)}")
 
     path = ctx.out / f"{stem}_spectral.json"
-    dynamics._write_json(path, payload)
+    _write_json(path, payload)
     print(f"eigenvalues: {', '.join(numerics.format_eigenvalue(fn.eigenvalue) for fn in fns)}")
     print(f"wrote {path}")
     return 0
@@ -412,7 +401,7 @@ def cmd_control(args):
         payload.update(lqr_gain=[float(v) for v in design.lqr_gain.ravel()],
                        kooc_gain=[float(v) for v in design.kooc_gain.ravel()],
                        note="zero state cost: optimal feedback is zero; simulation skipped")
-        dynamics._write_json(gains_path, payload)
+        _write_json(gains_path, payload)
         print("zero state cost: gains are identically zero")
         print(f"wrote {gains_path}")
         return 0
@@ -421,12 +410,12 @@ def cmd_control(args):
 
     lqr_path = out / "control_lqr.csv"
     kooc_path = out / "control_kooc.csv"
-    write_trajectory(result.lqr_traj, lqr_path)
-    write_trajectory(result.kooc_traj, kooc_path)
+    write_trajectory(result.lqr_traj, lqr_path, system.time_kind)
+    write_trajectory(result.kooc_traj, kooc_path, system.time_kind)
     costs_path = out / "control_costs.csv"
-    dynamics._write_csv(costs_path, ["t", "j_lqr", "j_kooc", "j_lqr_script", "j_kooc_script"],
-                        zip(result.lqr_traj.times, result.lqr_cost, result.kooc_cost,
-                            result.lqr_cost_script, result.kooc_cost_script))
+    _write_csv(costs_path, ["t", "j_lqr", "j_kooc", "j_lqr_script", "j_kooc_script"],
+               np.column_stack([result.lqr_traj.times, result.lqr_cost, result.kooc_cost,
+                                result.lqr_cost_script, result.kooc_cost_script]))
 
     payload.update({
         "library": model.library.names,
@@ -439,15 +428,15 @@ def cmd_control(args):
         "final_cost_kooc_script": float(result.kooc_cost_script[-1]),
         "ratio_script": result.ratio_script,
     })
-    dynamics._write_json(gains_path, payload)
+    _write_json(gains_path, payload)
 
     if args.gnuplot:
         plt = _gnuplot(out / "control.plt", ["plot 'control_costs.csv' using 1:2 with lines, \\",
                                              "     'control_costs.csv' using 1:3 with lines"])
         print(f"wrote {plt}")
 
-    print(f"cost ratio (applied inputs): {dynamics._fmt(result.ratio)}")
-    print(f"cost ratio (gain-substituted integrand): {dynamics._fmt(result.ratio_script)}")
+    print(f"cost ratio (applied inputs): {_fmt(result.ratio)}")
+    print(f"cost ratio (gain-substituted integrand): {_fmt(result.ratio_script)}")
     for path in (lqr_path, kooc_path, costs_path, gains_path):
         print(f"wrote {path}")
     return 0

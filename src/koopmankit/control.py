@@ -306,7 +306,7 @@ def closed_loop_cost(traj: Trajectory, q, r):
 
     Trapezoidal accumulation on the trajectory's time grid; J(0) = 0. The
     trajectory must carry the applied inputs, as the closed loops of
-    :func:`compare_lqr_kooc` do and as :func:`~koopmankit.dynamics.read_trajectory`
+    :func:`compare_lqr_kooc` do and as :func:`~koopmankit.artifacts.read_trajectory`
     reads them from a CSV with ``u`` columns.
     """
     if traj.inputs is None:

@@ -1,5 +1,4 @@
-"""Polynomial vector fields and maps, trajectory generation, and the CSV and
-JSON formats of every artifact the package writes.
+"""Polynomial vector fields and maps, and trajectory generation.
 
 Continuous systems are integrated with fixed-step classical RK4, and
 discrete systems are iterated exactly.
@@ -31,12 +30,9 @@ every step.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 import numbers
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,84 +265,3 @@ def _poly_dict(poly):
         raise ValueError("manifold polynomial exponents must be >= 2 and whole "
                          "(degree-1 terms belong to the linear part)")
     return {int(n): float(a) for n, a in sorted(poly.items())}
-
-
-# ---------------------------------------------------------------------------
-# artifact formats: CSV tables (RFC 4180) and JSON documents
-# ---------------------------------------------------------------------------
-
-def _fmt(value):
-    """A number as text that reads back to the same float."""
-    return format(float(value), ".17g")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def write_trajectory(traj: Trajectory, path):
-    """Write a trajectory as CSV with header t,x1,...,xn[,u or u1..uq]."""
-    _write_csv(path, *_trajectory_table(traj))
-
-
-def _trajectory_table(traj, state_names=None):
-    """The header and rows of a trajectory CSV; the states are named x1..xn
-    unless ``state_names`` names them."""
-    n = traj.dim
-    names = list(state_names) if state_names else [f"x{i + 1}" for i in range(n)]
-    if len(names) != n:
-        raise ValueError("state_names length mismatch")
-    header = ["t"] + names
-    columns = [traj.times, traj.states]
-    if traj.inputs is not None:
-        q = traj.inputs.shape[1]
-        header += ["u"] if q == 1 else [f"u{i + 1}" for i in range(q)]
-        columns.append(traj.inputs)
-    return header, np.column_stack(columns)
-
-
-def _numeric_row(path, line, row):
-    """The cells of one CSV row as floats; a bad cell is named by line and column."""
-    values = []
-    for column, cell in enumerate(row, start=1):
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ValueError(f"{path}: line {line}, column {column}: not a number: {cell!r}") from None
-    return values
-
-
-def read_trajectory(path):
-    """Read a trajectory CSV produced by :func:`write_trajectory`.
-
-    The writer's input names, ``u`` and ``u<k>``, mark the input columns;
-    every other column after ``t`` is a state, whatever its name.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [_numeric_row(path, reader.line_num, row) for row in reader if row]
-    if not header or header[0] != "t":
-        raise ValueError(f"{path}: expected header starting with 't'")
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path}: ragged rows")
-    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    columns = data[:, 1:]
-    is_input = np.array([re.fullmatch(r"u\d*", name) is not None for name in header[1:]], dtype=bool)
-    inputs = columns[:, is_input] if is_input.any() else None
-    return Trajectory(times=data[:, 0], states=columns[:, ~is_input], inputs=inputs)

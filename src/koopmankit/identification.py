@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory, _write_json
+from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory
 from .exceptions import TrajectoryError
-from .lifting import KoopmanModel, ObservableLibrary, _advances, _library_to_json, eval_library
+from .lifting import KoopmanModel, ObservableLibrary, _advances, eval_library
 from .polynomials import Polynomial, PolynomialMap, _graded_lex, format_polynomial
 
 DEFAULT_THRESHOLD = 0.025
@@ -333,26 +333,3 @@ def invariance_residual(model: KoopmanModel, traj: Trajectory) -> float:
     defect = advance.T - model.K @ now.T
     num = float(np.sqrt(np.mean(np.sum(defect ** 2, axis=0))))
     return num / denom
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def sparse_to_json(model: SparseModel) -> dict:
-    names = model.library.names
-    rows = []
-    for i, row in enumerate(model.coefficients):
-        terms = [{"observable": names[j], "coeff": float(c)}
-                 for j, c in enumerate(row) if c != 0.0]
-        rows.append({"target": f"x{i + 1}", "terms": terms})
-    return {
-        "library": _library_to_json(model.library),
-        "threshold": float(model.threshold),
-        "time_kind": model.time_kind,
-        "rows": rows,
-    }
-
-
-def save_sparse(model: SparseModel, path):
-    _write_json(path, sparse_to_json(model))

@@ -323,86 +323,3 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
 def project_states(model: KoopmanModel, lifted: Trajectory):
     """Extract the original state coordinates: the lifted trajectory's first n rows."""
     return lifted.states[:, :model.state_dim]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def observable_to_json(obs):
-    if obs.is_monomial():
-        return list(obs.exponents())
-    return {"terms": [[c, list(e)] for e, c in sorted(obs.terms.items())]}
-
-
-def observable_from_json(entry, dim):
-    """An exponent list, or {"terms": [[coefficient, exponents], ...]}; anything else raises."""
-    refusal = ValueError(f"observable {entry!r} is not a polynomial")
-    try:
-        if isinstance(entry, dict):
-            terms = entry["terms"]
-            if not all(isinstance(term, list) and len(term) == 2 for term in terms):
-                raise refusal
-            return Polynomial.from_terms(dim, terms)
-        return _as_observable(entry, dim)
-    except (KeyError, TypeError):
-        raise refusal from None
-
-
-def _json_fields(data, *keys):
-    """The values of ``keys`` in a JSON object; a non-object or a missing key raises."""
-    missing = [key for key in keys if key not in data] if isinstance(data, dict) else keys
-    if missing:
-        raise ValueError(f"expected a JSON object with {', '.join(map(repr, missing))}")
-    return [data[key] for key in keys]
-
-
-def _library_to_json(library: ObservableLibrary) -> dict:
-    return {
-        "dim": library.dim,
-        "state_inclusive": library.state_inclusive,
-        "observables": [observable_to_json(o) for o in library.observables],
-    }
-
-
-def _library_from_json(data: dict) -> ObservableLibrary:
-    dim, declared, entries = _json_fields(data, "dim", "state_inclusive", "observables")
-    if not (type(dim) is int and dim >= 1):  # a JSON true is no dimension
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    if not isinstance(entries, list):
-        raise ValueError(f"observables must be a list, got {type(entries).__name__}")
-    library = ObservableLibrary(dim, tuple(observable_from_json(o, dim) for o in entries))
-    if declared is not library.state_inclusive:
-        raise ValueError(f"state_inclusive is {declared!r}, but the observables make it "
-                         f"{library.state_inclusive}")
-    return library
-
-
-def model_to_json(model: KoopmanModel) -> dict:
-    return {
-        "time_kind": model.time_kind,
-        **_library_to_json(model.library),
-        "K": [[float(v) for v in row] for row in model.K],
-        "state_rows": list(model.state_rows),
-    }
-
-
-def model_from_json(data: dict) -> KoopmanModel:
-    time_kind, k = _json_fields(data, "time_kind", "K")
-    try:
-        k = np.asarray(k, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"K must be a matrix of numbers, got {k!r}") from None
-    model = KoopmanModel(_library_from_json(data), k, time_kind)
-    rows = data.get("state_rows")
-    if rows != list(model.state_rows):
-        raise ValueError(f"state_rows {rows} are not the library's first {model.state_dim} rows")
-    return model
-
-
-def save_model(model: KoopmanModel, path):
-    dynamics._write_json(path, model_to_json(model))
-
-
-def load_model(path) -> KoopmanModel:
-    return model_from_json(dynamics._read_json(path))

@@ -18,7 +18,7 @@ from . import numerics
 from .dynamics import CONTINUOUS, Trajectory
 from .exceptions import DegenerateSpectrum
 from .identification import _sampled_advance
-from .lifting import KoopmanModel, ObservableLibrary, _library_to_json, eval_library
+from .lifting import KoopmanModel, ObservableLibrary, eval_library
 from .polynomials import Polynomial
 
 
@@ -189,16 +189,3 @@ def slow_subspace_slope(model: KoopmanModel) -> float:
         raise DegenerateSpectrum("slow-subspace eigenvector has no x2 component")
     ratio = v3 / v2
     return float(ratio.real)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def eigenfunction_to_json(fn: Eigenfunction) -> dict:
-    return {
-        "eigenvalue": [fn.eigenvalue.real, fn.eigenvalue.imag],
-        "coeffs": [[c.real, c.imag] for c in fn.coeffs],
-        "time_kind": fn.time_kind,
-        "library": _library_to_json(fn.library),
-    }

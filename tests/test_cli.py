@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from koopmankit import (
+    CONTINUOUS,
+    DISCRETE,
     Trajectory,
     __version__,
     builtin,
@@ -112,7 +114,7 @@ def test_simulate_prints_slow_subspace_slope(simulate_quad):
 
 def test_simulate_trajectory_starts_at_requested_state(simulate_quad):
     out, _ = simulate_quad
-    traj = read_trajectory(out / "quad_manifold_trajectory.csv")
+    traj = read_trajectory(out / "quad_manifold_trajectory.csv", CONTINUOUS)
     assert traj.states[0] == pytest.approx([1.5, -1.0])
     assert traj.times[0] == 0.0
 
@@ -148,7 +150,7 @@ def test_simulate_discrete_map_writes_single_table(tmp_path):
     ])
     assert code == 0
     assert [p.name for p in tmp_path.iterdir()] == ["tu_map_trajectory.csv"]
-    traj = read_trajectory(tmp_path / "tu_map_trajectory.csv")
+    traj = read_trajectory(tmp_path / "tu_map_trajectory.csv", DISCRETE)
     assert traj.states.shape == (31, 2)
     assert traj.times[1] - traj.times[0] == 1.0
 
@@ -324,9 +326,9 @@ def test_identify_names_the_data_file_at_fault(tmp_path):
         "non-finite state at sample 7": Trajectory(good.times, nan),
         "sample step 0.02 differs": integrate(builtin("quad_manifold"), [1.0, 0.5], 1.0, dt=0.02),
     }
-    write_trajectory(good, tmp_path / "good.csv")
+    write_trajectory(good, tmp_path / "good.csv", CONTINUOUS)
     for reason, traj in faulty.items():
-        write_trajectory(traj, tmp_path / "bad.csv")
+        write_trajectory(traj, tmp_path / "bad.csv", CONTINUOUS)
         code, _, stderr = run_cli([
             "identify", "--system", "quad-manifold", "--data", str(tmp_path / "good.csv"),
             str(tmp_path / "bad.csv"), "--out", str(tmp_path),
@@ -336,18 +338,29 @@ def test_identify_names_the_data_file_at_fault(tmp_path):
 
 
 def test_identify_refuses_a_flow_csv_for_a_map(tmp_path):
-    # a flow sampled every 0.01 is not a map's data, whose samples are one step apart
+    # a flow's CSV is not a map's data: its time column is 't', a map's is 'step'
     assert run_cli(["simulate", "--system", "quad-manifold", "--out", str(tmp_path)])[0] == 0
     assert run_cli(["simulate", "--system", "tu-map", "--out", str(tmp_path)])[0] == 0
     flow, out = tmp_path / "quad_manifold_trajectory.csv", tmp_path / "out"
     code, stdout, stderr = run_cli(["identify", "--system", "tu-map", "--data", str(flow),
                                     "--out", str(out)])
     assert code == 2
-    assert stderr == f"error: {flow}: map samples are not one step (time 1) apart\n"
+    assert stderr == f"error: {flow}: time column 't' is a flow's, not a map's 'step'\n"
     assert stdout == "" and not any(out.iterdir())
     code, stdout, _ = run_cli(["identify", "--system", "tu-map", "--data",
                                str(tmp_path / "tu_map_trajectory.csv"), "--out", str(out)])
     assert code == 0 and "next x1 = 0.9*x1" in stdout
+
+
+def test_identify_refuses_a_map_csv_for_a_flow(tmp_path):
+    # a map's times 0, 1, ... are also a uniform flow grid; its 'step' column tells them apart
+    assert run_cli(["simulate", "--system", "tu-map", "--out", str(tmp_path)])[0] == 0
+    data, out = tmp_path / "tu_map_trajectory.csv", tmp_path / "out"
+    code, stdout, stderr = run_cli(["identify", "--system", "quad-manifold", "--data", str(data),
+                                    "--out", str(out)])
+    assert code == 2
+    assert stderr == f"error: {data}: time column 'step' is a map's, not a flow's 't'\n"
+    assert stdout == "" and not any(out.iterdir())
 
 
 def test_identify_discrete_map_recovers_exact_coefficients(tmp_path):

@@ -28,7 +28,8 @@ from koopmankit import (
     slow_manifold_lift_ct,
     write_trajectory,
 )
-from koopmankit.dynamics import BLOWUP_LIMIT, _trajectory_table, _write_csv
+from koopmankit.artifacts import _trajectory_table, _write_csv
+from koopmankit.dynamics import BLOWUP_LIMIT
 from koopmankit.registry import _REGISTRY
 
 MU, LAM = -0.05, -1.0
@@ -187,8 +188,8 @@ def test_trajectory_roundtrip_through_csv(tmp_path):
     system = builtin("quad_manifold")
     traj = integrate(system, [1.5, -1.0], 1.0, dt=0.01)
     path = tmp_path / "traj.csv"
-    write_trajectory(traj, path)
-    again = read_trajectory(path)
+    write_trajectory(traj, path, CONTINUOUS)
+    again = read_trajectory(path, CONTINUOUS)
     np.testing.assert_array_equal(again.times, traj.times)
     np.testing.assert_array_equal(again.states, traj.states)
     assert again.inputs is None
@@ -198,12 +199,12 @@ def test_trajectory_csv_preserves_inputs_and_uses_crlf(tmp_path):
     traj = integrate(builtin("kooc_demo"), [-5.0, 5.0], 0.5, dt=0.01)
     traj = Trajectory(times=traj.times, states=traj.states, inputs=np.full(len(traj), 0.25))
     path = tmp_path / "controlled.csv"
-    write_trajectory(traj, path)
+    write_trajectory(traj, path, CONTINUOUS)
     raw = path.read_bytes()
     assert raw.count(b"\r\n") == raw.count(b"\n")
     header = raw.split(b"\r\n", 1)[0].decode()
     assert header == "t,x1,x2,u"
-    again = read_trajectory(path)
+    again = read_trajectory(path, CONTINUOUS)
     np.testing.assert_array_equal(again.inputs, traj.inputs)
 
 
@@ -247,8 +248,8 @@ def test_named_states_round_trip_through_csv(tmp_path):
     for inputs in (None, rng.normal(size=(6, 1)), rng.normal(size=(6, 2))):
         traj = Trajectory(times=times, states=states, inputs=inputs)
         path = tmp_path / "lifted.csv"
-        _write_csv(path, *_trajectory_table(traj, ["y1", "y2", "y3"]))
-        again = read_trajectory(path)
+        _write_csv(path, *_trajectory_table(traj, CONTINUOUS, ["y1", "y2", "y3"]))
+        again = read_trajectory(path, CONTINUOUS)
         assert again.states.tobytes() == traj.states.tobytes()
         if inputs is None:
             assert again.inputs is None
@@ -259,11 +260,11 @@ def test_named_states_round_trip_through_csv(tmp_path):
 def test_header_only_and_ragged_csv_files(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("t,x1,x2\r\n")
-    traj = read_trajectory(path)
+    traj = read_trajectory(path, CONTINUOUS)
     assert traj.states.shape == (0, 2) and traj.inputs is None
     path.write_text("t,x1,x2\r\n0,1,2\r\n1,2\r\n")
     with pytest.raises(ValueError, match="ragged rows"):
-        read_trajectory(path)
+        read_trajectory(path, CONTINUOUS)
 
 
 def test_systems_and_their_compiled_maps_pickle():
@@ -515,11 +516,11 @@ def test_empty_csv_file_is_rejected_by_name(tmp_path):
     path = tmp_path / "nothing.csv"
     path.write_text("")
     with pytest.raises(ValueError, match="nothing.csv"):
-        read_trajectory(path)
+        read_trajectory(path, CONTINUOUS)
 
 
 def test_read_trajectory_names_the_file_line_and_column_of_a_bad_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,x1,x2\n0,1,2\n0.01,abc,2\n")
     with pytest.raises(ValueError, match=r"bad\.csv: line 3, column 2: .*'abc'"):
-        read_trajectory(path)
+        read_trajectory(path, CONTINUOUS)

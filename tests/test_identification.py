@@ -31,12 +31,11 @@ from koopmankit import (
     save_sparse,
     sindy,
     slow_manifold_lift_ct,
-    sparse_to_json,
     tu_lift,
 )
-from koopmankit.registry import _MAP_STARTS
+from koopmankit.artifacts import _library_from_json, _sparse_to_json
 from koopmankit.identification import MAX_ROUNDS
-from koopmankit.lifting import _library_from_json
+from koopmankit.registry import _MAP_STARTS
 
 
 def quad_training_data(lam=-1.0, dt=0.002):
@@ -387,7 +386,7 @@ def test_invariance_residual_discrete_exact_lift():
 def test_sparse_model_json_roundtrip(tmp_path):
     data = quad_training_data(dt=0.01)
     model = sindy(data, monomials(2, 2), threshold=0.025)
-    blob = json.loads(json.dumps(sparse_to_json(model)))
+    blob = json.loads(json.dumps(_sparse_to_json(model)))
     names = _library_from_json(blob["library"]).names
     assert names == model.library.names
     coeffs = np.zeros_like(model.coefficients)

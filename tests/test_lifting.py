@@ -24,8 +24,6 @@ from koopmankit import (
     integrate,
     iterate,
     load_model,
-    model_from_json,
-    model_to_json,
     monomials,
     project_states,
     propagate,
@@ -36,6 +34,7 @@ from koopmankit import (
     slow_manifold_lift_dt,
     tu_lift,
 )
+from koopmankit.artifacts import _model_from_json, _model_to_json
 from koopmankit.lifting import _advances
 from koopmankit.registry import _REGISTRY, _exp_neg_inv
 
@@ -471,8 +470,8 @@ def test_observable_advance_discrete_composes_with_the_map():
 
 def test_model_json_roundtrip_preserves_exact_floats(tmp_path):
     model = slow_manifold_lift_ct(-0.05, 1.0, {2: 1.0})
-    data = model_to_json(model)
-    again = model_from_json(json.loads(json.dumps(data)))
+    data = _model_to_json(model)
+    again = _model_from_json(json.loads(json.dumps(data)))
     np.testing.assert_array_equal(again.K, model.K)
     assert again.library.names == model.library.names
     assert again.time_kind == model.time_kind
@@ -485,7 +484,7 @@ def test_model_json_roundtrip_preserves_exact_floats(tmp_path):
 
 
 def _center_model_json():
-    return model_to_json(carleman_center(2))
+    return _model_to_json(carleman_center(2))
 
 
 def test_a_model_file_with_a_named_observable_is_refused_by_name(tmp_path):
@@ -596,7 +595,7 @@ def test_model_refuses_a_library_that_is_not_state_inclusive(lib):
 
 @pytest.mark.parametrize("rows", [[1, 0], [2, 1], [0], [0, 1, 2], None])
 def test_load_model_refuses_state_rows_other_than_the_first_n(tmp_path, rows):
-    data = model_to_json(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}))
+    data = _model_to_json(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}))
     if rows is None:
         del data["state_rows"]
     else:

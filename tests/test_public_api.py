@@ -38,8 +38,8 @@ def test_the_readme_lists_exactly_the_exported_names_under_their_modules():
 
 
 # The package's modules from the bottom layer up: each imports only earlier ones.
-LAYERS = ("exceptions", "polynomials", "numerics", "dynamics", "lifting", "identification",
-          "spectral", "control", "registry", "cli", "__main__")
+LAYERS = ("exceptions", "polynomials", "numerics", "dynamics", "lifting", "artifacts",
+          "identification", "spectral", "control", "registry", "cli", "__main__")
 PACKAGE = pathlib.Path(koopmankit.__file__).resolve().parent
 
 

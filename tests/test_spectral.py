@@ -26,8 +26,8 @@ from koopmankit import (
     tu_lift,
     verify_eigenfunction,
 )
+from koopmankit.artifacts import _library_from_json
 from koopmankit.cli import main
-from koopmankit.lifting import _library_from_json
 from koopmankit.registry import _REGISTRY
 
 MU, LAM = -0.05, 1.0

@@ -29,8 +29,8 @@ import tempfile
 SYSTEMS = ("center-manifold", "discrete-manifold", "kooc-demo", "limitation", "logistic",
            "quad-manifold", "quartic-manifold", "rotated-quad", "tu-map")
 
-# Files written before the matrix runs: name -> text. Two more inputs come from
-# the tree's own CLI (see INPUT_RUNS).
+# Files written before the matrix runs: name -> text. More inputs come from the
+# tree's own CLI (see INPUT_RUNS).
 INPUT_FILES = {
     "header_only.csv": "t,x1,x2\n",
     "empty.csv": "",
@@ -61,6 +61,7 @@ INPUT_FILES = {
 INPUT_RUNS = (
     ("sim", ["simulate", "--system", "quad-manifold"]),
     ("id", ["identify", "--system", "quad-manifold", "--generate"]),
+    ("sim_map", ["simulate", "--system", "tu-map"]),
 )
 
 # Each entry: argv, with "{in}" for the input directory. "--out <run>/out" is
@@ -206,6 +207,9 @@ MATRIX = [
     ["control", "--system", "limitation", "--q", "0"],
     # a flow's CSV, sampled every 0.01, given as a map's data
     ["identify", "--system", "tu-map", "--data", "{in}/sim/quad_manifold_trajectory.csv"],
+    # a map's CSV, its time column 'step', given as a flow's data and as a map's
+    ["identify", "--system", "quad-manifold", "--data", "{in}/sim_map/tu_map_trajectory.csv"],
+    ["identify", "--system", "tu-map", "--data", "{in}/sim_map/tu_map_trajectory.csv"],
 ]
 
 
