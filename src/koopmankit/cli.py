@@ -12,7 +12,9 @@ simulation flags (``--generate``, ``--x0``, ``--horizon``, ``--dt``,
 ``--steps``); a run that simulates a registry system refuses ``--steps`` for
 a flow and ``--horizon`` or ``--dt`` for a map.
 ``spectral`` refuses a trajectory too short to verify along, and every flow
-refuses a ``--horizon`` that takes no step of ``--dt``.
+refuses a ``--horizon`` that takes no step of ``--dt``. ``identify --data``
+refuses a trajectory with input columns, as it fits an autonomous field, and
+one whose state count is not the system's.
 ``simulate`` computes every table before it writes the first, so a run that
 fails writes nothing. Every command is deterministic at a fixed OpenBLAS
 thread count: the same configuration and thread count produce byte-identical
@@ -248,6 +250,14 @@ def cmd_identify(args):
     system, out = ctx.system, ctx.out
     if args.data:
         trajs = [read_trajectory(path, system.time_kind) for path in args.data]
+        for path, traj in zip(args.data, trajs):
+            if traj.inputs is not None:
+                raise ValueError(f"{path}: {traj.inputs.shape[1]} input column(s); identify "
+                                 "fits an autonomous field f(x) and reads no inputs")
+        # dataset_from_trajectories holds every later trajectory to the first one's dimension
+        if trajs[0].dim != system.dim:
+            raise ValueError(f"{args.data[0]}: {trajs[0].dim} state column(s), but "
+                             f"--system {args.system} has {system.dim} states")
     elif args.generate:
         starts, span = ctx.entry["training"]  # span: a flow's horizon or a map's step count
         trajs = [ctx.trajectory(x0, span, span) for x0 in starts]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -76,7 +76,8 @@ class ObservableLibrary:
         The terms are summed in one dict, in the order and with the bits of
         the fold ``out + coeff * obs``.
         """
-        return _linear_sum(self.dim, ((float(coeff), obs)
+        coeffs = np.asarray(coeffs, dtype=float).tolist()  # Python floats, the entries' bits
+        return _linear_sum(self.dim, ((coeff, obs)
                                       for coeff, obs in zip(coeffs, self.observables)
                                       if coeff != 0.0))
 
@@ -245,6 +246,14 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
     coefficient-for-coefficient. With ``truncate=True``, advance terms whose
     monomials lie outside the library (the discarded tail of a Carleman
     truncation) are dropped before comparing.
+
+    The two coefficient dicts are compared as they are, with no truncated,
+    negated or difference polynomial built. ``lhs - rhs`` would add
+    ``lhs + (-rhs)``, which IEEE rounds as ``lhs - rhs``, and a monomial on
+    one side alone differs by its own coefficient, so the residual has the
+    bits of ``(lhs - rhs).max_abs_coeff()``. Both sides are validated, so only
+    a difference can be non-finite, and that raises the ``ValueError``
+    ("non-finite coefficient") the difference polynomial would.
     """
     if system.time_kind != model.time_kind:
         raise ValueError("model and system time kinds differ")
@@ -252,11 +261,16 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
         raise ValueError("state dimension mismatch")
     retained = {o.exponents() for o in model.library.observables if o.is_monomial()}
     worst = 0.0
-    for i, lhs in enumerate(_advances(model.library.observables, system)):
+    for i, advance in enumerate(_advances(model.library.observables, system)):
+        lhs = advance.terms
         if truncate:
-            lhs = Polynomial(lhs.dim, {e: c for e, c in lhs.terms.items() if e in retained})
-        rhs = model.library.linear_combination(model.K[i])
-        worst = max(worst, (lhs - rhs).max_abs_coeff())
+            lhs = {e: c for e, c in lhs.items() if e in retained}
+        rhs = model.library.linear_combination(model.K[i]).terms
+        gaps = [abs(c - rhs.get(e, 0.0)) for e, c in lhs.items()]
+        gaps += [abs(c) for e, c in rhs.items() if e not in lhs]
+        worst = max(worst, max(gaps, default=0.0))
+        if not isfinite(worst):
+            raise ValueError("non-finite coefficient")
     return worst
 
 

@@ -20,12 +20,24 @@ Powers follow two rules, one per path:
   against exact ``Fraction`` powers on 20,000 samples in [-3, 3] for each
   e = 3..6, ``pow`` misses the correctly rounded value in under 0.1% of
   samples, numpy's SIMD ``**`` in 2.7% and left folds in 26-46%.
+
+Arithmetic builds each coefficient dict once and re-validates only what can
+be new. Results of arithmetic on validated polynomials go through
+``Polynomial._of``, which drops zeros and checks finiteness but does not
+re-check the exponent tuples. :func:`_compose_all` takes a term's first
+factor as the cached power scaled by the coefficient (the power itself for
+1.0) and a one-term result as that term, and
+:func:`~koopmankit.lifting.closure_residual` compares coefficient dicts
+without building a difference polynomial. None of these changes a float
+operation or its order, only which objects hold the results, so every
+coefficient keeps the bits of the object-by-object fold.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -155,10 +167,11 @@ class Polynomial:
             return Polynomial._of(self.dim, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         out = {}
+        get, add, pairs = out.get, operator.add, other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                out[exps] = out.get(exps, 0.0) + c1 * c2
+            for e2, c2 in pairs:
+                exps = tuple(map(add, e1, e2))
+                out[exps] = get(exps, 0.0) + c1 * c2
         return Polynomial._of(self.dim, out)
 
     def __rmul__(self, other):
@@ -279,6 +292,14 @@ def _compose_all(polys, components):
     ``1.0 * p`` is ``p`` itself. Each term is its coefficient times its
     factors' powers, variables ascending, and each result the sum of its
     terms in order, as the term-by-term substitution forms them.
+
+    The term-by-term form multiplies the constant ``coeff`` by the first
+    power, giving ``0.0 + coeff * c`` for each of its coefficients ``c``. A
+    nonzero sum is ``coeff * c``, which IEEE rounds as ``c * coeff``, and
+    ``_of`` drops the zeros either way, so the first factor is the power
+    scaled by ``coeff``, or the power itself when ``coeff`` is 1.0. A
+    one-term result is that term, as a one-term sum adds ``0.0 + c``. The
+    results may share a power of the table, as no polynomial is written to.
     """
     if any(poly.dim != len(components) for poly in polys):
         raise ValueError("component count does not match dim")
@@ -287,15 +308,22 @@ def _compose_all(polys, components):
     for poly in polys:
         terms = []
         for exps, coeff in poly.terms.items():
-            term = Polynomial.constant(poly.dim, coeff)
+            term = None
             for i, e in enumerate(exps):
                 if e:
                     table = powers[i]
                     while len(table) <= e:
                         table.append(table[-1] * table[1])
-                    term = term * table[e]
-            terms.append((1.0, term))
-        out.append(_linear_sum(poly.dim, terms))
+                    power = table[e]
+                    if term is None:
+                        term = power if coeff == 1.0 else power * coeff
+                    else:
+                        term = term * power
+            terms.append(Polynomial._of(poly.dim, {exps: coeff}) if term is None else term)
+        if len(terms) == 1:
+            out.append(terms[0])
+        else:
+            out.append(_linear_sum(poly.dim, ((1.0, term) for term in terms)))
     return out
 
 

@@ -363,6 +363,29 @@ def test_identify_refuses_a_map_csv_for_a_flow(tmp_path):
     assert stdout == "" and not any(out.iterdir())
 
 
+def test_identify_refuses_data_with_a_state_count_unlike_the_systems(tmp_path):
+    # six uniform samples of one state: a valid data set, but quad-manifold has two states
+    data, out = tmp_path / "one.csv", tmp_path / "out"
+    data.write_text("t,x1\n" + "".join(f"{k / 100:g},1\n" for k in range(6)))
+    code, stdout, stderr = run_cli(["identify", "--system", "quad-manifold", "--data", str(data),
+                                    "--out", str(out)])
+    assert code == 2
+    assert stderr == (f"error: {data}: 1 state column(s), but --system quad-manifold "
+                      "has 2 states\n")
+    assert stdout == "" and not any(out.iterdir())
+
+
+def test_identify_refuses_a_trajectory_that_carries_inputs(tmp_path, control_default):
+    # control's closed loop is f(x) + B u(x); identify fits f alone, so the u column is refused
+    data, out = control_default[0] / "control_lqr.csv", tmp_path / "out"
+    code, stdout, stderr = run_cli(["identify", "--system", "kooc-demo", "--data", str(data),
+                                    "--out", str(out)])
+    assert code == 2
+    assert stderr == (f"error: {data}: 1 input column(s); identify fits an autonomous field "
+                      "f(x) and reads no inputs\n")
+    assert stdout == "" and not any(out.iterdir())
+
+
 def test_identify_discrete_map_recovers_exact_coefficients(tmp_path):
     code, stdout, _ = run_cli([
         "identify", "--system", "tu-map", "--generate", "--out", str(tmp_path),

@@ -16,6 +16,7 @@ from koopmankit import (
     KoopmanModel,
     ObservableLibrary,
     Polynomial,
+    PolySystem,
     builtin,
     carleman_center,
     carleman_logistic,
@@ -462,6 +463,65 @@ def test_observable_advance_discrete_composes_with_the_map():
     (advanced,) = _advances([x**2], system)
     direct = (3.5 * (x - x**2)) * (3.5 * (x - x**2))
     assert advanced == direct
+
+
+def _reference_closure_residual(model, system, truncate=False):
+    """``closure_residual`` as the truncated and difference polynomials form it."""
+    retained = {o.exponents() for o in model.library.observables if o.is_monomial()}
+    worst = 0.0
+    for i, lhs in enumerate(_advances(model.library.observables, system)):
+        if truncate:
+            lhs = Polynomial(lhs.dim, {e: c for e, c in lhs.terms.items() if e in retained})
+        rhs = model.library.linear_combination(model.K[i])
+        worst = max(worst, (lhs - rhs).max_abs_coeff())
+    return worst
+
+
+def _random_closure_cases(seed, count):
+    """Seeded polynomial systems of both time kinds, each with a library that
+    holds a non-monomial observable and a sparse K of mixed-scale entries."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(1, 3))
+        equations = tuple(
+            Polynomial(dim, {tuple(int(e) for e in rng.integers(0, 3, dim)):
+                             float(rng.choice([1.0, -1.0, 0.5, -2.0, 3.5, 0.1]))
+                             for _ in range(3)})
+            for _ in range(dim))
+        observables = [*monomials(dim, int(rng.integers(1, 4))).observables,
+                       Polynomial(dim, {(1,) * dim: 0.5, (2,) + (0,) * (dim - 1): -1.5})]
+        library = ObservableLibrary(dim, tuple(observables))
+        m = len(library)
+        k = rng.choice([0.0, 1.0, -1.0, 0.5, 3.5], size=(m, m), p=[0.5, 0.2, 0.1, 0.1, 0.1])
+        k = k + np.where(rng.random((m, m)) < 0.1, rng.normal(size=(m, m)), 0.0)
+        for time_kind in (CONTINUOUS, DISCRETE):
+            yield KoopmanModel(library, k, time_kind), PolySystem(dim, time_kind, equations)
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+def test_closure_residual_is_bit_identical_to_the_difference_polynomial(truncate):
+    cases = list(_random_closure_cases(17, 30))
+    for rank in (1, 2, 4, 8, 16, 24):
+        cases.append((carleman_logistic(3.5, rank), builtin("logistic", r=3.5)))
+        cases.append((carleman_center(rank), builtin("center_manifold")))
+    cases += [(_registry_lift(name)[0], builtin(name)) for name in
+              ("quad_manifold", "quartic_manifold", "rotated_quad", "discrete_manifold", "tu_map")]
+    residuals = []
+    for model, system in cases:
+        got = closure_residual(model, system, truncate=truncate)
+        assert float.hex(got) == float.hex(_reference_closure_residual(model, system, truncate))
+        residuals.append(got)
+    assert 0.0 in residuals and len(set(residuals)) > 20  # exact closures and mismatches both
+
+
+def test_closure_residual_refuses_a_difference_that_overflows():
+    # the advance 1e308 x minus K's -1e308 x is 2e308: no finite float
+    x = Polynomial.variable(1, 0)
+    system = PolySystem(1, DISCRETE, (1e308 * x,))
+    model = KoopmanModel(ObservableLibrary(1, ((1,),)), np.array([[-1e308]]), DISCRETE)
+    for residual in (closure_residual, _reference_closure_residual):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            residual(model, system)
 
 
 # ---------------------------------------------------------------------------

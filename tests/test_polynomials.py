@@ -210,6 +210,35 @@ def test_compose_is_bit_identical_to_the_term_by_term_power_fold():
         assert [_bits(p) for p in shared] == [_bits(_fold_compose(p, components)) for p in polys]
 
 
+def _one_term_cases():
+    return {
+        "monomial": Polynomial.monomial(2, (2, 1)),
+        "scaled monomial": Polynomial(2, {(0, 3): -2.5}),
+        "constant": Polynomial.constant(2, -1.5),
+        "a component itself": Polynomial.variable(2, 0),
+        # 1e-320 * 1e-10 underflows to zero, which both forms drop
+        "subnormal scale": Polynomial(2, {(1, 1): 1e-320}),
+    }
+
+
+@pytest.mark.parametrize("name", list(_one_term_cases()))
+def test_one_term_compositions_are_bit_identical_to_the_power_fold(name):
+    poly = _one_term_cases()[name]
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    for components in ([x1 - 0.5 * x2 ** 2, 3.5 * x1 - 3.5 * x1 ** 2],
+                       [1e-10 * x1 + x2, -(x2 ** 2) + 0.1],
+                       [x1 * x2, x1 + x2]):
+        (composed,) = polynomials._compose_all((poly,), components)
+        assert _bits(composed) == _bits(_fold_compose(poly, components))
+
+
+def test_a_scaled_first_factor_that_overflows_is_refused():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    for compose in (polynomials._compose_all, lambda polys, c: [_fold_compose(polys[0], c)]):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            compose((1e300 * x1,), [1e10 * x1, x2])
+
+
 def test_sums_and_lie_derivatives_are_bit_identical_to_the_object_fold():
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     # x1^2 cancels and comes back: the term re-enters at the end of the dict

@@ -37,6 +37,7 @@ INPUT_FILES = {
     "good.csv": "t,x1,x2\n0,1,2\n0.01,1,2\n",
     "bad_cell.csv": "t,x1,x2\n0,1,2\n0.01,abc,2\n",
     "one_state.csv": "t,x1\n0,1\n0.01,1\n",
+    "one_state_six_rows.csv": "t,x1\n0,1\n0.01,1\n0.02,1\n0.03,1\n0.04,1\n0.05,1\n",
     # the quad-manifold lift with its state rows listed out of order
     "swapped_rows.json": ('{"time_kind": "continuous", "dim": 2, "state_inclusive": true, '
                           '"observables": [[1, 0], [0, 1], [2, 0]], '
@@ -62,6 +63,7 @@ INPUT_RUNS = (
     ("sim", ["simulate", "--system", "quad-manifold"]),
     ("id", ["identify", "--system", "quad-manifold", "--generate"]),
     ("sim_map", ["simulate", "--system", "tu-map"]),
+    ("ctl", ["control"]),
 )
 
 # Each entry: argv, with "{in}" for the input directory. "--out <run>/out" is
@@ -210,6 +212,9 @@ MATRIX = [
     # a map's CSV, its time column 'step', given as a flow's data and as a map's
     ["identify", "--system", "quad-manifold", "--data", "{in}/sim_map/tu_map_trajectory.csv"],
     ["identify", "--system", "tu-map", "--data", "{in}/sim_map/tu_map_trajectory.csv"],
+    # one state column for a system of two, and a closed loop's CSV with its input column u
+    ["identify", "--system", "quad-manifold", "--data", "{in}/one_state_six_rows.csv"],
+    ["identify", "--system", "kooc-demo", "--data", "{in}/ctl/control_lqr.csv"],
 ]
 
 
