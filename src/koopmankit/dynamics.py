@@ -7,16 +7,18 @@ Each :class:`PolySystem` compiles its equations once into a
 :class:`~koopmankit.polynomials.PolynomialMap`. Maps and flows run one
 generated trajectory loop per system, built on the first ``iterate`` or
 ``integrate`` call and kept on the system (systems of one structure share
-one compile of its source); its state tuples reach numpy as one flat
-buffer. A step is straight-line code on local floats ``x0, x1, ...``: a
+one compile of its source); its states reach numpy as one flat list of
+floats. A step is straight-line code on local floats ``x0, x1, ...``: a
 map's lines once, or one RK4 step with the field's lines inlined once per
-substep. A step makes no numpy call: a power above 2 is one call of the
-map's libm ``pow`` helper. ``integrate`` runs the field f(x) alone; the one
+substep. A step makes no numpy call: a power above 2 is an inline
+``x ** e`` (libm ``pow``), whose overflow raises its step's ``BlowUp``, a
++-1 coefficient multiplies nothing, and only rows whose sign of zero can
+reach a state start from ``0.0`` (see ``_loop_source``). ``integrate`` runs the field f(x) alone; the one
 closed-loop path, :func:`koopmankit.control.compare_lqr_kooc`, compiles
 each feedback law into its closed loop f(x) + B u(x), a system of its own.
-Python float ``*`` and ``+`` round like numpy's, and every operation keeps
-the order of the numpy loops this replaced, so states are bit-identical to
-them.
+Python float ``*``, ``+`` and ``-`` round like numpy's, and every operation
+keeps the order of the numpy loops this replaced, so states are
+bit-identical to them.
 
 The loop aborts with :class:`~koopmankit.exceptions.BlowUp` once the state
 norm passes 1e8; a start that is already non-finite is bad input and raises
@@ -30,7 +32,6 @@ every step.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -177,32 +178,42 @@ def _loop_source(pmap, time_kind):
     """The body of the trajectory loop over ``pmap``, the one loop of both time kinds.
 
     The state is the locals ``x0, x1, ...``. A map's step is its lines once,
-    into ``a0, a1, ...``. A flow's step is one RK4 step with the field inlined
-    four times: ``a0, a1, ...`` hold each substep's state and ``d<s>_<i>`` its
+    into ``a0, a1, ...``, each row summed from ``zero`` as it is the next
+    state. A flow's step is one RK4 step with the field inlined four times:
+    ``a0, a1, ...`` hold each substep's state and ``d<s>_<i>`` its
     derivative. Every operation is the numpy loop's, in its order, so states
     keep its bits: ``a_i = x_i + half * d1_i``,
     ``x_i + sixth * (d1_i + 2.0 * d2_i + 2.0 * d3_i + d4_i)``.
+
+    Only the first substep's rows start from ``zero``; the others start at
+    their first term, which changes at most their sign of zero. A derivative
+    reaches the state only through ``x_i + y``, which depends on the sign of
+    a zero y only at ``x_i == -0.0``, and ``d1_i + 2.0 * d2_i + ...`` cannot
+    be -0.0 once ``d1_i`` is not, so states keep their bits from any start.
+    A power above 2 is an inline ``x ** e``; its ``OverflowError``, caught
+    once around the loop, raises the ``BlowUp(t, inf)`` that the step's
+    state would have, as the +-inf of ``pow`` reaches it through a nonzero
+    coefficient. The states go into one flat list.
     """
     n = pmap.dim
     xs, subs = [f"x{i}" for i in range(n)], [f"a{i}" for i in range(n)]
-    state = f"({''.join(f'{v}, ' for v in xs)})"
     if time_kind == DISCRETE:
-        start, step = [], pmap._lines(xs, subs) + [f"x{i} = a{i}" for i in range(n)]
+        start, step = [], pmap._lines(xs, subs, inline=True) + [f"x{i} = a{i}" for i in range(n)]
     else:
         start, step = ["half = 0.5 * dt", "sixth = dt / 6.0"], []
         substeps = ((xs, None), (subs, "half"), (subs, "half"), (subs, "dt"))
         for s, (inputs, scale) in enumerate(substeps, 1):
             if scale:
                 step += [f"a{i} = x{i} + {scale} * d{s - 1}_{i}" for i in range(n)]
-            step += pmap._lines(inputs, [f"d{s}_{i}" for i in range(n)])
+            step += pmap._lines(inputs, [f"d{s}_{i}" for i in range(n)], zero=s == 1, inline=True)
         step += [f"x{i} = x{i} + sixth * (d1_{i} + 2.0 * d2_{i} + 2.0 * d3_{i} + d4_{i})"
                  for i in range(n)]
-    step += [f"append({state})",
+    step += [*(f"append({v})" for v in xs),
              f"if not {' + '.join(f'{v} * {v}' for v in xs)} <= guard:",
-             f"    check({state}, times[k + 1])"]
-    return [*start, f"[{', '.join(xs)}] = x", "states = [x]", "append = states.append",
-            "for k in range(len(times) - 1):", *(f"    {line}" for line in step),
-            "return states"]
+             f"    check(({''.join(f'{v}, ' for v in xs)}), times[k + 1])"]
+    return [*start, f"[{', '.join(xs)}] = states = x", "append = states.append", "try:",
+            "    for k in range(len(times) - 1):", *(f"        {line}" for line in step),
+            "except OverflowError:", "    check((inf,), times[k + 1])", "return states"]
 
 
 def _run(system, x0, times, dt=None):
@@ -212,11 +223,12 @@ def _run(system, x0, times, dt=None):
     _check_state(x, times[0])
     if system._loop is None:
         system._loop = system._map._compile(
-            "_loop(x, times, dt, zero=0.0, pow=_pow, guard=_GUARD, check=_check_state)",
-            _loop_source(system._map, system.time_kind), _GUARD=_GUARD, _check_state=_check_state)
-    flat = itertools.chain.from_iterable(system._loop(x, times, dt))
+            "_loop(x, times, dt, zero=0.0, guard=_GUARD, check=_check_state)",
+            _loop_source(system._map, system.time_kind),
+            _GUARD=_GUARD, _check_state=_check_state, inf=math.inf)
     n, samples = system.dim, len(times)
-    return Trajectory(times=times, states=np.fromiter(flat, float, n * samples).reshape(samples, n))
+    states = np.fromiter(system._loop(x, times, dt), float, n * samples)
+    return Trajectory(times=times, states=states.reshape(samples, n))
 
 
 def integrate(system: PolySystem, x0, t_end, dt=DEFAULT_DT):

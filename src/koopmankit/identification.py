@@ -91,12 +91,13 @@ def _sampled_advance(values, times, time_kind):
     if len(times) < 2:
         raise ValueError(f"a trajectory needs at least 2 samples, got {len(times)}")
     gaps = np.diff(times)
+    # np.isclose's test at rtol 1e-9 and atol 1e-12, inlined
     if time_kind != CONTINUOUS:
-        if not np.allclose(gaps, 1.0, rtol=1e-9, atol=1e-12):
+        if not np.all(np.abs(gaps - 1.0) <= 1e-12 + 1e-9):
             raise ValueError("map samples are not one step (time 1) apart")
         return values[:-1], values[1:], 1.0
     dt = float(gaps[0])
-    if dt <= 0 or not np.allclose(gaps, dt, rtol=1e-9, atol=1e-12):
+    if not 0 < dt < np.inf or not np.all(np.abs(gaps - dt) <= 1e-12 + 1e-9 * dt):
         raise ValueError("trajectory samples are not uniformly spaced")
     return values, differentiate_series(values, dt), dt
 

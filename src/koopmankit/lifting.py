@@ -244,8 +244,10 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
 
     Zero means the library is exactly invariant and K reproduces the dynamics
     coefficient-for-coefficient. With ``truncate=True``, advance terms whose
-    monomials lie outside the library (the discarded tail of a Carleman
-    truncation) are dropped before comparing.
+    monomials no observable holds (the discarded tail of a Carleman
+    truncation) are dropped before comparing: K·Theta reaches exactly the
+    monomials of the observables, so a library with a non-monomial
+    observable such as x + x^2 keeps its x^2 terms.
 
     The two coefficient dicts are compared as they are, with no truncated,
     negated or difference polynomial built. ``lhs - rhs`` would add
@@ -259,7 +261,7 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
         raise ValueError("model and system time kinds differ")
     if system.dim != model.library.dim:
         raise ValueError("state dimension mismatch")
-    retained = {o.exponents() for o in model.library.observables if o.is_monomial()}
+    retained = {e for o in model.library.observables for e in o.terms}
     worst = 0.0
     for i, advance in enumerate(_advances(model.library.observables, system)):
         lhs = advance.terms
@@ -324,10 +326,11 @@ def propagate(model: KoopmanModel, x0, t_end=None, dt=dynamics.DEFAULT_DT, steps
     block = len(stack) // m
     ys = np.empty((len(times), m))
     ys[0] = y0
+    flat = ys.reshape(-1)  # a view: each product writes its block of samples in place
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(times) - 1, block):
             n = min(block, len(times) - 1 - i)
-            ys[i + 1:i + 1 + n] = (stack[:n * m] @ ys[i]).reshape(n, m)
+            np.matmul(stack[:n * m], flat[i * m:(i + 1) * m], out=flat[(i + 1) * m:(i + 1 + n) * m])
     finite = np.isfinite(ys)
     if not finite.all():  # a whole-array test; rows only on failure, as all(axis=1) is slow
         raise BlowUp(float(times[np.argmin(finite.all(axis=1))]), float("inf"), dynamics.BLOWUP_LIMIT)

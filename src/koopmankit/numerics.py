@@ -36,7 +36,7 @@ def as_matrix(a, name):
         raise ValueError(f"{name} contains non-finite entries")
     if np.iscomplexobj(arr):
         return arr.astype(complex)
-    return arr.astype(float)
+    return np.asarray(arr, dtype=float)  # no copy of a float64 input
 
 
 def lstsq(a, b):

@@ -15,11 +15,18 @@ Powers follow two rules, one per path:
   composes (:func:`_compose_all`).
 * Evaluation (:class:`PolynomialMap`, which ``Polynomial.__call__`` uses)
   takes x^1 as x, x^2 as ``x * x`` (one rounding, so correctly rounded)
-  and x^e for e > 2 from libm ``pow``: Python's float ``**`` at a point, and
+  and x^e for e > 2 from libm ``pow``: Python's float ``**`` at a point
+  (through :func:`_pow`, which turns an overflow into +-inf, or inline in
+  the trajectory loops, which turn it into a ``BlowUp``), and
   ``np.float_power``, which returns the same bits, on columns. Measured
   against exact ``Fraction`` powers on 20,000 samples in [-3, 3] for each
   e = 3..6, ``pow`` misses the correctly rounded value in under 0.1% of
   samples, numpy's SIMD ``**`` in 2.7% and left folds in 26-46%.
+
+Evaluation adds or subtracts a term whose coefficient is +-1 unscaled
+(IEEE gives ``1.0 * t == t`` and ``a + (-1.0 * t) == a - t``), so which
+coefficients are +-1 is part of a map's structure. Output rows sum from
+``0.0``; see :class:`PolynomialMap` for the rows that need not.
 
 Arithmetic builds each coefficient dict once and re-validates only what can
 be new. Results of arithmetic on validated polynomials go through
@@ -359,23 +366,30 @@ class PolynomialMap:
     1. each variable power once, by the module's one evaluation rule:
        ``x ** 1`` is ``x``, ``x ** 2`` is ``x * x`` and ``x ** e`` for
        ``e > 2`` is ``pow(x, e)``, libm ``pow`` at a point or on a row;
-    2. each term as its coefficient times its factors, variables ascending;
+    2. each term as its coefficient times its factors, variables ascending,
+       but a non-constant term with coefficient 1.0 or -1.0 binds no name
+       and is added as ``+ t`` or ``- t`` (``-t`` leading a row): the bits
+       of ``1.0 * t`` and ``-1.0 * t``;
     3. each row as the terms summed in dict order starting from ``zero``, so
-       a sum that cancels is ``0.0``, never ``-0.0``.
+       a sum that cancels is ``0.0``, never ``-0.0``; only the RK4 stage
+       rows after the first, which are no output, start at their first term
+       (see ``dynamics._loop_source``).
 
     The first read of ``_evaluate`` builds one function from it,
     ``_evaluate(x, zero=0.0, pow=_pow)``, which takes a sequence of ``dim``
     Python floats and returns a tuple of floats; given an ``(n, M)`` array,
     a zero row and ``np.float_power`` it returns a tuple of rows. Python
-    float ``*``, ``+`` and ``**`` round like numpy's float64 ``*``, ``+``
-    and ``float_power``, so both give the same bits.
+    float ``*``, ``+``, ``-`` and ``**`` round like numpy's float64
+    operations and ``float_power``, so both give the same bits.
     ``__call__`` wraps it for numpy points and columns. :func:`iterate
     <koopmankit.dynamics.iterate>` and :func:`integrate
     <koopmankit.dynamics.integrate>` inline the emitted lines, through
-    :meth:`_compile`, into the one trajectory loop that maps and flows share.
+    :meth:`_compile`, into the one trajectory loop that maps and flows share,
+    with each power above 2 as an inline ``x ** e``.
 
-    Maps of one structure emit one source, which :meth:`_compile` compiles
-    once per process; each map binds its own coefficients to its own function.
+    Maps of one structure, +-1 coefficients included, emit one source, which
+    :meth:`_compile` compiles once per process; each map binds its own
+    coefficients to its own function.
     """
 
     __slots__ = ("dim", "polys", "_coeffs", "_rows", "_powers", "_evaluate")
@@ -387,16 +401,19 @@ class PolynomialMap:
         for poly in self.polys:
             if poly.dim != self.dim:
                 raise ValueError("dimension mismatch")
-            terms = []  # templates: "{i}" is variable i, "{i}_e" its e-th power
+            terms = []  # (sign, template): "{i}" is variable i, "{i}_e" its e-th power
             for exps, coeff in poly.terms.items():
-                factors = [f"c{len(coeffs)}"]
+                factors = []
                 for i, e in enumerate(exps):
                     if e:
                         factors.append(f"{{{i}}}" if e == 1 else f"{{{i}}}_{e}")
                     if e > 1:
                         powers.setdefault(e, set()).add(i)
-                coeffs.append(coeff)
-                terms.append(" * ".join(factors))
+                if factors and abs(coeff) == 1.0:
+                    terms.append(("-" if coeff < 0 else "+", " * ".join(factors)))
+                else:
+                    terms.append(("+", " * ".join([f"c{len(coeffs)}", *factors])))
+                    coeffs.append(coeff)
             rows.append(terms)
         self._coeffs = tuple(coeffs)
         self._rows = tuple(rows)
@@ -415,20 +432,27 @@ class PolynomialMap:
              f"return ({''.join(f'{r}, ' for r in rs)})"])
         return self._evaluate
 
-    def _lines(self, xs, outs):
+    def _lines(self, xs, outs, zero=True, inline=False):
         """Source lines that set each name in ``outs`` to its row at the inputs named ``xs``.
 
         The lines read ``c0, c1, ...``, ``zero`` and ``pow(x, e)``, and assign
-        ``<input>_<e>`` besides the outputs.
+        ``<input>_<e>`` besides the outputs. With ``zero=False`` a nonempty
+        row starts at its first term; with ``inline`` a power above 2 is
+        ``x ** e``, which raises ``OverflowError`` where ``pow`` gives +-inf.
         """
-        lines = [f"{xs[i]}_{e} = " + (f"{xs[i]} * {xs[i]}" if e == 2 else f"pow({xs[i]}, {e})")
+        power = "{0} ** {1}" if inline else "pow({0}, {1})"
+        lines = [f"{xs[i]}_{e} = " + (f"{xs[i]} * {xs[i]}" if e == 2 else power.format(xs[i], e))
                  for e, used in self._powers.items() for i in used]
         for out, terms in zip(outs, self._rows):
-            products = [term.format(*xs) for term in terms]
-            acc = "zero"
-            for j in range(0, max(len(products), 1), _TERMS_PER_LINE):
-                lines.append(f"{out} = " + " + ".join([acc, *products[j:j + _TERMS_PER_LINE]]))
-                acc = out
+            signed = [(sign, term.format(*xs)) for sign, term in terms]
+            head = "zero"
+            if signed and not zero:
+                sign, head = signed.pop(0)
+                head = f"-{head}" if sign == "-" else head
+            for j in range(0, max(len(signed), 1), _TERMS_PER_LINE):
+                lines.append(f"{out} = {head}" + "".join(
+                    f" {sign} {term}" for sign, term in signed[j:j + _TERMS_PER_LINE]))
+                head = out
         return lines
 
     def _compile(self, signature, body, **names):

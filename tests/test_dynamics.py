@@ -464,6 +464,81 @@ def test_the_guard_passes_a_state_at_the_limit_and_stops_one_past_it():
     assert _raised(iterate, identity, past, 3) == _raised(_reference_iterate, identity, past, 3)
 
 
+def _same_outcome(run, reference, *args):
+    """Run both loops; equal bits, or an equal ``BlowUp``. Returns whether it blew up."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expected = reference(*args)
+        except BlowUp as exc:
+            with pytest.raises(BlowUp) as info:
+                run(*args)
+            assert (info.value.t, info.value.norm, str(info.value)) == (exc.t, exc.norm, str(exc))
+            return True
+        _assert_same_bits(run(*args), expected)
+        return False
+
+
+def _random_systems(seed, count):
+    """Seeded systems of 1-3 states and both time kinds: coefficients include
+    +-1 and starts include +-0.0 and +-1e-300."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim, kind = int(rng.integers(1, 4)), (CONTINUOUS, DISCRETE)[int(rng.integers(2))]
+        equations = []
+        for _ in range(dim):
+            terms = {}
+            for _ in range(int(rng.integers(0, 5))):
+                exps = tuple(int(e) for e in rng.integers(0, 4, dim))
+                terms[exps] = float(rng.choice([1.0, -1.0, rng.uniform(-1.5, 1.5)]))
+            equations.append(Polynomial(dim, terms))
+        x0 = [float(rng.choice([0.0, -0.0, 1e-300, -1e-300, rng.uniform(-3.0, 3.0)]))
+              for _ in range(dim)]
+        yield PolySystem(dim, kind, tuple(equations)), x0, float(rng.choice([0.01, 0.05, 0.2]))
+
+
+def test_random_systems_run_with_the_numpy_loops_bits_and_blowups():
+    blowups = []
+    for system, x0, dt in _random_systems(2024, 200):
+        if system.time_kind == CONTINUOUS:
+            blowups.append(_same_outcome(integrate, _reference_integrate, system, x0, 40 * dt, dt))
+        else:
+            blowups.append(_same_outcome(iterate, _reference_iterate, system, x0, 40))
+    assert 10 <= sum(blowups) <= len(blowups) - 10  # both outcomes, many times
+
+
+@pytest.mark.parametrize("kind, power, x0, dt", [
+    (CONTINUOUS, 7, 5.0, 0.1),  # x^7 overflows in the fourth substep of the first step
+    (CONTINUOUS, 50, 1e7, 0.01),  # ... and x^50 in the first
+    (CONTINUOUS, 5, -3.0, 0.3),  # a state near -1e175, whose norm overflows
+    (DISCRETE, 9, 1e5, None),  # 1e45 passes the limit
+])
+def test_steep_powers_blow_up_where_the_numpy_loops_do(kind, power, x0, dt):
+    system = PolySystem(1, kind, (Polynomial(1, {(power,): 1.0}),))
+    if kind == CONTINUOUS:
+        assert _same_outcome(integrate, _reference_integrate, system, [x0], 1.0, dt)
+    else:
+        assert _same_outcome(iterate, _reference_iterate, system, [x0], 5)
+
+
+@pytest.mark.parametrize("kind, equations, x0", [
+    # a positive linear coefficient makes a -0.0 derivative at -0.0
+    (CONTINUOUS, ({(1, 0): 0.5}, {(0, 1): -1.0}), [-0.0, 1.0]),
+    (CONTINUOUS, ({(1, 0): 1.0, (0, 2): -1.0}, {(0, 1): -0.5}), [-0.0, -0.0]),
+    (DISCRETE, ({(1, 0): 0.5}, {(0, 1): -1.0}), [-0.0, 1.0]),
+    # derivatives of -5e-324 keep x1 at -0.0 while sixth * their sum rounds to -0.0
+    (CONTINUOUS, ({(0, 1): -1.0}, {}), [-0.0, 5e-324]),
+])
+def test_a_negative_zero_start_keeps_the_numpy_loops_zero_signs(kind, equations, x0):
+    system = PolySystem(2, kind, tuple(Polynomial(2, terms) for terms in equations))
+    if kind == CONTINUOUS:
+        got, expected = integrate(system, x0, 0.2), _reference_integrate(system, x0, 0.2)
+    else:
+        got, expected = iterate(system, x0, 20), _reference_iterate(system, x0, 20)
+    assert np.signbit(got.states).tolist() == np.signbit(expected.states).tolist()
+    assert np.signbit(expected.states[:, 0]).any()
+    _assert_same_bits(got, expected)
+
+
 # -- fields the registry does not reach ---------------------------------------
 
 def test_a_row_longer_than_one_generated_line_integrates_bit_identically():

@@ -34,7 +34,7 @@ from koopmankit import (
     tu_lift,
 )
 from koopmankit.artifacts import _library_from_json, _sparse_to_json
-from koopmankit.identification import MAX_ROUNDS
+from koopmankit.identification import MAX_ROUNDS, _sampled_advance
 from koopmankit.registry import _MAP_STARTS
 
 
@@ -95,6 +95,49 @@ def test_map_samples_must_be_one_step_apart():
             dataset_from_trajectories([traj], DISCRETE)
     shifted = Trajectory(times=np.arange(6.0) + 3.0, states=np.zeros((6, 1)), inputs=None)
     assert dataset_from_trajectories([shifted], DISCRETE).n_samples == 5
+
+
+def _allclose_grid_test(times, time_kind):
+    """Whether the grid passes the spacing test ``_sampled_advance`` made through np.allclose."""
+    gaps = np.diff(times)
+    if time_kind != CONTINUOUS:
+        return np.allclose(gaps, 1.0, rtol=1e-9, atol=1e-12)
+    dt = float(gaps[0])
+    return dt > 0 and np.allclose(gaps, dt, rtol=1e-9, atol=1e-12)
+
+
+def _perturbed_grids(time_kind, step):
+    """Eight-sample grids of ``step`` with one gap moved to either side of the
+    tolerance 1e-12 + 1e-9 * step, and grids with a NaN or infinite time."""
+    bound = 1e-12 + 1e-9 * step
+    offsets = [step * 1e-9 + 1e-12, step * 1e-9 - 1e-12, bound * (1 - 1e-3), bound * (1 + 1e-3)]
+    for offset, sign, where in itertools.product(offsets, (1.0, -1.0), (0, 3)):
+        gaps = np.full(7, step)
+        gaps[where] = step + sign * offset
+        yield np.concatenate([[0.0], np.cumsum(gaps)])
+    for bad in (np.nan, np.inf):
+        times = np.arange(8) * step
+        times[3] = bad
+        yield times
+    yield np.array([0.0, np.inf])
+
+
+@pytest.mark.parametrize("time_kind, step", [(CONTINUOUS, 0.01), (CONTINUOUS, 0.3),
+                                             (CONTINUOUS, 1.0 / 128.0), (DISCRETE, 1.0)])
+def test_the_inlined_spacing_test_accepts_exactly_what_allclose_did(time_kind, step):
+    outcomes = set()
+    with np.errstate(invalid="ignore"):  # np.diff of inf - inf
+        for times in _perturbed_grids(time_kind, step):
+            accepted = _allclose_grid_test(times, time_kind) and (
+                time_kind == DISCRETE or len(times) >= 5)  # a flow differentiates 5 or more
+            values = np.zeros((len(times), 1))
+            if accepted:
+                _sampled_advance(values, times, time_kind)
+            else:
+                with pytest.raises(ValueError):
+                    _sampled_advance(values, times, time_kind)
+            outcomes.add(accepted)
+    assert outcomes == {True, False}  # moved gaps fall on both sides of the bound
 
 
 def test_a_one_sample_trajectory_is_refused_with_its_sample_count():

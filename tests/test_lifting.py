@@ -408,6 +408,20 @@ def test_carleman_logistic_truncated_closure():
     assert closure_residual(m, system, truncate=False) > 1.0
 
 
+def test_truncation_keeps_the_monomials_of_a_non_monomial_observable():
+    """dx/dt = x^2 on [x, x + x^2]: both advances, x^2 and x^2 + 2 x^3, lose
+    only x^3, and what is left is K = [[-1, 1], [-1, 1]] applied to the library."""
+    system = builtin("center_manifold")
+    x = Polynomial.variable(1, 0)
+    library = ObservableLibrary(1, (x, x + x**2))
+    exact = KoopmanModel(library, [[-1.0, 1.0], [-1.0, 1.0]], CONTINUOUS)
+    assert closure_residual(exact, system, truncate=True) == 0.0
+    assert closure_residual(exact, system, truncate=False) == 2.0
+    # a row that is off still reads its gap: x^2 + 2 x^3 against 0
+    off = KoopmanModel(library, [[-1.0, 1.0], [0.0, 0.0]], CONTINUOUS)
+    assert closure_residual(off, system, truncate=True) == 1.0
+
+
 def test_carleman_center_structure_and_singularity():
     for rank in (3, 4, 8):
         m = carleman_center(rank)
@@ -467,7 +481,7 @@ def test_observable_advance_discrete_composes_with_the_map():
 
 def _reference_closure_residual(model, system, truncate=False):
     """``closure_residual`` as the truncated and difference polynomials form it."""
-    retained = {o.exponents() for o in model.library.observables if o.is_monomial()}
+    retained = {e for o in model.library.observables for e in o.terms}
     worst = 0.0
     for i, lhs in enumerate(_advances(model.library.observables, system)):
         if truncate:
@@ -780,7 +794,7 @@ def _ref_linear_combination(library, coeffs):
 
 
 def _ref_closure_residual(model, system, truncate):
-    retained = {o.exponents() for o in model.library.observables if o.is_monomial()}
+    retained = {e for o in model.library.observables for e in o.terms}
     worst = 0.0
     for i, obs in enumerate(model.library.observables):
         lhs = _ref_advance(obs, system)
@@ -904,3 +918,55 @@ def test_flow_propagation_is_bit_identical_to_the_while_loop_stack(model, x0, dt
                 propagate(model, x0, t_end=steps * dt, dt=dt)
         first = np.argmin(np.all(np.isfinite(reference), axis=1))
         assert info.value.t == pytest.approx(first * dt, rel=1e-12)
+
+
+def _reference_block_loop(model, x0, steps, dt=None):
+    """``propagate``'s samples as its block loop formed them with a temporary
+    product per block: the 64-power stack cut before its first non-finite
+    power (a flow's) or K (a map's), and a copy of each product into place."""
+    k = model.K
+    if dt is None:
+        stack = k
+    else:
+        eye, hk = np.eye(len(k)), dt * k
+        powers = np.empty((64, len(k), len(k)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers[0] = eye + hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))
+            for j in range(1, 64):
+                np.matmul(powers[j - 1], powers[0], out=powers[j])
+        finite = np.isfinite(powers)
+        if not finite.all():
+            powers = powers[:max(1, np.argmin(finite.all(axis=(1, 2))))]
+        stack = powers.reshape(-1, len(k))
+    y0 = eval_library(model.library, np.asarray(x0, dtype=float))
+    m = len(y0)
+    block = len(stack) // m
+    ys = np.empty((steps + 1, m))
+    ys[0] = y0
+    for i in range(0, steps, block):
+        n = min(block, steps - i)
+        ys[i + 1:i + 1 + n] = (stack[:n * m] @ ys[i]).reshape(n, m)
+    return ys
+
+
+@pytest.mark.parametrize("model, x0, dt", [
+    (*FLOW_LIFTS["kooc_demo"], 0.01),
+    (*FLOW_LIFTS["carleman_center_8"], 0.001),
+    # T4 = 240,784 on the first axis: the stack is cut at 57 powers, and the
+    # start on the second axis keeps every sample finite
+    (KoopmanModel(monomials(2, 1), np.array([[-500.0, 0.0], [0.0, -1.0]]), CONTINUOUS),
+     [0.0, 1.0], 0.1),
+    (*MAP_LIFTS["tu_lift"], None),
+    (*MAP_LIFTS["slow_manifold_lift_dt"], None),
+], ids=["kooc_demo", "carleman_center_8", "cut stack", "tu_lift", "slow_manifold_lift_dt"])
+def test_propagate_writes_the_bits_of_the_block_loop_with_temporaries(model, x0, dt):
+    for steps in (0, 1, 63, 64, 65, 5_000):
+        if dt is None:
+            got = propagate(model, x0, steps=steps).states
+        elif steps:  # a flow takes at least one step
+            got = propagate(model, x0, t_end=steps * dt, dt=dt).states
+        else:
+            continue
+        expected = _reference_block_loop(model, x0, steps, dt)
+        assert np.all(np.isfinite(expected))
+        assert got.tobytes() == expected.tobytes()

@@ -331,6 +331,21 @@ def test_compiled_library_is_bit_identical_to_the_term_loop(dim, degree):
         assert eval_library(lib, x).tobytes() == expected.tobytes()
 
 
+def test_unit_coefficients_are_added_or_subtracted_with_the_term_loops_bits():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    polys = (-x1 + x2**3, x1 * x2 - x2**2, -x1**4 - x2, x1 + x2, -(x1 * x1 * x2))
+    pmap = PolynomialMap(2, polys)
+    assert pmap._coeffs == ()  # no coefficient is bound, so none is multiplied
+    _assert_map_matches_reference(polys, 2, np.random.default_rng(11))
+    # a row that cancels is +0.0, at points and on columns
+    row = PolynomialMap(2, (-x1 + x2,))
+    for x in ([1.5, 1.5], [0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]):
+        expected = _reference_eval(-x1 + x2, x)
+        assert expected == 0.0 and not np.signbit(expected)
+        assert row(x).tobytes() == np.array([expected]).tobytes()
+        assert row(np.array(x)[:, None]).tobytes() == np.array([[expected]]).tobytes()
+
+
 def test_compiled_sum_never_returns_negative_zero():
     # -x1 at x1 = 0.0 is a -0.0 term; the sum starts from 0.0 and yields 0.0
     p = -1.0 * Polynomial.variable(2, 0) + Polynomial.variable(2, 1) ** 2
