@@ -18,7 +18,6 @@ from .artifacts import (
 from .control import (
     ComparisonResult,
     KoocController,
-    LqrProblem,
     closed_loop_cost,
     compare_lqr_kooc,
     kooc_synthesize,
@@ -48,7 +47,6 @@ from .identification import (
     RefinementResult,
     SparseModel,
     dataset_from_trajectories,
-    differentiate_series,
     invariance_residual,
     refine_subspace,
     sindy,
@@ -68,7 +66,7 @@ from .lifting import (
     tu_lift,
 )
 from .numerics import eig, lstsq
-from .polynomials import Polynomial, PolynomialMap, format_polynomial, monomial_name
+from .polynomials import Polynomial, PolynomialMap, format_polynomial
 from .registry import builtin, registry_info, registry_names
 from .spectral import (
     Eigenfunction,
@@ -93,7 +91,6 @@ __all__ = [
     "KoocController",
     "KoopmanModel",
     "KoopmankitError",
-    "LqrProblem",
     "NotStabilizable",
     "NumericsError",
     "ObservableLibrary",
@@ -111,7 +108,6 @@ __all__ = [
     "closure_residual",
     "compare_lqr_kooc",
     "dataset_from_trajectories",
-    "differentiate_series",
     "eig",
     "eigenfunction_to_json",
     "eigenfunctions",
@@ -125,7 +121,6 @@ __all__ = [
     "load_model",
     "lqr_gain",
     "lstsq",
-    "monomial_name",
     "monomials",
     "pbh_unstabilizable_modes",
     "project_states",

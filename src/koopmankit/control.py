@@ -76,7 +76,7 @@ def _symmetric(mat, name, definite):
 
 
 @dataclass
-class LqrProblem:
+class _LqrProblem:
     """Continuous-time LQR data: dx/dt = a x + b u, cost integrand x'q x + u'r u.
 
     Construction validates every field once; ``b`` needs one row per state,
@@ -150,10 +150,10 @@ def solve_care(a, b, q, r) -> np.ndarray:
     |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL`` or
     cannot be measured because |Res| or its scale overflows.
     """
-    return _care(LqrProblem(a, b, q, r))
+    return _care(_LqrProblem(a, b, q, r))
 
 
-def _care(prob: LqrProblem) -> np.ndarray:
+def _care(prob: _LqrProblem) -> np.ndarray:
     a, b, q, r = prob.a, prob.b, prob.q, prob.r
     n = prob.n
     norm = np.linalg.norm
@@ -211,10 +211,10 @@ def _care(prob: LqrProblem) -> np.ndarray:
 
 def lqr_gain(a, b, q, r):
     """Optimal feedback u = -C x. Returns (C, P)."""
-    return _lqr(LqrProblem(a, b, q, r))
+    return _lqr(_LqrProblem(a, b, q, r))
 
 
-def _lqr(prob: LqrProblem):
+def _lqr(prob: _LqrProblem):
     p = _care(prob)
     return np.linalg.solve(prob.r, prob.b.T @ p), p
 
@@ -277,7 +277,7 @@ def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r) -> KoocController
     m = len(model.library)
     q = np.zeros((m, m))
     q[:n, :n] = q_state
-    prob = LqrProblem(model.K, b_lifted, q, r)
+    prob = _LqrProblem(model.K, b_lifted, q, r)
 
     bad = _unstabilizable(prob.a, prob.b)
     if bad:

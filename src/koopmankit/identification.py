@@ -60,7 +60,7 @@ class DataSet:
 # derivative estimation and dataset assembly
 # ---------------------------------------------------------------------------
 
-def differentiate_series(values, dt):
+def _differentiate_series(values, dt):
     """Columnwise d/dt of uniformly sampled series (M, c).
 
     Fourth-order stencils at every interior sample (central where possible,
@@ -99,7 +99,7 @@ def _sampled_advance(values, times, time_kind):
     dt = float(gaps[0])
     if not 0 < dt < np.inf or not np.all(np.abs(gaps - dt) <= 1e-12 + 1e-9 * dt):
         raise ValueError("trajectory samples are not uniformly spaced")
-    return values, differentiate_series(values, dt), dt
+    return values, _differentiate_series(values, dt), dt
 
 
 def dataset_from_trajectories(trajectories, time_kind) -> DataSet:

@@ -253,9 +253,10 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
     negated or difference polynomial built. ``lhs - rhs`` would add
     ``lhs + (-rhs)``, which IEEE rounds as ``lhs - rhs``, and a monomial on
     one side alone differs by its own coefficient, so the residual has the
-    bits of ``(lhs - rhs).max_abs_coeff()``. Both sides are validated, so only
-    a difference can be non-finite, and that raises the ``ValueError``
-    ("non-finite coefficient") the difference polynomial would.
+    bits of the largest absolute coefficient of ``lhs - rhs``. Both sides
+    are validated, so only a difference can be non-finite, and that raises
+    the ``ValueError`` ("non-finite coefficient") the difference polynomial
+    would.
     """
     if system.time_kind != model.time_kind:
         raise ValueError("model and system time kinds differ")

@@ -254,9 +254,6 @@ class Polynomial:
             raise ValueError("not a single-term polynomial")
         return next(iter(self.terms))
 
-    def max_abs_coeff(self):
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def key(self):
         """Hashable canonical form, used for library deduplication."""
         return tuple(sorted(self.terms.items()))
@@ -485,7 +482,7 @@ class PolynomialMap:
         return np.array(values) if values else np.zeros((0,) + x.shape[1:])
 
 
-def monomial_name(exponents) -> str:
+def _monomial_name(exponents) -> str:
     """Readable name for a monomial, e.g. (2, 1) -> 'x1^2*x2'."""
     parts = []
     for i, e in enumerate(exponents):
@@ -509,7 +506,7 @@ def format_polynomial(poly: Polynomial) -> str:
     ordered = sorted(poly.terms.items(), key=lambda item: _graded_lex(item[0]))
     parts = []
     for exps, coeff in ordered:
-        name = monomial_name(exps)
+        name = _monomial_name(exps)
         if name == "1":
             piece = f"{coeff:g}"
         elif coeff == 1.0:

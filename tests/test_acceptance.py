@@ -38,6 +38,8 @@ from koopmankit import (
     verify_eigenfunction,
 )
 
+import _reference as ref
+
 
 def _report(criterion, ok, detail):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
@@ -204,57 +206,39 @@ def test_criterion_6_carleman_properties():
     dets = [float(np.linalg.det(carleman_center(rank).K))
             for rank in (4, 8, 12)]
 
-    horizons = []
-    x0 = 0.5
-    for rank in (4, 8, 12):
-        lifted = propagate(carleman_center(rank), [x0], t_end=1.9, dt=0.001)
+    # rank N gives x0 / (1 - x0 t) to degree N - 1: relative error (x0 t)^N exactly
+    horizons, closed_forms, gaps = [], [], []
+    x0, dt = 0.5, 0.001
+    for rank in (4, 8, 12, 16):
+        lifted = propagate(carleman_center(rank), [x0], t_end=1.9, dt=dt)
         truth = 1.0 / (1.0 / x0 - lifted.times)
         rel = np.abs(lifted.states[:, 0] - truth) / np.abs(truth)
         crossed = np.nonzero(rel > 0.1)[0]
         horizons.append(float(lifted.times[crossed[0]]) if crossed.size
                         else np.inf)
-    monotone = horizons[0] <= horizons[1] <= horizons[2]
+        closed_forms.append(0.1 ** (1.0 / rank) / x0)
+        gaps.append(float(np.max(np.abs(rel - (x0 * lifted.times) ** rank))))
+    monotone = horizons[0] <= horizons[1] <= horizons[2] <= horizons[3]
+    on_closed_form = all(c <= h < c + dt for h, c in zip(horizons, closed_forms))
 
     ok = (rows_exact and sums_exact and all(d == 0.0 for d in dets)
-          and monotone)
+          and monotone and on_closed_form and max(gaps) <= 1e-10)
     _report(6, ok,
             f"rank-4 logistic rows are the scaled alternating binomial rows "
             f"exactly, full rows sum to 0.0 exactly, truncation determinants "
             f"{dets} all exactly zero, 10%-error horizons {horizons} "
-            f"monotone in rank")
-
-
-def _stabilizability_margin(a, b):
-    """min sigma_min([A - lam I, B]) over eigenvalues with Re >= -0.05."""
-    n = a.shape[0]
-    margin = np.inf
-    for lam in np.linalg.eigvals(a):
-        if lam.real >= -0.05:
-            pencil = np.hstack([a - lam * np.eye(n), b.astype(complex)])
-            s = np.linalg.svd(pencil, compute_uv=False)
-            margin = min(margin, s[-1])
-    return margin
+            f"monotone in rank, each within dt above its closed form "
+            f"0.1^(1/N)/x0, error gaps to (x0 t)^N {max(gaps):.1e} <= 1e-10")
 
 
 def test_criterion_7_care_correctness():
     rng = np.random.default_rng(20260819)
     worst = 0.0
-    count = 0
-    while count < 50:
-        n = int(rng.integers(2, 7))
-        q_in = int(rng.integers(1, 3))
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, q_in))
-        if _stabilizability_margin(a, b) < 0.2:
-            continue
-        g = rng.standard_normal((n, n))
-        q = g.T @ g
-        h = rng.standard_normal((q_in, q_in))
-        r = h.T @ h + q_in * np.eye(q_in)
+    for _ in range(50):
+        a, b, q, r = ref.random_stabilizable_problem(rng)
         p = solve_care(a, b, q, r)
         res = a.T @ p + p @ a - p @ b @ np.linalg.solve(r, b.T @ p) + q
         worst = max(worst, float(np.max(np.abs(res))))
-        count += 1
 
     p_scalar = solve_care([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
     scalar_err = abs(float(p_scalar[0, 0]) - (math.sqrt(2.0) - 1.0))

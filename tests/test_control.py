@@ -9,7 +9,6 @@ from koopmankit import (
     CONTINUOUS,
     KoocController,
     KoopmanModel,
-    LqrProblem,
     NotStabilizable,
     NumericsError,
     ObservableLibrary,
@@ -27,7 +26,9 @@ from koopmankit import (
     solve_care,
 )
 from koopmankit import control, polynomials
-from koopmankit.control import _closed_loop, _run_loop
+from koopmankit.control import _LqrProblem, _closed_loop, _run_loop
+
+from _reference import random_stabilizable_problem
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -37,34 +38,6 @@ def care_residual(a, b, q, r, p) -> float:
     rinv_bt = np.linalg.solve(r, b.T)
     res = a.T @ p + p @ a - p @ b @ rinv_bt @ p + q
     return float(np.linalg.norm(res))
-
-
-def stabilizability_margin(a, b):
-    """min sigma_min([A - lam I, B]) over eigenvalues with Re >= -0.05."""
-    n = a.shape[0]
-    margin = np.inf
-    for lam in np.linalg.eigvals(a):
-        if lam.real >= -0.05:
-            pencil = np.hstack([a - lam * np.eye(n), b.astype(complex)])
-            s = np.linalg.svd(pencil, compute_uv=False)
-            margin = min(margin, s[-1])
-    return margin
-
-
-def random_stabilizable_problem(rng):
-    """Gaussian (A, B, Q, R) rejected until the pair has a real PBH margin."""
-    while True:
-        n = int(rng.integers(2, 7))
-        q_in = int(rng.integers(1, 3))
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, q_in))
-        if stabilizability_margin(a, b) < 0.2:
-            continue
-        g = rng.standard_normal((n, n))
-        q = g.T @ g
-        h = rng.standard_normal((q_in, q_in))
-        r = h.T @ h + q_in * np.eye(q_in)
-        return a, b, q, r
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +165,12 @@ def test_care_refuses_a_backward_error_that_overflows_without_a_warning(q):
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        LqrProblem(np.eye(2), np.ones((2, 1)), [[1.0, 0.5], [0.2, 1.0]], [[1.0]])
+        _LqrProblem(np.eye(2), np.ones((2, 1)), [[1.0, 0.5], [0.2, 1.0]], [[1.0]])
     with pytest.raises(ValueError):
-        LqrProblem(np.eye(2), np.ones((2, 1)), np.eye(2), [[-1.0]])
+        _LqrProblem(np.eye(2), np.ones((2, 1)), np.eye(2), [[-1.0]])
     # b needs one row per state: a 1 x n input matrix is not read as its transpose
     with pytest.raises(ValueError, match="b must have one row per state"):
-        LqrProblem(np.diag([-0.1, 1.0]), [[0.0, 1.0]], np.eye(2), [[1.0]])
+        _LqrProblem(np.diag([-0.1, 1.0]), [[0.0, 1.0]], np.eye(2), [[1.0]])
     with pytest.raises(ValueError, match="b must have one row per state"):
         pbh_unstabilizable_modes(np.diag([-0.1, 1.0]), [[0.0, 1.0]])
 

@@ -12,7 +12,6 @@ from koopmankit import (
     KoopmanModel,
     ObservableLibrary,
     Polynomial,
-    PolynomialMap,
     PolySystem,
     Trajectory,
     builtin,
@@ -31,6 +30,8 @@ from koopmankit import (
 from koopmankit.artifacts import _trajectory_table, _write_csv
 from koopmankit.dynamics import BLOWUP_LIMIT
 from koopmankit.registry import _REGISTRY
+
+import _reference as ref
 
 MU, LAM = -0.05, -1.0
 
@@ -283,67 +284,6 @@ def test_a_system_pickles_after_integrate_compiled_its_loop():
 
 # -- the float loops against the numpy loops they replaced --------------------
 
-def _reference_check_norm(x, t):
-    norm = float(np.linalg.norm(x))
-    if not np.isfinite(norm) or norm > BLOWUP_LIMIT:
-        raise BlowUp(t, norm, BLOWUP_LIMIT)
-
-
-def _reference_integrate(system, x0, t_end, dt=0.01, controller=None):
-    """The numpy RK4 loop that ``integrate`` ran before it moved to Python floats;
-    with ``controller``, the callback closed loop that compiled closed loops replaced."""
-    drift = PolynomialMap(system.dim, system.equations)
-    if controller is None:
-        rhs = first = drift
-    else:
-        b = system.input_map
-        applied = []
-
-        def rhs(x):
-            return drift(x) + b @ np.atleast_1d(controller(x))
-
-        def first(x):
-            u = np.atleast_1d(controller(x))
-            applied.append(u)
-            return drift(x) + b @ u
-
-    n_steps = int(round(t_end / dt))
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, system.dim))
-    x = states[0] = np.asarray(x0, dtype=float)
-    for k in range(n_steps):
-        _reference_check_norm(x, times[k])
-        k1 = first(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise BlowUp(times[k + 1], float("inf"), BLOWUP_LIMIT)
-        states[k + 1] = x
-    _reference_check_norm(x, times[-1])
-    inputs = None
-    if controller is not None:
-        applied.append(np.atleast_1d(controller(states[-1])))
-        inputs = np.vstack(applied)
-    return Trajectory(times=times, states=states, inputs=inputs)
-
-
-def _reference_iterate(system, x0, steps):
-    """The numpy loop that ``iterate`` ran before it moved to Python floats."""
-    step = PolynomialMap(system.dim, system.equations)
-    states = np.empty((steps + 1, system.dim))
-    x = states[0] = np.asarray(x0, dtype=float)
-    for k in range(steps):
-        _reference_check_norm(x, float(k))
-        x = step(x)
-        if not np.all(np.isfinite(x)):
-            raise BlowUp(float(k + 1), float("inf"), BLOWUP_LIMIT)
-        states[k + 1] = x
-    _reference_check_norm(x, float(steps))
-    return Trajectory(times=np.arange(steps + 1, dtype=float), states=states)
-
-
 def _assert_same_bits(traj, expected):
     assert traj.times.tobytes() == expected.times.tobytes()
     assert traj.states.tobytes() == expected.states.tobytes()
@@ -367,7 +307,7 @@ def test_integrate_is_bit_identical_to_the_numpy_loop(name):
     system = builtin(name)
     starts, horizon = _REGISTRY[name]["training"]
     for x0 in starts:
-        _assert_same_bits(integrate(system, x0, horizon), _reference_integrate(system, x0, horizon))
+        _assert_same_bits(integrate(system, x0, horizon), ref.integrate(system, x0, horizon))
 
 
 def _assert_within(got, expected, bound=1e-12):
@@ -385,8 +325,9 @@ def test_compiled_closed_loops_match_the_callback_loop_within_1e_12(x0, horizon)
     model = slow_manifold_lift_ct(-0.1, 1.0, {2: 1.0})
     q, r = np.eye(2), np.array([[1.0]])
     comp = compare_lqr_kooc(system, model, q, r, x0, horizon)
-    lqr = _reference_integrate(system, x0, horizon, controller=lambda x: -(comp.lqr_gain @ x))
-    kooc = _reference_integrate(system, x0, horizon, controller=comp.kooc_controller.feedback)
+    lqr = ref.integrate(system, x0, horizon, controller=lambda x: -(comp.lqr_gain @ x))
+    gain, observables = comp.kooc_controller.gain, model.library.observables
+    kooc = ref.integrate(system, x0, horizon, controller=lambda x: -(gain @ ref.values(observables, x)))
     for got, expected in ((comp.lqr_traj, lqr), (comp.kooc_traj, kooc)):
         assert got.times.tobytes() == expected.times.tobytes()
         _assert_within(got.states, expected.states)
@@ -403,7 +344,7 @@ def test_a_destabilizing_closed_loop_blows_up_where_the_callback_loop_does():
                          [[0.0, 1.0], [0.0, -1.0]], CONTINUOUS)
     gain, _ = lqr_gain([[0.0]], [[1.0]], [[1.0]], [[1.0]])
     t, norm = _raised(compare_lqr_kooc, system, model, [[1.0]], [[1.0]], [2.0], 3.0)
-    expected_t, expected_norm = _raised(_reference_integrate, system, [2.0], 3.0,
+    expected_t, expected_norm = _raised(ref.integrate, system, [2.0], 3.0,
                                         controller=lambda x: -(gain @ x))
     assert t == expected_t and np.log(2.0) < t < np.log(2.0) + 0.05
     assert norm == pytest.approx(expected_norm, rel=1e-12) and norm > BLOWUP_LIMIT
@@ -414,13 +355,13 @@ def test_iterate_is_bit_identical_to_the_numpy_loop(name):
     system = builtin(name)
     starts, steps = _REGISTRY[name]["training"]
     for x0 in starts:
-        _assert_same_bits(iterate(system, x0, steps), _reference_iterate(system, x0, steps))
+        _assert_same_bits(iterate(system, x0, steps), ref.iterate(system, x0, steps))
 
 
 def test_blowups_report_the_numpy_loops_time_and_norm():
     system = builtin("center_manifold")
     got = _raised(integrate, system, [0.5], 3.0, dt=0.001)
-    assert got == _raised(_reference_integrate, system, [0.5], 3.0, dt=0.001)
+    assert got == _raised(ref.integrate, system, [0.5], 3.0, dt=0.001)
     assert got[1] > BLOWUP_LIMIT
     # these overflow within one step, to inf and to inf - inf = nan: a
     # non-finite state is reported with norm inf
@@ -428,19 +369,19 @@ def test_blowups_report_the_numpy_loops_time_and_norm():
         steep = PolySystem(1, CONTINUOUS, (Polynomial(1, terms),))
         with np.errstate(over="ignore", invalid="ignore"):
             got = _raised(integrate, steep, [1e7], 1.0, dt=1.0)
-            expected = _raised(_reference_integrate, steep, [1e7], 1.0, dt=1.0)
+            expected = _raised(ref.integrate, steep, [1e7], 1.0, dt=1.0)
         assert got == expected == (1.0, np.inf)
     # the maps' loop: logistic r = 5 from 2 passes the limit at step 4, and
     # x^50 and x^50 - x^52 overflow in one step to inf and to nan
     logistic = builtin("logistic", r=5.0)
     got = _raised(iterate, logistic, [2.0], 40)
-    assert got == _raised(_reference_iterate, logistic, [2.0], 40)
+    assert got == _raised(ref.iterate, logistic, [2.0], 40)
     assert got[0] == 4.0 and got[1] == pytest.approx(1.148e13, rel=1e-3)
     for terms in ({(50,): 1.0}, {(50,): 1.0, (52,): -1.0}):
         steep = PolySystem(1, DISCRETE, (Polynomial(1, terms),))
         with np.errstate(over="ignore", invalid="ignore"):
             got = _raised(iterate, steep, [1e7], 3)
-            expected = _raised(_reference_iterate, steep, [1e7], 3)
+            expected = _raised(ref.iterate, steep, [1e7], 3)
         assert got == expected == (1.0, np.inf)
 
 
@@ -459,9 +400,9 @@ def test_a_quartic_field_past_the_limit_raises_blowup_after_one_step():
 def test_the_guard_passes_a_state_at_the_limit_and_stops_one_past_it():
     identity = PolySystem(2, DISCRETE, (Polynomial.variable(2, 0), Polynomial.variable(2, 1)))
     at_limit = [BLOWUP_LIMIT * 0.6, BLOWUP_LIMIT * 0.8]
-    _assert_same_bits(iterate(identity, at_limit, 3), _reference_iterate(identity, at_limit, 3))
+    _assert_same_bits(iterate(identity, at_limit, 3), ref.iterate(identity, at_limit, 3))
     past = [np.nextafter(BLOWUP_LIMIT, np.inf), 0.0]
-    assert _raised(iterate, identity, past, 3) == _raised(_reference_iterate, identity, past, 3)
+    assert _raised(iterate, identity, past, 3) == _raised(ref.iterate, identity, past, 3)
 
 
 def _same_outcome(run, reference, *args):
@@ -500,9 +441,9 @@ def test_random_systems_run_with_the_numpy_loops_bits_and_blowups():
     blowups = []
     for system, x0, dt in _random_systems(2024, 200):
         if system.time_kind == CONTINUOUS:
-            blowups.append(_same_outcome(integrate, _reference_integrate, system, x0, 40 * dt, dt))
+            blowups.append(_same_outcome(integrate, ref.integrate, system, x0, 40 * dt, dt))
         else:
-            blowups.append(_same_outcome(iterate, _reference_iterate, system, x0, 40))
+            blowups.append(_same_outcome(iterate, ref.iterate, system, x0, 40))
     assert 10 <= sum(blowups) <= len(blowups) - 10  # both outcomes, many times
 
 
@@ -515,9 +456,9 @@ def test_random_systems_run_with_the_numpy_loops_bits_and_blowups():
 def test_steep_powers_blow_up_where_the_numpy_loops_do(kind, power, x0, dt):
     system = PolySystem(1, kind, (Polynomial(1, {(power,): 1.0}),))
     if kind == CONTINUOUS:
-        assert _same_outcome(integrate, _reference_integrate, system, [x0], 1.0, dt)
+        assert _same_outcome(integrate, ref.integrate, system, [x0], 1.0, dt)
     else:
-        assert _same_outcome(iterate, _reference_iterate, system, [x0], 5)
+        assert _same_outcome(iterate, ref.iterate, system, [x0], 5)
 
 
 @pytest.mark.parametrize("kind, equations, x0", [
@@ -531,9 +472,9 @@ def test_steep_powers_blow_up_where_the_numpy_loops_do(kind, power, x0, dt):
 def test_a_negative_zero_start_keeps_the_numpy_loops_zero_signs(kind, equations, x0):
     system = PolySystem(2, kind, tuple(Polynomial(2, terms) for terms in equations))
     if kind == CONTINUOUS:
-        got, expected = integrate(system, x0, 0.2), _reference_integrate(system, x0, 0.2)
+        got, expected = integrate(system, x0, 0.2), ref.integrate(system, x0, 0.2)
     else:
-        got, expected = iterate(system, x0, 20), _reference_iterate(system, x0, 20)
+        got, expected = iterate(system, x0, 20), ref.iterate(system, x0, 20)
     assert np.signbit(got.states).tolist() == np.signbit(expected.states).tolist()
     assert np.signbit(expected.states[:, 0]).any()
     _assert_same_bits(got, expected)
@@ -548,7 +489,7 @@ def test_a_row_longer_than_one_generated_line_integrates_bit_identically():
     rows[0][(1, 0)], rows[1][(0, 1)] = -1.0, -2.0
     system = PolySystem(2, CONTINUOUS, tuple(Polynomial(2, row) for row in rows))
     for x0 in ((0.4, -0.3), (-0.5, 0.6)):
-        _assert_same_bits(integrate(system, x0, 2.0), _reference_integrate(system, x0, 2.0))
+        _assert_same_bits(integrate(system, x0, 2.0), ref.integrate(system, x0, 2.0))
 
 
 def test_high_powers_of_two_variables_integrate_bit_identically():
@@ -556,7 +497,7 @@ def test_high_powers_of_two_variables_integrate_bit_identically():
     eq2 = Polynomial(2, {(0, 1): -0.5, (5, 0): 0.3, (3, 3): -0.1, (0, 6): 0.05})
     system = PolySystem(2, CONTINUOUS, (eq1, eq2))
     for x0 in ((1.1, -0.9), (-1.3, 0.7)):
-        _assert_same_bits(integrate(system, x0, 3.0), _reference_integrate(system, x0, 3.0))
+        _assert_same_bits(integrate(system, x0, 3.0), ref.integrate(system, x0, 3.0))
 
 
 def _lorenz():
@@ -569,7 +510,7 @@ def _lorenz():
 def test_a_three_state_field_integrates_bit_identically():
     system = _lorenz()
     for x0 in ((1.0, 1.0, 1.0), (-3.0, 2.5, 20.0)):
-        _assert_same_bits(integrate(system, x0, 2.0), _reference_integrate(system, x0, 2.0))
+        _assert_same_bits(integrate(system, x0, 2.0), ref.integrate(system, x0, 2.0))
 
 
 @pytest.mark.parametrize("system, x0, extent", [
@@ -579,8 +520,8 @@ def test_a_three_state_field_integrates_bit_identically():
     (_lorenz(), (1.0, 1.0, 1.0), 1.0),
 ], ids=["1-state map", "1-state map, no step", "1-state flow", "3-state flow"])
 def test_states_come_out_one_row_per_sample_with_the_loops_bits(system, x0, extent):
-    run, reference = ((iterate, _reference_iterate) if system.time_kind == DISCRETE
-                      else (integrate, _reference_integrate))
+    run, reference = ((iterate, ref.iterate) if system.time_kind == DISCRETE
+                      else (integrate, ref.integrate))
     traj = run(system, x0, extent)
     assert traj.states.shape == (len(traj.times), system.dim)
     assert traj.states.dtype == np.float64 and traj.states.flags.c_contiguous

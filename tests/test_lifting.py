@@ -39,6 +39,8 @@ from koopmankit.artifacts import _model_from_json, _model_to_json
 from koopmankit.lifting import _advances
 from koopmankit.registry import _REGISTRY, _exp_neg_inv
 
+import _reference as ref
+
 
 # ---------------------------------------------------------------------------
 # observable libraries
@@ -237,18 +239,10 @@ def test_propagate_requires_matching_time_arguments():
 # one step matrix: the references are the per-sample loops it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_rk4_step(k, y, dt):
-    k1 = k @ y
-    k2 = k @ (y + 0.5 * dt * k1)
-    k3 = k @ (y + 0.5 * dt * k2)
-    k4 = k @ (y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _reference_loop(model, x0, n, step):
     """The lifted trajectory of n steps, one ``step(y)`` call per sample."""
     ys = np.empty((n + 1, len(model.library)))
-    ys[0] = y = eval_library(model.library, np.asarray(x0, dtype=float))
+    ys[0] = y = ref.values(model.library.observables, x0)
     for i in range(n):
         y = step(y)
         ys[i + 1] = y
@@ -303,7 +297,7 @@ def test_flow_propagation_stays_within_1e12_of_the_rk4_loop(name, dt):
     # the unstable lifts overflow over 10,000 long steps: there propagate raises BlowUp
     with np.errstate(over="ignore", invalid="ignore"):
         reference = _reference_loop(model, x0, FLOW_STEPS[-1],
-                                    lambda y: _reference_rk4_step(model.K, y, dt))
+                                    lambda y: ref.rk4_step(lambda v: model.K @ v, y, dt))
     for steps in FLOW_STEPS:
         if steps == 0:  # a horizon under dt/2 takes no step
             with pytest.raises(ValueError, match=r"takes no step .*round\(t_end/dt\) is 0"):
@@ -340,7 +334,7 @@ def test_the_step_matrix_takes_each_unit_vector_one_rk4_step(dt):
         linear = KoopmanModel(monomials(m, 1), model.K, CONTINUOUS)
         for e in np.eye(m):
             step = propagate(linear, e, t_end=dt, dt=dt).states[1]
-            reference = _reference_rk4_step(model.K, e, dt)
+            reference = ref.rk4_step(lambda v: model.K @ v, e, dt)
             np.testing.assert_allclose(step, reference, rtol=1e-14,
                                        atol=1e-15 * np.max(np.abs(reference)))
 
@@ -357,7 +351,7 @@ def test_a_stiff_flow_propagates_without_floating_point_warnings(k, x0, dt, t_en
         warnings.simplefilter("error")
         states = propagate(model, x0, t_end=t_end, dt=dt).states
     reference = _reference_loop(model, x0, len(states) - 1,
-                                lambda y: _reference_rk4_step(model.K, y, dt))
+                                lambda y: ref.rk4_step(lambda v: model.K @ v, y, dt))
     np.testing.assert_allclose(states, reference, rtol=1e-12, atol=0.0)
 
 
@@ -479,18 +473,6 @@ def test_observable_advance_discrete_composes_with_the_map():
     assert advanced == direct
 
 
-def _reference_closure_residual(model, system, truncate=False):
-    """``closure_residual`` as the truncated and difference polynomials form it."""
-    retained = {e for o in model.library.observables for e in o.terms}
-    worst = 0.0
-    for i, lhs in enumerate(_advances(model.library.observables, system)):
-        if truncate:
-            lhs = Polynomial(lhs.dim, {e: c for e, c in lhs.terms.items() if e in retained})
-        rhs = model.library.linear_combination(model.K[i])
-        worst = max(worst, (lhs - rhs).max_abs_coeff())
-    return worst
-
-
 def _random_closure_cases(seed, count):
     """Seeded polynomial systems of both time kinds, each with a library that
     holds a non-monomial observable and a sparse K of mixed-scale entries."""
@@ -523,7 +505,7 @@ def test_closure_residual_is_bit_identical_to_the_difference_polynomial(truncate
     residuals = []
     for model, system in cases:
         got = closure_residual(model, system, truncate=truncate)
-        assert float.hex(got) == float.hex(_reference_closure_residual(model, system, truncate))
+        assert float.hex(got) == float.hex(ref.closure_residual(model, system, truncate))
         residuals.append(got)
     assert 0.0 in residuals and len(set(residuals)) > 20  # exact closures and mismatches both
 
@@ -533,7 +515,7 @@ def test_closure_residual_refuses_a_difference_that_overflows():
     x = Polynomial.variable(1, 0)
     system = PolySystem(1, DISCRETE, (1e308 * x,))
     model = KoopmanModel(ObservableLibrary(1, ((1,),)), np.array([[-1e308]]), DISCRETE)
-    for residual in (closure_residual, _reference_closure_residual):
+    for residual in (closure_residual, ref.closure_residual):
         with pytest.raises(ValueError, match="non-finite coefficient"):
             residual(model, system)
 
@@ -734,85 +716,16 @@ def test_integrate_and_propagate_sample_the_same_times(t_end, dt):
 
 
 # ---------------------------------------------------------------------------
-# exact algebra: the references are the parent's object-by-object folds
+# exact algebra: the references are the term-by-term dict folds
 # ---------------------------------------------------------------------------
-
-def _bits(poly):
-    """A polynomial's terms in dict order, coefficients as exact hex strings."""
-    return poly.dim, [(exps, float.hex(coeff)) for exps, coeff in poly.terms.items()]
-
-
-def _ref_mul(a, b):
-    if not isinstance(b, Polynomial):
-        return Polynomial(a.dim, {e: c * b for e, c in a.terms.items()})
-    out = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            exps = tuple(x + y for x, y in zip(e1, e2))
-            out[exps] = out.get(exps, 0.0) + c1 * c2
-    return Polynomial(a.dim, out)
-
-
-def _ref_add(a, b):
-    merged = dict(a.terms)
-    for exps, coeff in b.terms.items():
-        merged[exps] = merged.get(exps, 0.0) + coeff
-    return Polynomial(a.dim, merged)
-
-
-def _ref_pow(p, n):
-    out = Polynomial.constant(p.dim, 1.0)
-    for _ in range(n):
-        out = _ref_mul(out, p)
-    return out
-
-
-def _ref_advance(obs, system):
-    """Lie derivative by ``out + d_i * f_i``, or composition by ``__pow__`` per factor."""
-    out = Polynomial.zero(obs.dim)
-    if system.time_kind == CONTINUOUS:
-        for i, f in enumerate(system.equations):
-            di = obs.derivative(i)
-            if di.terms:
-                out = _ref_add(out, _ref_mul(di, f))
-        return out
-    for exps, coeff in obs.terms.items():
-        term = Polynomial.constant(obs.dim, coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term = _ref_mul(term, _ref_pow(system.equations[i], e))
-        out = _ref_add(out, term)
-    return out
-
-
-def _ref_linear_combination(library, coeffs):
-    out = Polynomial.zero(library.dim)
-    for coeff, obs in zip(coeffs, library.observables):
-        if coeff != 0.0:
-            out = _ref_add(out, _ref_mul(obs, coeff))
-    return out
-
-
-def _ref_closure_residual(model, system, truncate):
-    retained = {e for o in model.library.observables for e in o.terms}
-    worst = 0.0
-    for i, obs in enumerate(model.library.observables):
-        lhs = _ref_advance(obs, system)
-        if truncate:
-            lhs = Polynomial(lhs.dim, {e: c for e, c in lhs.terms.items() if e in retained})
-        rhs = _ref_linear_combination(model.library, model.K[i])
-        diff = _ref_add(lhs, Polynomial(rhs.dim, {e: -c for e, c in rhs.terms.items()}))
-        worst = max(worst, diff.max_abs_coeff())
-    return worst
-
 
 def _assert_closure_matches_the_reference(model, system):
     observables = model.library.observables
     for obs, advance in zip(observables, _advances(observables, system), strict=True):
-        assert _bits(advance) == _bits(_ref_advance(obs, system))
+        assert ref.bits(advance) == ref.bits(ref.advance(obs, system), system.dim)
     for truncate in (False, True):
         got = closure_residual(model, system, truncate=truncate)
-        assert float.hex(got) == float.hex(_ref_closure_residual(model, system, truncate))
+        assert float.hex(got) == float.hex(ref.closure_residual(model, system, truncate))
 
 
 @pytest.mark.parametrize("name", registry_names())
@@ -822,7 +735,7 @@ def test_closure_and_advances_are_bit_identical_to_the_reference_on_every_system
     # a full degree-4 library advances through many-term powers of both equations
     observables = monomials(system.dim, 4).observables
     for obs, advance in zip(observables, _advances(observables, system), strict=True):
-        assert _bits(advance) == _bits(_ref_advance(obs, system))
+        assert ref.bits(advance) == ref.bits(ref.advance(obs, system), system.dim)
 
 
 @pytest.mark.parametrize("rank", range(1, 17))
@@ -842,13 +755,15 @@ def test_linear_combinations_are_bit_identical_to_the_reference():
         rng.standard_normal((40, len(lib))) * (rng.random((40, len(lib))) < 0.6),
         # x1^2 cancels after entry 3 and re-enters at the end from entry 5
         np.array([[0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]]),
-        # x2 and x1^2 cancel exactly, leaving x1*x2 alone
-        np.array([[0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0]]),
+        # x2 and x1^2 cancel exactly, leaving x1*x2 alone, and in the last row nothing
+        np.array([[0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.0, 1.0, -1.0, -1.0, 0.0, 0.0, 0.0]]),
         # 5e-324 * 0.1 and 5e-324 * 0.3 round to zero, so entry 4 adds nothing; -0.0 is skipped
         np.array([[1e-310, -0.0, 1.0, 0.0, 5e-324, 0.0, 0.0]]),
     ]
     for row in np.vstack(rows):
-        assert _bits(lib.linear_combination(row)) == _bits(_ref_linear_combination(lib, row))
+        assert (ref.bits(lib.linear_combination(row))
+                == ref.bits(ref.linear_combination(lib.observables, row), lib.dim))
     assert lib.linear_combination(np.zeros(len(lib))).is_zero()
     # a product (10 * 1e308) or a sum (1e308 + 1e308) that overflows is refused
     for row in ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308], [0.0, 0.0, 1e308, 0.0, 0.0, 1e308, 0.0]):
@@ -874,26 +789,6 @@ def test_closure_makes_a_number_of_products_linear_in_the_rank(monkeypatch):
     assert counts[16] <= 2 * 16
 
 
-def _reference_flow_propagate(model, x0, t_end, dt):
-    """The flow loop with the stack grown by a while loop of per-power finiteness tests."""
-    k = model.K
-    eye, hk = np.eye(len(k)), dt * k
-    powers = [eye + hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(powers) < 64 and np.all(np.isfinite(nxt := powers[-1] @ powers[0])):
-            powers.append(nxt)
-    stack = np.vstack(powers)
-    n = round(t_end / dt)
-    m = len(k)
-    ys = np.empty((n + 1, m))
-    ys[0] = eval_library(model.library, np.asarray(x0, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, n, len(powers)):
-            j = min(len(powers), n - i)
-            ys[i + 1:i + 1 + j] = (stack[:j * m] @ ys[i]).reshape(j, m)
-    return len(powers), ys
-
-
 @pytest.mark.parametrize("model, x0, dt, held", [
     (FLOW_LIFTS["kooc_demo"][0], [-5.0, 5.0], 0.01, 64),
     (carleman_center(16), [0.5], 0.001, 64),
@@ -906,7 +801,7 @@ def _reference_flow_propagate(model, x0, t_end, dt):
 def test_flow_propagation_is_bit_identical_to_the_while_loop_stack(model, x0, dt, held):
     for steps in (1, 2, held, held + 3, 200):
         with np.errstate(over="ignore", invalid="ignore"):  # forming T4 = inf warns
-            count, reference = _reference_flow_propagate(model, x0, steps * dt, dt)
+            count, reference = ref.block_loop(model, x0, steps, dt)
         assert count == held
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -920,45 +815,19 @@ def test_flow_propagation_is_bit_identical_to_the_while_loop_stack(model, x0, dt
         assert info.value.t == pytest.approx(first * dt, rel=1e-12)
 
 
-def _reference_block_loop(model, x0, steps, dt=None):
-    """``propagate``'s samples as its block loop formed them with a temporary
-    product per block: the 64-power stack cut before its first non-finite
-    power (a flow's) or K (a map's), and a copy of each product into place."""
-    k = model.K
-    if dt is None:
-        stack = k
-    else:
-        eye, hk = np.eye(len(k)), dt * k
-        powers = np.empty((64, len(k), len(k)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers[0] = eye + hk @ (eye + (hk / 2) @ (eye + (hk / 3) @ (eye + hk / 4)))
-            for j in range(1, 64):
-                np.matmul(powers[j - 1], powers[0], out=powers[j])
-        finite = np.isfinite(powers)
-        if not finite.all():
-            powers = powers[:max(1, np.argmin(finite.all(axis=(1, 2))))]
-        stack = powers.reshape(-1, len(k))
-    y0 = eval_library(model.library, np.asarray(x0, dtype=float))
-    m = len(y0)
-    block = len(stack) // m
-    ys = np.empty((steps + 1, m))
-    ys[0] = y0
-    for i in range(0, steps, block):
-        n = min(block, steps - i)
-        ys[i + 1:i + 1 + n] = (stack[:n * m] @ ys[i]).reshape(n, m)
-    return ys
-
-
 @pytest.mark.parametrize("model, x0, dt", [
     (*FLOW_LIFTS["kooc_demo"], 0.01),
     (*FLOW_LIFTS["carleman_center_8"], 0.001),
+    # the third observable has five terms, so its start value depends on the order of its sum
+    (*FLOW_LIFTS["rotated_quad"], 0.01),
     # T4 = 240,784 on the first axis: the stack is cut at 57 powers, and the
     # start on the second axis keeps every sample finite
     (KoopmanModel(monomials(2, 1), np.array([[-500.0, 0.0], [0.0, -1.0]]), CONTINUOUS),
      [0.0, 1.0], 0.1),
     (*MAP_LIFTS["tu_lift"], None),
     (*MAP_LIFTS["slow_manifold_lift_dt"], None),
-], ids=["kooc_demo", "carleman_center_8", "cut stack", "tu_lift", "slow_manifold_lift_dt"])
+], ids=["kooc_demo", "carleman_center_8", "rotated_quad", "cut stack", "tu_lift",
+        "slow_manifold_lift_dt"])
 def test_propagate_writes_the_bits_of_the_block_loop_with_temporaries(model, x0, dt):
     for steps in (0, 1, 63, 64, 65, 5_000):
         if dt is None:
@@ -967,6 +836,6 @@ def test_propagate_writes_the_bits_of_the_block_loop_with_temporaries(model, x0,
             got = propagate(model, x0, t_end=steps * dt, dt=dt).states
         else:
             continue
-        expected = _reference_block_loop(model, x0, steps, dt)
+        _, expected = ref.block_loop(model, x0, steps, dt)
         assert np.all(np.isfinite(expected))
         assert got.tobytes() == expected.tobytes()
