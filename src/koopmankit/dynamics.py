@@ -246,7 +246,7 @@ def iterate(system: PolySystem, x0, steps):
 
 
 # ---------------------------------------------------------------------------
-# the slow-manifold field
+# the slow-manifold family
 # ---------------------------------------------------------------------------
 
 def slow_manifold_field(mu, lam, poly):
@@ -255,25 +255,28 @@ def slow_manifold_field(mu, lam, poly):
     ``poly`` maps exponent N -> coefficient a for P(x) = sum a*x^N; the
     field and the lift accept the same P, whole exponents N >= 2.
     """
-    return _slow_manifold_equations(mu, lam, poly, CONTINUOUS)
+    return _slow_manifold_equations(mu, lam, _manifold_couplings(lam, poly, CONTINUOUS))
 
 
-def _slow_manifold_equations(mu, lam, poly, time_kind):
-    """Equations of x1' = mu*x1, x2' = lam*x2 + c*P(x1), c the coupling of
-    ``time_kind``: the flow of slow_manifold_field, or the map x2 -> lam*x2 + (1 - lam)*P(x1)."""
-    eq1 = Polynomial(2, {(1, 0): mu})
-    terms = {(n, 0): _manifold_coupling(lam, time_kind) * a for n, a in _poly_dict(poly).items()}
-    return (eq1, Polynomial(2, {(0, 1): lam, **terms}))
+def _slow_manifold_equations(mu, lam, couplings):
+    """Equations x1' = mu*x1, x2' = lam*x2 + sum c_N*x1^N, a flow's or a map's, of the slow-manifold
+    family member (mu, lam, couplings {N: c_N}, N whole, >= 2 and ascending);
+    ``lifting._slow_manifold_lift`` builds the member's exact lift from the same dict."""
+    x2 = {(0, 1): lam, **{(n, 0): c for n, c in couplings.items()}}
+    return Polynomial(2, {(1, 0): mu}), Polynomial(2, x2)
 
 
-def _manifold_coupling(lam, time_kind):
-    """The x2 equation's factor on P(x1): -lam in the flow, 1 - lam in the map."""
-    return -lam if time_kind == CONTINUOUS else 1.0 - lam
-
-
-def _poly_dict(poly):
-    """Normalize P given as {N: a}: integer exponents >= 2, ascending."""
-    if any(n < 2 or n != int(n) for n in poly):
+def _manifold_couplings(lam, poly, time_kind):
+    """The couplings c*a_N of P = {N: a_N} on x2 = P(x1): c is -lam in the flow
+    x2' = lam*(x2 - P(x1)), 1 - lam in the map x2 -> lam*x2 + (1 - lam)*P(x1)."""
+    if not all(n >= 2 and n % 1 == 0 for n in poly):  # inf % 1 and NaN fail too
         raise ValueError("manifold polynomial exponents must be >= 2 and whole "
                          "(degree-1 terms belong to the linear part)")
-    return {int(n): float(a) for n, a in sorted(poly.items())}
+    c = -lam if time_kind == CONTINUOUS else 1.0 - lam
+    return {int(n): c * float(a) for n, a in sorted(poly.items())}
+
+
+def _tu_couplings(lam, mu):
+    """The couplings {2: lam^2 - mu} of x1 -> lam*x1, x2 -> mu*x2 + (lam^2 - mu)*x1^2, the family's
+    map (lam, mu, couplings), whose invariant manifold is exactly x2 = x1^2."""
+    return {2: lam * lam - mu}

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import CONTINUOUS, DISCRETE, PolySystem, _slow_manifold_equations, slow_manifold_field
+from .dynamics import (CONTINUOUS, DISCRETE, PolySystem, _manifold_couplings, _slow_manifold_equations,
+                       _tu_couplings, slow_manifold_field)
 from .lifting import carleman_center, carleman_logistic, slow_manifold_lift_ct, slow_manifold_lift_dt, tu_lift
 from .polynomials import Polynomial
 from .spectral import rotate_model, rotation_matrix
@@ -29,26 +30,20 @@ def _exp_neg_inv(x):
 
 
 def _slow_manifold(poly, time_kind=CONTINUOUS, input_map=None):
-    """Builder and exact lift of the slow-manifold system on x2 = P(x1).
+    """Builder and exact lift of the slow-manifold system on x2 = P(x1), both from the one ``poly``."""
+    make = slow_manifold_lift_ct if time_kind == CONTINUOUS else slow_manifold_lift_dt
 
-    The field (or map) and its lift are both built from the one ``poly``.
-    """
     def builder(p):
-        equations = _slow_manifold_equations(p["mu"], p["lambda"], poly, time_kind)
+        couplings = _manifold_couplings(p["lambda"], poly, time_kind)
+        equations = _slow_manifold_equations(p["mu"], p["lambda"], couplings)
         return PolySystem(2, time_kind, equations, params=p, input_map=input_map)
 
-    def lift(p, rank):
-        make = slow_manifold_lift_ct if time_kind == CONTINUOUS else slow_manifold_lift_dt
-        return make(p["mu"], p["lambda"], poly)
-
-    return {"builder": builder, "lift": lift, "manifold": poly}
+    return {"builder": builder, "lift": lambda p, rank: make(p["mu"], p["lambda"], poly), "manifold": poly}
 
 
 def _build_tu_map(p):
     lam, mu = p["lambda"], p["mu"]
-    eq1 = Polynomial(2, {(1, 0): lam})
-    eq2 = Polynomial(2, {(0, 1): mu, (2, 0): lam * lam - mu})
-    return PolySystem(2, DISCRETE, (eq1, eq2), params=p)
+    return PolySystem(2, DISCRETE, _slow_manifold_equations(lam, mu, _tu_couplings(lam, mu)), params=p)
 
 
 def _build_logistic(p):

@@ -1,5 +1,6 @@
 """Tests for observable libraries, exact lifts, and Carleman truncation."""
 
+import functools
 import itertools
 import json
 import math
@@ -132,11 +133,45 @@ def test_quadratic_lift_matrix_structure():
     np.testing.assert_array_equal(model.K, expected)
 
 
+def _family_inputs(seed):
+    """Seeded (mu, lam, P) with lam = 0 and lam = 1 among them, and zero P coefficients."""
+    rng = np.random.default_rng(seed)
+    inputs = []
+    for i in range(24):
+        lam = (0.0, 1.0, float(rng.normal(scale=2.0)))[i % 3]
+        exps = sorted(rng.choice(np.arange(2, 7), size=rng.integers(1, 4), replace=False).tolist())
+        poly = {n: float(rng.normal()) for n in exps}
+        if i % 4 == 1:
+            poly[exps[0]] = 0.0
+        inputs.append((float(rng.normal()), lam, poly))
+    return inputs
+
+
+def _documented_lift(mu, lam, poly, rate, coupling):
+    """diag(mu, lam, rate(N1), ...) with row 2 the couplings coupling(a_i), as the docstrings give it."""
+    k = np.zeros((2 + len(poly), 2 + len(poly)))
+    k[0, 0], k[1, 1] = mu, lam
+    for i, n in enumerate(sorted(poly), 2):
+        k[1, i], k[i, i] = coupling(poly[n]), rate(n)
+    return k
+
+
 def test_quadratic_lift_closure_is_exactly_zero():
     for lam in (1.0, -1.0):
         model = slow_manifold_lift_ct(-0.05, lam, {2: 1.0})
         system = builtin("quad_manifold", mu=-0.05, lam=lam)
         assert closure_residual(model, system) == 0.0
+    # K's bytes pin the sign of each zero: lam = 0 couples a > 0 through -0.0
+    for mu, lam, poly in _family_inputs(41):
+        model = slow_manifold_lift_ct(mu, lam, poly)
+        expected = _documented_lift(mu, lam, poly, lambda n: mu * n, lambda a: -a * lam)
+        assert model.K.tobytes() == expected.tobytes(), (mu, lam, poly)
+        assert [o.exponents() for o in model.library.observables][2:] == [(n, 0) for n in sorted(poly)]
+        system = PolySystem(2, CONTINUOUS, slow_manifold_field(mu, lam, poly))
+        assert closure_residual(model, system) == 0.0
+        for name, manifold in (("quad_manifold", {2: 1.0}), ("quartic_manifold", {4: 1.0, 2: -2.0})):
+            lift = slow_manifold_lift_ct(mu, lam, manifold)
+            assert closure_residual(lift, builtin(name, mu=mu, lam=lam)) == 0.0
 
 
 def test_quartic_lift_closure_is_exactly_zero():
@@ -159,6 +194,16 @@ def test_discrete_lift_closure_is_exactly_zero():
     # x2 <- lam x2 + (1 - lam) a x1^2 family: row 2 coupling is a (1 - lam)
     assert model.K[1, 2] == (1 - lam) * 1.0
     assert model.K[2, 2] == mu**2
+    for mu, lam, poly in _family_inputs(42):
+        model = slow_manifold_lift_dt(mu, lam, poly)
+        expected = _documented_lift(mu, lam, poly, lambda n: math.prod([mu] * n),
+                                    lambda a: a * (1 - lam))
+        assert model.K.tobytes() == expected.tobytes(), (mu, lam, poly)
+        x2 = {(0, 1): lam, **{(n, 0): (1 - lam) * a for n, a in poly.items()}}
+        system = PolySystem(2, DISCRETE, (Polynomial(2, {(1, 0): mu}), Polynomial(2, x2)))
+        assert closure_residual(model, system) == 0.0
+        lift = slow_manifold_lift_dt(mu, lam, {2: 1.0})
+        assert closure_residual(lift, builtin("discrete_manifold", mu=mu, lam=lam)) == 0.0
 
 
 def test_tu_lift_structure_and_closure():
@@ -171,6 +216,11 @@ def test_tu_lift_structure_and_closure():
     assert model.time_kind == DISCRETE
     system = builtin("tu_map", lam=lam, mu=mu)
     assert closure_residual(model, system) == 0.0
+    for mu, lam, _ in _family_inputs(43):  # lam = 0 makes lam^2 - mu exactly -mu
+        model = tu_lift(lam, mu)
+        expected = np.array([[lam, 0.0, 0.0], [0.0, mu, lam * lam - mu], [0.0, 0.0, lam * lam]])
+        assert model.K.tobytes() == expected.tobytes(), (lam, mu)
+        assert closure_residual(model, builtin("tu_map", lam=lam, mu=mu)) == 0.0
 
 
 def test_lift_state_appends_observables():
@@ -180,11 +230,12 @@ def test_lift_state_appends_observables():
 
 def test_polynomial_exponents_must_be_at_least_two():
     # 2.5 would otherwise truncate to 2 and overwrite the x1^2 coefficient
-    for poly in ({1: 2.0}, {3: 1.0, 0: 2.0}, {2.5: 1.0}, {2: 1.0, 2.5: 3.0}):
-        with pytest.raises(ValueError, match="exponents must be >= 2"):
-            slow_manifold_lift_ct(-0.05, 1.0, poly)
-        with pytest.raises(ValueError, match="exponents must be >= 2"):
-            slow_manifold_field(-0.05, 1.0, poly)
+    # inf and NaN would otherwise escape int() as OverflowError and a bare ValueError
+    for poly in ({1: 2.0}, {3: 1.0, 0: 2.0}, {2.5: 1.0}, {2: 1.0, 2.5: 3.0},
+                 {math.inf: 1.0}, {math.nan: 1.0}, {2: 1.0, math.inf: 1.0}):
+        for build in (slow_manifold_lift_ct, slow_manifold_lift_dt, slow_manifold_field):
+            with pytest.raises(ValueError, match="exponents must be >= 2 and whole"):
+                build(-0.05, 1.0, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +290,14 @@ def test_propagate_requires_matching_time_arguments():
 # one step matrix: the references are the per-sample loops it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_loop(model, x0, n, step):
-    """The lifted trajectory of n steps, one ``step(y)`` call per sample."""
-    ys = np.empty((n + 1, len(model.library)))
-    ys[0] = y = ref.values(model.library.observables, x0)
+def _reference_loop(model, x0, n, step, width=None):
+    """The lifted trajectory of n steps, one ``step(y)`` call per sample; with
+    ``width``, y holds that many copies of the start as its columns."""
+    y = ref.values(model.library.observables, x0)
+    if width is not None:
+        y = np.repeat(y[:, None], width, axis=1)
+    ys = np.empty((n + 1, *y.shape))
+    ys[0] = y
     for i in range(n):
         y = step(y)
         ys[i + 1] = y
@@ -264,6 +319,20 @@ FLOW_LIFTS = {
     **{f"carleman_center_{r}": (carleman_center(r), [0.5]) for r in range(4, 17)},
 }
 FLOW_STEPS = (0, 1, 63, 64, 65, 10_000)
+FLOW_DTS = (0.001, 0.01, 0.1, 0.3)
+
+
+@functools.lru_cache(maxsize=1)  # the cases of one lift run one after another
+def _flow_reference(name):
+    """The per-sample RK4 loop of each dt in FLOW_DTS over FLOW_STEPS[-1] steps,
+    as one loop whose states hold one column per dt; {dt: (steps + 1, m) array}."""
+    model, x0 = FLOW_LIFTS[name]
+    # the unstable lifts overflow over 10,000 long steps: there propagate raises BlowUp
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = _reference_loop(model, x0, FLOW_STEPS[-1],
+                             lambda y: ref.rk4_step(lambda v: model.K @ v, y, np.array(FLOW_DTS)),
+                             width=len(FLOW_DTS))
+    return {dt: ys[:, :, j] for j, dt in enumerate(FLOW_DTS)}
 
 
 def _assert_blows_up_no_earlier(run, reference, dt):
@@ -290,14 +359,11 @@ def test_map_propagation_is_bit_identical_to_the_step_loop(name):
         assert not np.all(np.isfinite(reference))
 
 
-@pytest.mark.parametrize("dt", [0.001, 0.01, 0.1, 0.3])
+@pytest.mark.parametrize("dt", FLOW_DTS)
 @pytest.mark.parametrize("name", FLOW_LIFTS)
 def test_flow_propagation_stays_within_1e12_of_the_rk4_loop(name, dt):
     model, x0 = FLOW_LIFTS[name]
-    # the unstable lifts overflow over 10,000 long steps: there propagate raises BlowUp
-    with np.errstate(over="ignore", invalid="ignore"):
-        reference = _reference_loop(model, x0, FLOW_STEPS[-1],
-                                    lambda y: ref.rk4_step(lambda v: model.K @ v, y, dt))
+    reference = _flow_reference(name)[dt]
     for steps in FLOW_STEPS:
         if steps == 0:  # a horizon under dt/2 takes no step
             with pytest.raises(ValueError, match=r"takes no step .*round\(t_end/dt\) is 0"):
@@ -400,6 +466,18 @@ def test_carleman_logistic_truncated_closure():
     m = carleman_logistic(3.5, 4)
     assert closure_residual(m, system, truncate=True) == 0.0
     assert closure_residual(m, system, truncate=False) > 1.0
+    # the residual is absolute: at r = 3.7 and 3.9 the binomial entries r^n C(n, k)
+    # and the composed powers of r x - r x^2 round differently, so an exact
+    # truncation reads up to 5.7e-6 at rank 16, within 4 eps of max|K|; at
+    # r = 3.5 every entry is exact
+    eps = np.finfo(float).eps
+    for rank in (8, 12, 16):
+        exact = carleman_logistic(3.5, rank)
+        assert closure_residual(exact, system, truncate=True) == 0.0
+        for r in (3.7, 3.9):
+            m = carleman_logistic(r, rank)
+            residual = closure_residual(m, builtin("logistic", r=r), truncate=True)
+            assert residual <= 4 * eps * np.max(np.abs(m.K)), (r, rank, residual)
 
 
 def test_truncation_keeps_the_monomials_of_a_non_monomial_observable():
