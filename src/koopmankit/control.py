@@ -26,10 +26,12 @@ states, and costs the two trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import numerics
 from .dynamics import CONTINUOUS, DEFAULT_DT, PolySystem, Trajectory, _initial_state, integrate
@@ -52,7 +54,7 @@ def _pair(a, b):
         raise ValueError("a must be square")
     if b.shape[0] != a.shape[0]:
         raise ValueError("b must have one row per state")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("a and b must be finite")
     return a, b
 
@@ -62,17 +64,29 @@ def _symmetric(mat, name, definite):
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
-    if not np.all(np.abs(m - m.T) <= 1e-12 + 1e-10 * np.abs(m.T)):  # np.allclose's test, inlined
+    if not (abs(m - m.T) <= 1e-12 + 1e-10 * abs(m.T)).all():  # np.allclose's test, inlined
         raise ValueError(f"{name} must be symmetric")
     m = 0.5 * m + 0.5 * m.T  # halves first, so a finite m cannot overflow
     w = np.linalg.eigvalsh(m)
     if definite and w.min() <= 0:
         raise ValueError(f"{name} must be positive definite")
-    if not definite and w.min() < -1e-10 * max(1.0, float(np.max(np.abs(w)))):
+    if not definite and w.min() < -1e-10 * max(1.0, float(abs(w).max())):
         raise ValueError(f"{name} must be positive semidefinite")
     return m
+
+
+def _fro(x):
+    """``np.linalg.norm(x)`` without its dispatch: sqrt of the dot product of
+    x's entries with themselves, taken in memory order as numpy takes it."""
+    v = x.ravel(order="K")
+    return np.sqrt(v.dot(v))
+
+
+def _norm1(abs_x):
+    """``np.linalg.norm(x, 1)``, the largest column sum, given ``abs_x`` = |x|."""
+    return np.add.reduce(abs_x, axis=0).max(initial=0.0)
 
 
 @dataclass
@@ -117,15 +131,23 @@ def _matrix_sign(z):
     prev = np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         for it in range(_SIGN_MAX_ITER):
-            sign, logdet = np.linalg.slogdet(z)
-            if sign == 0 or not np.isfinite(logdet):
+            # np.linalg.slogdet and inv call these gufuncs on a float z; each step
+            # calls them directly, so their LAPACK work is all a step pays for
+            sign, logdet = _umath_linalg.slogdet(z, signature="d->dd")
+            if sign == 0 or not math.isfinite(logdet):
                 raise NumericsError(
                     f"matrix sign iteration hit a singular iterate at step {it}; "
                     "the matrix has eigenvalues on the imaginary axis"
                 )
             c = np.exp(logdet / n)
-            new = 0.5 * (z / c + c * np.linalg.inv(z))
-            step = np.linalg.norm(new - z, 1) / np.linalg.norm(z, 1)
+            # 0.5 * (z / c + c * inv(z)), rounded in the same three places; a
+            # nonzero det means the LU that inv repeats has no zero pivot
+            new = _umath_linalg.inv(z, signature="d->d")
+            new *= c
+            new += z / c
+            new *= 0.5
+            diff = new - z
+            step = _norm1(np.abs(diff, out=diff)) / _norm1(abs(z))
             if not step < np.inf:
                 raise NumericsError(f"matrix sign iteration overflowed at step {it}: "
                                     "the iterate or its step is not finite")
@@ -145,8 +167,11 @@ def solve_care(a, b, q, r) -> np.ndarray:
     defect-correction form polish it: P <- P + X with
     A_cl' X + X A_cl = -Res(P), each Lyapunov solve read off
     sign([[A_cl', Res], [0, -A_cl]]) = [[-I, 2X], [0, I]]; the best residual
-    seen is kept. Raises :class:`NumericsError` if G is not finite, a sign
-    iteration fails, A - G P is not Hurwitz, or the relative backward error
+    seen is kept. With Q = 0 and A Hurwitz, P = 0 is the exact stabilizing
+    solution (A - G 0 = A) and is returned without a sign iteration; Q = 0
+    with an A that is not Hurwitz takes the sign path like any other Q.
+    Raises :class:`NumericsError` if G is not finite, a sign iteration
+    fails, A - G P is not Hurwitz, or the relative backward error
     |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL`` or
     cannot be measured because |Res| or its scale overflows.
     """
@@ -156,30 +181,39 @@ def solve_care(a, b, q, r) -> np.ndarray:
 def _care(prob: _LqrProblem) -> np.ndarray:
     a, b, q, r = prob.a, prob.b, prob.q, prob.r
     n = prob.n
-    norm = np.linalg.norm
     with np.errstate(over="ignore", invalid="ignore"):
         g = b @ np.linalg.solve(r, b.T)
-        a_norm, g_norm, q_norm = norm(a), norm(g), norm(q)
+        a_norm, g_norm, q_norm = _fro(a), _fro(g), _fro(q)
     if not np.isfinite(g).all():
         raise NumericsError("G = B R^-1 B' is not finite: R is too close to singular")
+    if not q.any() and np.linalg.eigvals(a).real.max() < 0.0:
+        return np.zeros((n, n))  # A - G 0 = A is Hurwitz, so P = 0 solves exactly
     eye = np.eye(n)
 
     def defect(p):
         """Residual of p, its norm, and its relative backward error."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             res = a.T @ p + p @ a - p @ g @ p + q
-            res_norm, p_norm = norm(res), norm(p)
+            res_norm, p_norm = _fro(res), _fro(p)
             scale = q_norm + 2.0 * a_norm * p_norm + g_norm * p_norm ** 2
-        if not (np.isfinite(res_norm) and np.isfinite(scale)):
+        if not (math.isfinite(res_norm) and math.isfinite(scale)):
             raise NumericsError(
                 f"Riccati backward error overflowed (residual {res_norm:.3e}, scale {scale:.3e}): "
                 "Q or R is too far from unit scale for it to be measured")
         return res, res_norm, (res_norm / scale if scale else 0.0)
 
-    s = _matrix_sign(np.block([[a, -g], [-q, -a.T]]))
-    # numpy's default cutoff on purpose: numerics.lstsq's 1e-12 refuses more random problems
-    p = np.linalg.lstsq(np.vstack([s[:n, n:], s[n:, n:] + eye]),
-                        -np.vstack([s[:n, :n] + eye, s[n:, :n]]), rcond=None)[0]
+    h = np.empty((2 * n, 2 * n))  # the Hamiltonian [[A, -G], [-Q, -A']]
+    h[:n, :n] = a
+    np.negative(g, out=h[:n, n:])
+    np.negative(q, out=h[n:, :n])
+    np.negative(a.T, out=h[n:, n:])
+    s = _matrix_sign(h)
+    # [S12; S22 + I] P = -[S11 + I; S21], with numpy's default cutoff on
+    # purpose: numerics.lstsq's 1e-12 refuses more random problems
+    lhs, rhs = s[:, n:].copy(), s[:, :n].copy()
+    lhs[n:] += eye
+    rhs[:n] += eye
+    p = np.linalg.lstsq(lhs, np.negative(rhs, out=rhs), rcond=None)[0]
     p = 0.5 * (p + p.T)
 
     res, res_norm, err = defect(p)
@@ -188,23 +222,27 @@ def _care(prob: _LqrProblem) -> np.ndarray:
         if res_norm <= floor or err <= np.finfo(float).eps:
             break
         a_cl = a - g @ p
-        s = _matrix_sign(np.block([[a_cl.T, res], [np.zeros((n, n)), -a_cl]]))
+        h[:n, :n] = a_cl.T  # [[A_cl', Res], [0, -A_cl]]
+        h[:n, n:] = res
+        h[n:, :n] = 0.0
+        np.negative(a_cl, out=h[n:, n:])
+        s = _matrix_sign(h)
         polished = p + 0.25 * (s[:n, n:] + s[:n, n:].T)
         candidate = defect(polished)
         if not candidate[1] < res_norm:
             break
         p, (res, res_norm, err) = polished, candidate
 
-    growth = float(np.max(np.linalg.eigvals(a - g @ p).real))
+    growth = float(np.linalg.eigvals(a - g @ p).real.max())
     if not growth < 0.0:
         raise NumericsError(
             f"closed loop A - G P is not Hurwitz (largest real part {growth:.3e}, "
-            f"|P| = {norm(p):.3e}); the pair may not be stabilizable"
+            f"|P| = {_fro(p):.3e}); the pair may not be stabilizable"
         )
     if not err <= _BACKWARD_ERROR_TOL:
         raise NumericsError(
             f"Riccati relative backward error {err:.3e} exceeds {_BACKWARD_ERROR_TOL:g} "
-            f"(residual {res_norm:.3e}, |P| = {norm(p):.3e})"
+            f"(residual {res_norm:.3e}, |P| = {_fro(p):.3e})"
         )
     return p
 

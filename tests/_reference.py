@@ -234,6 +234,62 @@ def block_loop(model, x0, steps, dt=None):
     return len(powers), ys
 
 
+# -- Riccati solver --------------------------------------------------------------
+
+def matrix_sign(z):
+    """The determinant-scaled Newton iteration z <- (z/c + c z^-1)/2,
+    c = |det z|^(1/N), with its stopping rules: a relative 1-norm step at or
+    below 1e-12, or one that stops shrinking once below 1e-3."""
+    n, prev = z.shape[0], np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            sign, logdet = np.linalg.slogdet(z)
+            assert sign != 0 and np.isfinite(logdet), "singular iterate"
+            c = np.exp(logdet / n)
+            new = 0.5 * (z / c + c * np.linalg.inv(z))
+            step = np.linalg.norm(new - z, 1) / np.linalg.norm(z, 1)
+            z = new
+            if step <= 1e-12 or (prev <= 1e-3 and step >= prev):
+                return z
+            prev = step
+    raise AssertionError("no convergence")
+
+
+def care(a, b, q, r):
+    """P from sign([[A, -G], [-Q, -A']]) by least squares, then up to 4
+    defect-correction steps, each kept only while it lowers |Res|. Returns P
+    and the number of steps kept."""
+    a, b, q, r = (np.asarray(m, dtype=float) for m in (a, b, q, r))
+    q, r = 0.5 * q + 0.5 * q.T, 0.5 * r + 0.5 * r.T
+    n, eye = len(a), np.eye(len(a))
+    g = b @ np.linalg.solve(r, b.T)
+
+    def defect(p):
+        res = a.T @ p + p @ a - p @ g @ p + q
+        res_norm, p_norm = np.linalg.norm(res), np.linalg.norm(p)
+        scale = (np.linalg.norm(q) + 2.0 * np.linalg.norm(a) * p_norm
+                 + np.linalg.norm(g) * p_norm ** 2)
+        return res, res_norm, res_norm / scale
+
+    s = matrix_sign(np.block([[a, -g], [-q, -a.T]]))
+    p = np.linalg.lstsq(np.vstack([s[:n, n:], s[n:, n:] + eye]),
+                        -np.vstack([s[:n, :n] + eye, s[n:, :n]]), rcond=None)[0]
+    p = 0.5 * (p + p.T)
+    res, res_norm, err = defect(p)
+    kept = 0
+    for _ in range(4):
+        if res_norm <= 1e-13 * max(1.0, np.linalg.norm(q)) or err <= np.finfo(float).eps:
+            break
+        a_cl = a - g @ p
+        s = matrix_sign(np.block([[a_cl.T, res], [np.zeros((n, n)), -a_cl]]))
+        polished = p + 0.25 * (s[:n, n:] + s[:n, n:].T)
+        candidate = defect(polished)
+        if not candidate[1] < res_norm:
+            break
+        p, (res, res_norm, err), kept = polished, candidate, kept + 1
+    return p, kept
+
+
 # -- LQR problems --------------------------------------------------------------
 
 def random_stabilizable_problem(rng):

@@ -28,7 +28,8 @@ from koopmankit import (
 from koopmankit import control, polynomials
 from koopmankit.control import _LqrProblem, _closed_loop, _run_loop
 
-from _reference import random_stabilizable_problem
+from _reference import care as reference_care
+from _reference import matrix_sign, random_stabilizable_problem
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -53,6 +54,55 @@ def test_scalar_analytic_riccati_solution():
 def test_zero_state_cost_with_stable_dynamics_gives_zero_p():
     p = solve_care(np.diag([-1.0, -0.5]), [[1.0], [1.0]], np.zeros((2, 2)), [[1.0]])
     np.testing.assert_array_equal(p, np.zeros((2, 2)))
+
+
+def test_zero_state_cost_on_a_hurwitz_lift_gives_exact_zero_p():
+    # P tends to 0 at the rounding floor here, where the backward error's
+    # denominator |Q| + 2|A||P| + |G||P|^2 vanishes with it; A - G 0 = A is
+    # Hurwitz, so P = 0 is the exact stabilizing solution
+    k = slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}).K
+    p = solve_care(k, [[0.0], [1.0], [0.0]], np.zeros((3, 3)), [[1.0]])
+    assert p.tobytes() == np.zeros((3, 3)).tobytes()
+
+
+def test_zero_state_cost_with_unstable_dynamics_takes_the_stabilizing_root():
+    # a = b = r = 1, q = 0: 2p - p^2 = 0 has roots 0 and 2; only p = 2 gives
+    # the Hurwitz loop a - p = -1
+    p = solve_care([[1.0]], [[1.0]], [[0.0]], [[1.0]])
+    assert abs(p[0, 0] - 2.0) <= 1e-12
+
+
+def _frobenius_cases():
+    rng = np.random.default_rng(8)
+    spread = 10.0 ** rng.uniform(-150.0, 150.0, (6, 5)) * rng.choice([-1.0, 1.0], (6, 5))
+    cases = {"one by one": np.array([[-3.5]]), "zeros": np.zeros((4, 4)),
+             "spread": spread, "spread fortran": np.asfortranarray(spread)}
+    for seed in range(4):
+        x = rng.standard_normal((9, 7))
+        cases[f"c {seed}"] = x
+        cases[f"fortran {seed}"] = np.asfortranarray(x)
+        cases[f"transposed {seed}"] = rng.standard_normal((7, 9)).T
+        cases[f"strided {seed}"] = rng.standard_normal((20, 15))[::2, ::-3]
+    return cases
+
+
+def test_private_norms_equal_numpys_bit_for_bit():
+    for name, x in _frobenius_cases().items():
+        assert control._fro(x).tobytes() == np.linalg.norm(x).tobytes(), name
+        assert control._norm1(abs(x)).tobytes() == np.linalg.norm(x, 1).tobytes(), name
+
+
+def test_frobenius_cases_tell_memory_order_from_c_order():
+    # numpy sums a Fortran-ordered or transposed matrix in memory order; a
+    # C-order ravel sums it in another order and misses its bits
+    def c_order(x):
+        v = x.ravel()
+        return np.sqrt(v.dot(v))
+
+    cases = _frobenius_cases()
+    for kind in ("fortran", "transposed"):
+        assert any(c_order(x) != np.linalg.norm(x)
+                   for name, x in cases.items() if name.startswith(kind)), kind
 
 
 def test_care_solution_is_symmetric_positive_semidefinite():
@@ -133,6 +183,32 @@ def test_care_graded_suite_against_scipy(m):
         ref = scipy_linalg.solve_continuous_are(a, b, q, r)
         ref_norm = np.linalg.norm(ref)
         assert np.linalg.norm(p - ref) / ref_norm <= 100.0 * eps * ref_norm
+
+
+@pytest.mark.parametrize("m", [3, 9, 20])
+def test_care_is_bit_identical_to_the_reference_solver(m):
+    # the workload's pairs, with a C-ordered, Fortran-ordered and as a
+    # transposed view: the norms must sum each in numpy's memory order
+    rng = np.random.default_rng(700 + m)
+    for _ in range(4):
+        a, b = random_lifted_size_pair(rng, m)
+        q, r = np.eye(m), np.eye(2)
+        h = np.block([[a, -b @ b.T], [-q, -a.T]])
+        assert control._matrix_sign(h).tobytes() == matrix_sign(h).tobytes()
+        for a_in in (a, np.asfortranarray(a), np.ascontiguousarray(a.T).T):
+            p = solve_care(a_in, b, q, r)
+            assert p.tobytes() == reference_care(a_in, b, q, r)[0].tobytes()
+
+
+def test_polished_care_is_bit_identical_to_the_reference_solver():
+    rng = np.random.default_rng(99)
+    polished = 0
+    for _ in range(20):
+        a, b, q, r = random_stabilizable_problem(rng)
+        ref, kept = reference_care(a, b, q, r)
+        polished += kept > 0
+        assert solve_care(a, b, q, r).tobytes() == ref.tobytes()
+    assert polished  # the defect-correction steps ran
 
 
 def test_care_refuses_an_unstabilizable_lifted_size_pair():
