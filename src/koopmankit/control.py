@@ -163,31 +163,35 @@ def solve_care(a, b, q, r) -> np.ndarray:
 
     S = sign(H) of the Hamiltonian H = [[A, -G], [-Q, -A']], G = B R^-1 B',
     gives P from the least-squares solve [S12; S22 + I] P = -[S11 + I; S21].
-    Unless P is already at the rounding floor, Newton steps in
-    defect-correction form polish it: P <- P + X with
-    A_cl' X + X A_cl = -Res(P), each Lyapunov solve read off
+    The closed loop is A - B K with the one gain K = (R^-1 B') P, which
+    :func:`lqr_gain` returns. Unless P is already at the rounding floor,
+    Newton steps in defect-correction form polish it: P <- P + X with
+    A_cl' X + X A_cl = -Res(P), A_cl = A - B K, each Lyapunov solve read off
     sign([[A_cl', Res], [0, -A_cl]]) = [[-I, 2X], [0, I]]; the best residual
-    seen is kept. With Q = 0 and A Hurwitz, P = 0 is the exact stabilizing
-    solution (A - G 0 = A) and is returned without a sign iteration; Q = 0
-    with an A that is not Hurwitz takes the sign path like any other Q.
+    seen is kept. With Q = 0 and A Hurwitz, P = 0 (K = 0) is the exact
+    stabilizing solution, returned without a sign iteration; any other A
+    with Q = 0 takes the sign path.
     Raises :class:`NumericsError` if G is not finite, a sign iteration
-    fails, A - G P is not Hurwitz, or the relative backward error
+    fails, A - B K is not Hurwitz, or the relative backward error
     |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL`` or
-    cannot be measured because |Res| or its scale overflows.
+    cannot be measured because |Res| or its scale overflows. One of the 18
+    ``riccati`` benchmark pairs at m = 50 is refused: A - B K reads +0.68.
     """
-    return _care(_LqrProblem(a, b, q, r))
+    return _care(_LqrProblem(a, b, q, r))[0]
 
 
-def _care(prob: _LqrProblem) -> np.ndarray:
+def _care(prob: _LqrProblem):
+    """(P, K) of :func:`solve_care`, K = (R^-1 B') P the gain of the loop it gates."""
     a, b, q, r = prob.a, prob.b, prob.q, prob.r
     n = prob.n
     with np.errstate(over="ignore", invalid="ignore"):
-        g = b @ np.linalg.solve(r, b.T)
+        rinv_bt = np.linalg.solve(r, b.T)
+        g = b @ rinv_bt  # only the Hamiltonian and the residual read G
         a_norm, g_norm, q_norm = _fro(a), _fro(g), _fro(q)
     if not np.isfinite(g).all():
         raise NumericsError("G = B R^-1 B' is not finite: R is too close to singular")
     if not q.any() and np.linalg.eigvals(a).real.max() < 0.0:
-        return np.zeros((n, n))  # A - G 0 = A is Hurwitz, so P = 0 solves exactly
+        return np.zeros((n, n)), np.zeros(rinv_bt.shape)  # K = 0 and A is Hurwitz: P = 0 is exact
     eye = np.eye(n)
 
     def defect(p):
@@ -221,7 +225,7 @@ def _care(prob: _LqrProblem) -> np.ndarray:
     for _ in range(_POLISH_STEPS):
         if res_norm <= floor or err <= np.finfo(float).eps:
             break
-        a_cl = a - g @ p
+        a_cl = a - b @ (rinv_bt @ p)
         h[:n, :n] = a_cl.T  # [[A_cl', Res], [0, -A_cl]]
         h[:n, n:] = res
         h[n:, :n] = 0.0
@@ -233,10 +237,11 @@ def _care(prob: _LqrProblem) -> np.ndarray:
             break
         p, (res, res_norm, err) = polished, candidate
 
-    growth = float(np.linalg.eigvals(a - g @ p).real.max())
+    k = rinv_bt @ p
+    growth = float(np.linalg.eigvals(a - b @ k).real.max())
     if not growth < 0.0:
         raise NumericsError(
-            f"closed loop A - G P is not Hurwitz (largest real part {growth:.3e}, "
+            f"closed loop A - B K is not Hurwitz (largest real part {growth:.3e}, "
             f"|P| = {_fro(p):.3e}); the pair may not be stabilizable"
         )
     if not err <= _BACKWARD_ERROR_TOL:
@@ -244,17 +249,13 @@ def _care(prob: _LqrProblem) -> np.ndarray:
             f"Riccati relative backward error {err:.3e} exceeds {_BACKWARD_ERROR_TOL:g} "
             f"(residual {res_norm:.3e}, |P| = {_fro(p):.3e})"
         )
-    return p
+    return p, k
 
 
 def lqr_gain(a, b, q, r):
-    """Optimal feedback u = -C x. Returns (C, P)."""
-    return _lqr(_LqrProblem(a, b, q, r))
-
-
-def _lqr(prob: _LqrProblem):
-    p = _care(prob)
-    return np.linalg.solve(prob.r, prob.b.T @ p), p
+    """Optimal feedback u = -C x, C = (R^-1 B') P. Returns (C, P)."""
+    p, gain = _care(_LqrProblem(a, b, q, r))
+    return gain, p
 
 
 def pbh_unstabilizable_modes(a, b):
@@ -335,7 +336,7 @@ def kooc_synthesize(model: KoopmanModel, b_lifted, q_state, r) -> KoocController
         return KoocController(model=model, gain=np.zeros((prob.b.shape[1], prob.n)),
                               p=np.zeros((prob.n, prob.n)))
 
-    gain, p = _lqr(prob)
+    p, gain = _care(prob)
     return KoocController(model=model, gain=gain, p=p)
 
 
@@ -464,10 +465,10 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     Both laws are :func:`kooc_synthesize` designs with the system's input
     map on the state rows: LQR on the state library x1..xn with the state
     block K[:n, :n], KOOC on the whole lift. Each closed loop is costed with
-    the inputs it actually applied (``ratio`` = KOOC/LQR final cost). A
-    second pair of series re-costs both trajectories with the LQR gain
-    substituted into the integrand — a convention some published
-    comparisons use — reported separately as the ``_script`` fields.
+    the inputs it actually applied (``ratio`` = KOOC/LQR final cost). The
+    ``_script`` fields re-cost the KOOC run with the LQR gain substituted
+    into the integrand, a convention some published comparisons use; the
+    LQR run applies that gain, so ``lqr_cost_script`` is ``lqr_cost``.
 
     The design, both gains and each closed loop compiled as one polynomial
     field, is kept from the last call and reused while the (system, model,
@@ -495,15 +496,14 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
 
     lqr_cost = _trapezoid_cost(lqr_traj, lqr_traj.inputs, q, r)
     kooc_cost = _trapezoid_cost(kooc_traj, kooc_traj.inputs, q, r)
-    lqr_script = _trapezoid_cost(lqr_traj, -(lqr_traj.states @ design.lqr_gain.T), q, r)
     kooc_script = _trapezoid_cost(kooc_traj, -(kooc_traj.states @ design.lqr_gain.T), q, r)
     ratio, ratio_script = (1.0 if j_lqr[-1] == 0.0 else float(j_kooc[-1]) / float(j_lqr[-1])
-                           for j_lqr, j_kooc in ((lqr_cost, kooc_cost), (lqr_script, kooc_script)))
+                           for j_lqr, j_kooc in ((lqr_cost, kooc_cost), (lqr_cost, kooc_script)))
 
     return ComparisonResult(
         lqr_traj=lqr_traj, kooc_traj=kooc_traj,
         lqr_cost=lqr_cost, kooc_cost=kooc_cost, ratio=ratio,
-        lqr_cost_script=lqr_script, kooc_cost_script=kooc_script,
+        lqr_cost_script=lqr_cost, kooc_cost_script=kooc_script,
         ratio_script=ratio_script, lqr_gain=design.lqr_gain.copy(),
         kooc_controller=KoocController(model=model, gain=design.kooc_gain.copy(),
                                        p=design.kooc_p.copy()),

@@ -98,7 +98,7 @@ _MAP_STARTS = tuple((a, b) for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 
 #               count for a map);
 #   lift(params, rank) -> the closed-form lifted model;
 #   "ranked"    True where the lift is a Carleman truncation that rank sets;
-#   "manifold"  P of the slow manifold x2 = P(x1), where there is one;
+#   "manifold"  P of x2 = P(x1), where the fast state relaxes: the slow manifold only in the fast limit;
 #   "eigenfunctions"  name -> (eigenvalue, phi) for a closed-form scalar
 #               eigenfunction phi of x1 that the lift does not hold.
 _REGISTRY = {
@@ -121,7 +121,7 @@ _REGISTRY = {
     "discrete_manifold": {
         **_slow_manifold(_PARABOLA, time_kind=DISCRETE),
         "defaults": {"mu": 0.9, "lambda": 0.1},
-        "description": "discrete 2-state map contracting onto x2 = x1^2 (multipliers mu slow, lambda fast)",
+        "description": "discrete 2-state map with slow manifold x2 = (1 - lambda)/(mu^2 - lambda)*x1^2 (mu slow, lambda fast)",
         "x0": (1.5, -1.0),
         "training": (_MAP_STARTS, 40),
     },

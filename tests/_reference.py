@@ -1,5 +1,6 @@
-"""Independent references for the bit-identity tests, one per kernel, and the
-seeded LQR problems that the Riccati tests share.
+"""Independent references for the bit-identity tests, one per kernel, the
+verdict a Riccati solution is judged by, and the seeded LQR problems that the
+Riccati tests and ``tools/oracles.py`` share.
 
 A reference recomputes a kernel's result in the plain order of its definition,
 without the package's code, so a change to the kernel cannot move it; from
@@ -11,6 +12,7 @@ algebra returns such dicts.
 import math
 import operator
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -257,12 +259,13 @@ def matrix_sign(z):
 
 def care(a, b, q, r):
     """P from sign([[A, -G], [-Q, -A']]) by least squares, then up to 4
-    defect-correction steps, each kept only while it lowers |Res|. Returns P
-    and the number of steps kept."""
+    defect-correction steps on the loop A - B K, K = (R^-1 B') P, each kept
+    only while it lowers |Res|. Returns P and the number of steps kept."""
     a, b, q, r = (np.asarray(m, dtype=float) for m in (a, b, q, r))
     q, r = 0.5 * q + 0.5 * q.T, 0.5 * r + 0.5 * r.T
     n, eye = len(a), np.eye(len(a))
-    g = b @ np.linalg.solve(r, b.T)
+    rinv_bt = np.linalg.solve(r, b.T)
+    g = b @ rinv_bt
 
     def defect(p):
         res = a.T @ p + p @ a - p @ g @ p + q
@@ -280,7 +283,7 @@ def care(a, b, q, r):
     for _ in range(4):
         if res_norm <= 1e-13 * max(1.0, np.linalg.norm(q)) or err <= np.finfo(float).eps:
             break
-        a_cl = a - g @ p
+        a_cl = a - b @ (rinv_bt @ p)
         s = matrix_sign(np.block([[a_cl.T, res], [np.zeros((n, n)), -a_cl]]))
         polished = p + 0.25 * (s[:n, n:] + s[:n, n:].T)
         candidate = defect(polished)
@@ -288,6 +291,25 @@ def care(a, b, q, r):
             break
         p, (res, res_norm, err), kept = polished, candidate, kept + 1
     return p, kept
+
+
+def care_verdict(a, b, q, r, p):
+    """How well ``p`` solves A'P + PA - P G P + Q = 0, G = B R^-1 B', computed
+    on C-ordered copies of every matrix, so that a problem's verdict does not
+    depend on the memory order of its input: ``residual`` |Res| (Frobenius),
+    ``backward_error`` |Res| / (|Q| + 2|A||P| + |G||P|^2), and ``growth``, the
+    largest real part of A - B R^-1 (B'P), nan if that loop is not finite."""
+    a, b, q, r, p = (np.ascontiguousarray(m, dtype=float) for m in (a, b, q, r, p))
+    with np.errstate(all="ignore"):
+        g = b @ np.linalg.solve(r, b.T)
+        res = float(np.linalg.norm(a.T @ p + p @ a - p @ g @ p + q))
+        p_norm = np.linalg.norm(p)
+        scale = (np.linalg.norm(q) + 2.0 * np.linalg.norm(a) * p_norm
+                 + np.linalg.norm(g) * p_norm ** 2)
+        err = res / scale if scale else (0.0 if res == 0.0 else math.inf)
+        loop = a - b @ np.linalg.solve(r, b.T @ p)
+        growth = np.linalg.eigvals(loop).real.max() if np.isfinite(loop).all() else math.nan
+    return SimpleNamespace(residual=res, backward_error=float(err), growth=float(growth))
 
 
 # -- LQR problems --------------------------------------------------------------
@@ -303,3 +325,14 @@ def random_stabilizable_problem(rng):
         if all(np.linalg.svd(pencil, compute_uv=False)[-1] >= 0.2 for pencil in pencils):
             g, h = rng.standard_normal((n, n)), rng.standard_normal((q_in, q_in))
             return a, b, g.T @ g, h.T @ h + q_in * np.eye(q_in)
+
+
+def random_scaled_problem(rng):
+    """Gaussian (A, B, Q, R) with n = 1-11 states and 1-3 inputs, Q = G'G and
+    R = H'H + k I, each of A, B, Q and R scaled by 10^u with u uniform in [-3, 3]."""
+    n, k = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, k))
+    g, h = rng.standard_normal((n, n)), rng.standard_normal((k, k))
+    q, r = g.T @ g, h.T @ h + k * np.eye(k)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, 4)
+    return a * scale[0], b * scale[1], q * scale[2], r * scale[3]

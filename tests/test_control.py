@@ -1,5 +1,6 @@
 """Tests for the Riccati solver, LQR/KOOC synthesis, and cost comparison."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -29,16 +30,9 @@ from koopmankit import control, polynomials
 from koopmankit.control import _LqrProblem, _closed_loop, _run_loop
 
 from _reference import care as reference_care
-from _reference import matrix_sign, random_stabilizable_problem
+from _reference import care_verdict, matrix_sign, random_scaled_problem, random_stabilizable_problem
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
-
-
-def care_residual(a, b, q, r, p) -> float:
-    """Frobenius norm of A'P + PA - P B R^-1 B' P + Q."""
-    rinv_bt = np.linalg.solve(r, b.T)
-    res = a.T @ p + p @ a - p @ b @ rinv_bt @ p + q
-    return float(np.linalg.norm(res))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +113,7 @@ def test_care_residual_gate_on_random_suite():
         a, b, q, r = random_stabilizable_problem(rng)
         p = solve_care(a, b, q, r)
         gate = 1e-8 * max(1.0, np.linalg.norm(q))
-        assert care_residual(a, b, q, r, p) <= gate
+        assert care_verdict(a, b, q, r, p).residual <= gate
 
 
 def test_care_matches_scipy_reference():
@@ -149,14 +143,6 @@ def test_care_unstabilizable_problem_raises():
 # CARE solver at lifted sizes, graded against the scipy oracle
 # ---------------------------------------------------------------------------
 
-def care_backward_error(a, b, q, r, p):
-    """Relative backward error |Res| / (|Q| + 2|A||P| + |G||P|^2), G = B R^-1 B'."""
-    g = b @ np.linalg.solve(r, b.T)
-    res = a.T @ p + p @ a - p @ g @ p + q
-    norm = np.linalg.norm
-    return norm(res) / (norm(q) + 2.0 * norm(a) * norm(p) + norm(g) * norm(p) ** 2)
-
-
 def random_lifted_size_pair(rng, m):
     return rng.standard_normal((m, m)) / np.sqrt(m), rng.standard_normal((m, 2))
 
@@ -177,9 +163,8 @@ def test_care_graded_suite_against_scipy(m):
         a, b = random_lifted_size_pair(rng, m)
         q, r = np.eye(m), np.eye(2)
         p = solve_care(a, b, q, r)
-        assert care_backward_error(a, b, q, r, p) <= 1e-8
-        gain = np.linalg.solve(r, b.T @ p)
-        assert np.max(np.linalg.eigvals(a - b @ gain).real) < 0
+        verdict = care_verdict(a, b, q, r, p)
+        assert verdict.backward_error <= 1e-8 and verdict.growth < 0
         ref = scipy_linalg.solve_continuous_are(a, b, q, r)
         ref_norm = np.linalg.norm(ref)
         assert np.linalg.norm(p - ref) / ref_norm <= 100.0 * eps * ref_norm
@@ -188,27 +173,43 @@ def test_care_graded_suite_against_scipy(m):
 @pytest.mark.parametrize("m", [3, 9, 20])
 def test_care_is_bit_identical_to_the_reference_solver(m):
     # the workload's pairs, with a C-ordered, Fortran-ordered and as a
-    # transposed view: the norms must sum each in numpy's memory order
+    # transposed view: the norms must sum each in numpy's memory order, and
+    # every layout gives the C-ordered P's bits
     rng = np.random.default_rng(700 + m)
     for _ in range(4):
         a, b = random_lifted_size_pair(rng, m)
         q, r = np.eye(m), np.eye(2)
         h = np.block([[a, -b @ b.T], [-q, -a.T]])
         assert control._matrix_sign(h).tobytes() == matrix_sign(h).tobytes()
+        c_order = solve_care(a, b, q, r).tobytes()
         for a_in in (a, np.asfortranarray(a), np.ascontiguousarray(a.T).T):
             p = solve_care(a_in, b, q, r)
-            assert p.tobytes() == reference_care(a_in, b, q, r)[0].tobytes()
+            assert p.tobytes() == reference_care(a_in, b, q, r)[0].tobytes() == c_order
 
 
 def test_polished_care_is_bit_identical_to_the_reference_solver():
     rng = np.random.default_rng(99)
+    problems = [random_stabilizable_problem(rng) for _ in range(20)]
+    # two polish steps whose P bits move if the loop is formed as A - G P, G = B R^-1 B'
+    problems.append(random_scaled_problem(np.random.default_rng(54)))
     polished = 0
-    for _ in range(20):
-        a, b, q, r = random_stabilizable_problem(rng)
+    for a, b, q, r in problems:
         ref, kept = reference_care(a, b, q, r)
         polished += kept > 0
         assert solve_care(a, b, q, r).tobytes() == ref.tobytes()
     assert polished  # the defect-correction steps ran
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 6, 7, 8])
+def test_care_solves_ill_conditioned_pairs_at_m_50(seed):
+    # |P| is 1e11-2e12 here. Rounding in G P, with G = B R^-1 B' formed first,
+    # lands outside range(B) and moves these very non-normal loops'
+    # eigenvalues by O(1), so only A - B K tells that they are Hurwitz
+    a, b = random_lifted_size_pair(np.random.default_rng(seed), 50)
+    q, r = np.eye(50), np.eye(2)
+    gain, p = lqr_gain(a, b, q, r)
+    assert care_verdict(a, b, q, r, p).backward_error <= 1e-8
+    assert np.linalg.eigvals(a - b @ gain).real.max() < 0
 
 
 def test_care_refuses_an_unstabilizable_lifted_size_pair():
@@ -329,7 +330,7 @@ def test_pbh_ignores_uncontrollable_stable_mode():
     b = np.array([[0.0], [1.0]])
     assert pbh_unstabilizable_modes(a, b) == []
     p = solve_care(a, b, np.eye(2), [[1.0]])
-    assert care_residual(a, b, np.eye(2), [[1.0]], p) < 1e-8
+    assert care_verdict(a, b, np.eye(2), [[1.0]], p).residual < 1e-8
 
 
 def test_pbh_agrees_with_care_solvability():
@@ -346,7 +347,7 @@ def test_pbh_agrees_with_care_solvability():
         bad = pbh_unstabilizable_modes(a, b)
         try:
             p = solve_care(a, b, np.eye(n), [[1.0]])
-            solvable = care_residual(a, b, np.eye(n), [[1.0]], p) < 1e-6
+            solvable = care_verdict(a, b, np.eye(n), [[1.0]], p).residual < 1e-6
         except NumericsError:
             solvable = False
         assert solvable == (len(bad) == 0)
@@ -513,6 +514,39 @@ def test_kooc_controller_stabilizes_where_lqr_diverges_less():
         assert abs(traj.states[-1, 1]) < 0.5  # x2 pulled down from 5
     # KOOC anticipates the x1^2 forcing, LQR absorbs it after the fact
     assert comp.kooc_cost[-1] < comp.lqr_cost[-1]
+
+
+def cost_matrices(comp, model):
+    """(P, X): from x0, the infinite-horizon costs of the KOOC and LQR laws on
+    kooc_demo's exact lift are Theta0' P Theta0 and Theta0' X Theta0, Theta0 =
+    (x1, x2, x1^2). The lifted input map B~ = [0, 1, 0]' is constant, so the
+    LQR law's lifted loop is linear, A_L = K - B~ [C 0], and X solves
+    A_L' X + X A_L + Q~ + [C 0]' R [C 0] = 0 (Q = I, R = 1)."""
+    law = np.hstack([comp.lqr_gain, np.zeros((1, 1))])
+    loop = model.K - np.array([[0.0], [1.0], [0.0]]) @ law
+    x = scipy_linalg.solve_continuous_lyapunov(loop.T, -(np.diag([1.0, 1.0, 0.0]) + law.T @ law))
+    return comp.kooc_controller.p, x
+
+
+def test_integrated_costs_converge_to_their_closed_forms_at_second_order():
+    """Horizon 150 leaves a tail of about e^(-30) (x1 decays at mu = -0.1), so the
+    integrated costs miss the closed forms by the trapezoid rule's O(dt^2) error
+    alone, and that error quarters when dt halves."""
+    system, model = _demo_pair()
+    for x0 in ((1.0, 1.0), (-5.0, 5.0), (0.5, -2.0)):
+        theta0 = np.array([x0[0], x0[1], x0[0] ** 2])
+        errors = []
+        for dt in (0.01, 0.005):
+            comp = compare_lqr_kooc(system, model, np.eye(2), [[1.0]], x0, 150.0, dt)
+            p, x = cost_matrices(comp, model)
+            errors.append((comp.kooc_cost[-1] - theta0 @ p @ theta0,
+                           comp.lqr_cost[-1] - theta0 @ x @ theta0))
+        for ratio in np.divide(*errors):
+            assert 3.8 <= ratio <= 4.2, (x0, errors)
+    # KOOC is the optimal law of the lifted problem, so its cost is never above LQR's
+    for x1, x2 in itertools.product(np.linspace(-3.0, 3.0, 4), np.linspace(-3.0, 3.0, 3)):
+        theta0 = np.array([x1, x2, x1 ** 2])
+        assert theta0 @ p @ theta0 <= theta0 @ x @ theta0, (x1, x2)
 
 
 def test_kooc_gain_is_the_lqr_gain_of_the_lifted_problem():

@@ -9,6 +9,7 @@ from koopmankit import (
     CONTINUOUS,
     DegenerateSpectrum,
     Eigenfunction,
+    Polynomial,
     Trajectory,
     builtin,
     eigen_residual,
@@ -149,6 +150,33 @@ def test_continuous_eigenfunction_generator_identity():
     system = builtin("quad_manifold", mu=MU, lam=LAM)
     defect = poly.lie_derivative(system.equations) - LAM * poly
     assert max(map(abs, defect.terms.values()), default=0.0) < 1e-15
+
+
+@pytest.mark.parametrize("name", ["quad_manifold", "quartic_manifold", "discrete_manifold",
+                                  "tu_map", "kooc_demo", "limitation"])
+def test_each_slow_manifold_member_has_its_exact_manifold_as_an_eigenfunction(name):
+    """x1' = mu x1 and x2' = lam x2 + sum_N c_N x1^N, a flow or a map: phi = x2 -
+    sum_N b_N x1^N with b_N = c_N / (rate(N) - lam), rate(N) = N mu for a flow and
+    mu^N for a map, has L_f phi = lam phi (a flow) or phi o f = lam phi (a map).
+    Its zero set is the invariant slow manifold; x2 = P(x1) is one only in the
+    fast limit."""
+    system = builtin(name)
+    mu = system.equations[0].terms[(1, 0)]
+    assert system.equations[0].terms == {(1, 0): mu}
+    couplings = dict(system.equations[1].terms)
+    lam = couplings.pop((0, 1))
+    assert all(e[1] == 0 for e in couplings)
+    rate = (lambda n: n * mu) if system.time_kind == CONTINUOUS else (lambda n: mu ** n)
+    b = {e: c / (rate(e[0]) - lam) for e, c in couplings.items()}
+    phi = Polynomial(2, {(0, 1): 1.0, **{e: -b_n for e, b_n in b.items()}})
+    image = ref.advance(phi, system)
+    assert image.keys() == phi.terms.keys()
+    for e, c in phi.terms.items():
+        assert abs(image[e] - lam * c) <= 4 * np.finfo(float).eps * abs(lam * c), e
+    # discrete_manifold iterated from (1.5, -1) settles at x2 / x1^2 = 1.2676056
+    expected = {"quad_manifold": 1.0 / 0.9, "discrete_manifold": 0.9 / 0.71, "tu_map": 1.0}
+    if name in expected:
+        assert b[(2, 0)] == pytest.approx(expected[name], rel=1e-15)
 
 
 def test_named_observable_eigenfunction_on_center_manifold():

@@ -12,10 +12,11 @@ bytes. This is the Riccati slice of the oracle sweep in ROADMAP direction 4.
 
 The cases, each a call of ``koopmankit.solve_care(a, b, q, r)``:
 
-- ``fuzz/NNNN``: 3,000 seeded problems with n = 1-11 states and 1-3 inputs,
-  A Gaussian, Q = G'G, R = H'H + k I, each of A, B, Q and R scaled by
-  10^u with u uniform in [-3, 3]. One in six has B = 0, one in six Q = 0 and
-  one in six a skew-symmetric A.
+- ``fuzz/NNNN``: 3,000 seeded problems drawn in turn by
+  ``random_scaled_problem`` (n = 1-11 states and 1-3 inputs, A Gaussian,
+  Q = G'G, R = H'H + k I, each of A, B, Q and R scaled by 10^u with u
+  uniform in [-3, 3]). One in six has B = 0, one in six Q = 0 and one in
+  six a skew-symmetric A.
 - ``riccati/s<seed>/m<m>/<j>/<layout>``: the pairs of the ``riccati``
   benchmark workload (``perfbench/workloads.py``) for seeds 0-5, A =
   randn/sqrt(m), B = randn (m x 2), Q = I, R = I: the first timed pass at
@@ -31,9 +32,13 @@ the largest real part of the closed loop A - B R^-1 B' P; for a refusal,
 the exception's type and message. Beside either, when scipy imports, it
 holds ``scipy.linalg.solve_continuous_are``'s verdict on the same problem:
 the same backward error and whether that closed loop is Hurwitz, or the
-exception it raised. ``input`` records whether Q = 0 and the largest real
-part of A's eigenvalues. ``summary`` counts solves and refusals per group
-and size.
+exception it raised. Both verdicts are ``care_verdict``, and the fuzz
+problems ``random_scaled_problem``, from the ``tests/_reference.py`` beside
+this tool, not from TREE, so two trees are judged on one set of problems by
+one rule. The verdict is computed on C-ordered copies, so the three layouts
+of one problem share it whenever they share P. ``input`` records whether
+Q = 0 and the largest real part of A's eigenvalues. ``summary`` counts
+solves and refusals per group and size.
 """
 
 from __future__ import annotations
@@ -54,15 +59,10 @@ WORKLOAD_PROBE = ((35, 2), (50, 3))
 WORKLOAD_INPUTS = 2
 
 
-def _fuzz(np):
+def _fuzz(np, problem):
     rng = np.random.default_rng(FUZZ_SEED)
     for i in range(FUZZ_COUNT):
-        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 4))
-        a, b = rng.standard_normal((n, n)), rng.standard_normal((n, k))
-        g, h = rng.standard_normal((n, n)), rng.standard_normal((k, k))
-        q, r = g.T @ g, h.T @ h + k * np.eye(k)
-        scale = 10.0 ** rng.uniform(-3.0, 3.0, 4)
-        a, b, q, r = a * scale[0], b * scale[1], q * scale[2], r * scale[3]
+        a, b, q, r = problem(rng)
         variant = i % 6
         if variant == 3:
             b = np.zeros_like(b)
@@ -118,26 +118,11 @@ def _number(x):
     return x if x == x and abs(x) != float("inf") else repr(x)
 
 
-def _verdict(np, a, b, q, r, p):
-    """Backward error of ``p`` and the largest real part of A - B R^-1 B' P."""
-    a, b, q, r = (np.asarray(m, dtype=float) for m in (a, b, q, r))
-    with np.errstate(all="ignore"):
-        g = b @ np.linalg.solve(r, b.T)
-        res = a.T @ p + p @ a - p @ g @ p + q
-        norm = np.linalg.norm
-        res_norm = norm(res)
-        scale = norm(q) + 2.0 * norm(a) * norm(p) + norm(g) * norm(p) ** 2
-        err = res_norm / scale if scale else (0.0 if res_norm == 0 else float("inf"))
-        loop = a - b @ np.linalg.solve(r, b.T @ p)
-        growth = np.linalg.eigvals(loop).real.max() if np.isfinite(loop).all() else float("nan")
-    return err, growth
-
-
 def _refusal(exc):
     return {"refused": type(exc).__name__, "message": str(exc)}
 
 
-def _record(np, kk, care_ref, problem):
+def _record(np, kk, verdict, care_ref, problem):
     a, b, q, r = problem
     a_eigs = np.linalg.eigvals(np.asarray(a, dtype=float))
     record = {"input": {"q_zero": not np.asarray(q).any(),
@@ -147,10 +132,10 @@ def _record(np, kk, care_ref, problem):
     except Exception as exc:  # every refusal is recorded, typed or not
         record["koopmankit"] = _refusal(exc)
     else:
-        err, growth = _verdict(np, a, b, q, r, p)
+        judged = verdict(a, b, q, r, p)
         record["koopmankit"] = {"p_sha256": hashlib.sha256(p.tobytes()).hexdigest(),
-                                "backward_error": _number(err),
-                                "closed_loop_max_real": _number(growth)}
+                                "backward_error": _number(judged.backward_error),
+                                "closed_loop_max_real": _number(judged.growth)}
     if care_ref is not None:
         try:
             with np.errstate(all="ignore"):
@@ -158,8 +143,9 @@ def _record(np, kk, care_ref, problem):
         except Exception as exc:
             record["scipy"] = _refusal(exc)
         else:
-            err, growth = _verdict(np, a, b, q, r, p_ref)
-            record["scipy"] = {"backward_error": _number(err), "hurwitz": bool(growth < 0.0)}
+            judged = verdict(a, b, q, r, p_ref)
+            record["scipy"] = {"backward_error": _number(judged.backward_error),
+                               "hurwitz": bool(judged.growth < 0.0)}
     return record
 
 
@@ -175,9 +161,11 @@ def _summary(cases):
 
 def run(tree):
     sys.path.insert(0, str(pathlib.Path(tree).resolve() / "src"))
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
     import numpy as np
 
     import koopmankit as kk
+    from _reference import care_verdict, random_scaled_problem
     try:
         from scipy.linalg import solve_continuous_are as care_ref
         import scipy
@@ -185,8 +173,8 @@ def run(tree):
     except ImportError:
         care_ref, scipy_version = None, None
 
-    problems = [*_fuzz(np), *_workload(np), *_named(np, kk)]
-    cases = {name: _record(np, kk, care_ref, problem) for name, problem in problems}
+    problems = [*_fuzz(np, random_scaled_problem), *_workload(np), *_named(np, kk)]
+    cases = {name: _record(np, kk, care_verdict, care_ref, problem) for name, problem in problems}
     return {"numpy": np.__version__, "scipy": scipy_version, "cases": cases,
             "summary": _summary(cases)}
 
