@@ -58,12 +58,11 @@ from .lifting import (
     carleman_logistic,
     closure_residual,
     eval_library,
+    field_lift,
     monomials,
     project_states,
     propagate,
     slow_manifold_lift_ct,
-    slow_manifold_lift_dt,
-    tu_lift,
 )
 from .numerics import eig, lstsq
 from .polynomials import Polynomial, PolynomialMap, format_polynomial
@@ -113,6 +112,7 @@ __all__ = [
     "eigenfunctions",
     "eigen_residual",
     "eval_library",
+    "field_lift",
     "format_polynomial",
     "integrate",
     "invariance_residual",
@@ -136,10 +136,8 @@ __all__ = [
     "sindy",
     "slow_manifold_field",
     "slow_manifold_lift_ct",
-    "slow_manifold_lift_dt",
     "slow_subspace_slope",
     "solve_care",
-    "tu_lift",
     "verify_eigenfunction",
     "write_trajectory",
 ]

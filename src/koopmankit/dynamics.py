@@ -260,8 +260,8 @@ def slow_manifold_field(mu, lam, poly):
 
 def _slow_manifold_equations(mu, lam, couplings):
     """Equations x1' = mu*x1, x2' = lam*x2 + sum c_N*x1^N, a flow's or a map's, of the slow-manifold
-    family member (mu, lam, couplings {N: c_N}, N whole, >= 2 and ascending);
-    ``lifting._slow_manifold_lift`` builds the member's exact lift from the same dict."""
+    family member (mu, lam, couplings {N: c_N}, N whole, >= 2 and ascending); ``lifting.field_lift``
+    reads the member's exact lift off them on [x1, x2, x1^N...]."""
     x2 = {(0, 1): lam, **{(n, 0): c for n, c in couplings.items()}}
     return Polynomial(2, {(1, 0): mu}), Polynomial(2, x2)
 

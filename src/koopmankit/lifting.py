@@ -1,10 +1,10 @@
-"""Observable libraries, closed-form Koopman lifts, and truncated Carleman matrices.
+"""Observable libraries, Koopman lifts read off the field, and truncated Carleman matrices.
 
 Every observable is a polynomial. A lift packages an observable library
-together with the square matrix that advances it, as a :class:`KoopmanModel`.
-For the slow-manifold family the matrix closes exactly on the library;
-:func:`closure_residual` verifies that symbolically, with zero residual, by
-comparing polynomial coefficients.
+together with the square matrix that advances it, as a :class:`KoopmanModel`;
+:func:`field_lift` reads that matrix off the field. For the slow-manifold family the matrix
+closes exactly on the library; :func:`closure_residual` verifies that
+symbolically, with zero residual, by comparing polynomial coefficients.
 Carleman constructions are truncations: rows within the retained rank are
 exact, and the neglected monomials are the truncation error.
 """
@@ -141,40 +141,36 @@ class KoopmanModel:
         return tuple(range(self.state_dim))
 
 
+def field_lift(library: ObservableLibrary, system):
+    """The lift of ``system`` on a library of monomials, read off the field: K[i, j] is the
+    coefficient of observable j in observable i's exact advance. Advance terms on no observable
+    are dropped; their largest size is :func:`closure_residual`, 0 for an invariant library.
+    An entry that is not a single monomial with coefficient 1.0 raises ``ValueError``."""
+    if system.dim != library.dim:
+        raise ValueError("state dimension mismatch")
+    if bad := [obs for obs in library.observables if not obs.is_monomial()]:
+        raise ValueError(f"observable {format_polynomial(bad[0])} is not a monomial")
+    column = {obs.exponents(): j for j, obs in enumerate(library.observables)}
+    k = np.zeros((len(library), len(library)))
+    for i, advance in enumerate(_advances(library.observables, system)):
+        for exps, coeff in advance.terms.items():
+            if exps in column:
+                k[i, column[exps]] = coeff
+    return KoopmanModel(library, k, system.time_kind)
+
+
+def _slow_manifold_library(exponents):
+    """[x1, x2, x1^N1, ...], the exponents N ascending: the invariant library of the
+    slow-manifold family member whose couplings sit on those powers of x1."""
+    return ObservableLibrary(2, ((1, 0), (0, 1), *((n, 0) for n in sorted(exponents))))
+
+
 def slow_manifold_lift_ct(mu, lam, poly):
-    """Exact lift of dx1/dt = mu*x1, dx2/dt = lam*(x2 - P(x1)).
-
-    P is given as {exponent: coefficient}. The library is
-    [x1, x2, x1^N1, ..., x1^NM] with exponents ascending, and K is
-    diag(mu, lam, mu*N1, ..., mu*NM) plus row-2 couplings -a_i*lam.
-    """
-    return _slow_manifold_lift(mu, lam, dynamics._manifold_couplings(lam, poly, CONTINUOUS), CONTINUOUS)
-
-
-def slow_manifold_lift_dt(mu, lam, poly):
-    """Exact lift of the discrete family x1 -> mu*x1, x2 -> lam*x2 + (1-lam)*P(x1): the
-    continuous lift's library, the multipliers mu, lam, mu^N1, ... on the diagonal of K, and
-    row-2 couplings a_i*(1-lam)."""
-    return _slow_manifold_lift(mu, lam, dynamics._manifold_couplings(lam, poly, DISCRETE), DISCRETE)
-
-
-def tu_lift(lam, mu):
-    """Exact lift of x1 -> lam*x1, x2 -> mu*x2 + (lam^2 - mu)*x1^2, the discrete family
-    member with couplings {2: lam^2 - mu}: K = [[lam, 0, 0], [0, mu, lam^2 - mu], [0, 0, lam^2]]."""
-    return _slow_manifold_lift(lam, mu, dynamics._tu_couplings(lam, mu), DISCRETE)
-
-
-def _slow_manifold_lift(mu, lam, couplings, time_kind):
-    """Exact lift of the family member (mu, lam, couplings) of ``dynamics._slow_manifold_equations``:
-    library [x1, x2, x1^N1, ...] and K = diag(mu, lam, rate(N1), ...) with row 2 the couplings
-    c_N1, ..., where rate(N) is mu*N in a flow and mu^N (``ipow``) in a map."""
-    m = 2 + len(couplings)
-    k = np.zeros((m, m))
-    k[0, 0], k[1, 1] = mu, lam
-    for i, (n, c) in enumerate(couplings.items(), 2):
-        k[1, i], k[i, i] = c, mu * n if time_kind == CONTINUOUS else ipow(mu, n)
-    library = ObservableLibrary(2, ((1, 0), (0, 1), *((n, 0) for n in couplings)))
-    return KoopmanModel(library, k, time_kind)
+    """Exact lift of dx1/dt = mu*x1, dx2/dt = lam*(x2 - P(x1)), P = {exponent: coefficient}, on
+    [x1, x2, x1^N1, ...], exponents ascending: K = diag(mu, lam, mu*N1, ...) plus row-2 couplings
+    -a_i*lam, read off the field, where an exactly zero entry is +0.0."""
+    system = dynamics.PolySystem(2, CONTINUOUS, dynamics.slow_manifold_field(mu, lam, poly))
+    return field_lift(_slow_manifold_library(poly), system)
 
 
 def carleman_logistic(r, rank):

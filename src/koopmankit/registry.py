@@ -1,7 +1,7 @@
 """The benchmark registry: each named system of the paper, known in one place.
 
 An entry holds a system's builder and defaults, its default start, horizon and
-identification training starts, and its closed-form lift. This module sits
+identification training starts, and its lift. This module sits
 above every numerical module, so builders and lifts call ``dynamics``,
 ``lifting`` and ``spectral`` directly; only ``cli`` and the package namespace
 import it.
@@ -13,7 +13,8 @@ import numpy as np
 
 from .dynamics import (CONTINUOUS, DISCRETE, PolySystem, _manifold_couplings, _slow_manifold_equations,
                        _tu_couplings, slow_manifold_field)
-from .lifting import carleman_center, carleman_logistic, slow_manifold_lift_ct, slow_manifold_lift_dt, tu_lift
+from .lifting import (_slow_manifold_library, carleman_center, carleman_logistic, field_lift,
+                      slow_manifold_lift_ct)
 from .polynomials import Polynomial
 from .spectral import rotate_model, rotation_matrix
 
@@ -31,14 +32,13 @@ def _exp_neg_inv(x):
 
 def _slow_manifold(poly, time_kind=CONTINUOUS, input_map=None):
     """Builder and exact lift of the slow-manifold system on x2 = P(x1), both from the one ``poly``."""
-    make = slow_manifold_lift_ct if time_kind == CONTINUOUS else slow_manifold_lift_dt
-
     def builder(p):
         couplings = _manifold_couplings(p["lambda"], poly, time_kind)
         equations = _slow_manifold_equations(p["mu"], p["lambda"], couplings)
         return PolySystem(2, time_kind, equations, params=p, input_map=input_map)
 
-    return {"builder": builder, "lift": lambda p, rank: make(p["mu"], p["lambda"], poly), "manifold": poly}
+    library = _slow_manifold_library(poly)
+    return {"builder": builder, "lift": lambda p, rank: field_lift(library, builder(p)), "manifold": poly}
 
 
 def _build_tu_map(p):
@@ -96,7 +96,8 @@ _MAP_STARTS = tuple((a, b) for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 
 #   "horizon"   the default end time of a flow, or a rule on x0;
 #   "training"  (identification starts, their horizon for a flow or step
 #               count for a map);
-#   lift(params, rank) -> the closed-form lifted model;
+#   lift(params, rank) -> the lifted model: read off the field, or a
+#               Carleman closed form;
 #   "ranked"    True where the lift is a Carleman truncation that rank sets;
 #   "manifold"  P of x2 = P(x1), where the fast state relaxes: the slow manifold only in the fast limit;
 #   "eigenfunctions"  name -> (eigenvalue, phi) for a closed-form scalar
@@ -105,7 +106,7 @@ _REGISTRY = {
     "quad_manifold": {
         **_slow_manifold(_PARABOLA),
         "defaults": {"mu": -0.05, "lambda": -1.0},
-        "description": "continuous 2-state flow with attracting quadratic slow manifold x2 = x1^2",
+        "description": "continuous 2-state flow with attracting quadratic slow manifold x2 = lambda/(lambda - 2*mu)*x1^2",
         "x0": (1.5, -1.0),
         "horizon": 10.0,
         "training": (_FLOW_STARTS, 10.0),
@@ -113,7 +114,8 @@ _REGISTRY = {
     "quartic_manifold": {
         **_slow_manifold({2: -2.0, 4: 1.0}),
         "defaults": {"mu": -0.05, "lambda": -1.0},
-        "description": "continuous 2-state flow whose slow manifold is the quartic x2 = x1^4 - 2*x1^2",
+        "description": "continuous 2-state flow whose slow manifold is the quartic "
+                       "x2 = lambda/(lambda - 4*mu)*x1^4 - 2*lambda/(lambda - 2*mu)*x1^2",
         "x0": (1.5, -1.0),
         "horizon": 10.0,
         "training": (_FLOW_STARTS, 10.0),
@@ -127,7 +129,7 @@ _REGISTRY = {
     },
     "tu_map": {
         "builder": _build_tu_map,
-        "lift": lambda p, rank: tu_lift(p["lambda"], p["mu"]),
+        "lift": lambda p, rank: field_lift(_slow_manifold_library(_PARABOLA), _build_tu_map(p)),
         "defaults": {"lambda": 0.9, "mu": 0.5},
         "description": "discrete quadratic map x1 -> lambda*x1, x2 -> mu*x2 + (lambda^2 - mu)*x1^2",
         "x0": (1.0, 1.0),

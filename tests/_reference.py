@@ -209,6 +209,24 @@ def closure_residual(model, system, truncate=False):
     return worst
 
 
+# -- the slow-manifold family's exact lift --------------------------------------
+
+def slow_manifold_lift(mu, lam, couplings, time_kind):
+    """The closed-form K of the family member x1' = mu*x1, x2' = lam*x2 + sum c_N*x1^N
+    on [x1, x2, x1^N1, ...], N ascending: diag(mu, lam, rate(N1), ...) with row 2 the
+    couplings c_N, where rate(N) is mu*N in a flow and the fold mu*mu*...*mu in a map.
+
+    An exactly zero coupling, rate or diagonal entry is +0.0, never -0.0: the
+    lift is read off the field, and a polynomial holds no zero term.
+    """
+    k = np.zeros((2 + len(couplings), 2 + len(couplings)))
+    k[0, 0], k[1, 1] = mu, lam
+    for i, n in enumerate(sorted(couplings), 2):
+        k[1, i] = couplings[n]
+        k[i, i] = mu * n if time_kind == CONTINUOUS else math.prod([mu] * n)
+    return k + 0.0  # -0.0 + 0.0 is +0.0, and every other entry keeps its bits
+
+
 # -- lifted propagation --------------------------------------------------------
 
 def block_loop(model, x0, steps, dt=None):

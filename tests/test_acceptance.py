@@ -15,6 +15,7 @@ import pytest
 from koopmankit import (
     CONTINUOUS,
     NotStabilizable,
+    ObservableLibrary,
     builtin,
     carleman_center,
     carleman_logistic,
@@ -24,6 +25,7 @@ from koopmankit import (
     eigen_residual,
     eigenfunctions,
     eval_library,
+    field_lift,
     integrate,
     iterate,
     kooc_synthesize,
@@ -34,7 +36,6 @@ from koopmankit import (
     sindy,
     slow_manifold_lift_ct,
     solve_care,
-    tu_lift,
     verify_eigenfunction,
 )
 
@@ -88,8 +89,8 @@ def test_criterion_2_closed_form_lift_exactness():
     errors.append(np.max(np.abs(project_states(quartic, lifted)
                                 - truth.states)))
 
-    tu = tu_lift(0.9, 0.5)
     tu_sys = builtin("tu_map")
+    tu = field_lift(ObservableLibrary(2, [(1, 0), (0, 1), (2, 0)]), tu_sys)
     residuals.append(closure_residual(tu, tu_sys))
     truth = iterate(tu_sys, [1.0, 2.0], 10)
     lifted = propagate(tu, [1.0, 2.0], steps=10)

@@ -14,6 +14,7 @@ from koopmankit import (
     CONTINUOUS,
     DISCRETE,
     DataSet,
+    ObservableLibrary,
     PolynomialMap,
     Trajectory,
     TrajectoryError,
@@ -21,6 +22,7 @@ from koopmankit import (
     carleman_logistic,
     dataset_from_trajectories,
     eval_library,
+    field_lift,
     integrate,
     invariance_residual,
     iterate,
@@ -30,13 +32,17 @@ from koopmankit import (
     save_sparse,
     sindy,
     slow_manifold_lift_ct,
-    tu_lift,
 )
 from koopmankit.artifacts import _library_from_json, _sparse_to_json
 from koopmankit.identification import MAX_ROUNDS, _differentiate_series, _sampled_advance
 from koopmankit.registry import _MAP_STARTS
 
 import _reference as ref
+
+
+def tu_model(lam=0.9, mu=0.5):
+    """The tu map's exact lift on [x1, x2, x1^2], read off the map."""
+    return field_lift(ObservableLibrary(2, [(1, 0), (0, 1), (2, 0)]), builtin("tu_map", lam=lam, mu=mu))
 
 
 def quad_training_data(lam=-1.0, dt=0.002):
@@ -205,7 +211,7 @@ def test_dmd_equals_pseudoinverse_formula():
 def test_dmd_on_lifted_tu_snapshots_recovers_the_lift():
     lam, mu = 0.9, 0.5
     system = builtin("tu_map", lam=lam, mu=mu)
-    lib = tu_lift(lam, mu).library
+    lib = tu_model(lam, mu).library
     cols = []
     cols_next = []
     for x0 in [(1.0, 1.0), (-0.5, 0.8), (0.3, -0.7), (1.2, 0.1)]:
@@ -216,7 +222,7 @@ def test_dmd_on_lifted_tu_snapshots_recovers_the_lift():
     # DMD on the lifted snapshots: the threshold-0 fit on the lift's own
     # three observables, which monomials(3, 1) names as states
     xi = _dmd(np.hstack(cols), np.hstack(cols_next))
-    np.testing.assert_allclose(xi, tu_lift(lam, mu).K, atol=1e-8)
+    np.testing.assert_allclose(xi, tu_model(lam, mu).K, atol=1e-8)
 
 
 def test_dmd_rejects_mismatched_shapes():
@@ -418,7 +424,7 @@ def test_invariance_residual_zero_trajectory_is_zero():
 
 
 def test_invariance_residual_discrete_exact_lift():
-    model = tu_lift(0.9, 0.5)
+    model = tu_model()
     traj = iterate(builtin("tu_map", lam=0.9, mu=0.5), [1.0, 1.0], 40)
     assert invariance_residual(model, traj) < 1e-12
 
@@ -559,4 +565,4 @@ def test_a_one_sample_map_trajectory_is_refused_everywhere_with_one_message():
     with pytest.raises(ValueError, match="at least 2 samples, got 1"):
         dataset_from_trajectories([traj], DISCRETE)
     with pytest.raises(ValueError, match="at least 2 samples, got 1"):
-        invariance_residual(tu_lift(0.9, 0.5), traj)
+        invariance_residual(tu_model(), traj)

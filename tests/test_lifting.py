@@ -23,6 +23,7 @@ from koopmankit import (
     carleman_logistic,
     closure_residual,
     eval_library,
+    field_lift,
     integrate,
     iterate,
     load_model,
@@ -33,8 +34,6 @@ from koopmankit import (
     save_model,
     slow_manifold_field,
     slow_manifold_lift_ct,
-    slow_manifold_lift_dt,
-    tu_lift,
 )
 from koopmankit.artifacts import _model_from_json, _model_to_json
 from koopmankit.lifting import _advances
@@ -122,7 +121,7 @@ def test_library_index_lookup():
 
 
 # ---------------------------------------------------------------------------
-# closed-form lifts: structure and exact closure
+# lifts read off the field: structure and exact closure
 # ---------------------------------------------------------------------------
 
 def test_quadratic_lift_matrix_structure():
@@ -147,13 +146,18 @@ def _family_inputs(seed):
     return inputs
 
 
-def _documented_lift(mu, lam, poly, rate, coupling):
-    """diag(mu, lam, rate(N1), ...) with row 2 the couplings coupling(a_i), as the docstrings give it."""
-    k = np.zeros((2 + len(poly), 2 + len(poly)))
-    k[0, 0], k[1, 1] = mu, lam
-    for i, n in enumerate(sorted(poly), 2):
-        k[1, i], k[i, i] = coupling(poly[n]), rate(n)
-    return k
+def _registry_model(name, **params):
+    """The registry's lift of ``name`` at ``params`` over its defaults, at rank 4."""
+    return _REGISTRY[name]["lift"](builtin(name, **params).params, 4)
+
+
+def _map_member(mu, lam, poly):
+    """The discrete family member x1 -> mu*x1, x2 -> lam*x2 + (1 - lam)*P(x1) and its
+    lift on [x1, x2, x1^N1, ...], read off the map."""
+    x2 = {(0, 1): lam, **{(n, 0): (1 - lam) * a for n, a in poly.items()}}
+    system = PolySystem(2, DISCRETE, (Polynomial(2, {(1, 0): mu}), Polynomial(2, x2)))
+    library = ObservableLibrary(2, ((1, 0), (0, 1), *((n, 0) for n in sorted(poly))))
+    return field_lift(library, system), system
 
 
 def test_quadratic_lift_closure_is_exactly_zero():
@@ -161,10 +165,10 @@ def test_quadratic_lift_closure_is_exactly_zero():
         model = slow_manifold_lift_ct(-0.05, lam, {2: 1.0})
         system = builtin("quad_manifold", mu=-0.05, lam=lam)
         assert closure_residual(model, system) == 0.0
-    # K's bytes pin the sign of each zero: lam = 0 couples a > 0 through -0.0
+    # K's bytes pin the sign of each zero: lam = 0 couples no x1^N, so those entries are +0.0
     for mu, lam, poly in _family_inputs(41):
         model = slow_manifold_lift_ct(mu, lam, poly)
-        expected = _documented_lift(mu, lam, poly, lambda n: mu * n, lambda a: -a * lam)
+        expected = ref.slow_manifold_lift(mu, lam, {n: -a * lam for n, a in poly.items()}, CONTINUOUS)
         assert model.K.tobytes() == expected.tobytes(), (mu, lam, poly)
         assert [o.exponents() for o in model.library.observables][2:] == [(n, 0) for n in sorted(poly)]
         system = PolySystem(2, CONTINUOUS, slow_manifold_field(mu, lam, poly))
@@ -188,27 +192,26 @@ def test_quartic_lift_closure_is_exactly_zero():
 
 def test_discrete_lift_closure_is_exactly_zero():
     mu, lam = 0.9, 0.1
-    model = slow_manifold_lift_dt(mu, lam, {2: 1.0})
+    model = _registry_model("discrete_manifold", mu=mu, lam=lam)
     system = builtin("discrete_manifold", mu=mu, lam=lam)
     assert closure_residual(model, system) == 0.0
     # x2 <- lam x2 + (1 - lam) a x1^2 family: row 2 coupling is a (1 - lam)
     assert model.K[1, 2] == (1 - lam) * 1.0
     assert model.K[2, 2] == mu**2
+    # K's bytes pin the sign of each zero: lam = 1 couples no x1^N, so those entries are +0.0
     for mu, lam, poly in _family_inputs(42):
-        model = slow_manifold_lift_dt(mu, lam, poly)
-        expected = _documented_lift(mu, lam, poly, lambda n: math.prod([mu] * n),
-                                    lambda a: a * (1 - lam))
+        model, system = _map_member(mu, lam, poly)
+        expected = ref.slow_manifold_lift(mu, lam, {n: a * (1 - lam) for n, a in poly.items()},
+                                          DISCRETE)
         assert model.K.tobytes() == expected.tobytes(), (mu, lam, poly)
-        x2 = {(0, 1): lam, **{(n, 0): (1 - lam) * a for n, a in poly.items()}}
-        system = PolySystem(2, DISCRETE, (Polynomial(2, {(1, 0): mu}), Polynomial(2, x2)))
         assert closure_residual(model, system) == 0.0
-        lift = slow_manifold_lift_dt(mu, lam, {2: 1.0})
+        lift = _registry_model("discrete_manifold", mu=mu, lam=lam)
         assert closure_residual(lift, builtin("discrete_manifold", mu=mu, lam=lam)) == 0.0
 
 
 def test_tu_lift_structure_and_closure():
     lam, mu = 0.9, 0.5
-    model = tu_lift(lam, mu)
+    model = _registry_model("tu_map", lam=lam, mu=mu)
     expected = np.array(
         [[lam, 0.0, 0.0], [0.0, mu, lam**2 - mu], [0.0, 0.0, lam**2]]
     )
@@ -217,10 +220,63 @@ def test_tu_lift_structure_and_closure():
     system = builtin("tu_map", lam=lam, mu=mu)
     assert closure_residual(model, system) == 0.0
     for mu, lam, _ in _family_inputs(43):  # lam = 0 makes lam^2 - mu exactly -mu
-        model = tu_lift(lam, mu)
-        expected = np.array([[lam, 0.0, 0.0], [0.0, mu, lam * lam - mu], [0.0, 0.0, lam * lam]])
+        model = _registry_model("tu_map", lam=lam, mu=mu)
+        expected = ref.slow_manifold_lift(lam, mu, {2: lam * lam - mu}, DISCRETE)
         assert model.K.tobytes() == expected.tobytes(), (lam, mu)
         assert closure_residual(model, builtin("tu_map", lam=lam, mu=mu)) == 0.0
+
+
+@pytest.mark.parametrize("name", ["quad_manifold", "quartic_manifold", "discrete_manifold",
+                                  "kooc_demo", "limitation", "tu_map"])
+def test_every_family_lift_is_the_reference_closed_form(name):
+    """Each family entry's lift, read off its field, has the bytes of the closed form, +0.0
+    wherever an entry is exactly zero; the inputs hold lam = 0 and lam = 1."""
+    systems = [builtin(name)] + [builtin(name, mu=mu, lam=lam) for mu, lam, _ in _family_inputs(44)]
+    for system in systems:
+        mu, lam = system.params["mu"], system.params["lambda"]
+        if name == "tu_map":  # x1 -> lam*x1, x2 -> mu*x2 + (lam^2 - mu)*x1^2
+            expected = ref.slow_manifold_lift(lam, mu, {2: lam * lam - mu}, DISCRETE)
+        else:
+            scale = -lam if system.time_kind == CONTINUOUS else 1.0 - lam
+            couplings = {n: scale * a for n, a in _REGISTRY[name]["manifold"].items()}
+            expected = ref.slow_manifold_lift(mu, lam, couplings, system.time_kind)
+        model = _registry_model(name, mu=mu, lam=lam)
+        assert model.K.tobytes() == expected.tobytes(), (mu, lam)
+        assert model.time_kind == system.time_kind
+
+
+@pytest.mark.parametrize("rank", range(1, 17))
+def test_the_carleman_closed_forms_are_the_field_read_off(rank):
+    """The logistic closed form is the field's K bit for bit where r^n rounds as the
+    composed powers do, and within 4 eps of max|K| elsewhere; dx/dt = x^2's always."""
+    for r in (3.5, 3.0, 2.0, 1.5):
+        field = field_lift(monomials(1, rank), builtin("logistic", r=r))
+        assert carleman_logistic(r, rank).K.tobytes() == field.K.tobytes(), r
+    for r in (3.7, 3.9, 0.7):
+        closed, field = carleman_logistic(r, rank).K, field_lift(monomials(1, rank), builtin("logistic", r=r)).K
+        assert np.max(np.abs(closed - field)) <= 4 * np.finfo(float).eps * np.max(np.abs(closed)), r
+    field = field_lift(monomials(1, rank), builtin("center_manifold"))
+    assert carleman_center(rank).K.tobytes() == field.K.tobytes()
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_a_field_lift_drops_exactly_its_truncation(rank):
+    """On monomials(2, r), x2' = x1^2 - x2 sends x2^r to r*x1^2*x2^(r-1) - r*x2^r: the
+    dropped terms have degree r + 1, and the largest coefficient is r."""
+    system = builtin("quad_manifold")
+    model = field_lift(monomials(2, rank), system)
+    assert closure_residual(model, system) == float(rank)
+    assert closure_residual(model, system, truncate=True) == 0.0
+
+
+def test_a_field_lift_refuses_an_entry_that_is_not_a_unit_monomial():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    system = builtin("quad_manifold")
+    for entry, name in ((x1 + x1 ** 2, "x1 \\+ x1\\^2"), (2.0 * x1 ** 2, "2\\*x1\\^2")):
+        with pytest.raises(ValueError, match=f"observable {name} is not a monomial"):
+            field_lift(ObservableLibrary(2, (x1, x2, entry)), system)
+    with pytest.raises(ValueError, match="state dimension mismatch"):
+        field_lift(monomials(1, 2), system)
 
 
 def test_lift_state_appends_observables():
@@ -233,7 +289,7 @@ def test_polynomial_exponents_must_be_at_least_two():
     # inf and NaN would otherwise escape int() as OverflowError and a bare ValueError
     for poly in ({1: 2.0}, {3: 1.0, 0: 2.0}, {2.5: 1.0}, {2: 1.0, 2.5: 3.0},
                  {math.inf: 1.0}, {math.nan: 1.0}, {2: 1.0, math.inf: 1.0}):
-        for build in (slow_manifold_lift_ct, slow_manifold_lift_dt, slow_manifold_field):
+        for build in (slow_manifold_lift_ct, slow_manifold_field):
             with pytest.raises(ValueError, match="exponents must be >= 2 and whole"):
                 build(-0.05, 1.0, poly)
 
@@ -259,7 +315,7 @@ def test_lifted_propagation_matches_nonlinear_simulation():
 
 def test_discrete_propagation_matches_map_iteration():
     lam, mu = 0.9, 0.5
-    model = tu_lift(lam, mu)
+    model = _registry_model("tu_map", lam=lam, mu=mu)
     system = builtin("tu_map", lam=lam, mu=mu)
     x0 = [1.0, 1.0]
     rolled = iterate(system, x0, 30)
@@ -269,7 +325,7 @@ def test_discrete_propagation_matches_map_iteration():
 
 
 def test_propagate_requires_matching_time_arguments():
-    model = tu_lift(0.9, 0.5)
+    model = _registry_model("tu_map")
     with pytest.raises(ValueError):
         propagate(model, [1.0, 1.0], t_end=5.0)  # discrete model wants steps
     ct = slow_manifold_lift_ct(-0.05, 1.0, {2: 1.0})
@@ -305,12 +361,11 @@ def _reference_loop(model, x0, n, step, width=None):
 
 
 def _registry_lift(name):
-    return _REGISTRY[name]["lift"](builtin(name).params, 4), _REGISTRY[name]["x0"]
+    return _registry_model(name), _REGISTRY[name]["x0"]
 
 
 MAP_LIFTS = {
-    "tu_lift": (tu_lift(0.9, 0.5), [1.0, 1.0]),
-    "slow_manifold_lift_dt": (slow_manifold_lift_dt(0.9, 0.1, {2: 1.0}), [1.5, -1.0]),
+    **{name: _registry_lift(name) for name in ("tu_map", "discrete_manifold")},
     **{f"carleman_logistic_{r}": (carleman_logistic(3.5, r), [0.5]) for r in range(2, 17)},
 }
 FLOW_LIFTS = {
@@ -761,7 +816,7 @@ def test_propagate_rejects_a_non_finite_start(bad):
     with pytest.raises(ValueError, match="x0 contains non-finite entries"):
         propagate(slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0}), [bad, 0.0], t_end=1.0)
     with pytest.raises(ValueError, match="x0 contains non-finite entries"):
-        propagate(tu_lift(0.9, 0.5), [0.0, bad], steps=3)
+        propagate(_registry_model("tu_map"), [0.0, bad], steps=3)
 
 
 @pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (-1.0, 0.01), (1.0, -0.01), (math.inf, 0.01)])
@@ -772,7 +827,7 @@ def test_propagate_rejects_a_non_positive_or_infinite_horizon_or_step(t_end, dt)
 
 def test_propagate_rejects_a_negative_step_count():
     with pytest.raises(ValueError, match="steps must be non-negative"):
-        propagate(tu_lift(0.9, 0.5), [1.0, 1.0], steps=-1)
+        propagate(_registry_model("tu_map"), [1.0, 1.0], steps=-1)
 
 
 @pytest.mark.parametrize("t_end, dt", [(1.0, 0.01), (0.7, 0.03), (2.0, 0.3), (1.0, 1 / 3),
@@ -902,10 +957,10 @@ def test_flow_propagation_is_bit_identical_to_the_while_loop_stack(model, x0, dt
     # start on the second axis keeps every sample finite
     (KoopmanModel(monomials(2, 1), np.array([[-500.0, 0.0], [0.0, -1.0]]), CONTINUOUS),
      [0.0, 1.0], 0.1),
-    (*MAP_LIFTS["tu_lift"], None),
-    (*MAP_LIFTS["slow_manifold_lift_dt"], None),
-], ids=["kooc_demo", "carleman_center_8", "rotated_quad", "cut stack", "tu_lift",
-        "slow_manifold_lift_dt"])
+    (*MAP_LIFTS["tu_map"], None),
+    (*MAP_LIFTS["discrete_manifold"], None),
+], ids=["kooc_demo", "carleman_center_8", "rotated_quad", "cut stack", "tu_map",
+        "discrete_manifold"])
 def test_propagate_writes_the_bits_of_the_block_loop_with_temporaries(model, x0, dt):
     for steps in (0, 1, 63, 64, 65, 5_000):
         if dt is None:

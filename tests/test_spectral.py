@@ -9,12 +9,14 @@ from koopmankit import (
     CONTINUOUS,
     DegenerateSpectrum,
     Eigenfunction,
+    ObservableLibrary,
     Polynomial,
     Trajectory,
     builtin,
     eigen_residual,
     eigenfunction_to_json,
     eigenfunctions,
+    field_lift,
     format_polynomial,
     integrate,
     iterate,
@@ -23,7 +25,6 @@ from koopmankit import (
     rotation_matrix,
     slow_manifold_lift_ct,
     slow_subspace_slope,
-    tu_lift,
     verify_eigenfunction,
 )
 from koopmankit.artifacts import _library_from_json
@@ -38,6 +39,11 @@ B_COEFF = LAM / (LAM - 2 * MU)  # 1/1.1 = 0.909090...
 
 def quad_model():
     return slow_manifold_lift_ct(MU, LAM, {2: 1.0})
+
+
+def tu_model(lam=0.9, mu=0.5):
+    """The tu map's exact lift on [x1, x2, x1^2], read off the map."""
+    return field_lift(ObservableLibrary(2, [(1, 0), (0, 1), (2, 0)]), builtin("tu_map", lam=lam, mu=mu))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +117,7 @@ def test_verify_eigenfunction_flags_wrong_eigenvalue():
 def test_discrete_eigenfunction_of_the_tu_lift():
     """Left vector (0, 1, -1) pairs x2 - x1^2 with the mu eigenvalue."""
     lam, mu = 0.9, 0.5
-    fns = eigenfunctions(tu_lift(lam, mu))
+    fns = eigenfunctions(tu_model(lam, mu))
     phi = next(f for f in fns if abs(f.eigenvalue - mu) < 1e-12)
     c = phi.coeffs.real
     assert abs(c[0]) < 1e-14
@@ -124,7 +130,7 @@ def test_discrete_eigenfunction_of_the_tu_lift():
 def test_verify_eigenfunction_rejects_on_manifold_start():
     # from (1, 1) the value x2 - x1^2 is zero for all time: only noise left
     lam, mu = 0.9, 0.5
-    fns = eigenfunctions(tu_lift(lam, mu))
+    fns = eigenfunctions(tu_model(lam, mu))
     phi = next(f for f in fns if abs(f.eigenvalue - mu) < 1e-12)
     traj = iterate(builtin("tu_map", lam=lam, mu=mu), [1.0, 1.0], 40)
     with pytest.raises(ValueError):
@@ -134,7 +140,7 @@ def test_verify_eigenfunction_rejects_on_manifold_start():
 def test_tu_eigenfunction_composition_identity():
     """phi(F(x)) = mu phi(x) holds at the coefficient level."""
     lam, mu = 0.9, 0.5
-    fns = eigenfunctions(tu_lift(lam, mu))
+    fns = eigenfunctions(tu_model(lam, mu))
     phi = next(f for f in fns if abs(f.eigenvalue - mu) < 1e-12)
     poly = phi.as_polynomial()
     system = builtin("tu_map", lam=lam, mu=mu)
@@ -207,7 +213,7 @@ def test_eigen_residual_refuses_values_that_vanish_identically(values):
 def test_eigen_residual_matches_verify_eigenfunction_bit_for_bit():
     flow = integrate(builtin("quad_manifold", mu=MU, lam=LAM), [1.5, -1.0], 10.0, dt=0.01)
     steps = iterate(builtin("tu_map", lam=0.9, mu=0.5), [1.0, 2.0], 40)
-    for model, traj in ((quad_model(), flow), (tu_lift(0.9, 0.5), steps)):
+    for model, traj in ((quad_model(), flow), (tu_model(), steps)):
         for fn in eigenfunctions(model):
             expected = verify_eigenfunction(fn, traj)
             assert eigen_residual(fn(traj.states.T), fn.eigenvalue, traj.times, fn.time_kind) == expected
@@ -361,13 +367,13 @@ def _reference_verify(fn, traj):
 def test_verify_eigenfunction_matches_the_reference_bit_for_bit():
     flow = integrate(builtin("quad_manifold", mu=MU, lam=LAM), [1.5, -1.0], 10.0, dt=0.01)
     steps = iterate(builtin("tu_map", lam=0.9, mu=0.5), [1.0, 2.0], 40)
-    for model, traj in ((quad_model(), flow), (tu_lift(0.9, 0.5), steps)):
+    for model, traj in ((quad_model(), flow), (tu_model(), steps)):
         for fn in eigenfunctions(model):
             assert verify_eigenfunction(fn, traj) == _reference_verify(fn, traj)
 
 
 def test_verify_eigenfunction_refuses_a_one_sample_map_trajectory():
-    fns = eigenfunctions(tu_lift(0.9, 0.5))
+    fns = eigenfunctions(tu_model())
     phi = next(f for f in fns if abs(f.eigenvalue - 0.5) < 1e-12)
     traj = Trajectory(times=np.zeros(1), states=np.array([[1.0, 2.0]]), inputs=None)
     with pytest.raises(ValueError, match="at least 2 samples, got 1"):
