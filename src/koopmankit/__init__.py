@@ -1,6 +1,6 @@
 """koopmankit: finite Koopman-invariant linear representations of nonlinear systems.
 
-Closed-form lifts for benchmark systems, truncated Carleman linearization,
+Exact lifts read off each benchmark system's field, truncated Carleman linearization,
 data-driven identification (sparse regression with subspace refinement; DMD
 is its threshold-0 fit on the linear library), Koopman eigenfunctions, and
 optimal control designed on the lifted linear model benchmarked against
@@ -54,8 +54,6 @@ from .identification import (
 from .lifting import (
     KoopmanModel,
     ObservableLibrary,
-    carleman_center,
-    carleman_logistic,
     closure_residual,
     eval_library,
     field_lift,
@@ -66,7 +64,7 @@ from .lifting import (
 )
 from .numerics import eig, lstsq
 from .polynomials import Polynomial, PolynomialMap, format_polynomial
-from .registry import builtin, registry_info, registry_names
+from .registry import builtin, carleman_center, carleman_logistic, registry_info, registry_names
 from .spectral import (
     Eigenfunction,
     eigen_residual,

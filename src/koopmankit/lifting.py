@@ -1,27 +1,29 @@
-"""Observable libraries, Koopman lifts read off the field, and truncated Carleman matrices.
+"""Observable libraries and Koopman lifts read off the field.
 
 Every observable is a polynomial. A lift packages an observable library
 together with the square matrix that advances it, as a :class:`KoopmanModel`;
-:func:`field_lift` reads that matrix off the field. For the slow-manifold family the matrix
-closes exactly on the library; :func:`closure_residual` verifies that
-symbolically, with zero residual, by comparing polynomial coefficients.
-Carleman constructions are truncations: rows within the retained rank are
-exact, and the neglected monomials are the truncation error.
+:func:`field_lift` reads that matrix off the field, and every lift on a
+library of monomials in the package is built that way, the Carleman
+truncations included. For the slow-manifold family the matrix closes exactly
+on the library; :func:`closure_residual` verifies that symbolically, with zero
+residual, by comparing polynomial coefficients. A Carleman truncation keeps
+the monomials up to its rank, and the dropped ones are its truncation error.
+Both functions read each library's advances from one slot on the library,
+which holds those along the last field it was advanced along.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb, isfinite
+from math import isfinite
 
 import numpy as np
 
 from . import dynamics
 from .dynamics import CONTINUOUS, DISCRETE, Trajectory
 from .exceptions import BlowUp
-from .polynomials import (Polynomial, PolynomialMap, _compose_all, _graded_lex, _linear_sum,
-                          format_polynomial, ipow)
+from .polynomials import Polynomial, PolynomialMap, _compose_all, _graded_lex, _linear_sum, format_polynomial
 
 
 def _as_observable(obs, dim):
@@ -43,7 +45,8 @@ class ObservableLibrary:
     An entry is a :class:`Polynomial` or an exponent sequence, read as that
     monomial. ``state_inclusive`` is read off the entries at construction:
     True when the first n are x1..xn. The entries are compiled into one
-    :class:`PolynomialMap` at construction.
+    :class:`PolynomialMap` at construction. The entries' advances along the last
+    field that :func:`field_lift` or :func:`closure_residual` read are kept with it.
     """
 
     dim: int
@@ -57,6 +60,7 @@ class ObservableLibrary:
         self._state_inclusive = obs[:self.dim] == tuple(Polynomial.variable(self.dim, i)
                                                         for i in range(self.dim))
         self._map = PolynomialMap(self.dim, obs)
+        self._advanced = None  # (field key, advances)
 
     def __len__(self):
         return len(self.observables)
@@ -152,7 +156,7 @@ def field_lift(library: ObservableLibrary, system):
         raise ValueError(f"observable {format_polynomial(bad[0])} is not a monomial")
     column = {obs.exponents(): j for j, obs in enumerate(library.observables)}
     k = np.zeros((len(library), len(library)))
-    for i, advance in enumerate(_advances(library.observables, system)):
+    for i, advance in enumerate(_library_advances(library, system)):
         for exps, coeff in advance.terms.items():
             if exps in column:
                 k[i, column[exps]] = coeff
@@ -173,40 +177,6 @@ def slow_manifold_lift_ct(mu, lam, poly):
     return field_lift(_slow_manifold_library(poly), system)
 
 
-def carleman_logistic(r, rank):
-    """Truncated Carleman matrix of the logistic map on [x, x^2, ..., x^rank].
-
-    Row n carries r^n times the alternating Pascal row: entry (n, n+k) is
-    (-1)^k * C(n, k) * r^n for k = 0..n, with columns beyond the rank dropped.
-    """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    k = np.zeros((rank, rank))
-    for n in range(1, rank + 1):
-        rn = ipow(r, n)
-        for j in range(n + 1):
-            col = n + j
-            if col > rank:
-                break
-            coeff = comb(n, j) * rn
-            k[n - 1, col - 1] = -coeff if j % 2 else coeff
-    return KoopmanModel(monomials(1, rank), k, DISCRETE)
-
-
-def carleman_center(rank):
-    """Truncated Carleman generator of dx/dt = x^2 on [x, x^2, ..., x^rank].
-
-    Superdiagonal entry (i, i+1) is i; the matrix is nilpotent, so every
-    truncation has determinant exactly zero.
-    """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    k = np.zeros((rank, rank))
-    for i in range(1, rank):
-        k[i - 1, i] = float(i)
-    return KoopmanModel(monomials(1, rank), k, CONTINUOUS)
-
-
 # ---------------------------------------------------------------------------
 # symbolic closure
 # ---------------------------------------------------------------------------
@@ -219,6 +189,16 @@ def _advances(observables, system):
     return _compose_all(observables, system.equations)
 
 
+def _library_advances(library, system):
+    """The library's advances along ``system``, formed once while the field repeats. The field's key
+    is its time kind and its equations' terms in dict order, the order the algebra reads them
+    in, so equal keys give equal bits; a field of another key replaces the library's one slot."""
+    key = (system.time_kind, tuple(tuple(eq.terms.items()) for eq in system.equations))
+    if library._advanced is None or library._advanced[0] != key:
+        library._advanced = (key, _advances(library.observables, system))
+    return library._advanced[1]
+
+
 def closure_residual(model: KoopmanModel, system, truncate=False):
     """Largest coefficient mismatch between each observable's advance and K·Theta.
 
@@ -229,10 +209,7 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
     monomials of the observables, so a library with a non-monomial
     observable such as x + x^2 keeps its x^2 terms.
 
-    The residual is absolute, so compare it with max|K|: an exact Carleman
-    truncation at non-dyadic r reads 9.5e-7 at r = 3.7 and 5.7e-6 at r = 3.9
-    (rank 16), as its binomial closed form and the composed powers round
-    differently, which is 1.2e-16 and 3.3e-16 of max|K|.
+    The residual is absolute, so compare it with max|K|.
 
     The two coefficient dicts are compared as they are, with no truncated,
     negated or difference polynomial built. ``lhs - rhs`` would add
@@ -249,7 +226,7 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
         raise ValueError("state dimension mismatch")
     retained = {e for o in model.library.observables for e in o.terms}
     worst = 0.0
-    for i, advance in enumerate(_advances(model.library.observables, system)):
+    for i, advance in enumerate(_library_advances(model.library, system)):
         lhs = advance.terms
         if truncate:
             lhs = {e: c for e, c in lhs.items() if e in retained}

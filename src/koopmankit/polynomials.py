@@ -6,9 +6,9 @@ is deterministic.
 
 Powers follow two rules, one per path:
 
-* Algebra (:func:`ipow`, ``Polynomial.__pow__``) multiplies by left folds,
-  ((a*a)*a)*..., so that the same product of factors yields bit-identical
-  results wherever a lift builder or the symbolic engine forms it.
+* Algebra (``Polynomial.__pow__``) multiplies by left folds, ((a*a)*a)*...,
+  so that the same product of factors yields bit-identical results wherever
+  the symbolic engine forms it; every lift is read off that engine's advances.
   Composition keeps that rule while forming each power of a component once:
   its power table holds p^e = p^(e-1) * p, the fold ``__pow__`` makes
   (``1.0 * c == c``), and one table serves every polynomial that one call
@@ -47,20 +47,6 @@ import math
 import operator
 
 import numpy as np
-
-
-def ipow(base: float, n: int) -> float:
-    """Left-fold integer power: ((base*base)*base)*...
-
-    Used instead of ``**`` wherever two code paths must agree on the exact
-    floating-point value of a repeated product.
-    """
-    if n < 0:
-        raise ValueError("negative exponent")
-    out = 1.0
-    for _ in range(n):
-        out = out * base
-    return out
 
 
 def _whole_exponents(exps):
@@ -185,7 +171,7 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, n):
-        # left-fold to match ipow's factor grouping
+        # a left fold, the grouping of composition's power table
         (n,) = _whole_exponents((n,))
         if n < 0:
             raise ValueError("negative exponent")

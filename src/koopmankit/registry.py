@@ -1,7 +1,9 @@
 """The benchmark registry: each named system of the paper, known in one place.
 
 An entry holds a system's builder and defaults, its default start, horizon and
-identification training starts, and its lift. This module sits
+identification training starts, and its lift, read off the builder's field;
+the Carleman truncations :func:`carleman_logistic` and :func:`carleman_center`
+are read off the logistic and dx/dt = x^2 builders. This module sits
 above every numerical module, so builders and lifts call ``dynamics``,
 ``lifting`` and ``spectral`` directly; only ``cli`` and the package namespace
 import it.
@@ -13,8 +15,7 @@ import numpy as np
 
 from .dynamics import (CONTINUOUS, DISCRETE, PolySystem, _manifold_couplings, _slow_manifold_equations,
                        _tu_couplings, slow_manifold_field)
-from .lifting import (_slow_manifold_library, carleman_center, carleman_logistic, field_lift,
-                      slow_manifold_lift_ct)
+from .lifting import _slow_manifold_library, field_lift, monomials, slow_manifold_lift_ct
 from .polynomials import Polynomial
 from .spectral import rotate_model, rotation_matrix
 
@@ -54,6 +55,28 @@ def _build_logistic(p):
 
 def _build_center_manifold(p):
     return PolySystem(1, CONTINUOUS, (Polynomial(1, {(2,): 1.0}),), params=p)
+
+
+def carleman_logistic(r, rank):
+    """Truncated Carleman matrix of the logistic map on [x, x^2, ..., x^rank], read off the field.
+
+    Row n is (r x - r x^2)^n as the map's powers compose it, r^n times the
+    alternating Pascal row at columns n..2n, with columns beyond the rank dropped.
+    """
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    return field_lift(monomials(1, rank), _build_logistic({"r": r}))
+
+
+def carleman_center(rank):
+    """Truncated Carleman generator of dx/dt = x^2 on [x, x^2, ..., x^rank], read off the field.
+
+    Superdiagonal entry (i, i+1) is i; the matrix is nilpotent, so every
+    truncation has determinant exactly zero.
+    """
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    return field_lift(monomials(1, rank), _build_center_manifold({}))
 
 
 def _build_rotated_quad(p):
@@ -96,8 +119,7 @@ _MAP_STARTS = tuple((a, b) for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 
 #   "horizon"   the default end time of a flow, or a rule on x0;
 #   "training"  (identification starts, their horizon for a flow or step
 #               count for a map);
-#   lift(params, rank) -> the lifted model: read off the field, or a
-#               Carleman closed form;
+#   lift(params, rank) -> the lifted model, read off the field;
 #   "ranked"    True where the lift is a Carleman truncation that rank sets;
 #   "manifold"  P of x2 = P(x1), where the fast state relaxes: the slow manifold only in the fast limit;
 #   "eigenfunctions"  name -> (eigenvalue, phi) for a closed-form scalar

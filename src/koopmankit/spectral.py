@@ -18,7 +18,7 @@ from . import numerics
 from .dynamics import CONTINUOUS, Trajectory
 from .exceptions import DegenerateSpectrum
 from .identification import _sampled_advance
-from .lifting import KoopmanModel, ObservableLibrary, eval_library, slow_manifold_lift_ct
+from .lifting import KoopmanModel, ObservableLibrary, eval_library
 from .polynomials import Polynomial
 
 
@@ -102,11 +102,14 @@ def _relative_defect(values, eigenvalue, times, time_kind, floor):
 # ---------------------------------------------------------------------------
 
 def _quad_shape(model: KoopmanModel):
-    """Extract (mu, lam) after checking that ``model`` is slow_manifold_lift_ct(mu, lam, {2: 1.0})."""
-    if model.time_kind != CONTINUOUS or model.library != slow_manifold_lift_ct(0.0, 0.0, {2: 1.0}).library:
+    """Extract (mu, lam) after checking that ``model`` is slow_manifold_lift_ct(mu, lam, {2: 1.0}):
+    the continuous lift on the unit monomials x1, x2, x1^2 with
+    K = [[mu, 0, 0], [0, lam, -lam], [0, 0, 2 mu]]."""
+    quad_library = [{(1, 0): 1.0}, {(0, 1): 1.0}, {(2, 0): 1.0}]
+    if model.time_kind != CONTINUOUS or [obs.terms for obs in model.library.observables] != quad_library:
         raise ValueError("unsupported model shape: expected the continuous lift on [x1, x2, x1^2]")
     mu, lam = model.K[0, 0], model.K[1, 1]
-    quad = slow_manifold_lift_ct(mu, lam, {2: 1.0}).K
+    quad = np.array([[mu, 0.0, 0.0], [0.0, lam, -lam], [0.0, 0.0, 2.0 * mu]])
     if not np.allclose(model.K, quad, rtol=1e-12, atol=1e-12 * max(1.0, abs(mu), abs(lam))):
         raise ValueError("unsupported model shape: matrix is not the quadratic-manifold lift")
     return mu, lam

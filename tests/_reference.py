@@ -227,6 +227,33 @@ def slow_manifold_lift(mu, lam, couplings, time_kind):
     return k + 0.0  # -0.0 + 0.0 is +0.0, and every other entry keeps its bits
 
 
+# -- the Carleman truncations -----------------------------------------------------
+
+def carleman_logistic(r, rank):
+    """The closed-form Carleman K of x -> r x - r x^2 on [x, ..., x^rank]: row n holds
+    (-1)^k C(n, k) r^n at column n + k, where r^n is the fold ((1 * r) * r) * ..., and
+    the columns beyond the rank are dropped. An exactly zero entry is +0.0."""
+    k = np.zeros((rank, rank))
+    for n in range(1, rank + 1):
+        rn = 1.0
+        for _ in range(n):
+            rn = rn * r
+        for j in range(n + 1):
+            if n + j <= rank:
+                coeff = math.comb(n, j) * rn
+                k[n - 1, n + j - 1] = -coeff if j % 2 else coeff
+    return k + 0.0
+
+
+def carleman_center(rank):
+    """The closed-form Carleman K of dx/dt = x^2 on [x, ..., x^rank]: d/dt x^i = i x^(i+1),
+    so entry (i, i+1) is i and every other entry is zero."""
+    k = np.zeros((rank, rank))
+    for i in range(1, rank):
+        k[i - 1, i] = float(i)
+    return k
+
+
 # -- lifted propagation --------------------------------------------------------
 
 def block_loop(model, x0, steps, dt=None):

@@ -247,16 +247,46 @@ def test_every_family_lift_is_the_reference_closed_form(name):
 
 @pytest.mark.parametrize("rank", range(1, 17))
 def test_the_carleman_closed_forms_are_the_field_read_off(rank):
-    """The logistic closed form is the field's K bit for bit where r^n rounds as the
-    composed powers do, and within 4 eps of max|K| elsewhere; dx/dt = x^2's always."""
-    for r in (3.5, 3.0, 2.0, 1.5):
-        field = field_lift(monomials(1, rank), builtin("logistic", r=r))
-        assert carleman_logistic(r, rank).K.tobytes() == field.K.tobytes(), r
+    """The logistic builder, read off the field, is the binomial closed form bit for bit where
+    r^n rounds as the composed powers do (+0.0 for every zero at r = 0), and within 4 eps of
+    max|K| elsewhere; dx/dt = x^2's is its closed form always."""
+    for r in (3.5, 3.0, 2.0, 1.5, -2.5, 4.0, 0.0):
+        model = carleman_logistic(r, rank)
+        assert model.K.tobytes() == ref.carleman_logistic(r, rank).tobytes(), r
+        assert model.library == monomials(1, rank) and model.time_kind == DISCRETE
     for r in (3.7, 3.9, 0.7):
-        closed, field = carleman_logistic(r, rank).K, field_lift(monomials(1, rank), builtin("logistic", r=r)).K
+        closed, field = ref.carleman_logistic(r, rank), carleman_logistic(r, rank).K
         assert np.max(np.abs(closed - field)) <= 4 * np.finfo(float).eps * np.max(np.abs(closed)), r
-    field = field_lift(monomials(1, rank), builtin("center_manifold"))
-    assert carleman_center(rank).K.tobytes() == field.K.tobytes()
+    model = carleman_center(rank)
+    assert model.K.tobytes() == ref.carleman_center(rank).tobytes()
+    assert model.library == monomials(1, rank) and model.time_kind == CONTINUOUS
+
+
+def test_a_carleman_rank_below_1_is_refused():
+    for build in (lambda: carleman_logistic(3.5, 0), lambda: carleman_center(-1)):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            build()
+
+
+def test_a_library_keeps_the_advances_of_the_last_field_it_was_advanced_along():
+    """One library advanced along r = 3.5, 3.7 and 3.5 again reads each lift and residual with the
+    bits of a fresh library; a flow and a map with equal equation terms get their own advances."""
+    shared = monomials(1, 6)
+    for r in (3.5, 3.7, 3.5):
+        system = builtin("logistic", r=r)
+        model, fresh = field_lift(shared, system), field_lift(monomials(1, 6), system)
+        assert model.K.tobytes() == fresh.K.tobytes(), r
+        for truncate in (False, True):
+            residual = closure_residual(model, system, truncate=truncate)
+            assert float.hex(residual) == float.hex(closure_residual(fresh, system, truncate=truncate))
+            assert float.hex(residual) == float.hex(ref.closure_residual(model, system, truncate))
+    square = (Polynomial(1, {(2,): 1.0}),)
+    flow = field_lift(shared, PolySystem(1, CONTINUOUS, square)).K
+    step = field_lift(shared, PolySystem(1, DISCRETE, square)).K
+    assert flow.tobytes() == ref.carleman_center(6).tobytes()
+    expected = np.zeros((6, 6))
+    expected[[0, 1, 2], [1, 3, 5]] = 1.0  # x^n -> x^(2n), dropped beyond x^6
+    assert step.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -521,18 +551,13 @@ def test_carleman_logistic_truncated_closure():
     m = carleman_logistic(3.5, 4)
     assert closure_residual(m, system, truncate=True) == 0.0
     assert closure_residual(m, system, truncate=False) > 1.0
-    # the residual is absolute: at r = 3.7 and 3.9 the binomial entries r^n C(n, k)
-    # and the composed powers of r x - r x^2 round differently, so an exact
-    # truncation reads up to 5.7e-6 at rank 16, within 4 eps of max|K|; at
-    # r = 3.5 every entry is exact
-    eps = np.finfo(float).eps
+    # K is read off the composed powers of r x - r x^2, so a truncation closes
+    # exactly at non-dyadic r too, where the binomial entries r^n C(n, k) would
+    # round otherwise
     for rank in (8, 12, 16):
-        exact = carleman_logistic(3.5, rank)
-        assert closure_residual(exact, system, truncate=True) == 0.0
-        for r in (3.7, 3.9):
+        for r in (3.5, 3.7, 3.9):
             m = carleman_logistic(r, rank)
-            residual = closure_residual(m, builtin("logistic", r=r), truncate=True)
-            assert residual <= 4 * eps * np.max(np.abs(m.K)), (r, rank, residual)
+            assert closure_residual(m, builtin("logistic", r=r), truncate=True) == 0.0, (r, rank)
 
 
 def test_truncation_keeps_the_monomials_of_a_non_monomial_observable():

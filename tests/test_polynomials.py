@@ -20,7 +20,7 @@ from koopmankit import (
     registry_names,
 )
 from koopmankit import polynomials
-from koopmankit.polynomials import _monomial_name, ipow
+from koopmankit.polynomials import _monomial_name
 
 import _reference as ref
 
@@ -107,16 +107,6 @@ def test_monomial_name():
     assert _monomial_name((0, 2)) == "x2^2"
     assert _monomial_name((1, 1)) == "x1*x2"
     assert _monomial_name((4, 0)) == "x1^4"
-
-
-def test_ipow_matches_left_fold_exactly():
-    # the helper must reproduce the exact float of repeated multiplication,
-    # because lift builders and the symbolic engine rely on bit-equality
-    for base in (3.5, 0.9, -0.05, 1.7):
-        acc = 1.0
-        for n in range(8):
-            assert ipow(base, n) == acc
-            acc = acc * base
 
 
 def test_vanishing_leading_terms_reduce_degree():

@@ -215,6 +215,9 @@ MATRIX = [
     # one state column for a system of two, and a closed loop's CSV with its input column u
     ["identify", "--system", "quad-manifold", "--data", "{in}/one_state_six_rows.csv"],
     ["identify", "--system", "kooc-demo", "--data", "{in}/ctl/control_lqr.csv"],
+    # Carleman lifts at non-dyadic r, where r^n does not round as the composed powers do
+    ["spectral", "--system", "logistic", "--r", "3.7", "--rank", "8"],
+    ["simulate", "--system", "logistic", "--r", "3.9", "--rank", "4,8", "--steps", "20"],
 ]
 
 
