@@ -4,7 +4,8 @@ Exact lifts read off each benchmark system's field, truncated Carleman lineariza
 data-driven identification (sparse regression with subspace refinement; DMD
 is its threshold-0 fit on the linear library), Koopman eigenfunctions, and
 optimal control designed on the lifted linear model benchmarked against
-standard LQR.
+standard LQR. :mod:`koopmankit.registry` is the one place that knows each benchmark
+system, the slow-manifold family's field, lift and tilted coordinates included.
 """
 
 from .artifacts import (
@@ -32,7 +33,6 @@ from .dynamics import (
     Trajectory,
     integrate,
     iterate,
-    slow_manifold_field,
 )
 from .exceptions import (
     BlowUp,
@@ -60,18 +60,16 @@ from .lifting import (
     monomials,
     project_states,
     propagate,
-    slow_manifold_lift_ct,
 )
 from .numerics import eig, lstsq
 from .polynomials import Polynomial, PolynomialMap, format_polynomial
-from .registry import builtin, carleman_center, carleman_logistic, registry_info, registry_names
+from .registry import (builtin, carleman_center, carleman_logistic, registry_info, registry_names,
+                       rotate_model, rotation_matrix, slow_manifold_field, slow_manifold_lift_ct,
+                       slow_subspace_slope)
 from .spectral import (
     Eigenfunction,
     eigen_residual,
     eigenfunctions,
-    rotate_model,
-    rotation_matrix,
-    slow_subspace_slope,
     verify_eigenfunction,
 )
 

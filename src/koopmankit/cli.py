@@ -46,7 +46,7 @@ from .identification import (DEFAULT_THRESHOLD, _sampled_advance, dataset_from_t
                              invariance_residual, refine_subspace, sindy)
 from .lifting import monomials, propagate
 from .polynomials import format_polynomial
-from .spectral import eigen_residual, eigenfunctions, slow_subspace_slope, verify_eigenfunction
+from .spectral import eigen_residual, eigenfunctions, verify_eigenfunction
 
 class _Context:
     """One invocation resolved: output directory, registry system and its defaults;
@@ -116,8 +116,8 @@ class _Context:
         return integrate(self.system, x0, self.horizon(x0, horizon), dt=self.args.dt)
 
     def lift(self, rank=4):
-        """The closed-form lifted model matching the system's parameters."""
-        return self.entry["lift"](self.system.params, rank)
+        """The registry's lifted model of the run's system, read off the system itself."""
+        return self.entry["lift"](self.system, rank)
 
 
 def _gnuplot(path, plot):
@@ -143,7 +143,7 @@ def _quad_manifold(ctx, x0):
         tables.append((f"quad_manifold_lifted_{label}.csv",
                        *_trajectory_table(lifted, model.time_kind, ["y1", "y2", "y3"])))
 
-    slope = slow_subspace_slope(model)
+    slope = registry.slow_subspace_slope(model)
     y1 = np.linspace(-2.5, 2.5, 21)
     y2 = np.linspace(-1.5, 6.5, 21)
     y3 = np.linspace(0.0, 6.5, 21)
@@ -354,13 +354,10 @@ def cmd_spectral(args):
     if system is not None:
         payload["system"] = system.name
         payload["params"] = system.params
-        if system.time_kind == CONTINUOUS and ctx.entry.get("manifold") == registry._PARABOLA:
-            # the eigenfunction x2 - b*x1^2 of the flow onto x2 = x1^2
-            mu, lam = system.params["mu"], system.params["lambda"]
-            if lam != 2 * mu:
-                payload["b"] = lam / (lam - 2 * mu)
+        if (b := registry._system_b(system)) is not None:  # the eigenfunction x2 - b*x1^2
+            payload["b"] = b
         try:
-            payload["slow_subspace_slope"] = slow_subspace_slope(model)
+            payload["slow_subspace_slope"] = registry.slow_subspace_slope(model)
         except (ValueError, DegenerateSpectrum):
             pass  # not the quadratic-manifold lift, or its slow eigenvalue is not simple
 

@@ -1,24 +1,25 @@
 """Polynomial vector fields and maps, and trajectory generation.
 
 Continuous systems are integrated with fixed-step classical RK4, and
-discrete systems are iterated exactly.
+discrete systems are iterated exactly. The module defines no particular
+system; the paper's live in :mod:`koopmankit.registry`.
 
-Each :class:`PolySystem` compiles its equations once into a
-:class:`~koopmankit.polynomials.PolynomialMap`. Maps and flows run one
-generated trajectory loop per system, built on the first ``iterate`` or
-``integrate`` call and kept on the system (systems of one structure share
-one compile of its source); its states reach numpy as one flat list of
-floats. A step is straight-line code on local floats ``x0, x1, ...``: a
-map's lines once, or one RK4 step with the field's lines inlined once per
-substep. A step makes no numpy call: a power above 2 is an inline
-``x ** e`` (libm ``pow``), whose overflow raises its step's ``BlowUp``, a
-+-1 coefficient multiplies nothing, and only rows whose sign of zero can
-reach a state start from ``0.0`` (see ``_loop_source``). ``integrate`` runs the field f(x) alone; the one
-closed-loop path, :func:`koopmankit.control.compare_lqr_kooc`, compiles
-each feedback law into its closed loop f(x) + B u(x), a system of its own.
-Python float ``*``, ``+`` and ``-`` round like numpy's, and every operation
-keeps the order of the numpy loops this replaced, so states are
-bit-identical to them.
+Maps and flows run one generated trajectory loop per system, built from a
+:class:`~koopmankit.polynomials.PolynomialMap` of its equations on the first
+``iterate`` or ``integrate`` call and kept on the system (systems of one
+structure share one compile of its source); a system that is never run
+builds no map. The loop's states reach numpy as one flat list of floats. A
+step is straight-line code on local floats ``x0, x1, ...``: a map's lines
+once, or one RK4 step with the field's lines inlined once per substep. A
+step makes no numpy call: a power above 2 is an inline ``x ** e`` (libm
+``pow``), whose overflow raises its step's ``BlowUp``, a +-1 coefficient
+multiplies nothing, and only rows whose sign of zero can reach a state start
+from ``0.0`` (see ``_loop_source``). ``integrate`` runs the field f(x)
+alone; the one closed-loop path,
+:func:`koopmankit.control.compare_lqr_kooc`, compiles each feedback law into
+its closed loop f(x) + B u(x), a system of its own. Python float ``*``,
+``+`` and ``-`` round like numpy's, and every operation keeps the order of
+the numpy loops this replaced, so states are bit-identical to them.
 
 The loop aborts with :class:`~koopmankit.exceptions.BlowUp` once the state
 norm passes 1e8; a start that is already non-finite is bad input and raises
@@ -56,10 +57,9 @@ class PolySystem:
     ``input_map`` is an optional n-by-q matrix B for actuated systems, which
     :func:`koopmankit.control.compare_lqr_kooc` closes into f(x) + B u(x);
     ``integrate`` and ``iterate`` use f alone. ``params`` records the named
-    constants the equations were built from. The equations go once, at
-    construction, into the :class:`PolynomialMap` the two share; the first
-    ``integrate`` or ``iterate`` call compiles the system's trajectory loop
-    from it, and pickling drops the loop.
+    constants the equations were built from. The first ``integrate`` or
+    ``iterate`` call compiles the system's trajectory loop from a
+    :class:`PolynomialMap` of the equations, and pickling drops the loop.
     """
 
     dim: int
@@ -87,7 +87,6 @@ class PolySystem:
             if not np.all(np.isfinite(b)):
                 raise ValueError("input map contains non-finite entries")
             self.input_map = b
-        self._map = PolynomialMap(self.dim, self.equations)
         self._loop = None  # the trajectory loop of either time kind, compiled on first use
 
     def __getstate__(self):
@@ -222,9 +221,10 @@ def _run(system, x0, times, dt=None):
     x = _initial_state(system.dim, x0).tolist()
     _check_state(x, times[0])
     if system._loop is None:
-        system._loop = system._map._compile(
+        pmap = PolynomialMap(system.dim, system.equations)
+        system._loop = pmap._compile(
             "_loop(x, times, dt, zero=0.0, guard=_GUARD, check=_check_state)",
-            _loop_source(system._map, system.time_kind),
+            _loop_source(pmap, system.time_kind),
             _GUARD=_GUARD, _check_state=_check_state, inf=math.inf)
     n, samples = system.dim, len(times)
     states = np.fromiter(system._loop(x, times, dt), float, n * samples)
@@ -243,40 +243,3 @@ def iterate(system: PolySystem, x0, steps):
     if system.time_kind != DISCRETE:
         raise ValueError("iterate requires a discrete-time system")
     return _run(system, x0, _step_grid(steps))
-
-
-# ---------------------------------------------------------------------------
-# the slow-manifold family
-# ---------------------------------------------------------------------------
-
-def slow_manifold_field(mu, lam, poly):
-    """Equations of dx1/dt = mu*x1, dx2/dt = lam*(x2 - P(x1)).
-
-    ``poly`` maps exponent N -> coefficient a for P(x) = sum a*x^N; the
-    field and the lift accept the same P, whole exponents N >= 2.
-    """
-    return _slow_manifold_equations(mu, lam, _manifold_couplings(lam, poly, CONTINUOUS))
-
-
-def _slow_manifold_equations(mu, lam, couplings):
-    """Equations x1' = mu*x1, x2' = lam*x2 + sum c_N*x1^N, a flow's or a map's, of the slow-manifold
-    family member (mu, lam, couplings {N: c_N}, N whole, >= 2 and ascending); ``lifting.field_lift``
-    reads the member's exact lift off them on [x1, x2, x1^N...]."""
-    x2 = {(0, 1): lam, **{(n, 0): c for n, c in couplings.items()}}
-    return Polynomial(2, {(1, 0): mu}), Polynomial(2, x2)
-
-
-def _manifold_couplings(lam, poly, time_kind):
-    """The couplings c*a_N of P = {N: a_N} on x2 = P(x1): c is -lam in the flow
-    x2' = lam*(x2 - P(x1)), 1 - lam in the map x2 -> lam*x2 + (1 - lam)*P(x1)."""
-    if not all(n >= 2 and n % 1 == 0 for n in poly):  # inf % 1 and NaN fail too
-        raise ValueError("manifold polynomial exponents must be >= 2 and whole "
-                         "(degree-1 terms belong to the linear part)")
-    c = -lam if time_kind == CONTINUOUS else 1.0 - lam
-    return {int(n): c * float(a) for n, a in sorted(poly.items())}
-
-
-def _tu_couplings(lam, mu):
-    """The couplings {2: lam^2 - mu} of x1 -> lam*x1, x2 -> mu*x2 + (lam^2 - mu)*x1^2, the family's
-    map (lam, mu, couplings), whose invariant manifold is exactly x2 = x1^2."""
-    return {2: lam * lam - mu}

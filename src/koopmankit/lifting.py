@@ -4,12 +4,13 @@ Every observable is a polynomial. A lift packages an observable library
 together with the square matrix that advances it, as a :class:`KoopmanModel`;
 :func:`field_lift` reads that matrix off the field, and every lift on a
 library of monomials in the package is built that way, the Carleman
-truncations included. For the slow-manifold family the matrix closes exactly
-on the library; :func:`closure_residual` verifies that symbolically, with zero
-residual, by comparing polynomial coefficients. A Carleman truncation keeps
-the monomials up to its rank, and the dropped ones are its truncation error.
-Both functions read each library's advances from one slot on the library,
-which holds those along the last field it was advanced along.
+truncations included; the systems themselves, the slow-manifold family among
+them, live in :mod:`koopmankit.registry`. For that family the matrix closes
+exactly on the library; :func:`closure_residual` verifies that symbolically,
+with zero residual, by comparing polynomial coefficients. A Carleman
+truncation keeps the monomials up to its rank, and the dropped ones are its
+truncation error. Both functions read each library's advances from one slot
+on the library, which holds those along the last field it was advanced along.
 """
 
 from __future__ import annotations
@@ -161,20 +162,6 @@ def field_lift(library: ObservableLibrary, system):
             if exps in column:
                 k[i, column[exps]] = coeff
     return KoopmanModel(library, k, system.time_kind)
-
-
-def _slow_manifold_library(exponents):
-    """[x1, x2, x1^N1, ...], the exponents N ascending: the invariant library of the
-    slow-manifold family member whose couplings sit on those powers of x1."""
-    return ObservableLibrary(2, ((1, 0), (0, 1), *((n, 0) for n in sorted(exponents))))
-
-
-def slow_manifold_lift_ct(mu, lam, poly):
-    """Exact lift of dx1/dt = mu*x1, dx2/dt = lam*(x2 - P(x1)), P = {exponent: coefficient}, on
-    [x1, x2, x1^N1, ...], exponents ascending: K = diag(mu, lam, mu*N1, ...) plus row-2 couplings
-    -a_i*lam, read off the field, where an exactly zero entry is +0.0."""
-    system = dynamics.PolySystem(2, CONTINUOUS, dynamics.slow_manifold_field(mu, lam, poly))
-    return field_lift(_slow_manifold_library(poly), system)
 
 
 # ---------------------------------------------------------------------------

@@ -143,17 +143,11 @@ class Polynomial:
     def __add__(self, other):
         return _linear_sum(self.dim, ((1.0, self), (1.0, self._coerce(other))))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return Polynomial._of(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self.__add__(self._coerce(other).__neg__())
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial) and np.isscalar(other):

@@ -1,23 +1,26 @@
 """The benchmark registry: each named system of the paper, known in one place.
 
 An entry holds a system's builder and defaults, its default start, horizon and
-identification training starts, and its lift, read off the builder's field;
-the Carleman truncations :func:`carleman_logistic` and :func:`carleman_center`
-are read off the logistic and dx/dt = x^2 builders. This module sits
-above every numerical module, so builders and lifts call ``dynamics``,
-``lifting`` and ``spectral`` directly; only ``cli`` and the package namespace
-import it.
+identification training starts, and its lift, read off the system the caller
+built. The slow-manifold family lives here whole: its equations, the field
+:func:`slow_manifold_field` and exact lift :func:`slow_manifold_lift_ct`, and,
+for the parabola x2 = x1^2, the tilted coordinates (:func:`rotation_matrix`,
+:func:`rotate_model`) and the slow subspace (:func:`slow_subspace_slope`). So
+do the Carleman truncations :func:`carleman_logistic` and
+:func:`carleman_center`, read off the logistic and dx/dt = x^2 builders. The
+module calls only the public names of ``dynamics`` and ``lifting``; only
+``cli`` and the package namespace import it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import (CONTINUOUS, DISCRETE, PolySystem, _manifold_couplings, _slow_manifold_equations,
-                       _tu_couplings, slow_manifold_field)
-from .lifting import _slow_manifold_library, field_lift, monomials, slow_manifold_lift_ct
+from . import numerics
+from .dynamics import CONTINUOUS, DISCRETE, PolySystem
+from .exceptions import DegenerateSpectrum
+from .lifting import KoopmanModel, ObservableLibrary, field_lift, monomials
 from .polynomials import Polynomial
-from .spectral import rotate_model, rotation_matrix
 
 _PARABOLA = {2: 1.0}  # P(x1) = x1^2
 
@@ -31,58 +34,173 @@ def _exp_neg_inv(x):
         return np.exp(-1.0 / np.abs(x))  # abs: -1/-0.0 would be +inf
 
 
+def _slow_manifold_equations(mu, lam, couplings):
+    """Equations x1' = mu*x1, x2' = lam*x2 + sum c_N*x1^N, a flow's or a map's, of the slow-manifold
+    family member (mu, lam, couplings {N: c_N}, N whole, >= 2 and ascending); ``field_lift``
+    reads the member's exact lift off them on [x1, x2, x1^N...]."""
+    x2 = {(0, 1): lam, **{(n, 0): c for n, c in couplings.items()}}
+    return Polynomial(2, {(1, 0): mu}), Polynomial(2, x2)
+
+
+def _relaxing_equations(mu, lam, poly, time_kind):
+    """Equations of the member whose fast state relaxes onto x2 = P(x1), P = {N: a_N}: its
+    couplings are -lam*a_N in the flow x2' = lam*(x2 - P(x1)), and (1 - lam)*a_N in the map
+    x2 -> lam*x2 + (1 - lam)*P(x1)."""
+    if not all(n >= 2 and n % 1 == 0 for n in poly):  # inf % 1 and NaN fail too
+        raise ValueError("manifold polynomial exponents must be >= 2 and whole "
+                         "(degree-1 terms belong to the linear part)")
+    c = -lam if time_kind == CONTINUOUS else 1.0 - lam
+    return _slow_manifold_equations(mu, lam, {int(n): c * float(a) for n, a in sorted(poly.items())})
+
+
+def _slow_manifold_library(exponents):
+    """[x1, x2, x1^N1, ...], the exponents N ascending: the invariant library of the
+    slow-manifold family member whose couplings sit on those powers of x1."""
+    return ObservableLibrary(2, ((1, 0), (0, 1), *((n, 0) for n in sorted(exponents))))
+
+
+def slow_manifold_field(mu, lam, poly):
+    """Equations of dx1/dt = mu*x1, dx2/dt = lam*(x2 - P(x1)).
+
+    ``poly`` maps exponent N -> coefficient a for P(x) = sum a*x^N; the
+    field and the lift accept the same P, whole exponents N >= 2.
+    """
+    return _relaxing_equations(mu, lam, poly, CONTINUOUS)
+
+
+def slow_manifold_lift_ct(mu, lam, poly):
+    """Exact lift of dx1/dt = mu*x1, dx2/dt = lam*(x2 - P(x1)), P = {exponent: coefficient}, on
+    [x1, x2, x1^N1, ...], exponents ascending: K = diag(mu, lam, mu*N1, ...) plus row-2 couplings
+    -a_i*lam, read off the field, where an exactly zero entry is +0.0."""
+    system = PolySystem(2, CONTINUOUS, slow_manifold_field(mu, lam, poly))
+    return field_lift(_slow_manifold_library(poly), system)
+
+
 def _slow_manifold(poly, time_kind=CONTINUOUS, input_map=None):
-    """Builder and exact lift of the slow-manifold system on x2 = P(x1), both from the one ``poly``."""
+    """Builder and exact lift of the member relaxing onto x2 = P(x1), both from the one ``poly``."""
     def builder(p):
-        couplings = _manifold_couplings(p["lambda"], poly, time_kind)
-        equations = _slow_manifold_equations(p["mu"], p["lambda"], couplings)
+        equations = _relaxing_equations(p["mu"], p["lambda"], poly, time_kind)
         return PolySystem(2, time_kind, equations, params=p, input_map=input_map)
 
     library = _slow_manifold_library(poly)
-    return {"builder": builder, "lift": lambda p, rank: field_lift(library, builder(p)), "manifold": poly}
+    return {"builder": builder, "lift": lambda system, rank: field_lift(library, system),
+            "manifold": poly}
 
 
 def _build_tu_map(p):
+    """x1 -> lam*x1, x2 -> mu*x2 + (lam^2 - mu)*x1^2: the family's map (lam, mu, couplings
+    {2: lam^2 - mu}), whose invariant manifold is exactly x2 = x1^2."""
     lam, mu = p["lambda"], p["mu"]
-    return PolySystem(2, DISCRETE, _slow_manifold_equations(lam, mu, _tu_couplings(lam, mu)), params=p)
+    return PolySystem(2, DISCRETE, _slow_manifold_equations(lam, mu, {2: lam * lam - mu}), params=p)
 
 
-def _build_logistic(p):
-    r = p["r"]
-    eq = Polynomial(1, {(1,): r, (2,): -r})
-    return PolySystem(1, DISCRETE, (eq,), params=p)
+def _parabola_b(mu, lam):
+    """b = lam/(lam - 2*mu) of phi = x2 - b*x1^2, the eigenfunction at lam of the flow relaxing onto
+    x2 = x1^2; at lam = 2*mu phi degenerates, which raises :class:`DegenerateSpectrum`."""
+    if lam == 2 * mu:
+        raise DegenerateSpectrum("lam = 2*mu: the x2 eigenfunction degenerates")
+    return lam / (lam - 2 * mu)
 
 
-def _build_center_manifold(p):
-    return PolySystem(1, CONTINUOUS, (Polynomial(1, {(2,): 1.0}),), params=p)
+def _system_b(system):
+    """:func:`_parabola_b` of a registry flow onto x2 = x1^2, tilted or not; None elsewhere and at lam = 2*mu."""
+    p = system.params
+    on_parabola = system.time_kind == CONTINUOUS and _REGISTRY[system.name].get("manifold") == _PARABOLA
+    return _parabola_b(p["mu"], p["lambda"]) if on_parabola and p["lambda"] != 2 * p["mu"] else None
 
 
-def carleman_logistic(r, rank):
-    """Truncated Carleman matrix of the logistic map on [x, x^2, ..., x^rank], read off the field.
+def _quad_shape(model: KoopmanModel):
+    """Extract (mu, lam) after checking that ``model`` is slow_manifold_lift_ct(mu, lam, {2: 1.0}):
+    the continuous lift on the unit monomials x1, x2, x1^2 with
+    K = [[mu, 0, 0], [0, lam, -lam], [0, 0, 2 mu]]."""
+    quad_library = [{(1, 0): 1.0}, {(0, 1): 1.0}, {(2, 0): 1.0}]
+    if model.time_kind != CONTINUOUS or [obs.terms for obs in model.library.observables] != quad_library:
+        raise ValueError("unsupported model shape: expected the continuous lift on [x1, x2, x1^2]")
+    mu, lam = model.K[0, 0], model.K[1, 1]
+    quad = np.array([[mu, 0.0, 0.0], [0.0, lam, -lam], [0.0, 0.0, 2.0 * mu]])
+    if not np.allclose(model.K, quad, rtol=1e-12, atol=1e-12 * max(1.0, abs(mu), abs(lam))):
+        raise ValueError("unsupported model shape: matrix is not the quadratic-manifold lift")
+    return mu, lam
 
-    Row n is (r x - r x^2)^n as the map's powers compose it, r^n times the
-    alternating Pascal row at columns n..2n, with columns beyond the rank dropped.
+
+def rotation_matrix(angle):
+    """Coordinate change to a frame tilted by ``angle``.
+
+    (eta, xi) = T x with T = (cos a + sin a) * [[cos a, sin a], [sin a, -cos a]],
+    scaled so 45 degrees gives the classic sum/difference coordinates
+    eta = x1 + x2, xi = x1 - x2. Angle 0 is the identity.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    return field_lift(monomials(1, rank), _build_logistic({"r": r}))
+    if angle == 0.0:
+        return np.eye(2)
+    c, s = np.cos(angle), np.sin(angle)
+    scale = c + s
+    if abs(scale) < 1e-12:
+        raise ValueError("angle yields a singular coordinate change")
+    return scale * np.array([[c, s], [s, -c]])
 
 
-def carleman_center(rank):
-    """Truncated Carleman generator of dx/dt = x^2 on [x, x^2, ..., x^rank], read off the field.
+def rotate_model(model: KoopmanModel, angle) -> KoopmanModel:
+    """Re-express the quadratic-manifold lift in tilted coordinates.
 
-    Superdiagonal entry (i, i+1) is i; the matrix is nilpotent, so every
-    truncation has determinant exactly zero.
+    The new model lives on (eta, xi, phi) where (eta, xi) = T(angle) x and
+    phi = x2 - b x1^2 (b = lam/(lam - 2 mu)) is the eigenfunction completing
+    the invariant triple; at 45 degrees this is the sum/difference form with
+    advance matrix [[3mu/2, -mu/2, lam-2mu], [-mu/2, 3mu/2, -(lam-2mu)],
+    [0, 0, lam]]. Angle 0 returns the model unchanged.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    return field_lift(monomials(1, rank), _build_center_manifold({}))
+    mu, lam = _quad_shape(model)
+    if angle == 0.0:
+        return KoopmanModel(model.library, model.K.copy(), model.time_kind)
+    b = _parabola_b(mu, lam)
+    t = rotation_matrix(angle)
+    tinv = np.linalg.inv(t)
+
+    k = np.zeros((3, 3))
+    k[0, :2] = np.array([t[0, 0] * mu, 2 * mu * t[0, 1]]) @ tinv
+    k[0, 2] = t[0, 1] * (lam - 2 * mu)
+    k[1, :2] = np.array([t[1, 0] * mu, 2 * mu * t[1, 1]]) @ tinv
+    k[1, 2] = t[1, 1] * (lam - 2 * mu)
+    k[2, 2] = lam
+
+    # old state in new coordinates, then phi = x2 - b x1^2 as a polynomial in (eta, xi)
+    x1p = Polynomial(2, {(1, 0): tinv[0, 0], (0, 1): tinv[0, 1]})
+    x2p = Polynomial(2, {(1, 0): tinv[1, 0], (0, 1): tinv[1, 1]})
+    phi = x2p - b * (x1p ** 2)
+    lib = ObservableLibrary(2, (Polynomial.variable(2, 0), Polynomial.variable(2, 1), phi))
+    return KoopmanModel(lib, k, CONTINUOUS)
+
+
+def slow_subspace_slope(model: KoopmanModel) -> float:
+    """Slope of the slow Koopman subspace in the (x2, x1^2) plane.
+
+    Locates the eigenvalue 2*mu of the quadratic-manifold lift by value and
+    returns v3/v2 of its right eigenvector, which is (lam - 2 mu)/lam. Raises
+    :class:`DegenerateSpectrum` when that eigenvalue is not simple (the
+    lam = 2*mu collision) or the eigenvector's x2 component vanishes.
+    """
+    mu, lam = _quad_shape(model)
+    target = 2 * mu
+    pairs = numerics.eig(model.K)
+    idx, unique = pairs.closest(target)
+    gap = abs(pairs.eigenvalues[idx] - target)
+    if gap > 1e-8 * max(1.0, abs(target)):
+        raise DegenerateSpectrum(f"no eigenvalue within tolerance of 2*mu = {target:g}")
+    if not unique:
+        raise DegenerateSpectrum(
+            f"eigenvalue 2*mu = {target:g} is not simple; the slow subspace is ambiguous"
+        )
+    vec = pairs.right_vectors[:, idx]
+    v2, v3 = vec[1], vec[2]
+    if abs(v2) < 1e-12 * np.linalg.norm(vec):
+        raise DegenerateSpectrum("slow-subspace eigenvector has no x2 component")
+    ratio = v3 / v2
+    return float(ratio.real)
 
 
 def _build_rotated_quad(p):
     # coordinates (eta, xi) = T(angle) x for the quad-manifold field; the
-    # transform is spectral.rotation_matrix, so the rotated data and the
-    # rotated model line up.
+    # transform is rotation_matrix, so the rotated data and the rotated model
+    # line up.
     t = rotation_matrix(p["angle"])
     tinv = np.linalg.inv(t)
     base = slow_manifold_field(p["mu"], p["lambda"], _PARABOLA)
@@ -95,8 +213,45 @@ def _build_rotated_quad(p):
     return PolySystem(2, CONTINUOUS, eqs, params=p)
 
 
-def _lift_rotated_quad(p, rank):
+def _lift_rotated_quad(system, rank):
+    p = system.params
     return rotate_model(slow_manifold_lift_ct(p["mu"], p["lambda"], _PARABOLA), p["angle"])
+
+
+def _build_logistic(p):
+    r = p["r"]
+    eq = Polynomial(1, {(1,): r, (2,): -r})
+    return PolySystem(1, DISCRETE, (eq,), params=p)
+
+
+def _build_center_manifold(p):
+    return PolySystem(1, CONTINUOUS, (Polynomial(1, {(2,): 1.0}),), params=p)
+
+
+def _carleman(system, rank):
+    """The truncated Carleman lift of the one-state ``system`` on [x, x^2, ..., x^rank], read off
+    the field; a rank below 1 raises ``ValueError``."""
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    return field_lift(monomials(1, rank), system)
+
+
+def carleman_logistic(r, rank):
+    """Truncated Carleman matrix of the logistic map on [x, x^2, ..., x^rank], read off the field.
+
+    Row n is (r x - r x^2)^n as the map's powers compose it, r^n times the
+    alternating Pascal row at columns n..2n, with columns beyond the rank dropped.
+    """
+    return _carleman(_build_logistic({"r": r}), rank)
+
+
+def carleman_center(rank):
+    """Truncated Carleman generator of dx/dt = x^2 on [x, x^2, ..., x^rank], read off the field.
+
+    Superdiagonal entry (i, i+1) is i; the matrix is nilpotent, so every
+    truncation has determinant exactly zero.
+    """
+    return _carleman(_build_center_manifold({}), rank)
 
 
 def _center_manifold_horizon(x0):
@@ -119,7 +274,7 @@ _MAP_STARTS = tuple((a, b) for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 
 #   "horizon"   the default end time of a flow, or a rule on x0;
 #   "training"  (identification starts, their horizon for a flow or step
 #               count for a map);
-#   lift(params, rank) -> the lifted model, read off the field;
+#   lift(system, rank) -> the lifted model of the system the builder built, read off its field;
 #   "ranked"    True where the lift is a Carleman truncation that rank sets;
 #   "manifold"  P of x2 = P(x1), where the fast state relaxes: the slow manifold only in the fast limit;
 #   "eigenfunctions"  name -> (eigenvalue, phi) for a closed-form scalar
@@ -151,7 +306,7 @@ _REGISTRY = {
     },
     "tu_map": {
         "builder": _build_tu_map,
-        "lift": lambda p, rank: field_lift(_slow_manifold_library(_PARABOLA), _build_tu_map(p)),
+        "lift": lambda system, rank: field_lift(_slow_manifold_library(_PARABOLA), system),
         "defaults": {"lambda": 0.9, "mu": 0.5},
         "description": "discrete quadratic map x1 -> lambda*x1, x2 -> mu*x2 + (lambda^2 - mu)*x1^2",
         "x0": (1.0, 1.0),
@@ -159,7 +314,7 @@ _REGISTRY = {
     },
     "logistic": {
         "builder": _build_logistic,
-        "lift": lambda p, rank: carleman_logistic(p["r"], rank),
+        "lift": _carleman,
         "ranked": True,
         "defaults": {"r": 3.5},
         "description": "discrete 1-state logistic map x -> r*x*(1 - x)",
@@ -168,7 +323,7 @@ _REGISTRY = {
     },
     "center_manifold": {
         "builder": _build_center_manifold,
-        "lift": lambda p, rank: carleman_center(rank),
+        "lift": _carleman,
         "ranked": True,
         "defaults": {},
         "description": "continuous 1-state flow dx/dt = x^2 (finite-time blow-up at t = 1/x0)",

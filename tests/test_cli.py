@@ -22,6 +22,7 @@ import pytest
 from koopmankit import (
     CONTINUOUS,
     DISCRETE,
+    PolySystem,
     Trajectory,
     __version__,
     builtin,
@@ -749,6 +750,21 @@ def test_each_subcommand_help_lists_its_flags(command, flags):
 def test_every_registry_system_runs_with_its_defaults(tmp_path, command, name):
     code, _, stderr = run_cli([command, "--system", name, "--out", str(tmp_path)])
     assert code == 0, stderr
+
+
+@pytest.mark.parametrize("argv", [["spectral", "--system", "quad-manifold"],
+                                  ["simulate", "--system", "center-manifold", "--rank", "4,8,12,16"]])
+def test_a_run_builds_its_registry_system_once_and_lifts_that_system(tmp_path, monkeypatch, argv):
+    built, post_init = [], PolySystem.__post_init__
+
+    def counted(self):
+        built.append(self.equations)
+        post_init(self)
+
+    monkeypatch.setattr(PolySystem, "__post_init__", counted)
+    code, _, stderr = run_cli([*argv, "--out", str(tmp_path)])
+    assert code == 0, stderr
+    assert len(built) == 1
 
 
 def test_console_script_is_installed(tmp_path):

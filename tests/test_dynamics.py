@@ -12,6 +12,7 @@ from koopmankit import (
     KoopmanModel,
     ObservableLibrary,
     Polynomial,
+    PolynomialMap,
     PolySystem,
     Trajectory,
     builtin,
@@ -270,9 +271,26 @@ def test_header_only_and_ragged_csv_files(tmp_path):
 
 def test_systems_and_their_compiled_maps_pickle():
     system = builtin("quartic_manifold")
-    again = pickle.loads(pickle.dumps(system))
+    again = pickle.loads(pickle.dumps(system))  # before either has compiled its loop
     assert again.equations == system.equations
-    assert again._map([1.5, -1.0]).tobytes() == system._map([1.5, -1.0]).tobytes()
+    expected = integrate(system, [1.5, -1.0], 1.0).states
+    assert integrate(again, [1.5, -1.0], 1.0).states.tobytes() == expected.tobytes()
+
+
+def test_a_system_builds_its_polynomial_map_on_its_first_run_alone(monkeypatch):
+    built, init = [], PolynomialMap.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PolynomialMap, "__init__", counted)
+    flow, step = builtin("quartic_manifold"), builtin("tu_map")
+    assert built == []
+    for _ in range(2):
+        _assert_same_bits(integrate(flow, [1.5, -1.0], 1.0), ref.integrate(flow, [1.5, -1.0], 1.0))
+        _assert_same_bits(iterate(step, [0.5, 2.0], 10), ref.iterate(step, [0.5, 2.0], 10))
+        assert len(built) == 2
 
 
 def test_a_system_pickles_after_integrate_compiled_its_loop():

@@ -148,7 +148,7 @@ def _family_inputs(seed):
 
 def _registry_model(name, **params):
     """The registry's lift of ``name`` at ``params`` over its defaults, at rank 4."""
-    return _REGISTRY[name]["lift"](builtin(name, **params).params, 4)
+    return _REGISTRY[name]["lift"](builtin(name, **params), 4)
 
 
 def _map_member(mu, lam, poly):
@@ -823,7 +823,7 @@ def test_load_model_refuses_state_rows_other_than_the_first_n(tmp_path, rows):
 @pytest.mark.parametrize("name", registry_names())
 def test_every_registry_lift_holds_its_state_in_its_first_rows(name):
     system = builtin(name)
-    model = _REGISTRY[name]["lift"](system.params, 4)
+    model = _REGISTRY[name]["lift"](system, 4)
     n = system.dim
     assert model.state_rows == tuple(range(n))
     x0 = _REGISTRY[name]["x0"]
@@ -889,7 +889,7 @@ def _assert_closure_matches_the_reference(model, system):
 @pytest.mark.parametrize("name", registry_names())
 def test_closure_and_advances_are_bit_identical_to_the_reference_on_every_system(name):
     system = builtin(name)
-    _assert_closure_matches_the_reference(_REGISTRY[name]["lift"](system.params, 4), system)
+    _assert_closure_matches_the_reference(_REGISTRY[name]["lift"](system, 4), system)
     # a full degree-4 library advances through many-term powers of both equations
     observables = monomials(system.dim, 4).observables
     for obs, advance in zip(observables, _advances(observables, system), strict=True):

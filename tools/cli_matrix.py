@@ -218,6 +218,14 @@ MATRIX = [
     # Carleman lifts at non-dyadic r, where r^n does not round as the composed powers do
     ["spectral", "--system", "logistic", "--r", "3.7", "--rank", "8"],
     ["simulate", "--system", "logistic", "--r", "3.9", "--rank", "4,8", "--steps", "20"],
+    # the slow-manifold family's refusals: a tilted lift, which has no slow subspace slope;
+    # the lam = 2*mu collision, which has no tilted coordinates, no b and no simple slow
+    # eigenvalue; and an unstable slow mode that no input on x2 reaches
+    ["spectral", "--system", "rotated-quad", "--angle", "0.3"],
+    ["spectral", "--system", "rotated-quad", "--lambda", "-0.1"],
+    ["spectral", "--system", "quad-manifold", "--lambda", "-0.1"],
+    ["simulate", "--system", "quad-manifold", "--lambda", "-0.1"],
+    ["control", "--system", "kooc-demo", "--mu", "0.5", "--horizon", "5"],
 ]
 
 
