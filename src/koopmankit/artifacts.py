@@ -21,6 +21,7 @@ from .lifting import KoopmanModel, ObservableLibrary, _as_observable
 from .polynomials import Polynomial
 
 _NUMBER = "%.17g"
+_NUMBER_CELL = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)", re.A | re.I)
 _BLOCK_ROWS = 1024  # rows per write: a table's text and cells are never all held at once
 _TIME_COLUMNS = {CONTINUOUS: ("t", "a flow"), DISCRETE: ("step", "a map")}
 
@@ -72,14 +73,12 @@ def _trajectory_table(traj, time_kind, state_names=None):
 
 
 def _numeric_row(path, line, row):
-    """The cells of one CSV row as floats; a bad cell is named by line and column."""
-    values = []
+    """A CSV row's cells as floats, each ASCII decimal as ``_fmt`` writes it, or inf, infinity or nan;
+    any other cell (a space, ``_``, a non-ASCII digit) is named by line and column."""
     for column, cell in enumerate(row, start=1):
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ValueError(f"{path}: line {line}, column {column}: not a number: {cell!r}") from None
-    return values
+        if not _NUMBER_CELL.fullmatch(cell):
+            raise ValueError(f"{path}: line {line}, column {column}: not a number: {cell!r}")
+    return [float(cell) for cell in row]
 
 
 def read_trajectory(path, time_kind):

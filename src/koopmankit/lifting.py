@@ -2,15 +2,15 @@
 
 Every observable is a polynomial. A lift packages an observable library
 together with the square matrix that advances it, as a :class:`KoopmanModel`;
-:func:`field_lift` reads that matrix off the field, and every lift on a
-library of monomials in the package is built that way, the Carleman
-truncations included; the systems themselves, the slow-manifold family among
-them, live in :mod:`koopmankit.registry`. For that family the matrix closes
-exactly on the library; :func:`closure_residual` verifies that symbolically,
-with zero residual, by comparing polynomial coefficients. A Carleman
-truncation keeps the monomials up to its rank, and the dropped ones are its
-truncation error. Both functions read each library's advances from one slot
-on the library, which holds those along the last field it was advanced along.
+:func:`field_lift` reads that matrix off the field for any library of linearly
+independent polynomials, and every lift in the package is built that way: the
+Carleman truncations, the slow-manifold family's exact lifts and its tilted
+lifts, whose systems live in :mod:`koopmankit.registry`.
+:func:`closure_residual` compares polynomial coefficients: zero residual means
+the library is exactly invariant, and a Carleman truncation's dropped
+monomials are its truncation error. Both functions read each library's
+advances from one slot on the library, which holds those along the last field
+it was advanced along.
 """
 
 from __future__ import annotations
@@ -147,21 +147,41 @@ class KoopmanModel:
 
 
 def field_lift(library: ObservableLibrary, system):
-    """The lift of ``system`` on a library of monomials, read off the field: K[i, j] is the
-    coefficient of observable j in observable i's exact advance. Advance terms on no observable
-    are dropped; their largest size is :func:`closure_residual`, 0 for an invariant library.
-    An entry that is not a single monomial with coefficient 1.0 raises ``ValueError``."""
+    """The lift of ``system`` on linearly independent polynomials: K C = A, with C the observables'
+    coefficients and A their exact advances on the monomials the observables hold, in order of first
+    appearance. Unit monomials have C = I and K = A; any other library solves on the columns partial
+    pivoting of C^T picks, and raises ``ValueError`` on an observable spanned by those before it.
+    Advance terms off those columns are left to :func:`closure_residual`, 0 for an invariant library."""
     if system.dim != library.dim:
         raise ValueError("state dimension mismatch")
-    if bad := [obs for obs in library.observables if not obs.is_monomial()]:
-        raise ValueError(f"observable {format_polynomial(bad[0])} is not a monomial")
-    column = {obs.exponents(): j for j, obs in enumerate(library.observables)}
-    k = np.zeros((len(library), len(library)))
-    for i, advance in enumerate(_library_advances(library, system)):
-        for exps, coeff in advance.terms.items():
+    column = _held_monomials(library)
+    a = _coefficients(_library_advances(library, system), column)
+    if all(obs.is_monomial() for obs in library.observables):
+        return KoopmanModel(library, a, system.time_kind)
+    c = _coefficients(library.observables, column)
+    rest, pivots = c.copy(), []
+    for i, obs in enumerate(library.observables):
+        pivots.append(j := int(np.argmax(np.abs(rest[i]))))
+        if abs(rest[i, j]) <= len(c) * np.finfo(float).eps * np.abs(c[i]).max():
+            raise ValueError(f"observable {format_polynomial(obs)} is linearly dependent on the ones before it")
+        rest[i + 1:] -= np.outer(rest[i + 1:, j] / rest[i, j], rest[i])
+    k = np.linalg.solve(c[:, pivots].T, a[:, pivots].T).T
+    return KoopmanModel(library, np.ascontiguousarray(k), system.time_kind)
+
+
+def _held_monomials(library):
+    """{exponents: column} of each monomial the observables hold, in first-appearance order."""
+    return {e: j for j, e in enumerate(dict.fromkeys([e for obs in library.observables for e in obs.terms]))}
+
+
+def _coefficients(polys, column):
+    """The polynomials' coefficients on ``column``'s monomials; other terms are dropped."""
+    out = np.zeros((len(polys), len(column)))
+    for i, poly in enumerate(polys):
+        for exps, coeff in poly.terms.items():
             if exps in column:
-                k[i, column[exps]] = coeff
-    return KoopmanModel(library, k, system.time_kind)
+                out[i, column[exps]] = coeff
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +231,7 @@ def closure_residual(model: KoopmanModel, system, truncate=False):
         raise ValueError("model and system time kinds differ")
     if system.dim != model.library.dim:
         raise ValueError("state dimension mismatch")
-    retained = {e for o in model.library.observables for e in o.terms}
+    retained = _held_monomials(model.library)
     worst = 0.0
     for i, advance in enumerate(_library_advances(model.library, system)):
         lhs = advance.terms

@@ -4,12 +4,12 @@ An entry holds a system's builder and defaults, its default start, horizon and
 identification training starts, and its lift, read off the system the caller
 built. The slow-manifold family lives here whole: its equations, the field
 :func:`slow_manifold_field` and exact lift :func:`slow_manifold_lift_ct`, and,
-for the parabola x2 = x1^2, the tilted coordinates (:func:`rotation_matrix`,
-:func:`rotate_model`) and the slow subspace (:func:`slow_subspace_slope`). So
-do the Carleman truncations :func:`carleman_logistic` and
-:func:`carleman_center`, read off the logistic and dx/dt = x^2 builders. The
-module calls only the public names of ``dynamics`` and ``lifting``; only
-``cli`` and the package namespace import it.
+for the parabola x2 = x1^2, the tilted coordinates (:func:`rotation_matrix`),
+the lift on them read off the tilted field (:func:`rotate_model`) and the slow
+subspace (:func:`slow_subspace_slope`). So do the Carleman truncations
+:func:`carleman_logistic` and :func:`carleman_center`; every lift is read off
+a field by ``field_lift``. The module calls only the public names of
+``dynamics`` and ``lifting``; only ``cli`` and the package namespace import it.
 """
 
 from __future__ import annotations
@@ -140,34 +140,12 @@ def rotation_matrix(angle):
 
 
 def rotate_model(model: KoopmanModel, angle) -> KoopmanModel:
-    """Re-express the quadratic-manifold lift in tilted coordinates.
-
-    The new model lives on (eta, xi, phi) where (eta, xi) = T(angle) x and
-    phi = x2 - b x1^2 (b = lam/(lam - 2 mu)) is the eigenfunction completing
-    the invariant triple; at 45 degrees this is the sum/difference form with
-    advance matrix [[3mu/2, -mu/2, lam-2mu], [-mu/2, 3mu/2, -(lam-2mu)],
-    [0, 0, lam]]. Angle 0 returns the model unchanged.
-    """
+    """Re-express the quadratic-manifold lift in tilted coordinates (eta, xi) = T(angle) x, on
+    (eta, xi, phi), phi = x2 - b x1^2, b = lam/(lam - 2 mu): :func:`field_lift` reads K off the
+    tilted field, at 45 degrees [[3mu/2, -mu/2, lam-2mu], [-mu/2, 3mu/2, -(lam-2mu)], [0, 0, lam]]
+    up to rounding. Angle 0 returns the lift on [x1, x2, x1^2] of the (mu, lam) the model holds."""
     mu, lam = _quad_shape(model)
-    if angle == 0.0:
-        return KoopmanModel(model.library, model.K.copy(), model.time_kind)
-    b = _parabola_b(mu, lam)
-    t = rotation_matrix(angle)
-    tinv = np.linalg.inv(t)
-
-    k = np.zeros((3, 3))
-    k[0, :2] = np.array([t[0, 0] * mu, 2 * mu * t[0, 1]]) @ tinv
-    k[0, 2] = t[0, 1] * (lam - 2 * mu)
-    k[1, :2] = np.array([t[1, 0] * mu, 2 * mu * t[1, 1]]) @ tinv
-    k[1, 2] = t[1, 1] * (lam - 2 * mu)
-    k[2, 2] = lam
-
-    # old state in new coordinates, then phi = x2 - b x1^2 as a polynomial in (eta, xi)
-    x1p = Polynomial(2, {(1, 0): tinv[0, 0], (0, 1): tinv[0, 1]})
-    x2p = Polynomial(2, {(1, 0): tinv[1, 0], (0, 1): tinv[1, 1]})
-    phi = x2p - b * (x1p ** 2)
-    lib = ObservableLibrary(2, (Polynomial.variable(2, 0), Polynomial.variable(2, 1), phi))
-    return KoopmanModel(lib, k, CONTINUOUS)
+    return _lift_rotated_quad(_build_rotated_quad({"mu": mu, "lambda": lam, "angle": angle}), None)
 
 
 def slow_subspace_slope(model: KoopmanModel) -> float:
@@ -197,25 +175,28 @@ def slow_subspace_slope(model: KoopmanModel) -> float:
     return float(ratio.real)
 
 
+def _tilted_state(angle):
+    """T = rotation_matrix(angle), and the state x = T^-1 (eta, xi) as polynomials in (eta, xi)."""
+    tinv = np.linalg.inv(t := rotation_matrix(angle))
+    return t, [Polynomial(2, {(1, 0): tinv[i, 0], (0, 1): tinv[i, 1]}) for i in range(2)]
+
+
 def _build_rotated_quad(p):
-    # coordinates (eta, xi) = T(angle) x for the quad-manifold field; the
-    # transform is rotation_matrix, so the rotated data and the rotated model
-    # line up.
-    t = rotation_matrix(p["angle"])
-    tinv = np.linalg.inv(t)
-    base = slow_manifold_field(p["mu"], p["lambda"], _PARABOLA)
-    old_vars = [Polynomial(2, {(1, 0): tinv[i, 0], (0, 1): tinv[i, 1]}) for i in range(2)]
-    substituted = [eq.compose(old_vars) for eq in base]
-    eqs = tuple(
-        sum((t[i, j] * substituted[j] for j in range(2)), Polynomial.zero(2))
-        for i in range(2)
-    )
+    """The quad-manifold field in the coordinates (eta, xi) = T(angle) x that the lift tilts to."""
+    t, old_vars = _tilted_state(p["angle"])
+    substituted = [eq.compose(old_vars) for eq in slow_manifold_field(p["mu"], p["lambda"], _PARABOLA)]
+    eqs = tuple(sum((t[i, j] * substituted[j] for j in range(2)), Polynomial.zero(2)) for i in range(2))
     return PolySystem(2, CONTINUOUS, eqs, params=p)
 
 
 def _lift_rotated_quad(system, rank):
+    """The tilted ``system``'s lift on (eta, xi, x2 - b*x1^2), read off its field; at angle 0 on [x1, x2, x1^2]."""
     p = system.params
-    return rotate_model(slow_manifold_lift_ct(p["mu"], p["lambda"], _PARABOLA), p["angle"])
+    if p["angle"] == 0.0:
+        return field_lift(_slow_manifold_library(_PARABOLA), system)
+    x1, x2 = _tilted_state(p["angle"])[1]
+    phi = x2 - _parabola_b(p["mu"], p["lambda"]) * (x1 ** 2)
+    return field_lift(ObservableLibrary(2, ((1, 0), (0, 1), phi)), system)
 
 
 def _build_logistic(p):

@@ -227,6 +227,20 @@ def slow_manifold_lift(mu, lam, couplings, time_kind):
     return k + 0.0  # -0.0 + 0.0 is +0.0, and every other entry keeps its bits
 
 
+def tilted_quad_lift(mu, lam, t):
+    """The closed-form K of the flow relaxing onto x2 = x1^2, in the coordinates (eta, xi) = T x,
+    on (eta, xi, phi), phi = x2 - b*x1^2, b = lam/(lam - 2*mu): along the flow
+    d/dt eta_i = T_i1 mu x1 + 2 mu T_i2 x2 + T_i2 (lam - 2 mu) phi, with x = T^-1 (eta, xi),
+    and d/dt phi = lam phi."""
+    tinv = np.linalg.inv(t)
+    k = np.zeros((3, 3))
+    for i in range(2):
+        k[i, :2] = np.array([t[i, 0] * mu, 2 * mu * t[i, 1]]) @ tinv
+        k[i, 2] = t[i, 1] * (lam - 2 * mu)
+    k[2, 2] = lam
+    return k
+
+
 # -- the Carleman truncations -----------------------------------------------------
 
 def carleman_logistic(r, rank):

@@ -80,3 +80,29 @@ def test_read_trajectory_refuses_the_other_kinds_time_column(tmp_path):
     with pytest.raises(ValueError, match="time_kind must be 'continuous' or 'discrete'"):
         read_trajectory(flow_csv, "hybrid")
 
+
+def test_read_trajectory_reads_back_every_number_the_writer_writes(tmp_path):
+    """Every cell spelling of ``%.17g`` reads back to its bits: signed zeros, subnormals, the
+    largest floats, inf, -inf and nan, and random values over the whole exponent range."""
+    rng = np.random.default_rng(47)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, sys.float_info.max, 1e-5, 1e16]
+    values = rng.uniform(-10.0, 10.0, 600) * 10.0 ** rng.integers(-323, 308, 600).astype(float)
+    states = np.column_stack([values, np.resize(edges, values.size)])
+    traj = Trajectory(times=np.arange(values.size) * 0.01, states=states, inputs=states[:, :1] * 3)
+    path = tmp_path / "edges.csv"
+    write_trajectory(traj, path, CONTINUOUS)
+    again = read_trajectory(path, CONTINUOUS)
+    for got, want in ((again.times, traj.times), (again.states, traj.states), (again.inputs, traj.inputs)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١", " 1", "1 ", "0x10", "1e", ""])
+def test_read_trajectory_refuses_a_cell_the_writer_never_writes(tmp_path, cell):
+    path = tmp_path / "cell.csv"
+    path.write_text(f"t,x1,x2\r\n0,1,2\r\n0.01,2,{cell}\r\n", encoding="utf-8")
+    message = f"{path}: line 3, column 3: not a number: {cell!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_trajectory(path, CONTINUOUS)
+    for spelling in ("inf", "-Infinity", "NaN", "+1.5E-3", ".5", "7."):
+        path.write_text(f"t,x1,x2\r\n0,1,{spelling}\r\n", encoding="utf-8")
+        assert read_trajectory(path, CONTINUOUS).states[0, 1].tobytes() == np.float64(spelling).tobytes()

@@ -753,7 +753,8 @@ def test_every_registry_system_runs_with_its_defaults(tmp_path, command, name):
 
 
 @pytest.mark.parametrize("argv", [["spectral", "--system", "quad-manifold"],
-                                  ["simulate", "--system", "center-manifold", "--rank", "4,8,12,16"]])
+                                  ["simulate", "--system", "center-manifold", "--rank", "4,8,12,16"],
+                                  ["spectral", "--system", "rotated-quad"]])
 def test_a_run_builds_its_registry_system_once_and_lifts_that_system(tmp_path, monkeypatch, argv):
     built, post_init = [], PolySystem.__post_init__
 

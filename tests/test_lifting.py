@@ -299,14 +299,44 @@ def test_a_field_lift_drops_exactly_its_truncation(rank):
     assert closure_residual(model, system, truncate=True) == 0.0
 
 
-def test_a_field_lift_refuses_an_entry_that_is_not_a_unit_monomial():
+def test_a_field_lift_solves_k_c_equals_a_on_a_polynomial_basis():
+    """On [x, x + x^2] along dx/dt = x^2, C = [[1, 0], [1, 1]] and A = [[0, 1], [0, 1]] (the x^3
+    of x + x^2's advance is dropped), so K = A C^-1 exactly; the dropped term is the residual.
+    A monomial with coefficient 2 divides its column of K by 2."""
+    x = Polynomial.variable(1, 0)
+    system = builtin("center_manifold")
+    model = field_lift(ObservableLibrary(1, (x, x + x ** 2)), system)
+    assert model.K.tobytes() == np.array([[-1.0, 1.0], [-1.0, 1.0]]).tobytes()
+    assert closure_residual(model, system) == 2.0
+    assert closure_residual(model, system, truncate=True) == 0.0
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    for mu, lam in ((-0.05, -1.0), (-0.3, 2.0), (0.7, -0.1)):
+        system = builtin("quad_manifold", mu=mu, lam=lam)
+        model = field_lift(ObservableLibrary(2, (x1, x2, 2.0 * x1 ** 2)), system)
+        assert model.K[1, 2] == -lam / 2 and model.K[2, 2] == 2 * mu
+        assert closure_residual(model, system) == 0.0
+
+
+def test_a_field_lift_refuses_a_dependent_library_and_another_dimension():
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     system = builtin("quad_manifold")
-    for entry, name in ((x1 + x1 ** 2, "x1 \\+ x1\\^2"), (2.0 * x1 ** 2, "2\\*x1\\^2")):
-        with pytest.raises(ValueError, match=f"observable {name} is not a monomial"):
-            field_lift(ObservableLibrary(2, (x1, x2, entry)), system)
+    with pytest.raises(ValueError, match="observable x1 \\+ x2 is linearly dependent"):
+        field_lift(ObservableLibrary(2, (x1, x2, x1 + x2)), system)
     with pytest.raises(ValueError, match="state dimension mismatch"):
         field_lift(monomials(1, 2), system)
+
+
+def test_a_lift_is_c_ordered_so_propagate_rounds_as_the_reference_does():
+    """propagate's products round by K's memory order: a Fortran-ordered K with the same entries
+    moves its samples. Every lift read off a field is C-ordered, and the logistic Carleman lift
+    propagates to the bits of the reference loop on the C-ordered closed form."""
+    lifts = [_registry_model(name) for name in registry_names()]
+    lifts += [carleman_logistic(3.5, rank) for rank in range(1, 17)]
+    assert all(model.K.flags.c_contiguous for model in lifts)
+    model = carleman_logistic(3.5, 4)
+    closed = KoopmanModel(model.library, ref.carleman_logistic(3.5, 4), DISCRETE)
+    lifted = propagate(model, [0.3], steps=20)
+    assert lifted.states.tobytes() == ref.block_loop(closed, [0.3], 20)[1].tobytes()
 
 
 def test_lift_state_appends_observables():

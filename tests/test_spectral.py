@@ -255,6 +255,21 @@ def test_rotated_model_matches_displayed_matrix():
     assert np.abs(rotated.K - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("angle", [np.pi / 4, 0.3, 1.0, -0.5, 0.7, 1.3, -0.3])
+def test_the_tilted_lift_read_off_its_field_is_the_closed_form(angle):
+    """rotate_model and the rotated-quad entry read one K off the tilted field, C-ordered and
+    within 2e-15 max|K| of the hand-written closed form."""
+    for mu, lam in ((-0.05, 1.0), (-0.05, -1.0), (-0.3, -2.0), (0.2, -0.5), (-1.0, -0.1)):
+        rotated = rotate_model(slow_manifold_lift_ct(mu, lam, {2: 1.0}), angle)
+        system = builtin("rotated_quad", mu=mu, lam=lam, angle=angle)
+        entry = _REGISTRY["rotated_quad"]["lift"](system, 4)
+        assert rotated.library.names == entry.library.names and rotated.K.flags.c_contiguous
+        read = field_lift(rotated.library, system).K.tobytes()
+        assert rotated.K.tobytes() == entry.K.tobytes() == read
+        closed = ref.tilted_quad_lift(mu, lam, rotation_matrix(angle))
+        assert np.abs(rotated.K - closed).max() <= 2e-15 * np.abs(closed).max(), (mu, lam)
+
+
 def test_rotated_model_eigenvalues_are_invariant():
     model = quad_model()
     reference = np.sort(np.linalg.eigvals(model.K).real)

@@ -226,6 +226,12 @@ MATRIX = [
     ["spectral", "--system", "quad-manifold", "--lambda", "-0.1"],
     ["simulate", "--system", "quad-manifold", "--lambda", "-0.1"],
     ["control", "--system", "kooc-demo", "--mu", "0.5", "--horizon", "5"],
+    # tilted lifts read off the tilted field, and 3*pi/4 in floating point, which has no
+    # tilted coordinates
+    ["spectral", "--system", "rotated-quad", "--angle", "1.0"],
+    ["spectral", "--system", "rotated-quad", "--angle", "-0.5"],
+    ["spectral", "--system", "rotated-quad", "--mu", "-0.3", "--lambda", "-2"],
+    ["spectral", "--system", "rotated-quad", "--angle", "2.356194490192345"],
 ]
 
 
