@@ -404,9 +404,9 @@ def cmd_control(args):
     if q_scale == 0.0:
         # No state cost: both designs (stabilizability checked first) give
         # zero gains, since zero input attains J = 0; nothing to simulate.
-        design = control._design(system, model, q, r)
-        payload.update(lqr_gain=[float(v) for v in design.lqr_gain.ravel()],
-                       kooc_gain=[float(v) for v in design.kooc_gain.ravel()],
+        (lqr, kooc), _ = control._design(system, model, q, r)
+        payload.update(lqr_gain=[float(v) for v in lqr.gain.ravel()],
+                       kooc_gain=[float(v) for v in kooc.gain.ravel()],
                        note="zero state cost: optimal feedback is zero; simulation skipped")
         _write_json(gains_path, payload)
         print("zero state cost: gains are identically zero")
@@ -422,7 +422,7 @@ def cmd_control(args):
     costs_path = out / "control_costs.csv"
     _write_csv(costs_path, ["t", "j_lqr", "j_kooc", "j_lqr_script", "j_kooc_script"],
                np.column_stack([result.lqr_traj.times, result.lqr_cost, result.kooc_cost,
-                                result.lqr_cost_script, result.kooc_cost_script]))
+                                result.lqr_cost, result.kooc_cost_script]))
 
     payload.update({
         "library": model.library.names,
@@ -431,7 +431,7 @@ def cmd_control(args):
         "final_cost_lqr": float(result.lqr_cost[-1]),
         "final_cost_kooc": float(result.kooc_cost[-1]),
         "ratio": result.ratio,
-        "final_cost_lqr_script": float(result.lqr_cost_script[-1]),
+        "final_cost_lqr_script": float(result.lqr_cost[-1]),
         "final_cost_kooc_script": float(result.kooc_cost_script[-1]),
         "ratio_script": result.ratio_script,
     })

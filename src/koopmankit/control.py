@@ -15,10 +15,11 @@ state library x1..xn with the state block of K, KOOC on the whole lift. When
 every observable is a polynomial, both laws, -C x and -C Theta(x), are
 polynomials in x, and so is each closed loop f(x) + B u(x).
 :func:`compare_lqr_kooc` is the one place a closed loop is formed. It works
-in two steps. The design step makes both gains and builds each closed loop
-as one compiled :class:`~koopmankit.dynamics.PolySystem`, with its law as one
-compiled map. The last design built is kept, keyed on the content of the
-plant, lift, Q and R, so a comparison repeated from another start reuses it.
+in two steps. The design step makes both controllers and builds each closed
+loop as one compiled :class:`~koopmankit.dynamics.PolySystem`, with its law as
+one compiled map. The last design built, the two controllers and their two
+loops, is kept, keyed on the content of the plant, lift, Q and R, so a
+comparison repeated from another start reuses it.
 The run step, the only work of such a repeat, integrates both loops from x0
 like any other field, evaluates each law once on the columns of the sample
 states, and costs the two trajectories.
@@ -28,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import numerics
-from .dynamics import CONTINUOUS, DEFAULT_DT, PolySystem, Trajectory, _initial_state, integrate
+from .dynamics import (CONTINUOUS, DEFAULT_DT, PolySystem, Trajectory, _field_key, _initial_state,
+                       integrate)
 from .exceptions import NotStabilizable, NumericsError
 from .lifting import KoopmanModel, eval_library, monomials
 from .polynomials import PolynomialMap
@@ -378,7 +379,6 @@ class ComparisonResult:
     lqr_cost: np.ndarray
     kooc_cost: np.ndarray
     ratio: float
-    lqr_cost_script: np.ndarray
     kooc_cost_script: np.ndarray
     ratio_script: float
     lqr_gain: np.ndarray
@@ -390,8 +390,7 @@ def _closed_loop(system: PolySystem, library, gain):
 
     Theta must be polynomial, so u is too: the closed loop is one compiled
     system with no input map, and the law one compiled map. Neither carries
-    the plant's ``params`` or ``name``, so a kept loop holds nothing of the
-    caller that built it.
+    the plant's ``params`` or ``name``.
     """
     law = [library.linear_combination(-row) for row in gain]
     equations = []
@@ -411,15 +410,6 @@ def _run_loop(loop, x0, horizon, dt) -> Trajectory:
     return Trajectory(times=traj.times, states=traj.states, inputs=law(traj.states.T).T)
 
 
-class _Design(NamedTuple):
-    """Both laws of a comparison and their closed loops, LQR first."""
-
-    lqr_gain: np.ndarray
-    kooc_gain: np.ndarray
-    kooc_p: np.ndarray
-    loops: tuple
-
-
 # (key, design) of the last design built, or None. One slot: the callers that
 # repeat a design (a comparison from several starts) repeat it back to back.
 # Reading or rebinding it is atomic, so threads need no lock; a design built
@@ -428,19 +418,19 @@ _last = None
 
 
 def _design_key(system: PolySystem, model: KoopmanModel, q, r):
-    """Everything the design reads, by content. Terms are taken in dict order,
-    the order in which a compiled loop sums them, so equal keys give equal bits."""
+    """Everything the design reads, by content: the plant's field key, the observables'
+    terms in dict order and the arrays' bytes, so equal keys give equal bits."""
     arrays = (np.asarray(system.input_map, dtype=float), np.asarray(model.K, dtype=float), q, r)
-    return (system.dim,
-            tuple(tuple(eq.terms.items()) for eq in system.equations),
+    return (_field_key(system),
             tuple(tuple(obs.terms.items()) for obs in model.library.observables),
             tuple((a.shape, a.tobytes()) for a in arrays))
 
 
-def _design(system: PolySystem, model: KoopmanModel, q, r) -> _Design:
-    """Both laws and their compiled closed loops; the last one built is kept
-    and returned again while its key repeats. A refusal raises before anything
-    is stored."""
+def _design(system: PolySystem, model: KoopmanModel, q, r):
+    """((LQR, KOOC) controllers, their compiled closed loops) of :func:`kooc_synthesize`, LQR
+    on the state block first. The last design built is kept and returned again while its key
+    repeats, its KOOC controller on the model of the call that built it. A refusal raises
+    before anything is stored."""
     global _last
     key = _design_key(system, model, q, r)
     last = _last
@@ -450,10 +440,9 @@ def _design(system: PolySystem, model: KoopmanModel, q, r) -> _Design:
     b_lifted = np.zeros((len(model.library), system.input_map.shape[1]))
     b_lifted[:n] = system.input_map
     state_block = KoopmanModel(monomials(n, 1), model.K[:n, :n], CONTINUOUS)
-    lqr, kooc = (kooc_synthesize(lift, b_lifted[:len(lift.library)], q, r)
-                 for lift in (state_block, model))
-    loops = tuple(_closed_loop(system, d.model.library, d.gain) for d in (lqr, kooc))
-    design = _Design(lqr.gain, kooc.gain, kooc.p, loops)
+    controllers = tuple(kooc_synthesize(lift, b_lifted[:len(lift.library)], q, r)
+                        for lift in (state_block, model))
+    design = controllers, tuple(_closed_loop(system, c.model.library, c.gain) for c in controllers)
     _last = (key, design)
     return design
 
@@ -468,17 +457,17 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     the inputs it actually applied (``ratio`` = KOOC/LQR final cost). The
     ``_script`` fields re-cost the KOOC run with the LQR gain substituted
     into the integrand, a convention some published comparisons use; the
-    LQR run applies that gain, so ``lqr_cost_script`` is ``lqr_cost``.
+    LQR run applies that gain, so its counterpart is ``lqr_cost`` itself.
 
-    The design, both gains and each closed loop compiled as one polynomial
-    field, is kept from the last call and reused while the (system, model,
-    q, r) it was built for repeats, as it does when one design is compared
-    from several starts or horizons. The key is the content of the
-    equations, input map, observables, K, q and r, so a changed input gives
-    a new design. A repeat does only the run step, integrating both loops
-    from ``x0`` and costing them, and returns the same bits as a fresh
-    design. ``q``, ``r`` and ``x0`` are validated and every refusal raised
-    on every call, and the returned gains and P are the caller's own copies.
+    The design, the two controllers and their loops compiled as polynomial
+    fields, is kept from the last call and reused while the (system, model,
+    q, r) it was built for repeats, as when one design is compared from
+    several starts or horizons. The key is the content of the field, input
+    map, observables, K, q and r, so a changed input gives a new design. A
+    repeat does only the run step, integrating both loops from ``x0`` and
+    costing them, and returns the same bits as a fresh design. ``q``, ``r``
+    and ``x0`` are validated and every refusal raised on every call; the
+    result holds the caller's model and its own copies of the gains and P.
     """
     if system.input_map is None:
         raise ValueError("system has no input map")
@@ -491,20 +480,18 @@ def compare_lqr_kooc(system: PolySystem, model: KoopmanModel, q, r, x0,
     r = _symmetric(r, "r", definite=True)
     x0 = _initial_state(n, x0)
 
-    design = _design(system, model, q, r)
-    lqr_traj, kooc_traj = (_run_loop(loop, x0, horizon, dt) for loop in design.loops)
+    (lqr, kooc), loops = _design(system, model, q, r)
+    lqr_traj, kooc_traj = (_run_loop(loop, x0, horizon, dt) for loop in loops)
 
     lqr_cost = _trapezoid_cost(lqr_traj, lqr_traj.inputs, q, r)
     kooc_cost = _trapezoid_cost(kooc_traj, kooc_traj.inputs, q, r)
-    kooc_script = _trapezoid_cost(kooc_traj, -(kooc_traj.states @ design.lqr_gain.T), q, r)
-    ratio, ratio_script = (1.0 if j_lqr[-1] == 0.0 else float(j_kooc[-1]) / float(j_lqr[-1])
-                           for j_lqr, j_kooc in ((lqr_cost, kooc_cost), (lqr_cost, kooc_script)))
+    kooc_script = _trapezoid_cost(kooc_traj, -(kooc_traj.states @ lqr.gain.T), q, r)
+    ratio, ratio_script = (1.0 if lqr_cost[-1] == 0.0 else float(j_kooc[-1]) / float(lqr_cost[-1])
+                           for j_kooc in (kooc_cost, kooc_script))
 
     return ComparisonResult(
         lqr_traj=lqr_traj, kooc_traj=kooc_traj,
         lqr_cost=lqr_cost, kooc_cost=kooc_cost, ratio=ratio,
-        lqr_cost_script=lqr_cost, kooc_cost_script=kooc_script,
-        ratio_script=ratio_script, lqr_gain=design.lqr_gain.copy(),
-        kooc_controller=KoocController(model=model, gain=design.kooc_gain.copy(),
-                                       p=design.kooc_p.copy()),
+        kooc_cost_script=kooc_script, ratio_script=ratio_script, lqr_gain=lqr.gain.copy(),
+        kooc_controller=KoocController(model=model, gain=kooc.gain.copy(), p=kooc.p.copy()),
     )

@@ -93,6 +93,12 @@ class PolySystem:
         return {**self.__dict__, "_loop": None}  # generated code does not pickle
 
 
+def _field_key(system):
+    """The field by content: its time kind and its equations' terms in dict order, the order in
+    which the compiled loops and the polynomial algebra read them, so equal keys give equal bits."""
+    return system.time_kind, tuple(tuple(eq.terms.items()) for eq in system.equations)
+
+
 @dataclass
 class Trajectory:
     """Sampled trajectory: times (M,), states (M, n), optional inputs (M, q)."""

@@ -91,24 +91,29 @@ def _sampled_advance(values, times, time_kind):
     if len(times) < 2:
         raise ValueError(f"a trajectory needs at least 2 samples, got {len(times)}")
     gaps = np.diff(times)
-    # np.isclose's test at rtol 1e-9 and atol 1e-12, inlined
     if time_kind != CONTINUOUS:
-        if not np.all(np.abs(gaps - 1.0) <= 1e-12 + 1e-9):
+        if not np.all(_same_step(gaps, 1.0)):
             raise ValueError("map samples are not one step (time 1) apart")
         return values[:-1], values[1:], 1.0
     dt = float(gaps[0])
-    if not 0 < dt < np.inf or not np.all(np.abs(gaps - dt) <= 1e-12 + 1e-9 * dt):
+    if not 0 < dt < np.inf or not np.all(_same_step(gaps, dt)):
         raise ValueError("trajectory samples are not uniformly spaced")
     return values, _differentiate_series(values, dt), dt
+
+
+def _same_step(gap, step):
+    """np.isclose(gap, step, rtol=1e-9, atol=1e-12), inlined: one rule within and between trajectories."""
+    return abs(gap - step) <= 1e-12 + 1e-9 * step
 
 
 def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
     """Concatenate snapshot pairs from several trajectories.
 
     Continuous: per-trajectory derivative estimates (all trajectories must
-    share the sampling step). Discrete: aligned shift pairs. A trajectory
-    with too few or non-uniform samples, a non-finite sample, or a state
-    dimension or step unlike the first one's raises :class:`TrajectoryError`.
+    share the sampling step, by the test that holds one trajectory's gaps to
+    its first). Discrete: aligned shift pairs. A trajectory with too few or
+    non-uniform samples, a non-finite sample, or a state dimension or step
+    unlike the first one's raises :class:`TrajectoryError`.
     """
     if not trajectories:
         raise ValueError("no trajectories supplied")
@@ -126,8 +131,8 @@ def dataset_from_trajectories(trajectories, time_kind) -> DataSet:
             raise TrajectoryError(i, str(exc)) from None
         if i == 0:
             dt = step
-        elif time_kind == CONTINUOUS and not np.isclose(step, dt, rtol=1e-9):
-            raise TrajectoryError(i, f"sample step {step:g} differs from the first trajectory's {dt:g}")
+        elif time_kind == CONTINUOUS and not _same_step(step, dt):
+            raise TrajectoryError(i, f"sample step {step!r} differs from the first trajectory's {dt!r}")
         xs.append(now.T)
         ys.append(advance.T)
     return DataSet(X=np.hstack(xs), Y=np.hstack(ys), time_kind=time_kind)

@@ -197,10 +197,10 @@ def _advances(observables, system):
 
 
 def _library_advances(library, system):
-    """The library's advances along ``system``, formed once while the field repeats. The field's key
-    is its time kind and its equations' terms in dict order, the order the algebra reads them
-    in, so equal keys give equal bits; a field of another key replaces the library's one slot."""
-    key = (system.time_kind, tuple(tuple(eq.terms.items()) for eq in system.equations))
+    """The library's advances along ``system``, formed once while its
+    :func:`~koopmankit.dynamics._field_key` repeats; a field of another key
+    replaces the library's one slot."""
+    key = dynamics._field_key(system)
     if library._advanced is None or library._advanced[0] != key:
         library._advanced = (key, _advances(library.observables, system))
     return library._advanced[1]

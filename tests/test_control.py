@@ -570,9 +570,8 @@ def test_kooc_gain_is_the_lqr_gain_of_the_lifted_problem():
 def _comparison_bits(comp):
     """Every array and ratio of a comparison, as bytes and floats."""
     arrays = (comp.lqr_traj.states, comp.lqr_traj.inputs, comp.kooc_traj.states,
-              comp.kooc_traj.inputs, comp.lqr_cost, comp.kooc_cost, comp.lqr_cost_script,
-              comp.kooc_cost_script, comp.lqr_gain, comp.kooc_controller.gain,
-              comp.kooc_controller.p)
+              comp.kooc_traj.inputs, comp.lqr_cost, comp.kooc_cost, comp.kooc_cost_script,
+              comp.lqr_gain, comp.kooc_controller.gain, comp.kooc_controller.p)
     return [a.tobytes() for a in arrays] + [comp.ratio, comp.ratio_script]
 
 

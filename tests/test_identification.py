@@ -29,13 +29,14 @@ from koopmankit import (
     lstsq,
     monomials,
     refine_subspace,
+    registry_names,
     save_sparse,
     sindy,
     slow_manifold_lift_ct,
 )
 from koopmankit.artifacts import _library_from_json, _sparse_to_json
 from koopmankit.identification import MAX_ROUNDS, _differentiate_series, _sampled_advance
-from koopmankit.registry import _MAP_STARTS
+from koopmankit.registry import _MAP_STARTS, _REGISTRY
 
 import _reference as ref
 
@@ -172,6 +173,20 @@ def test_a_faulty_trajectory_is_named_by_its_index():
     steps = Trajectory(np.arange(len(good), dtype=float), good.states)  # map samples, one step apart
     with pytest.raises(TrajectoryError, match="^trajectory 1: a trajectory needs at least 2"):
         dataset_from_trajectories([steps, Trajectory(np.zeros(1), [[1.0, 1.0]])], DISCRETE)
+
+
+@pytest.mark.parametrize("first, second", [(1e-9, 5e-9), (0.005, 0.005 * (1 + 8e-7))])
+def test_trajectories_are_held_to_one_step_by_the_rule_that_holds_one_trajectory(first, second):
+    """|a - b| <= 1e-12 + 1e-9 b decides both whether one trajectory's gaps are uniform and
+    whether two trajectories share a step, so steps of 1e-9 and 5e-9 are not one data set."""
+    with pytest.raises(ValueError, match="not uniformly spaced"):
+        _sampled_advance(np.zeros((7, 1)), np.append(np.arange(6) * first, 5 * first + second),
+                         CONTINUOUS)
+    trajs = [Trajectory(np.arange(6) * step, np.zeros((6, 1))) for step in (first, second)]
+    with pytest.raises(TrajectoryError) as info:
+        dataset_from_trajectories(trajs, CONTINUOUS)
+    reason = f"sample step {second!r} differs from the first trajectory's {first!r}"
+    assert (info.value.index, info.value.reason) == (1, reason)
 
 
 def test_derivatives_need_five_samples():
@@ -566,3 +581,33 @@ def test_a_one_sample_map_trajectory_is_refused_everywhere_with_one_message():
         dataset_from_trajectories([traj], DISCRETE)
     with pytest.raises(ValueError, match="at least 2 samples, got 1"):
         invariance_residual(tu_model(), traj)
+
+
+# ---------------------------------------------------------------------------
+# the printed equations against the fitted K
+# ---------------------------------------------------------------------------
+
+# The systems whose identification is right at the CLI's defaults; the other five print wrong
+# equations or refine to a library that does not close. The bounds below are the measured split
+# between the two groups, not the bound that a check in identify itself would flag at.
+_RIGHT_FITS = ("kooc_demo", "limitation", "quad_manifold", "tu_map")
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_the_equations_identify_fits_imply_its_k_only_where_the_fit_is_right(name):
+    """On each system's CLI training data (dt 0.005 for a flow, degree 3, default threshold),
+    max|field_lift(refined library, sparse.as_system()).K - K_data| / max|K_data| reads at most
+    5.6e-11 on the right fits and at least 0.111 on the others."""
+    system = builtin(name)
+    starts, span = _REGISTRY[name]["training"]
+    trajs = [iterate(system, x0, span) if system.time_kind == DISCRETE
+             else integrate(system, x0, span, dt=0.005) for x0 in starts]
+    data = dataset_from_trajectories(trajs, system.time_kind)
+    sparse = sindy(data, monomials(system.dim, 3))
+    fitted = refine_subspace(sparse, data).model
+    k_field = field_lift(fitted.library, sparse.as_system()).K
+    gap = np.abs(k_field - fitted.K).max() / np.abs(fitted.K).max()
+    if name in _RIGHT_FITS:
+        assert gap <= 1e-9
+    else:
+        assert gap >= 0.1

@@ -12,7 +12,13 @@ records the exit code (or the type name of an exception that escapes
 ``main``), stdout and stderr (with the run and input directories masked as
 ``<run>`` and ``<in>``), and the SHA-256 of every file the run wrote. Input
 files (CSV data, a saved model) are made first, by the tree itself; their
-hashes are recorded under ``"inputs"``.
+hashes are recorded under ``"inputs"``. The hashes rest on libm, numpy and
+the BLAS kernels, so the record names the Python and numpy versions, numpy's
+BLAS build and the SIMD extensions numpy dispatches to, under ``"config"``.
+
+``tools/cli_matrix.json`` is the record of this tree, and
+``tests/test_cli_matrix.py`` compares a fresh run with it. A change that moves
+an artifact re-records it with ``python3 tools/cli_matrix.py . tools/cli_matrix.json``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import io
 import json
 import os
 import pathlib
+import platform
 import sys
 import tempfile
 
@@ -38,6 +45,9 @@ INPUT_FILES = {
     "bad_cell.csv": "t,x1,x2\n0,1,2\n0.01,abc,2\n",
     "one_state.csv": "t,x1\n0,1\n0.01,1\n",
     "one_state_six_rows.csv": "t,x1\n0,1\n0.01,1\n0.02,1\n0.03,1\n0.04,1\n0.05,1\n",
+    # two trajectories sampled every 0.005 and every 0.005 * (1 + 8e-7)
+    **{name: "t,x1,x2\n" + "".join(f"{k * step!r},{k},{k * k}\n" for k in range(6))
+       for name, step in (("step_005.csv", 0.005), ("step_005_wider.csv", 0.005 * (1 + 8e-7)))},
     # the quad-manifold lift with its state rows listed out of order
     "swapped_rows.json": ('{"time_kind": "continuous", "dim": 2, "state_inclusive": true, '
                           '"observables": [[1, 0], [0, 1], [2, 0]], '
@@ -232,6 +242,8 @@ MATRIX = [
     ["spectral", "--system", "rotated-quad", "--angle", "-0.5"],
     ["spectral", "--system", "rotated-quad", "--mu", "-0.3", "--lambda", "-2"],
     ["spectral", "--system", "rotated-quad", "--angle", "2.356194490192345"],
+    # two trajectories whose steps differ by more than one trajectory's own spacing test allows
+    ["identify", "--system", "quad-manifold", "--data", "{in}/step_005.csv", "{in}/step_005_wider.csv"],
 ]
 
 
@@ -252,6 +264,17 @@ def _invoke(main, argv):
 def _hashes(root):
     return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def config():
+    """What the hashes rest on besides the tree: Python, numpy, its BLAS and its SIMD dispatch."""
+    import numpy as np
+
+    info = np.show_config(mode="dicts")
+    blas = info["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("openblas configuration", f"{blas['name']} {blas['version']}"),
+            "simd": info["SIMD Extensions"]["found"]}
 
 
 def run(tree, scratch):
@@ -291,7 +314,7 @@ def run(tree, scratch):
             "stderr": mask(stderr, run_dir),
             "artifacts": _hashes(run_dir),
         })
-    return {"inputs": _hashes(inputs), "runs": runs}
+    return {"config": config(), "inputs": _hashes(inputs), "runs": runs}
 
 
 if __name__ == "__main__":
