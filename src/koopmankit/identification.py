@@ -1,12 +1,12 @@
 """Data-driven identification: sparse regression and subspace refinement.
 
 The sparse regression is sequential thresholded least squares on a candidate
-observable library. Library columns are scaled to unit RMS before regression
-and coefficients un-scaled afterwards, so the threshold acts on each term's
-contribution to the signal rather than on raw coefficients whose size depends
-on monomial degree. DMD is the special case
-``sindy(data, monomials(n, 1), threshold=0.0)``: with no threshold on the
-linear library the fit is plain least squares, the advance Y pinv(X).
+library, with columns scaled to unit RMS for the threshold and coefficients
+un-scaled afterwards, so the threshold acts on each term's contribution to
+the signal, not on a coefficient whose size depends on monomial degree. DMD
+is ``sindy(data, monomials(n, 1), threshold=0.0)``: plain least squares on
+the linear library, the advance Y pinv(X). Refinement closes the active
+observables by :mod:`koopmankit.lifting`'s growth loop, then fits their K.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 from . import numerics
 from .dynamics import CONTINUOUS, DISCRETE, PolySystem, Trajectory
 from .exceptions import TrajectoryError
-from .lifting import KoopmanModel, ObservableLibrary, _advances, eval_library
-from .polynomials import Polynomial, PolynomialMap, _graded_lex, format_polynomial
+from .lifting import KoopmanModel, ObservableLibrary, _close, eval_library
+from .polynomials import Polynomial, PolynomialMap, format_polynomial
 
 DEFAULT_THRESHOLD = 0.025
 DEFAULT_MAX_ITER = 10
@@ -263,44 +263,22 @@ class RefinementResult:
 def refine_subspace(sparse: SparseModel, data: DataSet) -> RefinementResult:
     """Grow the active observables into an invariant set and fit its advance matrix.
 
-    Starting from the states plus the sparse model's active observables, each
-    round symbolically advances every observable through the identified
-    dynamics and adds any monomial the advances need, up to twice the
-    candidate library's degree, for at most ``MAX_ROUNDS`` rounds. Once the
-    set is fixed, each observable's advance from the data (chain-rule
+    The states plus the sparse model's active observables grow by the monomials
+    their advances through the identified dynamics name (``lifting._close``), up
+    to twice the candidate library's degree, in at most ``MAX_ROUNDS`` rounds.
+    Once the set is fixed, each observable's advance from the data (chain-rule
     derivative for flows, next value for maps) is regressed onto the set by
     plain least squares.
     """
     n = sparse.library.dim
     if sparse.n_targets != n:
         raise ValueError("sparse model does not cover the full state")
-    identified = sparse.as_system()
 
     degree_cap = 2 * max(o.degree() for o in sparse.library.observables)
     active = [o for o, col in zip(sparse.library.observables, sparse.active_mask().any(axis=0)) if col]
-    working = list(dict.fromkeys([Polynomial.variable(n, i) for i in range(n)] + active))
-    known = set(working)
-
-    added = []
-    converged = False
-    rounds = 0
-    for rounds in range(1, MAX_ROUNDS + 1):
-        missing = {}
-        for advance in _advances(working, identified):
-            for exps in advance.terms:
-                mono = Polynomial.monomial(n, exps)
-                if mono not in known:
-                    missing[exps] = mono
-        if not missing:
-            converged = True
-            break
-        admissible = [missing[e] for e in sorted(missing, key=_graded_lex) if sum(e) <= degree_cap]
-        for mono in admissible:
-            working.append(mono)
-            known.add(mono)
-            added.append(format_polynomial(mono))
-        if len(admissible) < len(missing):
-            break  # some or all of the closure lies beyond the cap
+    start = list(dict.fromkeys([Polynomial.variable(n, i) for i in range(n)] + active))
+    working, rounds, converged = _close(start, sparse.as_system(), degree_cap, MAX_ROUNDS)
+    added = tuple(format_polynomial(mono) for mono in working[len(start):])
 
     refined_lib = ObservableLibrary(n, tuple(working))
     theta = eval_library(refined_lib, data.X)  # (m, M)
@@ -317,7 +295,7 @@ def refine_subspace(sparse: SparseModel, data: DataSet) -> RefinementResult:
 
     k = numerics.lstsq(theta.T, targets.T).T
     model = KoopmanModel(refined_lib, k, data.time_kind)
-    return RefinementResult(model=model, converged=converged, rounds=rounds, added=tuple(added))
+    return RefinementResult(model=model, converged=converged, rounds=rounds, added=added)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
-"""Observable libraries and Koopman lifts read off the field.
+"""Observable libraries and Koopman lifts read off the field, and their closure.
 
-Every observable is a polynomial. A lift packages an observable library
-together with the square matrix that advances it, as a :class:`KoopmanModel`;
-:func:`field_lift` reads that matrix off the field for any library of linearly
-independent polynomials, and every lift in the package is built that way: the
-Carleman truncations, the slow-manifold family's exact lifts and its tilted
-lifts, whose systems live in :mod:`koopmankit.registry`.
-:func:`closure_residual` compares polynomial coefficients: zero residual means
-the library is exactly invariant, and a Carleman truncation's dropped
-monomials are its truncation error. Both functions read each library's
-advances from one slot on the library, which holds those along the last field
-it was advanced along.
+Every observable is a polynomial. A :class:`KoopmanModel` packages a library
+with the square matrix K that advances it. :func:`field_lift` reads K off the
+field for any library of linearly independent polynomials, and every lift in
+the package is built that way: the Carleman truncations and the slow-manifold
+family's exact and tilted lifts, whose systems live in :mod:`koopmankit.registry`.
+:func:`closure_residual` compares coefficients: 0 means the library is exactly
+invariant, and a Carleman truncation's dropped monomials are its truncation
+error. Both read a library's advances from its one slot, which holds those
+along the last field it was advanced along. ``_close``, the growth loop of
+refinement, adds the monomials a library's advances name until it closes.
 """
 
 from __future__ import annotations
@@ -204,6 +203,29 @@ def _library_advances(library, system):
     if library._advanced is None or library._advanced[0] != key:
         library._advanced = (key, _advances(library.observables, system))
     return library._advanced[1]
+
+
+def _close(observables, system, degree_cap, max_rounds):
+    """Grow ``observables`` by each monomial their advances along ``system`` name and none holds.
+
+    Round 1 advances the observables given; a round that does not stop adds every monomial its
+    advances name, in graded-lex order, so each later round advances only those. Growth stops
+    closed when a round adds nothing, and unclosed at a monomial above ``degree_cap`` or after
+    ``max_rounds`` rounds. Returns (observables, rounds, closed)."""
+    grown = list(observables)
+    held = {obs.exponents() for obs in grown if obs.is_monomial()}
+    fresh, rounds = grown, 0
+    for rounds in range(1, max_rounds + 1):
+        missing = {e for advance in _advances(fresh, system) for e in advance.terms} - held
+        if not missing:
+            return grown, rounds, True
+        admissible = sorted((e for e in missing if sum(e) <= degree_cap), key=_graded_lex)
+        fresh = [Polynomial.monomial(system.dim, e) for e in admissible]
+        grown += fresh
+        held.update(admissible)
+        if len(admissible) < len(missing):
+            break  # some or all of the closure lies beyond the cap
+    return grown, rounds, False
 
 
 def closure_residual(model: KoopmanModel, system, truncate=False):
