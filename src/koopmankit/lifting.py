@@ -208,12 +208,12 @@ def _library_advances(library, system):
 def _close(observables, system, degree_cap, max_rounds):
     """Grow ``observables`` by each monomial their advances along ``system`` name and none holds.
 
-    Round 1 advances the observables given; a round that does not stop adds every monomial its
-    advances name, in graded-lex order, so each later round advances only those. Growth stops
-    closed when a round adds nothing, and unclosed at a monomial above ``degree_cap`` or after
-    ``max_rounds`` rounds. Returns (observables, rounds, closed)."""
+    An observable of one term holds its monomial. Round 1 advances the observables given; a round
+    that does not stop adds, in graded-lex order, every monomial its advances name, so each later
+    round advances only those. Growth stops closed when a round adds nothing, and unclosed at a
+    monomial above ``degree_cap`` or after ``max_rounds`` rounds. Returns (observables, rounds, closed)."""
     grown = list(observables)
-    held = {obs.exponents() for obs in grown if obs.is_monomial()}
+    held = {e for obs in grown if len(obs.terms) == 1 for e in obs.terms}  # 2*x1^2 holds x1^2
     fresh, rounds = grown, 0
     for rounds in range(1, max_rounds + 1):
         missing = {e for advance in _advances(fresh, system) for e in advance.terms} - held

@@ -15,6 +15,7 @@ from koopmankit import (
     DISCRETE,
     DataSet,
     ObservableLibrary,
+    Polynomial,
     PolynomialMap,
     Trajectory,
     TrajectoryError,
@@ -411,6 +412,21 @@ def test_refine_held_out_invariance_residual():
     result = refine_subspace(sparse, data)
     held_out = integrate(builtin("quad_manifold"), [1.7, -0.4], 10.0, dt=0.005)
     assert invariance_residual(result.model, held_out) < 1e-4
+
+
+def test_a_single_term_observable_holds_its_monomial():
+    """2*x1^2 holds x1^2: refinement adds no unit x1^2 beside it, which would make the library
+    dependent (design condition 2.8e16) and refused by field_lift."""
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    system = builtin("quad_manifold")
+    trajs = [integrate(system, [a, b], 10.0, dt=0.005) for a in (-2.0, -1.0, 1.0, 2.0) for b in (-2.0, 2.0)]
+    data = dataset_from_trajectories(trajs, CONTINUOUS)
+    sparse = sindy(data, ObservableLibrary(2, (x1, x2, 2 * x1 ** 2)))
+    result = refine_subspace(sparse, data)
+    assert result.model.library.names == ["x1", "x2", "2*x1^2"]
+    assert (result.converged, result.rounds, result.added) == (True, 1, ())
+    assert np.linalg.cond(eval_library(result.model.library, data.X).T) < 10.0
+    field_lift(result.model.library, sparse.as_system())  # independent, so not refused
 
 
 # ---------------------------------------------------------------------------
