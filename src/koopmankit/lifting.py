@@ -213,7 +213,7 @@ def _close(observables, system, degree_cap, max_rounds):
     round advances only those. Growth stops closed when a round adds nothing, and unclosed at a
     monomial above ``degree_cap`` or after ``max_rounds`` rounds. Returns (observables, rounds, closed)."""
     grown = list(observables)
-    held = {e for obs in grown if len(obs.terms) == 1 for e in obs.terms}  # 2*x1^2 holds x1^2
+    held = {e for obs in grown if len(obs.terms) == 1 for e in obs.terms}
     fresh, rounds = grown, 0
     for rounds in range(1, max_rounds + 1):
         missing = {e for advance in _advances(fresh, system) for e in advance.terms} - held

@@ -209,6 +209,29 @@ def closure_residual(model, system, truncate=False):
     return worst
 
 
+def close(observables, system, degree_cap, max_rounds):
+    """(each observable's terms, rounds, closed) of refinement's monomial closure. Each round
+    advances every observable and lists the monomials the advances name that no one-term
+    observable is; none closes. Otherwise they are appended by total degree, then descending
+    exponents, until the first above ``degree_cap``, which stops the growth unclosed, as does
+    the end of round ``max_rounds``."""
+    grown, rounds = [dict(obs.terms) for obs in observables], 0
+    for rounds in range(1, max_rounds + 1):
+        held = [exps for terms in grown if len(terms) == 1 for exps in terms]
+        missing = []
+        for terms in grown:
+            for exps in advance(SimpleNamespace(dim=system.dim, terms=terms), system):
+                if exps not in held and exps not in missing:
+                    missing.append(exps)
+        if not missing:
+            return grown, rounds, True
+        for exps in sorted(missing, key=lambda exps: (sum(exps), [-e for e in exps])):
+            if sum(exps) > degree_cap:
+                return grown, rounds, False
+            grown.append({exps: 1.0})
+    return grown, rounds, False
+
+
 # -- the slow-manifold family's exact lift --------------------------------------
 
 def slow_manifold_lift(mu, lam, couplings, time_kind):

@@ -4,6 +4,7 @@ DMD has no function of its own: it is ``sindy`` at threshold 0 on the linear
 library ``monomials(n, 1)``, and the DMD tests below fit it that way.
 """
 
+import functools
 import itertools
 import json
 
@@ -35,6 +36,7 @@ from koopmankit import (
     sindy,
     slow_manifold_lift_ct,
 )
+from koopmankit import lifting
 from koopmankit.artifacts import _library_from_json, _sparse_to_json
 from koopmankit.identification import MAX_ROUNDS, _differentiate_series, _sampled_advance
 from koopmankit.registry import _MAP_STARTS, _REGISTRY
@@ -627,3 +629,46 @@ def test_the_equations_identify_fits_imply_its_k_only_where_the_fit_is_right(nam
         assert gap <= 1e-9
     else:
         assert gap >= 0.1
+
+
+# ---------------------------------------------------------------------------
+# refinement's growth against the reference closure
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _cli_fit(name):
+    """``identify --generate``'s sparse fit and data: the registry's training starts, dt 0.005
+    for a flow, degree 3 and the default threshold."""
+    system = builtin(name)
+    starts, span = _REGISTRY[name]["training"]
+    trajs = [iterate(system, x0, span) if system.time_kind == DISCRETE
+             else integrate(system, x0, span, dt=0.005) for x0 in starts]
+    data = dataset_from_trajectories(trajs, system.time_kind)
+    return sindy(data, monomials(system.dim, 3)), data
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_refinement_grows_each_cli_fit_as_the_reference_and_advances_each_observable_once(
+        name, monkeypatch):
+    sparse, data = _cli_fit(name)
+    advanced = []
+
+    def recording(observables, system):
+        advanced.extend(observables)
+        return advances(observables, system)
+
+    advances = lifting._advances
+    monkeypatch.setattr(lifting, "_advances", recording)
+    result = refine_subspace(sparse, data)
+    n = sparse.library.dim
+    active = [o for o, used in zip(sparse.library.observables, sparse.active_mask().any(axis=0)) if used]
+    start = list(dict.fromkeys([Polynomial.variable(n, i) for i in range(n)] + active))
+    terms, rounds, closed = ref.close(start, sparse.as_system(), 6, MAX_ROUNDS)
+    library = result.model.library
+    assert [obs.terms for obs in library.observables] == terms
+    assert (result.rounds, result.converged) == (rounds, closed)
+    assert list(result.added) == library.names[len(start):]
+    # each observable advanced once, in library order: all of them when the growth closed
+    assert advanced == list(library.observables[:len(advanced)])
+    if result.converged:
+        assert len(advanced) == len(library)

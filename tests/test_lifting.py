@@ -36,7 +36,8 @@ from koopmankit import (
     slow_manifold_lift_ct,
 )
 from koopmankit.artifacts import _model_from_json, _model_to_json
-from koopmankit.lifting import _advances
+from koopmankit.identification import MAX_ROUNDS
+from koopmankit.lifting import _advances, _close
 from koopmankit.registry import _REGISTRY, _exp_neg_inv
 
 import _reference as ref
@@ -706,6 +707,85 @@ def test_closure_residual_refuses_a_difference_that_overflows():
     for residual in (closure_residual, ref.closure_residual):
         with pytest.raises(ValueError, match="non-finite coefficient"):
             residual(model, system)
+
+
+# ---------------------------------------------------------------------------
+# refinement's closure: growing a library until its advances close
+# ---------------------------------------------------------------------------
+
+def _random_growth_cases(seed, count):
+    """Seeded systems of 1-3 states, both time kinds and degree caps 2-6. Each start set is the
+    state and up to three observables of degree at most half the cap, as refinement's are, some
+    of more than one term and some of coefficients other than 1."""
+    rng = np.random.default_rng(seed)
+
+    def poly(dim, max_degree, n_terms, coeffs):
+        return Polynomial(dim, {tuple(int(e) for e in rng.multinomial(rng.integers(1, max_degree + 1),
+                                                                      [1 / dim] * dim)):
+                                float(rng.choice(coeffs)) for _ in range(n_terms)})
+
+    for _ in range(count):
+        dim, cap = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        kind = (CONTINUOUS, DISCRETE)[int(rng.integers(2))]
+        system = PolySystem(dim, kind, tuple(poly(dim, 2, int(rng.integers(1, 4)), [1.0, -0.5, 2.0, 0.25])
+                                             for _ in range(dim)))
+        extra = [poly(dim, max(1, cap // 2), int(rng.integers(1, 3)), [1.0, -0.5, 2.0])
+                 for _ in range(int(rng.integers(0, 4)))]
+        yield list(dict.fromkeys([Polynomial.variable(dim, i) for i in range(dim)] + extra)), system, cap
+
+
+def _closure(observables, system, degree_cap, max_rounds=MAX_ROUNDS):
+    """``_close`` in the reference's form: (each observable's terms, rounds, closed)."""
+    grown, rounds, closed = _close(observables, system, degree_cap, max_rounds)
+    return [obs.terms for obs in grown], rounds, closed
+
+
+def test_closure_grows_as_the_reference_that_advances_every_observable_every_round():
+    outcomes = set()
+    for start, system, cap in _random_growth_cases(5, 300):
+        got = _closure(start, system, cap)
+        assert got == ref.close(start, system, cap, MAX_ROUNDS)
+        outcomes.add((got[1] > 2, got[2]))
+    assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_a_one_term_observable_holds_its_monomial_and_a_many_term_one_holds_none():
+    x = Polynomial.variable(1, 0)
+    # along dx/dt = x^2: x -> x^2, x + x^2 -> x^2 + 2x^3, 2x^3 -> 6x^4, x^2 -> 2x^3, x^4 -> 4x^5
+    grown, rounds, closed = _close([x, x + x ** 2, 2 * x ** 3], builtin("center_manifold"), 4, MAX_ROUNDS)
+    assert (grown, rounds, closed) == ([x, x + x ** 2, 2 * x ** 3, x ** 2, x ** 4], 2, False)
+
+
+# Closure along each registry system's true field, from its state alone at degree cap 6. The
+# systems whose exact lift is a monomial library close on exactly it in 2 rounds; the rest stop
+# unclosed at the cap. The logistic map has two fixed points and dx/dt = x^2 a non-hyperbolic
+# one, so no finite library closes on either, and the tilted flow's exact lift holds a quadratic
+# of three terms, which no monomial closure finds: it grows to every monomial up to the cap.
+_UNCLOSED_ALONG_THE_TRUE_FIELD = {
+    "center_manifold": (monomials(1, 6), 6),
+    "logistic": (monomials(1, 6), 3),
+    "rotated_quad": (monomials(2, 6), 6),
+}
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_closure_along_each_true_field_lands_on_its_exact_lift_or_stops_at_the_cap(name):
+    system = builtin(name)
+    state = [Polynomial.variable(system.dim, i) for i in range(system.dim)]
+    grown, rounds, closed = _close(state, system, 6, MAX_ROUNDS)
+    if name in _UNCLOSED_ALONG_THE_TRUE_FIELD:
+        library, unclosed_rounds = _UNCLOSED_ALONG_THE_TRUE_FIELD[name]
+        assert (tuple(grown), rounds, closed) == (library.observables, unclosed_rounds, False)
+    else:
+        lift = _REGISTRY[name]["lift"](system, 4)
+        assert (tuple(grown), rounds, closed) == (lift.library.observables, 2, True)
+    assert _closure(state, system, 6) == ref.close(state, system, 6, MAX_ROUNDS)
+
+
+def test_closure_stops_unclosed_after_max_rounds_rounds():
+    x = Polynomial.variable(1, 0)
+    grown, rounds, closed = _close([x], builtin("center_manifold"), 20, MAX_ROUNDS)
+    assert (tuple(grown), rounds, closed) == (monomials(1, MAX_ROUNDS + 1).observables, MAX_ROUNDS, False)
 
 
 # ---------------------------------------------------------------------------
