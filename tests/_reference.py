@@ -212,9 +212,9 @@ def closure_residual(model, system, truncate=False):
 def close(observables, system, degree_cap, max_rounds):
     """(each observable's terms, rounds, closed) of refinement's monomial closure. Each round
     advances every observable and lists the monomials the advances name that no one-term
-    observable is; none closes. Otherwise they are appended by total degree, then descending
-    exponents, until the first above ``degree_cap``, which stops the growth unclosed, as does
-    the end of round ``max_rounds``."""
+    observable holds; an empty list closes. Otherwise they are appended by total degree, then
+    descending exponents, until the first above ``degree_cap``, which stops the growth unclosed,
+    as does the end of round ``max_rounds``."""
     grown, rounds = [dict(obs.terms) for obs in observables], 0
     for rounds in range(1, max_rounds + 1):
         held = [exps for terms in grown if len(terms) == 1 for exps in terms]

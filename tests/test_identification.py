@@ -651,13 +651,12 @@ def _cli_fit(name):
 def test_refinement_grows_each_cli_fit_as_the_reference_and_advances_each_observable_once(
         name, monkeypatch):
     sparse, data = _cli_fit(name)
-    advanced = []
+    advanced, advances = [], lifting._advances
 
     def recording(observables, system):
         advanced.extend(observables)
         return advances(observables, system)
 
-    advances = lifting._advances
     monkeypatch.setattr(lifting, "_advances", recording)
     result = refine_subspace(sparse, data)
     n = sparse.library.dim

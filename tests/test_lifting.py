@@ -758,9 +758,10 @@ def test_a_one_term_observable_holds_its_monomial_and_a_many_term_one_holds_none
 
 # Closure along each registry system's true field, from its state alone at degree cap 6. The
 # systems whose exact lift is a monomial library close on exactly it in 2 rounds; the rest stop
-# unclosed at the cap. The logistic map has two fixed points and dx/dt = x^2 a non-hyperbolic
-# one, so no finite library closes on either, and the tilted flow's exact lift holds a quadratic
-# of three terms, which no monomial closure finds: it grows to every monomial up to the cap.
+# unclosed at the cap. The logistic map has two fixed points, and along dx/dt = x^2 the advance
+# of x^k is k x^(k+1), so no finite library closes on either. The tilted flow's exact lift holds
+# a quadratic of three terms, which no monomial closure finds: it grows to every monomial up to
+# the cap.
 _UNCLOSED_ALONG_THE_TRUE_FIELD = {
     "center_manifold": (monomials(1, 6), 6),
     "logistic": (monomials(1, 6), 3),
