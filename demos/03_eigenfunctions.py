@@ -38,19 +38,19 @@ for fn in eigenfunctions(model):
 
 # the x2 - b*x1^2 eigenfunction fixes the slow subspace's slope in the
 # (y2, y3) plane: dy2/dy3 = 1/b = (lam - 2 mu)/lam
-print(f"\nslow-subspace slope: {slow_subspace_slope(model)}")
+print(f"\nslow-subspace slope: {slow_subspace_slope(system)}")
 
 # rotating the state coordinates rewrites the observables but cannot move
 # the spectrum
 base = np.sort_complex(np.linalg.eigvals(model.K))
 print("\neigenvalues under coordinate rotations:")
 for angle in (0.0, 0.3, np.pi / 4, 1.1):
-    rotated = rotate_model(model, angle)
+    rotated = rotate_model(system, angle)
     eigs = np.sort_complex(np.linalg.eigvals(rotated.K))
     drift = np.max(np.abs(eigs - base))
     print(f"  angle {angle:5.3f}: {np.round(eigs.real, 10)}   "
           f"drift {drift:.1e}")
-print("rotated library:", rotate_model(model, np.pi / 4).library.names)
+print("rotated library:", rotate_model(system, np.pi / 4).library.names)
 
 # eigenfunctions need not be polynomial: exp(-1/x) satisfies
 # d/dt exp(-1/x) = exp(-1/x) exactly along dx/dt = x^2; eigen_residual checks

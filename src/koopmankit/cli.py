@@ -143,7 +143,7 @@ def _quad_manifold(ctx, x0):
         tables.append((f"quad_manifold_lifted_{label}.csv",
                        *_trajectory_table(lifted, model.time_kind, ["y1", "y2", "y3"])))
 
-    slope = registry.slow_subspace_slope(model)
+    slope = registry.slow_subspace_slope(ctx.system)
     y1 = np.linspace(-2.5, 2.5, 21)
     y2 = np.linspace(-1.5, 6.5, 21)
     y3 = np.linspace(0.0, 6.5, 21)
@@ -357,9 +357,9 @@ def cmd_spectral(args):
         if (b := registry._system_b(system)) is not None:  # the eigenfunction x2 - b*x1^2
             payload["b"] = b
         try:
-            payload["slow_subspace_slope"] = registry.slow_subspace_slope(model)
+            payload["slow_subspace_slope"] = registry.slow_subspace_slope(system)
         except (ValueError, DegenerateSpectrum):
-            pass  # not the quadratic-manifold lift, or its slow eigenvalue is not simple
+            pass  # not an untilted flow onto x2 = x1^2, or its slow eigenvalue is not simple
 
     if args.named_observable is not None:
         name = args.named_observable.replace("-", "_")

@@ -85,6 +85,13 @@ def _fro(x):
     return np.sqrt(v.dot(v))
 
 
+def _log_fro(x):
+    """log of the Frobenius norm of ``x``, its squares taken on x / max|x| so that none
+    overflows: -inf for x = 0, and not finite if x is not."""
+    top = abs(x).max()
+    return math.log(top) + math.log(_fro(x / top)) if top else -math.inf
+
+
 def _norm1(abs_x):
     """``np.linalg.norm(x, 1)``, the largest column sum, given ``abs_x`` = |x|."""
     return np.add.reduce(abs_x, axis=0).max(initial=0.0)
@@ -174,8 +181,10 @@ def solve_care(a, b, q, r) -> np.ndarray:
     with Q = 0 takes the sign path.
     Raises :class:`NumericsError` if G is not finite, a sign iteration
     fails, A - B K is not Hurwitz, or the relative backward error
-    |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL`` or
-    cannot be measured because |Res| or its scale overflows. One of the 18
+    |Res| / (|Q| + 2|A||P| + |G||P|^2) exceeds ``_BACKWARD_ERROR_TOL``.
+    Where a norm's sum of squares or the scale overflows, that ratio is taken
+    from the norms' logs, each norm summed on x / max|x|; it cannot be
+    measured, and is refused as such, only if Res is not finite. One of the 18
     ``riccati`` benchmark pairs at m = 50 is refused: A - B K reads +0.68.
     """
     return _care(_LqrProblem(a, b, q, r))[0]
@@ -196,16 +205,22 @@ def _care(prob: _LqrProblem):
     eye = np.eye(n)
 
     def defect(p):
-        """Residual of p, its norm, and its relative backward error."""
+        """Residual of p, its norm, the norm of p, and p's relative backward error."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             res = a.T @ p + p @ a - p @ g @ p + q
             res_norm, p_norm = _fro(res), _fro(p)
             scale = q_norm + 2.0 * a_norm * p_norm + g_norm * p_norm ** 2
-        if not (math.isfinite(res_norm) and math.isfinite(scale)):
-            raise NumericsError(
-                f"Riccati backward error overflowed (residual {res_norm:.3e}, scale {scale:.3e}): "
-                "Q or R is too far from unit scale for it to be measured")
-        return res, res_norm, (res_norm / scale if scale else 0.0)
+            if math.isfinite(res_norm) and math.isfinite(scale):
+                return res, res_norm, p_norm, (res_norm / scale if scale else 0.0)
+            # a sum of squares or the scale overflowed: take the same ratio from the norms' logs
+            log_a, log_g, log_q, log_p, log_res = map(_log_fro, (a, g, q, p, res))
+            log_err = log_res - np.logaddexp.reduce([log_q, math.log(2.0) + log_a + log_p,
+                                                     log_g + 2.0 * log_p])
+            if log_err < math.inf:  # -inf for an exact P; nan or inf for a residual that is not finite
+                return res, np.exp(log_res), np.exp(log_p), np.exp(log_err)
+        raise NumericsError(
+            f"Riccati backward error overflowed (residual {res_norm:.3e}, scale {scale:.3e}): "
+            "Q or R is too far from unit scale for it to be measured")
 
     h = np.empty((2 * n, 2 * n))  # the Hamiltonian [[A, -G], [-Q, -A']]
     h[:n, :n] = a
@@ -221,7 +236,7 @@ def _care(prob: _LqrProblem):
     p = np.linalg.lstsq(lhs, np.negative(rhs, out=rhs), rcond=None)[0]
     p = 0.5 * (p + p.T)
 
-    res, res_norm, err = defect(p)
+    res, res_norm, p_norm, err = defect(p)
     floor = 1e-13 * max(1.0, q_norm)
     for _ in range(_POLISH_STEPS):
         if res_norm <= floor or err <= np.finfo(float).eps:
@@ -236,19 +251,19 @@ def _care(prob: _LqrProblem):
         candidate = defect(polished)
         if not candidate[1] < res_norm:
             break
-        p, (res, res_norm, err) = polished, candidate
+        p, (res, res_norm, p_norm, err) = polished, candidate
 
     k = rinv_bt @ p
     growth = float(np.linalg.eigvals(a - b @ k).real.max())
     if not growth < 0.0:
         raise NumericsError(
             f"closed loop A - B K is not Hurwitz (largest real part {growth:.3e}, "
-            f"|P| = {_fro(p):.3e}); the pair may not be stabilizable"
+            f"|P| = {p_norm:.3e}); the pair may not be stabilizable"
         )
     if not err <= _BACKWARD_ERROR_TOL:
         raise NumericsError(
             f"Riccati relative backward error {err:.3e} exceeds {_BACKWARD_ERROR_TOL:g} "
-            f"(residual {res_norm:.3e}, |P| = {_fro(p):.3e})"
+            f"(residual {res_norm:.3e}, |P| = {p_norm:.3e})"
         )
     return p, k
 

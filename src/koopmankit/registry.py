@@ -4,9 +4,10 @@ An entry holds a system's builder and defaults, its default start, horizon and
 identification training starts, and its lift, read off the system the caller
 built. The slow-manifold family lives here whole: its equations, the field
 :func:`slow_manifold_field` and exact lift :func:`slow_manifold_lift_ct`, and,
-for the parabola x2 = x1^2, the tilted coordinates (:func:`rotation_matrix`),
-the lift on them read off the tilted field (:func:`rotate_model`) and the slow
-subspace (:func:`slow_subspace_slope`). So do the Carleman truncations
+for the parabola x2 = x1^2, the tilted coordinates (:func:`rotation_matrix`)
+and, from the untilted registry flow onto it that the caller built, the lift on
+them read off the tilted field (:func:`rotate_model`) and the slow subspace
+(:func:`slow_subspace_slope`). So do the Carleman truncations
 :func:`carleman_logistic` and :func:`carleman_center`; every lift is read off
 a field by ``field_lift``. The module calls only the public names of
 ``dynamics`` and ``lifting``; only ``cli`` and the package namespace import it.
@@ -102,25 +103,26 @@ def _parabola_b(mu, lam):
     return lam / (lam - 2 * mu)
 
 
+def _on_parabola(system):
+    """True for a registry flow whose fast state relaxes onto x2 = x1^2, tilted or not."""
+    return (isinstance(system, PolySystem) and system.time_kind == CONTINUOUS
+            and _REGISTRY.get(system.name, {}).get("manifold") == _PARABOLA)
+
+
 def _system_b(system):
     """:func:`_parabola_b` of a registry flow onto x2 = x1^2, tilted or not; None elsewhere and at lam = 2*mu."""
     p = system.params
-    on_parabola = system.time_kind == CONTINUOUS and _REGISTRY[system.name].get("manifold") == _PARABOLA
-    return _parabola_b(p["mu"], p["lambda"]) if on_parabola and p["lambda"] != 2 * p["mu"] else None
+    return _parabola_b(p["mu"], p["lambda"]) if _on_parabola(system) and p["lambda"] != 2 * p["mu"] else None
 
 
-def _quad_shape(model: KoopmanModel):
-    """Extract (mu, lam) after checking that ``model`` is slow_manifold_lift_ct(mu, lam, {2: 1.0}):
-    the continuous lift on the unit monomials x1, x2, x1^2 with
-    K = [[mu, 0, 0], [0, lam, -lam], [0, 0, 2 mu]]."""
-    quad_library = [{(1, 0): 1.0}, {(0, 1): 1.0}, {(2, 0): 1.0}]
-    if model.time_kind != CONTINUOUS or [obs.terms for obs in model.library.observables] != quad_library:
-        raise ValueError("unsupported model shape: expected the continuous lift on [x1, x2, x1^2]")
-    mu, lam = model.K[0, 0], model.K[1, 1]
-    quad = np.array([[mu, 0.0, 0.0], [0.0, lam, -lam], [0.0, 0.0, 2.0 * mu]])
-    if not np.allclose(model.K, quad, rtol=1e-12, atol=1e-12 * max(1.0, abs(mu), abs(lam))):
-        raise ValueError("unsupported model shape: matrix is not the quadratic-manifold lift")
-    return mu, lam
+def _untilted_parabola(system):
+    """(mu, lam) of an untilted registry flow onto x2 = x1^2; any other system, or a model, raises
+    ``ValueError`` naming it."""
+    if not (_on_parabola(system) and system.params.get("angle", 0.0) == 0.0):
+        raise ValueError(f"{getattr(system, 'name', '') or type(system).__name__} is not an untilted "
+                         "registry flow onto x2 = x1^2 (quad_manifold, kooc_demo, limitation, or "
+                         "rotated_quad at angle 0)")
+    return system.params["mu"], system.params["lambda"]
 
 
 def rotation_matrix(angle):
@@ -130,6 +132,8 @@ def rotation_matrix(angle):
     scaled so 45 degrees gives the classic sum/difference coordinates
     eta = x1 + x2, xi = x1 - x2. Angle 0 is the identity.
     """
+    if not np.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     if angle == 0.0:
         return np.eye(2)
     c, s = np.cos(angle), np.sin(angle)
@@ -139,24 +143,21 @@ def rotation_matrix(angle):
     return scale * np.array([[c, s], [s, -c]])
 
 
-def rotate_model(model: KoopmanModel, angle) -> KoopmanModel:
-    """Re-express the quadratic-manifold lift in tilted coordinates (eta, xi) = T(angle) x, on
-    (eta, xi, phi), phi = x2 - b x1^2, b = lam/(lam - 2 mu): :func:`field_lift` reads K off the
-    tilted field, at 45 degrees [[3mu/2, -mu/2, lam-2mu], [-mu/2, 3mu/2, -(lam-2mu)], [0, 0, lam]]
-    up to rounding. Angle 0 returns the lift on [x1, x2, x1^2] of the (mu, lam) the model holds."""
-    mu, lam = _quad_shape(model)
+def rotate_model(system: PolySystem, angle) -> KoopmanModel:
+    """The lift of the untilted registry flow ``system`` onto x2 = x1^2 in tilted coordinates
+    (eta, xi) = T(angle) x, on (eta, xi, phi), phi = x2 - b x1^2, b = lam/(lam - 2 mu): :func:`field_lift`
+    reads K off the tilted field of the system's (mu, lam), at 45 degrees [[3mu/2, -mu/2, lam-2mu],
+    [-mu/2, 3mu/2, -(lam-2mu)], [0, 0, lam]] up to rounding. Angle 0 gives the lift on [x1, x2, x1^2]."""
+    mu, lam = _untilted_parabola(system)
     return _lift_rotated_quad(_build_rotated_quad({"mu": mu, "lambda": lam, "angle": angle}), None)
 
 
-def slow_subspace_slope(model: KoopmanModel) -> float:
-    """Slope of the slow Koopman subspace in the (x2, x1^2) plane.
-
-    Locates the eigenvalue 2*mu of the quadratic-manifold lift by value and
-    returns v3/v2 of its right eigenvector, which is (lam - 2 mu)/lam. Raises
-    :class:`DegenerateSpectrum` when that eigenvalue is not simple (the
-    lam = 2*mu collision) or the eigenvector's x2 component vanishes.
-    """
-    mu, lam = _quad_shape(model)
+def slow_subspace_slope(system: PolySystem) -> float:
+    """Slope v3/v2 = (lam - 2 mu)/lam of the right eigenvector at 2*mu of the lift that the untilted
+    registry flow ``system`` onto x2 = x1^2 reads off itself: the slow Koopman subspace in the (x2, x1^2)
+    plane. Raises :class:`DegenerateSpectrum` if 2*mu is not simple (lam = 2*mu) or v2 vanishes."""
+    mu, _ = _untilted_parabola(system)
+    model = _REGISTRY[system.name]["lift"](system, None)
     target = 2 * mu
     pairs = numerics.eig(model.K)
     idx, unique = pairs.closest(target)
@@ -164,15 +165,13 @@ def slow_subspace_slope(model: KoopmanModel) -> float:
     if gap > 1e-8 * max(1.0, abs(target)):
         raise DegenerateSpectrum(f"no eigenvalue within tolerance of 2*mu = {target:g}")
     if not unique:
-        raise DegenerateSpectrum(
-            f"eigenvalue 2*mu = {target:g} is not simple; the slow subspace is ambiguous"
-        )
+        raise DegenerateSpectrum(f"eigenvalue 2*mu = {target:g} is not simple; "
+                                 "the slow subspace is ambiguous")
     vec = pairs.right_vectors[:, idx]
     v2, v3 = vec[1], vec[2]
     if abs(v2) < 1e-12 * np.linalg.norm(vec):
         raise DegenerateSpectrum("slow-subspace eigenvector has no x2 component")
-    ratio = v3 / v2
-    return float(ratio.real)
+    return float((v3 / v2).real)
 
 
 def _tilted_state(angle):

@@ -160,7 +160,7 @@ def test_criterion_5_eigenfunction_suite():
 
     # (b) the 45-degree change of coordinates produces the displayed matrix,
     # and the spectrum never moves under rotation
-    rotated = rotate_model(model, np.pi / 4)
+    rotated = rotate_model(system, np.pi / 4)
     displayed = np.array([
         [1.5 * mu, -0.5 * mu, lam - 2.0 * mu],
         [-0.5 * mu, 1.5 * mu, -(lam - 2.0 * mu)],
@@ -170,7 +170,7 @@ def test_criterion_5_eigenfunction_suite():
     spectrum = np.sort_complex(np.linalg.eigvals(model.K))
     eig_err = max(
         float(np.max(np.abs(np.sort_complex(
-            np.linalg.eigvals(rotate_model(model, angle).K)) - spectrum)))
+            np.linalg.eigvals(rotate_model(system, angle).K)) - spectrum)))
         for angle in (0.3, np.pi / 4, 1.1, 2.0)
     )
 

@@ -863,8 +863,8 @@ def test_no_numpy_warning_reaches_stderr(tmp_path):
 
 
 def test_a_riccati_backward_error_that_overflows_is_named_and_warns_nothing(tmp_path):
-    # q = 1e200 overflows the residual; r = 1e-300 overflows |G||P|^2 only
-    for argv in (["--q", "1e200"], ["--r", "1e-300"]):
+    # r = 1e-300 overflows P G P in the KOOC design's residual, so no scaling measures it
+    for argv in (["--r", "1e-300"],):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, stdout, stderr = run_cli(["control", *argv, "--out", str(tmp_path)])
@@ -873,6 +873,33 @@ def test_a_riccati_backward_error_that_overflows_is_named_and_warns_nothing(tmp_
         assert stderr.startswith("error: Riccati backward error overflowed (residual "), argv
         assert stderr.endswith("): Q or R is too far from unit scale for it to be measured\n")
         assert stderr.count("\n") == 1 and stdout == "", argv
+
+
+@pytest.mark.parametrize("argv, text", [
+    # |G||P|^2 overflows the scale; measured on the norms' logs, the KOOC design's backward
+    # error is 0.5, which the 1e-8 gate refuses
+    (["--r", "1e-160"], "error: Riccati relative backward error 5.000e-01 exceeds 1e-08 "
+                        "(residual 7.887e+75, |P| = 1.256e-42)\n"),
+    # |P| ~ 5e155 overflows its norm; measured, both designs pass, and RK4 at dt = 0.01
+    # cannot follow a loop whose gain is ~3e77
+    (["--q", "1e155"], "error: state norm inf exceeded 1.0e+08 at t=0.01; trajectory is diverging\n"),
+], ids=["r_1e-160", "q_1e155"])
+def test_a_riccati_design_whose_norms_overflow_is_measured_and_warns_nothing(tmp_path, argv, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = run_cli(["control", *argv, "--out", str(tmp_path)])
+    assert caught == [] and (code, stdout, stderr) == (3, "", text)
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectral"])
+def test_a_non_finite_angle_is_refused_by_name_and_warns_nothing(tmp_path, command):
+    for angle in ("inf", "nan"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run_cli([command, "--system", "rotated-quad", "--angle", angle,
+                                            "--out", str(tmp_path)])
+        assert caught == [] and (code, stdout) == (2, ""), angle
+        assert stderr.endswith(f"error: angle must be finite, got {angle}\n"), angle
 
 
 def test_identify_on_an_empty_csv_exits_with_usage_error(tmp_path):

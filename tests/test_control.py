@@ -230,14 +230,37 @@ def test_care_refuses_a_hamiltonian_with_imaginary_axis_eigenvalues():
         solve_care([[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 1)), np.eye(2), [[1.0]])
 
 
-@pytest.mark.parametrize("q", [1e160, 1e200])
-def test_care_refuses_a_backward_error_that_overflows_without_a_warning(q):
-    # |P| ~ 5q: at q = 1e160 P is right but |G||P|^2 overflows, so the
-    # backward error cannot be measured; at 1e200 the residual overflows too
+@pytest.mark.parametrize("q", [1e155, 1e160, 1e200])
+def test_care_measures_a_backward_error_whose_norms_overflow_without_a_warning(q):
+    # A = diag(-0.1, 1), B = (0, 1), Q = q I, R = 1: P = diag(5q, 1 + sqrt(1 + q)) exactly.
+    # |G||P|^2 ~ 25 q^2 overflows, and at q = 1e200 so does the residual's sum of squares, so
+    # the backward error is measured on the norms' logs
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericsError, match="backward error overflowed .*unit scale"):
-            solve_care(np.diag([-0.1, 1.0]), [[0.0], [1.0]], q * np.eye(2), [[1.0]])
+        gain, p = lqr_gain(np.diag([-0.1, 1.0]), [[0.0], [1.0]], q * np.eye(2), [[1.0]])
+    np.testing.assert_allclose(p, np.diag([5.0 * q, 1.0 + np.sqrt(1.0 + q)]), rtol=1e-12, atol=0.0)
+    assert np.linalg.eigvals(np.diag([-0.1, 1.0]) - np.array([[0.0], [1.0]]) @ gain).real.max() < 0
+
+
+def test_care_refuses_a_residual_that_overflows_without_a_warning():
+    # A = [[-0.1, 0], [1, 1]], B = (0, 1), Q = 1e100 I, R = 1e-300: P G P overflows in the
+    # residual itself, so no scaling can measure the backward error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"backward error overflowed \(residual inf, .*unit scale"):
+            solve_care([[-0.1, 0.0], [1.0, 1.0]], [[0.0], [1.0]], 1e100 * np.eye(2), [[1e-300]])
+
+
+def test_care_gates_a_design_whose_input_weight_overflows_the_scale_by_its_backward_error():
+    # the KOOC design of `koopmankit control --r 1e-160`: the kooc-demo lift, input on x2,
+    # Q = diag(1, 1, 0) and R = 1e-160, so |G| = 1e160 and |G||P|^2 overflows; measured
+    # on the norms' logs, the backward error is 0.5, which the 1e-8 gate refuses
+    lift = slow_manifold_lift_ct(-0.1, 1.0, {2: 1.0}).K
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"relative backward error 5\.000e-01 exceeds 1e-08 "
+                                                r"\(residual 7\.887e\+75, \|P\| = 1\.256e-42\)"):
+            solve_care(lift, [[0.0], [1.0], [0.0]], np.diag([1.0, 1.0, 0.0]), [[1e-160]])
 
 
 def test_problem_validation():

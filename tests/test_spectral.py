@@ -29,7 +29,7 @@ from koopmankit import (
 )
 from koopmankit.artifacts import _library_from_json
 from koopmankit.cli import main
-from koopmankit.registry import _REGISTRY
+from koopmankit.registry import _REGISTRY, _system_b
 
 import _reference as ref
 
@@ -39,6 +39,11 @@ B_COEFF = LAM / (LAM - 2 * MU)  # 1/1.1 = 0.909090...
 
 def quad_model():
     return slow_manifold_lift_ct(MU, LAM, {2: 1.0})
+
+
+def quad_system():
+    """The registry flow whose lift quad_model() is."""
+    return builtin("quad_manifold", mu=MU, lam=LAM)
 
 
 def tu_model(lam=0.9, mu=0.5):
@@ -243,8 +248,14 @@ def test_rotation_matrix_rejects_singular_angle():
         rotation_matrix(3 * np.pi / 4)
 
 
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+def test_rotation_matrix_refuses_a_non_finite_angle_by_name(angle):
+    with pytest.raises(ValueError, match=f"angle must be finite, got {angle}"):
+        rotation_matrix(angle)
+
+
 def test_rotated_model_matches_displayed_matrix():
-    rotated = rotate_model(quad_model(), np.pi / 4)
+    rotated = rotate_model(quad_system(), np.pi / 4)
     expected = np.array(
         [
             [1.5 * MU, -0.5 * MU, LAM - 2 * MU],
@@ -260,7 +271,7 @@ def test_the_tilted_lift_read_off_its_field_is_the_closed_form(angle):
     """rotate_model and the rotated-quad entry read one K off the tilted field, C-ordered and
     within 2e-15 max|K| of the hand-written closed form."""
     for mu, lam in ((-0.05, 1.0), (-0.05, -1.0), (-0.3, -2.0), (0.2, -0.5), (-1.0, -0.1)):
-        rotated = rotate_model(slow_manifold_lift_ct(mu, lam, {2: 1.0}), angle)
+        rotated = rotate_model(builtin("quad_manifold", mu=mu, lam=lam), angle)
         system = builtin("rotated_quad", mu=mu, lam=lam, angle=angle)
         entry = _REGISTRY["rotated_quad"]["lift"](system, 4)
         assert rotated.library.names == entry.library.names and rotated.K.flags.c_contiguous
@@ -274,14 +285,14 @@ def test_rotated_model_eigenvalues_are_invariant():
     model = quad_model()
     reference = np.sort(np.linalg.eigvals(model.K).real)
     for angle in (0.3, 1.0, 2.0, -0.7, np.pi / 4):
-        rotated = rotate_model(model, angle)
+        rotated = rotate_model(quad_system(), angle)
         current = np.sort(np.linalg.eigvals(rotated.K).real)
         np.testing.assert_allclose(current, reference, atol=1e-10)
 
 
 def test_rotated_third_observable_is_the_slow_eigenfunction():
     """In rotated coordinates the third library entry is still x2 - b x1^2."""
-    rotated = rotate_model(quad_model(), np.pi / 4)
+    rotated = rotate_model(quad_system(), np.pi / 4)
     obs_name = rotated.library.names[2]
     # evaluating the rotated observable at T(x) equals phi at x
     tmat = rotation_matrix(np.pi / 4)
@@ -298,7 +309,7 @@ def test_rotated_third_observable_is_the_slow_eigenfunction():
 
 def test_rotate_model_angle_zero_returns_fresh_copy():
     model = quad_model()
-    rotated = rotate_model(model, 0.0)
+    rotated = rotate_model(quad_system(), 0.0)
     assert rotated is not model
     np.testing.assert_array_equal(rotated.K, model.K)
     assert rotated.library.names == model.library.names
@@ -306,11 +317,11 @@ def test_rotate_model_angle_zero_returns_fresh_copy():
 
 def test_rotate_model_rejects_singular_angle():
     with pytest.raises(ValueError):
-        rotate_model(quad_model(), 3 * np.pi / 4)
+        rotate_model(quad_system(), 3 * np.pi / 4)
 
 
 def test_rotate_model_requires_simple_spectrum():
-    degenerate = slow_manifold_lift_ct(-0.05, -0.1, {2: 1.0})  # lam = 2 mu
+    degenerate = builtin("quad_manifold", mu=-0.05, lam=-0.1)  # lam = 2 mu
     with pytest.raises(DegenerateSpectrum):
         rotate_model(degenerate, np.pi / 4)
 
@@ -320,20 +331,54 @@ def test_rotate_model_requires_simple_spectrum():
 # ---------------------------------------------------------------------------
 
 def test_slow_subspace_slope_value():
-    assert slow_subspace_slope(quad_model()) == pytest.approx(1.1, abs=1e-14)
+    assert slow_subspace_slope(quad_system()) == pytest.approx(1.1, abs=1e-14)
 
 
 def test_slow_subspace_slope_matches_by_eigenvalue_not_position():
     # with lam = -1 the 2 mu eigenvalue is in the middle of the sorted order
-    model = slow_manifold_lift_ct(-0.05, -1.0, {2: 1.0})
-    slope = slow_subspace_slope(model)
+    system = builtin("quad_manifold", mu=-0.05, lam=-1.0)
+    slope = slow_subspace_slope(system)
     assert slope == pytest.approx((-1.0 - 2 * -0.05) / -1.0, abs=1e-12)  # 0.9
 
 
 def test_slow_subspace_slope_degenerate_collision():
-    degenerate = slow_manifold_lift_ct(-0.05, -0.1, {2: 1.0})
+    degenerate = builtin("quad_manifold", mu=-0.05, lam=-0.1)
     with pytest.raises(DegenerateSpectrum):
         slow_subspace_slope(degenerate)
+
+
+@pytest.mark.parametrize("name", ["quad_manifold", "kooc_demo", "limitation"])
+def test_b_times_the_slow_subspace_slope_is_one(name):
+    """spectral writes b = lam/(lam - 2 mu) of x2 - b x1^2 and the slope (lam - 2 mu)/lam of the
+    eigenvector at 2 mu beside it: each is the other's reciprocal."""
+    for mu, lam in ((-0.05, 1.0), (-0.05, -1.0), (0.1, -1.0), (-0.1, 1.0), (-0.3, -2.0), (0.2, 0.7)):
+        system = builtin(name, mu=mu, lam=lam)
+        assert abs(_system_b(system) * slow_subspace_slope(system) - 1.0) <= 1e-12, (mu, lam)
+
+
+def test_rotated_quad_at_angle_zero_is_asked_like_the_quad_flow():
+    for mu, lam in ((-0.05, 1.0), (0.2, -0.5)):
+        flat = builtin("rotated_quad", mu=mu, lam=lam, angle=0.0)
+        quad = builtin("quad_manifold", mu=mu, lam=lam)
+        assert slow_subspace_slope(flat) == slow_subspace_slope(quad)
+        for angle in (0.0, 0.3, np.pi / 4):
+            assert rotate_model(flat, angle).K.tobytes() == rotate_model(quad, angle).K.tobytes()
+
+
+@pytest.mark.parametrize("system, name", [
+    (builtin("quartic_manifold"), "quartic_manifold"),
+    (builtin("tu_map"), "tu_map"),
+    (builtin("discrete_manifold"), "discrete_manifold"),
+    (builtin("center_manifold"), "center_manifold"),
+    (builtin("rotated_quad"), "rotated_quad"),
+    (builtin("rotated_quad", angle=0.3), "rotated_quad"),
+    (slow_manifold_lift_ct(MU, LAM, {2: 1.0}), "KoopmanModel"),
+], ids=["quartic", "tu_map", "discrete", "center", "rotated_45deg", "rotated_0.3", "model"])
+@pytest.mark.parametrize("ask", [slow_subspace_slope, lambda system: rotate_model(system, 0.3)],
+                         ids=["slope", "rotate"])
+def test_only_an_untilted_registry_flow_onto_the_parabola_is_asked(ask, system, name):
+    with pytest.raises(ValueError, match=f"^{name} is not an untilted registry flow onto x2 = x1\\^2"):
+        ask(system)
 
 
 # ---------------------------------------------------------------------------

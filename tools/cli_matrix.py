@@ -244,6 +244,11 @@ MATRIX = [
     ["spectral", "--system", "rotated-quad", "--angle", "2.356194490192345"],
     # two trajectories whose steps differ by more than one trajectory's own spacing test allows
     ["identify", "--system", "quad-manifold", "--data", "{in}/step_005.csv", "{in}/step_005_wider.csv"],
+    # Riccati designs whose Frobenius norms overflow, their backward error measured on the
+    # norms' logs: |P| ~ 5e155, and |G| = 1e160; and a tilt angle that is not finite
+    ["control", "--q", "1e155"],
+    ["control", "--r", "1e-160"],
+    ["simulate", "--system", "rotated-quad", "--angle", "inf"],
 ]
 
 
