@@ -160,7 +160,7 @@ def _step_grid(steps):
         raise ValueError("steps must be non-negative")
     try:
         return np.arange(steps + 1, dtype=float)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy raises ValueError for a size it cannot even address
         raise ValueError(f"{steps} steps take more samples than numpy can allocate") from None
 
 

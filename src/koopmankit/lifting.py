@@ -1,15 +1,18 @@
 """Observable libraries and Koopman lifts read off the field, and their closure.
 
 Every observable is a polynomial. A :class:`KoopmanModel` packages a library
-with the square matrix K that advances it. :func:`field_lift` reads K off the
-field for any library of linearly independent polynomials, and every lift in
-the package is built that way: the Carleman truncations and the slow-manifold
-family's exact and tilted lifts, whose systems live in :mod:`koopmankit.registry`.
-:func:`closure_residual` compares coefficients: 0 means the library is exactly
-invariant, and a Carleman truncation's dropped monomials are its truncation
-error. Both read a library's advances from its one slot, which holds those
-along the last field it was advanced along. ``_close``, the growth loop of
-refinement, adds the monomials a library's advances name until it closes.
+with the square matrix K that advances it. A lift rests on one identity,
+K C = A, where C holds the observables' coefficients and A their exact
+advances, one column per monomial (``_advance_matrix``). :func:`field_lift`
+solves it for K on the monomials the observables hold, for any library of
+linearly independent polynomials; every lift in the package is built that
+way: the Carleman truncations and the slow-manifold family's exact and tilted
+lifts, whose systems live in :mod:`koopmankit.registry`.
+:func:`closure_residual` reads max|A - K C| off the same A: 0 means the
+library is exactly invariant, and a Carleman truncation's dropped monomials
+are its truncation error. A library keeps its advances in one slot, along the
+last field it was advanced along. ``_close``, the growth loop of refinement,
+adds the monomials a library's advances name until it closes.
 """
 
 from __future__ import annotations
@@ -153,11 +156,13 @@ def field_lift(library: ObservableLibrary, system):
     Advance terms off those columns are left to :func:`closure_residual`, 0 for an invariant library."""
     if system.dim != library.dim:
         raise ValueError("state dimension mismatch")
-    column = _held_monomials(library)
-    a = _coefficients(_library_advances(library, system), column)
+    column, a = _advance_matrix(library, system, truncate=True)
     if all(obs.is_monomial() for obs in library.observables):
         return KoopmanModel(library, a, system.time_kind)
-    c = _coefficients(library.observables, column)
+    c = np.zeros((len(library), len(column)))
+    for i, obs in enumerate(library.observables):
+        for e, coeff in obs.terms.items():
+            c[i, column[e]] = coeff
     rest, pivots = c.copy(), []
     for i, obs in enumerate(library.observables):
         pivots.append(j := int(np.argmax(np.abs(rest[i]))))
@@ -168,19 +173,22 @@ def field_lift(library: ObservableLibrary, system):
     return KoopmanModel(library, np.ascontiguousarray(k), system.time_kind)
 
 
-def _held_monomials(library):
-    """{exponents: column} of each monomial the observables hold, in first-appearance order."""
-    return {e: j for j, e in enumerate(dict.fromkeys([e for obs in library.observables for e in obs.terms]))}
-
-
-def _coefficients(polys, column):
-    """The polynomials' coefficients on ``column``'s monomials; other terms are dropped."""
-    out = np.zeros((len(polys), len(column)))
-    for i, poly in enumerate(polys):
-        for exps, coeff in poly.terms.items():
-            if exps in column:
-                out[i, column[exps]] = coeff
-    return out
+def _advance_matrix(library, system, truncate):
+    """({exponents: column}, A): A[i] holds the coefficients of observable i's advance along
+    ``system``. The columns are the monomials the observables hold, in first-appearance order,
+    then, unless ``truncate``, those only the advances name; ``truncate`` drops the advances'
+    other terms."""
+    advances = _library_advances(library, system)
+    column = dict.fromkeys(e for obs in library.observables for e in obs.terms)
+    if not truncate:
+        column.update(dict.fromkeys(e for advance in advances for e in advance.terms))
+    column = {e: j for j, e in enumerate(column)}
+    a = np.zeros((len(advances), len(column)))
+    for i, advance in enumerate(advances):
+        for e, coeff in advance.terms.items():
+            if e in column:
+                a[i, column[e]] = coeff
+    return column, a
 
 
 # ---------------------------------------------------------------------------
@@ -229,42 +237,31 @@ def _close(observables, system, degree_cap, max_rounds):
 
 
 def closure_residual(model: KoopmanModel, system, truncate=False):
-    """Largest coefficient mismatch between each observable's advance and K·Theta.
+    """max|A - K C|: the largest coefficient mismatch between each observable's advance and K·Theta.
 
-    Zero means the library is exactly invariant and K reproduces the dynamics
-    coefficient-for-coefficient. With ``truncate=True``, advance terms whose
-    monomials no observable holds (the discarded tail of a Carleman
-    truncation) are dropped before comparing: K·Theta reaches exactly the
-    monomials of the observables, so a library with a non-monomial
-    observable such as x + x^2 keeps its x^2 terms.
+    A and C hold the advances' and the observables' coefficients, on the monomials the observables
+    hold and, unless ``truncate``, on those only the advances name too, so ``truncate=True`` drops
+    the discarded tail of a Carleman truncation; an observable such as x + x^2 keeps its x^2 terms.
+    Zero means the library is exactly invariant and K reproduces the dynamics coefficient for
+    coefficient. The residual is absolute, so compare it with max|K|.
 
-    The residual is absolute, so compare it with max|K|.
-
-    The two coefficient dicts are compared as they are, with no truncated,
-    negated or difference polynomial built. ``lhs - rhs`` would add
-    ``lhs + (-rhs)``, which IEEE rounds as ``lhs - rhs``, and a monomial on
-    one side alone differs by its own coefficient, so the residual has the
-    bits of the largest absolute coefficient of ``lhs - rhs``. Both sides
-    are validated, so only a difference can be non-finite, and that raises
-    the ``ValueError`` ("non-finite coefficient") the difference polynomial
-    would.
+    K C is folded observable by observable in library order, term by term, the products and sums of
+    :meth:`ObservableLibrary.linear_combination` in its order, so every entry has that sum's bits.
+    A product, sum or difference that is not finite raises ``ValueError`` ("non-finite coefficient").
     """
     if system.time_kind != model.time_kind:
         raise ValueError("model and system time kinds differ")
     if system.dim != model.library.dim:
         raise ValueError("state dimension mismatch")
-    retained = _held_monomials(model.library)
-    worst = 0.0
-    for i, advance in enumerate(_library_advances(model.library, system)):
-        lhs = advance.terms
-        if truncate:
-            lhs = {e: c for e, c in lhs.items() if e in retained}
-        rhs = model.library.linear_combination(model.K[i]).terms
-        gaps = [abs(c - rhs.get(e, 0.0)) for e, c in lhs.items()]
-        gaps += [abs(c) for e, c in rhs.items() if e not in lhs]
-        worst = max(worst, max(gaps, default=0.0))
-        if not isfinite(worst):
-            raise ValueError("non-finite coefficient")
+    column, a = _advance_matrix(model.library, system, truncate)
+    kc = np.zeros((len(column), len(a)))  # (K C)^T, one row per monomial
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k_j, obs in zip(model.K.T, model.library.observables):
+            for e, coeff in obs.terms.items():
+                kc[column[e]] += k_j * coeff
+        worst = float(np.abs(a.T - kc).max())
+    if not isfinite(worst):
+        raise ValueError("non-finite coefficient")
     return worst
 
 

@@ -34,10 +34,10 @@ be new. Results of arithmetic on validated polynomials go through
 re-check the exponent tuples. :func:`_compose_all` takes a term's first
 factor as the cached power scaled by the coefficient (the power itself for
 1.0) and a one-term result as that term, and
-:func:`~koopmankit.lifting.closure_residual` compares coefficient dicts
-without building a difference polynomial. None of these changes a float
-operation or its order, only which objects hold the results, so every
-coefficient keeps the bits of the object-by-object fold.
+:func:`~koopmankit.lifting.closure_residual` sums K times the observables'
+coefficients into one array, in the order ``linear_combination`` adds them.
+None of these changes a float operation or its order, only which objects hold
+the results, so every coefficient keeps the bits of the object-by-object fold.
 """
 
 from __future__ import annotations

@@ -375,20 +375,34 @@ def care(a, b, q, r):
     return p, kept
 
 
+def _log_norm(x):
+    """log of the Frobenius norm of ``x``, summed over squares of x / max|x|, which cannot
+    overflow: -inf for x = 0, and not finite if an entry of x is not."""
+    top = float(np.max(np.abs(x), initial=0.0))
+    return math.log(top) + math.log(float(np.linalg.norm(x / top))) if top else -math.inf
+
+
 def care_verdict(a, b, q, r, p):
     """How well ``p`` solves A'P + PA - P G P + Q = 0, G = B R^-1 B', computed
     on C-ordered copies of every matrix, so that a problem's verdict does not
     depend on the memory order of its input: ``residual`` |Res| (Frobenius),
-    ``backward_error`` |Res| / (|Q| + 2|A||P| + |G||P|^2), and ``growth``, the
-    largest real part of A - B R^-1 (B'P), nan if that loop is not finite."""
+    ``backward_error`` |Res| / (|Q| + 2|A||P| + |G||P|^2), taken on the norms'
+    logs when a norm or the scale overflows, and ``growth``, the largest real
+    part of A - B R^-1 (B'P), nan if that loop is not finite."""
     a, b, q, r, p = (np.ascontiguousarray(m, dtype=float) for m in (a, b, q, r, p))
     with np.errstate(all="ignore"):
         g = b @ np.linalg.solve(r, b.T)
-        res = float(np.linalg.norm(a.T @ p + p @ a - p @ g @ p + q))
+        residual = a.T @ p + p @ a - p @ g @ p + q
+        res = float(np.linalg.norm(residual))
         p_norm = np.linalg.norm(p)
         scale = (np.linalg.norm(q) + 2.0 * np.linalg.norm(a) * p_norm
                  + np.linalg.norm(g) * p_norm ** 2)
-        err = res / scale if scale else (0.0 if res == 0.0 else math.inf)
+        if math.isfinite(res) and math.isfinite(scale):
+            err = res / scale if scale else (0.0 if res == 0.0 else math.inf)
+        else:  # a norm or the scale overflows: the same ratio, on the logs of the norms
+            log_res, log_q, log_a, log_g, log_p = map(_log_norm, (residual, q, a, g, p))
+            err = np.exp(log_res - np.logaddexp.reduce([log_q, math.log(2.0) + log_a + log_p,
+                                                        log_g + 2.0 * log_p]))
         loop = a - b @ np.linalg.solve(r, b.T @ p)
         growth = np.linalg.eigvals(loop).real.max() if np.isfinite(loop).all() else math.nan
     return SimpleNamespace(residual=res, backward_error=float(err), growth=float(growth))

@@ -830,17 +830,25 @@ def test_a_failing_simulate_writes_none_of_the_tables_it_computed_first(tmp_path
 
 def test_infinite_horizon_exits_with_usage_error(tmp_path):
     # the second horizon is finite, but its step count t_end/dt overflows to inf;
-    # the last two take 10^15 steps, a grid of 8 PB that numpy refuses to allocate
-    for argv, text in ((["--system", "quad-manifold", "--horizon", "inf"], "finite"),
-                       (["--system", "quad-manifold", "--horizon", "1e300", "--dt", "1e-300"],
+    # the rest take 10^15 steps or more, grids numpy cannot allocate (a MemoryError at
+    # 10^15, numpy's ValueError on a size it cannot address at 10^300 and 10^30)
+    for argv, text in ((["simulate", "--system", "quad-manifold", "--horizon", "inf"], "finite"),
+                       (["simulate", "--system", "quad-manifold", "--horizon", "1e300", "--dt", "1e-300"],
                         "finite"),
-                       (["--system", "quad-manifold", "--horizon", "1e15", "--dt", "1"],
+                       (["simulate", "--system", "quad-manifold", "--horizon", "1e15", "--dt", "1"],
                         "1000000000000000 steps"),
-                       (["--system", "tu-map", "--steps", "1000000000000000"],
-                        "1000000000000000 steps")):
-        code, _, stderr = run_cli(["simulate", *argv, "--out", str(tmp_path)])
+                       (["simulate", "--system", "tu-map", "--steps", "1000000000000000"],
+                        "1000000000000000 steps"),
+                       (["simulate", "--system", "quad-manifold", "--horizon", "1e300", "--dt", "1"],
+                        "steps take more samples than numpy can allocate"),
+                       (["simulate", "--system", "tu-map", "--steps", str(10**30)],
+                        f"{10**30} steps take more samples than numpy can allocate"),
+                       (["control", "--dt", "1e-320", "--horizon", "1e-300"],
+                        "steps take more samples than numpy can allocate")):
+        code, _, stderr = run_cli([*argv, "--out", str(tmp_path)])
         assert code == 2, argv
         assert text in stderr, argv
+        assert not any(tmp_path.iterdir()), argv
 
 
 def test_no_numpy_warning_reaches_stderr(tmp_path):

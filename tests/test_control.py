@@ -242,6 +242,16 @@ def test_care_measures_a_backward_error_whose_norms_overflow_without_a_warning(q
     assert np.linalg.eigvals(np.diag([-0.1, 1.0]) - np.array([[0.0], [1.0]]) @ gain).real.max() < 0
 
 
+def test_the_reference_verdict_measures_a_backward_error_whose_scale_overflows():
+    # |P| ~ 5e155, so |G||P|^2 overflows: a plain ratio would read 0.0, a finite residual over
+    # an infinite scale
+    a, b, q, r = np.diag([-0.1, 1.0]), [[0.0], [1.0]], 1e155 * np.eye(2), [[1.0]]
+    p = solve_care(a, b, q, r)
+    assert np.abs(p).max() > np.sqrt(np.finfo(float).max)
+    err = care_verdict(a, b, q, r, p).backward_error
+    assert 0.0 < err < 1e-12
+
+
 def test_care_refuses_a_residual_that_overflows_without_a_warning():
     # A = [[-0.1, 0], [1, 1]], B = (0, 1), Q = 1e100 I, R = 1e-300: P G P overflows in the
     # residual itself, so no scaling can measure the backward error

@@ -158,6 +158,13 @@ def test_iterate_refuses_a_non_integer_or_negative_step_count():
     assert len(iterate(system, [1.0, 1.0], np.int64(3))) == 4
 
 
+@pytest.mark.parametrize("steps", [10**15, 2**62, 10**30])
+def test_a_step_count_numpy_cannot_allocate_is_refused_by_name(steps):
+    # numpy refuses 10^15 samples with MemoryError, and 2^62 and 10^30 with ValueError
+    with pytest.raises(ValueError, match=f"^{steps} steps take more samples than numpy can allocate$"):
+        iterate(builtin("tu_map"), [1.0, 1.0], steps)
+
+
 def test_integrate_rejects_discrete_system():
     with pytest.raises(ValueError):
         integrate(builtin("tu_map"), [1.0, 1.0], 5.0)

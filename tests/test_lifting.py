@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 import warnings
 
@@ -707,6 +708,53 @@ def test_closure_residual_refuses_a_difference_that_overflows():
     for residual in (closure_residual, ref.closure_residual):
         with pytest.raises(ValueError, match="non-finite coefficient"):
             residual(model, system)
+
+
+def _tilted_liftable_cases(seed, count):
+    """Exactly liftable systems (ROADMAP direction 26) in random linear coordinates, flows and maps
+    in turn: x_i -> mu_i x_i + p_i(x_1..x_(i-1)) with weights w_1 = 1, w_i <= W in {2, 3}, and p_i of
+    1-4 monomials of total degree >= 2 and weighted degree <= w_i. The state's monomial closure is
+    moved to z = T x, T = I + 0.5 randn: the library is z plus each grown monomial of x = T^-1 z, so
+    every monomial of a degree has many owners, each with its own rounding."""
+    rng = np.random.default_rng(seed)
+    for member in range(count):
+        time_kind = (CONTINUOUS, DISCRETE)[member % 2]
+        dim, cap = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        weights = [1, *(int(w) for w in rng.integers(1, cap + 1, dim - 1))]
+        state = [Polynomial.variable(dim, i) for i in range(dim)]
+        equations = []
+        for i in range(dim):
+            rate = rng.uniform(0.2, 1.2)
+            terms = [float(rate * (-1.0 if time_kind == CONTINUOUS else rng.choice([-1.0, 1.0]))) * state[i]]
+            candidates = [e + (0,) * (dim - i) for e in itertools.product(range(cap + 1), repeat=i)
+                          if sum(e) >= 2 and sum(map(operator.mul, weights, e)) <= weights[i]]
+            for k in rng.permutation(len(candidates))[:int(rng.integers(1, 5))]:
+                coeff = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5))
+                terms.append(coeff * Polynomial.monomial(dim, candidates[k]))
+            equations.append(functools.reduce(operator.add, terms))
+        grown, _, closed = _close(state, PolySystem(dim, time_kind, tuple(equations)), 40, 60)
+        assert closed
+        t = np.eye(dim) + 0.5 * rng.standard_normal((dim, dim))
+        units = [next(iter(x.terms)) for x in state]
+        back = [Polynomial(dim, dict(zip(units, map(float, row)))) for row in np.linalg.inv(t)]  # x = T^-1 z
+        tilted = tuple(functools.reduce(operator.add, [float(c) * f.compose(back) for c, f in zip(row, equations)])
+                       for row in t)
+        library = ObservableLibrary(dim, (*state, *(g.compose(back) for g in grown[dim:])))
+        system = PolySystem(dim, time_kind, tilted)
+        yield field_lift(library, system), system
+
+
+def test_closure_residual_folds_k_c_in_library_order_on_liftable_systems_in_linear_coordinates():
+    """Each residual has the bits of the reference's dict fold. A mismatch that three or more
+    observables share rounds by the order of its sum: on these 120 residuals, K @ C through BLAS
+    moves 3 and the fold in reversed library order 5, so both are caught."""
+    residuals = []
+    for model, system in _tilted_liftable_cases(6, 60):
+        for truncate in (False, True):
+            got = closure_residual(model, system, truncate=truncate)
+            assert float.hex(got) == float.hex(ref.closure_residual(model, system, truncate))
+            residuals.append(got)
+    assert sum(got > 0.0 for got in residuals) > len(residuals) // 2  # rounding, not exact cancellation
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,10 @@ MATRIX = [
     ["identify", "--system", "quad-manifold", "--generate", "--threshold", "nan"],
     ["simulate", "--system", "quad-manifold", "--horizon", "1e15", "--dt", "1"],
     ["simulate", "--system", "tu-map", "--steps", "1000000000000000"],
+    # grids whose size numpy cannot address, refused with its ValueError, not MemoryError
+    ["simulate", "--system", "quad-manifold", "--horizon", "1e300", "--dt", "1"],
+    ["simulate", "--system", "tu-map", "--steps", "1000000000000000000000000000000"],
+    ["control", "--dt", "1e-320", "--horizon", "1e-300"],
     ["simulate", "--system", "logistic", "--r", "1e200", "--x0=2", "--steps", "3"],
     ["control", "--q", "inf"],
     # a linearization with an unstabilizable unstable mode; a state cost whose
